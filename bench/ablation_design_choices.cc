@@ -50,8 +50,7 @@ main()
 
     std::vector<RunResult> base;
     for (const auto &w : kWorkloads)
-        base.push_back(
-            harness::runOneCached(cfg, Scheme::BASE, w, scale));
+        base.push_back(harness::runOneCached(cfg, "map:base", w, scale));
 
     // --- 1. input-range ablation ------------------------------------
     TextTable t1;

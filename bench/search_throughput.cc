@@ -5,23 +5,17 @@
  * Measures `BimSearch` candidate-evaluation throughput on a fixed
  * synth joint set at a small and a large scale.
  *
- * The speedup denominator (`baseline_evaluations_per_second`) comes
- * from a **legacy reference** kept verbatim in this file: the pre-PR
- * scoring path — per-TB `std::vector` planes, the per-word
- * `countr_zero` tap walk, and the vector-allocating
- * `shannonEntropyBaseV` binary-entropy tail — timed on this host over
- * a fixed mask set. Its values double as an oracle: they must match
- * today's `rowEntropy` bit for bit, so the recorded speedup can never
- * come from computing something different.
- *
- * On top of that, three full anneal legs (identical trajectories
- * asserted):
+ * Three full anneal legs (identical trajectories asserted):
  *
  *  - **scalar oracle**: `PlaneOptions::forceScalar` planes, per-move
  *    from-scratch scoring (`SearchOptions::planeCache = false`);
  *  - **simd oracle**: dispatched SIMD kernels, from-scratch scoring;
  *  - **cached** (headline `evaluations_per_second`): SIMD kernels
  *    plus the incremental plane cache.
+ *
+ * `speedup_vs_baseline` is cached over scalar oracle: both run the
+ * same trajectory in the same process, so the ratio measures the
+ * SIMD kernels plus the plane cache and nothing else.
  *
  * A fourth leg times `rowEntropyBatch` against a per-row loop over
  * the same masks, and the joint-vs-independent comparison that used
@@ -30,8 +24,6 @@
  * Exit code is non-zero on any identity failure.
  */
 
-#include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -41,7 +33,6 @@
 #include "common/bitops.hh"
 #include "common/metrics.hh"
 #include "common/rng.hh"
-#include "entropy/window_entropy.hh"
 #include "search/searched_bim.hh"
 #include "workloads/workload_set.hh"
 
@@ -55,143 +46,6 @@ double
 secondsSince(Clock::time_point start)
 {
     return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-// ---- legacy (pre-PR) scoring reference ------------------------------------
-// A faithful copy of the original TracePlanes scoring path, preserved
-// as the fixed denominator of `speedup_vs_baseline` (and as an oracle
-// for today's rowEntropy). Do not "optimize" this: its point is to
-// keep measuring what the code did before the plane cache, the SIMD
-// dispatch and the arena landed.
-
-struct LegacyTb
-{
-    std::uint64_t requests = 0;
-    std::uint32_t words = 0;
-    std::vector<std::uint64_t> bits; ///< plane b at [b * words + w]
-};
-
-struct LegacyKernel
-{
-    std::vector<LegacyTb> tbs;
-    std::uint64_t requests = 0;
-};
-
-struct LegacyPlanes
-{
-    unsigned nbits = 0;
-    std::uint64_t total = 0;
-    std::vector<LegacyKernel> kernels;
-};
-
-LegacyPlanes
-legacyExtract(const Workload &wl, unsigned nbits)
-{
-    LegacyPlanes lp;
-    lp.nbits = nbits;
-    for (const Kernel &k : wl.kernels()) {
-        LegacyKernel lk;
-        lk.tbs.resize(k.numTbs());
-        for (TbId tb = 0; tb < k.numTbs(); ++tb) {
-            LegacyTb &t = lk.tbs[tb];
-            const TbTrace trace = k.trace(tb);
-            t.requests = trace.requestCount();
-            t.words =
-                static_cast<std::uint32_t>((t.requests + 63) / 64);
-            t.bits.assign(static_cast<std::size_t>(nbits) * t.words,
-                          0);
-            std::uint64_t block[64];
-            unsigned fill = 0;
-            std::uint32_t word = 0;
-            const auto flush = [&] {
-                std::fill(block + fill, block + 64, 0);
-                bits::transpose64Scalar(block);
-                for (unsigned b = 0; b < nbits; ++b)
-                    t.bits[static_cast<std::size_t>(b) * t.words +
-                           word] = block[b];
-                ++word;
-                fill = 0;
-            };
-            for (const WarpTrace &w : trace.warps)
-                for (const MemInstr &instr : w.instrs)
-                    for (Addr a : instr.lines) {
-                        block[fill] = a;
-                        if (++fill == 64)
-                            flush();
-                    }
-            if (fill > 0)
-                flush();
-            lk.requests += t.requests;
-        }
-        lp.total += lk.requests;
-        lp.kernels.push_back(std::move(lk));
-    }
-    return lp;
-}
-
-double
-legacyTbBvr(const LegacyTb &tb, std::uint64_t row_mask)
-{
-    if (tb.requests == 0)
-        return 0.0;
-    std::uint64_t ones = 0;
-    for (std::uint32_t w = 0; w < tb.words; ++w) {
-        std::uint64_t x = 0;
-        for (std::uint64_t m = row_mask; m != 0; m &= m - 1) {
-            const unsigned b =
-                static_cast<unsigned>(std::countr_zero(m));
-            x ^= tb.bits[static_cast<std::size_t>(b) * tb.words + w];
-        }
-        ones += static_cast<std::uint64_t>(std::popcount(x));
-    }
-    return static_cast<double>(ones) /
-           static_cast<double>(tb.requests);
-}
-
-/** Pre-PR windowBitEntropy: heap-allocating binary-entropy tail. */
-double
-legacyWindowBitEntropy(const std::vector<double> &bvr_per_tb,
-                       unsigned window)
-{
-    const std::size_t n = bvr_per_tb.size();
-    if (n == 0 || window == 0)
-        return 0.0;
-    const std::size_t w = std::min<std::size_t>(window, n);
-    const std::size_t windows = n - w + 1;
-    double sum_bvr = 0.0;
-    for (std::size_t i = 0; i < w; ++i)
-        sum_bvr += bvr_per_tb[i];
-    double total = 0.0;
-    for (std::size_t i = 0;; ++i) {
-        const double p = sum_bvr / static_cast<double>(w);
-        if (p > 0.0 && p < 1.0)
-            total += shannonEntropyBaseV({p, 1.0 - p});
-        if (i + 1 >= windows)
-            break;
-        sum_bvr += bvr_per_tb[i + w] - bvr_per_tb[i];
-    }
-    return total / static_cast<double>(windows);
-}
-
-double
-legacyRowEntropy(const LegacyPlanes &lp, std::uint64_t row_mask,
-                 unsigned window, EntropyMetric metric)
-{
-    if (lp.total == 0)
-        return 0.0;
-    double combined = 0.0;
-    std::vector<double> series;
-    for (const LegacyKernel &k : lp.kernels) {
-        series.resize(k.tbs.size());
-        for (std::size_t t = 0; t < k.tbs.size(); ++t)
-            series[t] = legacyTbBvr(k.tbs[t], row_mask);
-        const double e = metric == EntropyMetric::BvrDistribution
-                             ? windowEntropy(series, window)
-                             : legacyWindowBitEntropy(series, window);
-        combined += static_cast<double>(k.requests) /
-                    static_cast<double>(lp.total) * e;
-    }
-    return combined;
 }
 
 // ---- anneal legs ----------------------------------------------------------
@@ -271,8 +125,8 @@ main()
 
     bool ok = true;
 
-    // Fixed candidate-row mask set shared by the legacy and batch
-    // legs (nonzero masks under the PAE candidate restriction).
+    // Fixed candidate-row mask set of the batch leg (nonzero masks
+    // under the PAE candidate restriction).
     const std::uint64_t cmask =
         layout.pageMask() & bits::mask(layout.addrBits);
     XorShiftRng mask_rng(7);
@@ -299,12 +153,9 @@ main()
         search::PlaneOptions simd_po{layout.addrBits, 1, false};
         std::vector<search::TracePlanes> scalar_planes;
         std::vector<search::TracePlanes> simd_planes;
-        std::vector<LegacyPlanes> legacy_planes;
         for (const auto &w : wls) {
             scalar_planes.emplace_back(*w, scalar_po);
             simd_planes.emplace_back(*w, simd_po);
-            legacy_planes.push_back(
-                legacyExtract(*w, layout.addrBits));
         }
         std::uint64_t plane_bytes = 0;
         for (const search::TracePlanes &p : simd_planes)
@@ -314,39 +165,6 @@ main()
         so.threads = 1;
         so.restarts = 2;
         so.iterations = 600;
-
-        // Legacy baseline: pre-PR scoring, timed over the fixed mask
-        // set, one (member, row) score = one evaluation — the same
-        // unit SearchStats::evaluations counts. Every value must
-        // match today's oracle bit for bit.
-        bool legacy_identical = true;
-        std::uint64_t legacy_evals = 0;
-        auto start = Clock::now();
-        for (std::size_t m = 0; m < legacy_planes.size(); ++m)
-            for (const std::uint64_t mask : masks) {
-                const double legacy = legacyRowEntropy(
-                    legacy_planes[m], mask, so.window, so.metric);
-                ++legacy_evals;
-                legacy_identical =
-                    legacy_identical &&
-                    legacy == simd_planes[m].rowEntropy(
-                                  mask, so.window, so.metric);
-            }
-        // The identity re-check above runs the modern path inside the
-        // timed region; time a clean second pass for the denominator.
-        double legacy_sink = 0.0;
-        start = Clock::now();
-        for (const LegacyPlanes &lp : legacy_planes)
-            for (const std::uint64_t mask : masks)
-                legacy_sink += legacyRowEntropy(lp, mask, so.window,
-                                                so.metric);
-        const double legacy_sec = secondsSince(start);
-        ok = ok && legacy_sink >= 0.0; // keep the timed loop live
-        const double legacy_evals_per_sec =
-            legacy_sec > 0.0
-                ? static_cast<double>(legacy_evals) / legacy_sec
-                : 0.0;
-        ok = ok && legacy_identical;
 
         search::SearchOptions oracle_so = so;
         oracle_so.planeCache = false;
@@ -363,18 +181,13 @@ main()
         ok = ok && simd_identical && cached_identical;
 
         const double speedup =
-            legacy_evals_per_sec > 0.0
-                ? cached.evalsPerSec() / legacy_evals_per_sec
+            scalar_leg.evalsPerSec() > 0.0
+                ? cached.evalsPerSec() / scalar_leg.evalsPerSec()
                 : 0.0;
         if (small)
             small_evals_per_sec = cached.evalsPerSec();
 
         json.field(std::string(tag) + "plane_bytes", plane_bytes);
-        json.field(std::string(tag) +
-                       "baseline_evaluations_per_second",
-                   legacy_evals_per_sec);
-        json.field(std::string(tag) + "baseline_identical",
-                   legacy_identical);
         json.field(std::string(tag) +
                        "scalar_oracle_evaluations_per_second",
                    scalar_leg.evalsPerSec());
@@ -396,16 +209,14 @@ main()
                    cached.result.stats.planeRebuilds);
 
         std::printf(
-            "scale %.2f (%.1f MiB planes): legacy %.0f evals/s, "
-            "scalar-oracle %.0f, simd-oracle %.0f, cached %.0f "
-            "(%.1fx vs legacy), identical=%s\n",
+            "scale %.2f (%.1f MiB planes): scalar-oracle %.0f evals/s, "
+            "simd-oracle %.0f, cached %.0f (%.1fx vs scalar oracle), "
+            "identical=%s\n",
             scale,
             static_cast<double>(plane_bytes) / (1024.0 * 1024.0),
-            legacy_evals_per_sec, scalar_leg.evalsPerSec(),
-            simd_leg.evalsPerSec(), cached.evalsPerSec(), speedup,
-            legacy_identical && simd_identical && cached_identical
-                ? "yes"
-                : "NO");
+            scalar_leg.evalsPerSec(), simd_leg.evalsPerSec(),
+            cached.evalsPerSec(), speedup,
+            simd_identical && cached_identical ? "yes" : "NO");
     }
 
     // ---- batched scoring vs a per-row rowEntropy loop ---------------------

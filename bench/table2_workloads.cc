@@ -44,8 +44,8 @@ main()
     t.setHeader({"bench", "APKI", "MPKI", "#Knls", "#Insns",
                  "(paper", "APKI", "MPKI", "#Knls", "#Insns)"});
     for (const PaperRow &p : kPaper) {
-        const RunResult r = harness::runOneCached(cfg, Scheme::BASE,
-                                                  p.abbrev, scale);
+        const RunResult r =
+            harness::runOneCached(cfg, "map:base", p.abbrev, scale);
         const auto wl = workloads::make(p.abbrev, scale);
         t.addRow({p.abbrev, TextTable::num(r.apki(), 2),
                   TextTable::num(r.mpki(), 2),

@@ -184,15 +184,6 @@ runOne(const SimConfig &config, const std::string &mapper_spec,
 }
 
 RunResult
-runOne(const SimConfig &config, Scheme scheme,
-       const std::string &workload, double scale,
-       std::uint64_t bim_seed, const workloads::WorkloadSet *joint_set)
-{
-    return runOne(config, mapping::schemeSpec(scheme), workload, scale,
-                  bim_seed, joint_set);
-}
-
-RunResult
 runOneCached(const SimConfig &config, const std::string &mapper_spec,
              const std::string &workload, double scale,
              std::uint64_t bim_seed,
@@ -200,24 +191,14 @@ runOneCached(const SimConfig &config, const std::string &mapper_spec,
 {
     const std::string key = cellCacheKey(config, mapper_spec, workload,
                                          bim_seed, scale, joint_set);
-    if (auto hit = cacheLookup(key)) {
+    if (auto hit = resultCache().lookup(key)) {
         hit->config = config.name;
         return *hit;
     }
     RunResult r = runOne(config, mapper_spec, workload, scale, bim_seed,
                          joint_set);
-    cacheStore(key, r);
+    resultCache().store(key, r);
     return r;
-}
-
-RunResult
-runOneCached(const SimConfig &config, Scheme scheme,
-             const std::string &workload, double scale,
-             std::uint64_t bim_seed,
-             const workloads::WorkloadSet *joint_set)
-{
-    return runOneCached(config, mapping::schemeSpec(scheme), workload,
-                        scale, bim_seed, joint_set);
 }
 
 Grid::Grid(GridOptions opts_, std::vector<std::vector<RunResult>> res,
@@ -573,7 +554,7 @@ runGrid(GridOptions opts)
                     // never runs at all).
                     bool hit_cache = false;
                     if (opts.useCache) {
-                        if (auto hit = cacheLookup(key)) {
+                        if (auto hit = resultCache().lookup(key)) {
                             hit->config = opts.config.name;
                             results[wi][si] = *hit;
                             hit_cache = true;
@@ -583,7 +564,8 @@ runGrid(GridOptions opts)
                         results[wi][si] = simulateCell(
                             opts.config, sharedGbim(), w, opts.scale);
                         if (opts.useCache)
-                            cacheStore(key, results[wi][si]);
+                            resultCache().store(key,
+                                                results[wi][si]);
                     }
                 } else {
                     results[wi][si] =

@@ -173,22 +173,9 @@ RunResult runOne(const SimConfig &config, const std::string &mapper_spec,
                  std::uint64_t bim_seed = 1,
                  const workloads::WorkloadSet *joint_set = nullptr);
 
-/** Legacy-enum facade: `runOne(config, mapping::schemeSpec(s), ...)`. */
-RunResult runOne(const SimConfig &config, Scheme scheme,
-                 const std::string &workload, double scale = 1.0,
-                 std::uint64_t bim_seed = 1,
-                 const workloads::WorkloadSet *joint_set = nullptr);
-
 /** Like runOne, but consults/updates the on-disk result cache. */
 RunResult runOneCached(const SimConfig &config,
                        const std::string &mapper_spec,
-                       const std::string &workload, double scale = 1.0,
-                       std::uint64_t bim_seed = 1,
-                       const workloads::WorkloadSet *joint_set =
-                           nullptr);
-
-/** Legacy-enum facade of the cached variant. */
-RunResult runOneCached(const SimConfig &config, Scheme scheme,
                        const std::string &workload, double scale = 1.0,
                        std::uint64_t bim_seed = 1,
                        const workloads::WorkloadSet *joint_set =

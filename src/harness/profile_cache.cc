@@ -1,54 +1,12 @@
 #include "harness/profile_cache.hh"
 
-#include <array>
-#include <map>
-#include <mutex>
 #include <sstream>
-
-#include "common/metrics.hh"
-#include "common/trace_span.hh"
-#include "harness/atomic_io.hh"
-#include "harness/result_cache.hh"
 
 namespace valley {
 namespace harness {
 
-// p2: checksummed record lines (atomic_io.hh) — pre-checksum epochs
-// are skipped as stale on load.
-// p3: mapper-registry epoch — profiles are keyed alongside v5 result
-// keys and m3 searched matrices; pre-registry lines load as stale.
-const char *kProfileCacheVersion = "p3";
-
 std::string
-profileCachePath()
-{
-    return cacheDir() + "/valley_profiles_cache.csv";
-}
-
-namespace {
-
-/** Same sharding rationale as result_cache: parallel benches must
- * not serialize profile lookups on one global lock. */
-constexpr std::size_t kShards = 16;
-
-struct Shard
-{
-    std::mutex mutex;
-    std::map<std::string, EntropyProfile> entries;
-};
-
-std::array<Shard, kShards> shards;
-std::mutex load_mutex;
-bool loaded = false;
-
-Shard &
-shardFor(const std::string &key)
-{
-    return shards[std::hash<std::string>{}(key) % kShards];
-}
-
-std::string
-serialize(const EntropyProfile &p)
+ProfileCodec::encode(const EntropyProfile &p)
 {
     std::ostringstream out;
     out.precision(17);
@@ -59,7 +17,7 @@ serialize(const EntropyProfile &p)
 }
 
 std::optional<EntropyProfile>
-deserialize(const std::string &line)
+ProfileCodec::decode(const std::string &line)
 {
     std::istringstream in(line);
     EntropyProfile p;
@@ -78,30 +36,12 @@ deserialize(const std::string &line)
     return p;
 }
 
-void
-loadOnce()
+RecordCache<ProfileCodec> &
+profileCache()
 {
-    std::lock_guard<std::mutex> lock(load_mutex);
-    if (loaded)
-        return;
-    loaded = true;
-    // Skip-and-quarantine: a corrupt profile line degrades to a cache
-    // miss (re-profiled on demand) instead of feeding the search a
-    // garbage entropy profile.
-    loadChecksummedRecords(
-        profileCachePath(), kProfileCacheVersion,
-        [](const std::string &key, const std::string &payload) {
-            auto p = deserialize(payload);
-            if (!p)
-                return false;
-            Shard &shard = shardFor(key);
-            std::lock_guard<std::mutex> shard_lock(shard.mutex);
-            shard.entries[key] = std::move(*p);
-            return true;
-        });
+    static RecordCache<ProfileCodec> cache;
+    return cache;
 }
-
-} // namespace
 
 std::string
 profileCacheKey(const std::string &workload,
@@ -117,56 +57,6 @@ profileCacheKey(const std::string &workload,
     return out.str();
 }
 
-std::optional<EntropyProfile>
-profileCacheLookup(const std::string &key)
-{
-    if (!cacheEnabled())
-        return std::nullopt;
-    static metrics::Histogram &lookup_us =
-        metrics::histogram("cache.profile.lookup_us");
-    metrics::ScopedTimer timer(lookup_us);
-    trace::Span span("profile_cache.lookup", "cache");
-    loadOnce();
-    Shard &shard = shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.entries.find(key);
-    if (it == shard.entries.end()) {
-        metrics::counter("cache.profile.misses").inc();
-        return std::nullopt;
-    }
-    metrics::counter("cache.profile.hits").inc();
-    return it->second;
-}
-
-void
-profileCacheStore(const std::string &key, const EntropyProfile &p)
-{
-    if (!cacheEnabled())
-        return;
-    loadOnce();
-    metrics::counter("cache.profile.stores").inc();
-    {
-        Shard &shard = shardFor(key);
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        shard.entries[key] = p;
-    }
-    // Best-effort atomic append: a failed write only loses
-    // memoization; a concurrent one can no longer tear the line.
-    atomicAppend(profileCachePath(),
-                 checksummedRecord(key, serialize(p)));
-}
-
-void
-profileCacheResetForTesting()
-{
-    std::lock_guard<std::mutex> lock(load_mutex);
-    for (Shard &s : shards) {
-        std::lock_guard<std::mutex> shard_lock(s.mutex);
-        s.entries.clear();
-    }
-    loaded = false;
-}
-
 EntropyProfile
 profileWorkloadCached(const Workload &workload,
                       const workloads::ProfileOptions &opts,
@@ -175,10 +65,10 @@ profileWorkloadCached(const Workload &workload,
     const std::string key = profileCacheKey(
         workload.info().abbrev, mapper_id, opts.window, opts.numBits,
         opts.metric, scale);
-    if (auto hit = profileCacheLookup(key))
+    if (auto hit = profileCache().lookup(key))
         return *hit;
     EntropyProfile p = workloads::profileWorkload(workload, opts);
-    profileCacheStore(key, p);
+    profileCache().store(key, p);
     return p;
 }
 

@@ -9,9 +9,8 @@
  * (workload, mapper, window, bits, metric, scale), so the first bench
  * to compute one persists it to a CSV under `harness::cacheDir()`
  * (VALLEY_CACHE_DIR-configurable, "cache/" by default) and later runs
- * reuse it. Shares the VALLEY_CACHE=0 escape hatch and the sharded
- * in-memory map design with `result_cache` (the two caches use
- * separate files and version strings).
+ * reuse it. The cache policy lives in `record_cache.hh`; this file
+ * holds the key builder and the codec.
  */
 
 #ifndef VALLEY_HARNESS_PROFILE_CACHE_HH
@@ -20,16 +19,20 @@
 #include <optional>
 #include <string>
 
+#include "harness/record_cache.hh"
 #include "workloads/profiler.hh"
 
 namespace valley {
 namespace harness {
 
-/** Profile cache schema/behavior version; bump on metric changes. */
-extern const char *kProfileCacheVersion;
-
-/** Profile cache file path (inside `harness::cacheDir()`). */
-std::string profileCachePath();
+/**
+ * Profile cache schema/behavior version; bump on metric changes.
+ * p2: checksummed record lines (atomic_io.hh) — pre-checksum epochs
+ * are skipped as stale on load.
+ * p3: mapper-registry epoch — profiles are keyed alongside v5 result
+ * keys and m3 searched matrices; pre-registry lines load as stale.
+ */
+inline constexpr const char *kProfileCacheVersion = "p3";
 
 /**
  * Unique key of one profile. `mapper_id` must uniquely identify the
@@ -41,13 +44,23 @@ std::string profileCacheKey(const std::string &workload,
                             unsigned window, unsigned nbits,
                             EntropyMetric metric, double scale);
 
-/** Look up a cached profile (loads the file on first use). */
-std::optional<EntropyProfile> profileCacheLookup(
-    const std::string &key);
+/**
+ * Codec of the profile cache (`record_cache.hh`): weight, bit count,
+ * then every per-bit entropy at full precision.
+ */
+struct ProfileCodec
+{
+    using Value = EntropyProfile;
+    static constexpr const char *kName = "profile";
+    static constexpr const char *kVersion = kProfileCacheVersion;
+    static constexpr const char *kFile = "valley_profiles_cache.csv";
 
-/** Persist a profile (no-op when caching is disabled). */
-void profileCacheStore(const std::string &key,
-                       const EntropyProfile &p);
+    static std::string encode(const EntropyProfile &p);
+    static std::optional<EntropyProfile> decode(const std::string &line);
+};
+
+/** The process-wide profile cache. */
+RecordCache<ProfileCodec> &profileCache();
 
 /**
  * Profile a workload through the cache: lookup by
@@ -59,12 +72,6 @@ void profileCacheStore(const std::string &key,
 EntropyProfile profileWorkloadCached(
     const Workload &workload, const workloads::ProfileOptions &opts,
     double scale, const std::string &mapper_id = "");
-
-/**
- * Drop the in-memory profile cache and forget that the file was
- * loaded (next lookup re-reads disk). Testing hook only.
- */
-void profileCacheResetForTesting();
 
 } // namespace harness
 } // namespace valley

@@ -1,87 +1,11 @@
 #include "harness/result_cache.hh"
 
-#include <array>
-#include <cstdlib>
-#include <map>
-#include <mutex>
+#include <charconv>
 #include <sstream>
-
-#include "common/metrics.hh"
-#include "common/trace_span.hh"
-#include "harness/atomic_io.hh"
+#include <string_view>
 
 namespace valley {
 namespace harness {
-
-// v4: checksummed record lines (atomic_io.hh) — pre-checksum epochs
-// are skipped as stale on load.
-// v5: mapper-registry spec keys — the scheme field holds the escaped
-// canonical `map:` spec and a layout-identity field is appended, so
-// pre-registry keys can never alias post-registry cells.
-const char *kResultCacheVersion = "v5";
-
-std::string
-cacheDir()
-{
-    const char *env = std::getenv("VALLEY_CACHE_DIR");
-    return env && *env ? env : "cache";
-}
-
-std::string
-resultCachePath()
-{
-    return cacheDir() + "/valley_results_cache.csv";
-}
-
-namespace {
-
-/**
- * The in-memory cache is sharded by key hash so parallel grid cells
- * do not serialize on one global lock; only the on-disk append and
- * the initial file load keep their own (cold-path) mutexes.
- */
-constexpr std::size_t kCacheShards = 16;
-
-struct CacheShard
-{
-    std::mutex mutex;
-    std::map<std::string, RunResult> entries;
-};
-
-std::array<CacheShard, kCacheShards> shards;
-std::mutex load_mutex;
-bool loaded = false;
-
-CacheShard &
-shardFor(const std::string &key)
-{
-    return shards[std::hash<std::string>{}(key) % kCacheShards];
-}
-
-void
-loadOnce()
-{
-    std::lock_guard<std::mutex> lock(load_mutex);
-    if (loaded)
-        return;
-    loaded = true;
-    // Corrupt lines (torn appends, bad checksums, wrong field
-    // counts) are quarantined instead of aborting or poisoning the
-    // run: the affected cells degrade to cache misses.
-    loadChecksummedRecords(
-        resultCachePath(), kResultCacheVersion,
-        [](const std::string &key, const std::string &payload) {
-            auto r = deserializeResult(payload);
-            if (!r)
-                return false;
-            CacheShard &shard = shardFor(key);
-            std::lock_guard<std::mutex> shard_lock(shard.mutex);
-            shard.entries[key] = std::move(*r);
-            return true;
-        });
-}
-
-} // namespace
 
 std::string
 serializeResult(const RunResult &r)
@@ -131,74 +55,28 @@ deserializeResult(const std::string &line)
     return r;
 }
 
-bool
-cacheEnabled()
-{
-    const char *env = std::getenv("VALLEY_CACHE");
-    return env == nullptr || std::string(env) != "0";
-}
-
 std::string
 cacheKey(const std::string &config_name, const std::string &workload,
          const std::string &scheme, std::uint64_t seed, double scale,
          const std::string &layout)
 {
+    // Shortest round-trip form: every scale that printed in six
+    // significant digits or fewer (0.05, 0.25, 1, ...) keeps the key
+    // the default stream precision gave it.
+    char buf[32];
+    const auto end = std::to_chars(buf, buf + sizeof buf, scale).ptr;
     std::ostringstream out;
     out << kResultCacheVersion << ';' << config_name << ';' << workload
-        << ';' << scheme << ';' << seed << ';' << scale << ';'
-        << layout;
+        << ';' << scheme << ';' << seed << ';'
+        << std::string_view(buf, end - buf) << ';' << layout;
     return out.str();
 }
 
-std::optional<RunResult>
-cacheLookup(const std::string &key)
+RecordCache<ResultCodec> &
+resultCache()
 {
-    if (!cacheEnabled())
-        return std::nullopt;
-    static metrics::Histogram &lookup_us =
-        metrics::histogram("cache.result.lookup_us");
-    metrics::ScopedTimer timer(lookup_us);
-    trace::Span span("result_cache.lookup", "cache");
-    loadOnce();
-    CacheShard &shard = shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.entries.find(key);
-    if (it == shard.entries.end()) {
-        metrics::counter("cache.result.misses").inc();
-        return std::nullopt;
-    }
-    metrics::counter("cache.result.hits").inc();
-    return it->second;
-}
-
-void
-cacheStore(const std::string &key, const RunResult &r)
-{
-    if (!cacheEnabled())
-        return;
-    loadOnce();
-    metrics::counter("cache.result.stores").inc();
-    {
-        CacheShard &shard = shardFor(key);
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        shard.entries[key] = r;
-    }
-    // Whole checksummed record in one O_APPEND write: concurrent
-    // bench binaries can interleave records but never tear one.
-    // Best-effort — a failed append only loses memoization.
-    atomicAppend(resultCachePath(),
-                 checksummedRecord(key, serializeResult(r)));
-}
-
-void
-resultCacheResetForTesting()
-{
-    std::lock_guard<std::mutex> lock(load_mutex);
-    for (CacheShard &s : shards) {
-        std::lock_guard<std::mutex> shard_lock(s.mutex);
-        s.entries.clear();
-    }
-    loaded = false;
+    static RecordCache<ResultCodec> cache;
+    return cache;
 }
 
 } // namespace harness

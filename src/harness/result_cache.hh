@@ -10,7 +10,8 @@
  * VALLEY_CACHE=0 to force fresh simulation and VALLEY_CACHE_DIR to
  * relocate the directory; delete the file after changing simulator or
  * workload code (the cache key includes a schema version that is
- * bumped with behavioral changes).
+ * bumped with behavioral changes). The cache policy itself lives in
+ * `record_cache.hh`; this file holds the key builder and the codec.
  */
 
 #ifndef VALLEY_HARNESS_RESULT_CACHE_HH
@@ -20,43 +21,34 @@
 #include <string>
 
 #include "gpu/run_result.hh"
+#include "harness/record_cache.hh"
 
 namespace valley {
 namespace harness {
 
-/** Cache schema/behavior version; bump on simulator changes. */
-extern const char *kResultCacheVersion;
-
 /**
- * Directory holding every on-disk cache file: $VALLEY_CACHE_DIR if
- * set, else "cache" relative to the working directory. Created on
- * first store; gitignored.
+ * Cache schema/behavior version; bump on simulator changes.
+ * v4: checksummed record lines (atomic_io.hh) — pre-checksum epochs
+ * are skipped as stale on load.
+ * v5: mapper-registry spec keys — the scheme field holds the escaped
+ * canonical `map:` spec and a layout-identity field is appended, so
+ * pre-registry keys can never alias post-registry cells.
  */
-std::string cacheDir();
-
-/** Result cache file path (inside `cacheDir()`). */
-std::string resultCachePath();
-
-/** True unless VALLEY_CACHE=0 is set in the environment. */
-bool cacheEnabled();
+inline constexpr const char *kResultCacheVersion = "v5";
 
 /**
  * Unique key of one run. Free-form fields must be percent-escaped by
  * the caller (`workloads::escapeSpecField`) — ';' separates the key
  * fields. `layout` is the layout identity
  * (`mapping::layoutIdentity`); the default keeps legacy five-field
- * call sites compiling with an empty layout slot.
+ * call sites compiling with an empty layout slot. `scale` prints in
+ * its shortest round-trip form, so distinct scales yield distinct
+ * keys.
  */
 std::string cacheKey(const std::string &config_name,
                      const std::string &workload,
                      const std::string &scheme, std::uint64_t seed,
                      double scale, const std::string &layout = "");
-
-/** Look up a cached result (loads the file on first use). */
-std::optional<RunResult> cacheLookup(const std::string &key);
-
-/** Persist a result (no-op when caching is disabled). */
-void cacheStore(const std::string &key, const RunResult &r);
 
 /**
  * Round-trip-exact text serialization of a RunResult (doubles at
@@ -70,13 +62,19 @@ std::string serializeResult(const RunResult &r);
 /** Inverse of `serializeResult`; nullopt on any malformed field. */
 std::optional<RunResult> deserializeResult(const std::string &line);
 
-/**
- * Drop the in-memory result cache and forget that the file was
- * loaded, so the next lookup re-reads disk. Testing hook only — the
- * cache-robustness tests use it to exercise corrupt-file loads
- * repeatedly in one process.
- */
-void resultCacheResetForTesting();
+/** Codec of the result cache (`record_cache.hh`). */
+struct ResultCodec
+{
+    using Value = RunResult;
+    static constexpr const char *kName = "result";
+    static constexpr const char *kVersion = kResultCacheVersion;
+    static constexpr const char *kFile = "valley_results_cache.csv";
+    static constexpr auto encode = &serializeResult;
+    static constexpr auto decode = &deserializeResult;
+};
+
+/** The process-wide result cache. */
+RecordCache<ResultCodec> &resultCache();
 
 } // namespace harness
 } // namespace valley

@@ -1,44 +1,13 @@
 #include "search/sbim_cache.hh"
 
 #include <cinttypes>
-#include <map>
-#include <mutex>
 #include <sstream>
-#include <stdexcept>
-
-#include "common/metrics.hh"
-#include "common/trace_span.hh"
-#include "harness/atomic_io.hh"
-#include "harness/result_cache.hh"
 
 namespace valley {
 namespace search {
 
-// m2: checksummed record lines (atomic_io.hh) + memberWeights in the
-// key — pre-checksum epochs are skipped as stale on load.
-// m3: mapper-registry epoch (layout presets become first-class cache
-// identities); pre-registry lines load as stale.
-const char *kSbimCacheVersion = "m3";
-
 std::string
-sbimCachePath()
-{
-    return harness::cacheDir() + "/valley_sbim_cache.csv";
-}
-
-namespace {
-
-/**
- * One global map is enough here (unlike the result/profile caches):
- * an SBIM lookup happens once per grid cell, not once per candidate,
- * so lock contention is irrelevant next to the search it saves.
- */
-std::mutex mutex;
-std::map<std::string, CachedSearch> cache;
-bool loaded = false;
-
-std::string
-serialize(const SearchResult &r)
+SbimCodec::encode(const SearchResult &r)
 {
     std::ostringstream out;
     out.precision(17);
@@ -52,54 +21,39 @@ serialize(const SearchResult &r)
     return out.str();
 }
 
-std::optional<CachedSearch>
-deserialize(const std::string &line)
+std::optional<SearchResult>
+SbimCodec::decode(const std::string &line)
 {
     std::istringstream in(line);
     unsigned n = 0;
     in >> n;
     if (!in || n < 1 || n > 64)
         return std::nullopt;
-    CachedSearch c;
-    c.bim = BitMatrix(n);
+    SearchResult r;
+    r.bim = BitMatrix(n);
     for (unsigned row = 0; row < n; ++row) {
         std::uint64_t mask = 0;
         in >> std::hex >> mask >> std::dec;
-        c.bim.setRow(row, mask);
+        r.bim.setRow(row, mask);
     }
     std::size_t targets = 0;
-    in >> c.cost >> c.identityCost >> targets;
+    in >> r.cost >> r.identityCost >> targets;
     if (!in || targets > 64)
         return std::nullopt;
-    c.targetEntropy.resize(targets);
-    for (double &e : c.targetEntropy)
+    r.targetEntropy.resize(targets);
+    for (double &e : r.targetEntropy)
         in >> e;
-    if (!in || !c.bim.invertible())
+    if (!in || !r.bim.invertible())
         return std::nullopt; // corrupt line: treat as a miss
-    return c;
+    return r;
 }
 
-void
-loadOnceLocked()
+harness::RecordCache<SbimCodec> &
+sbimCache()
 {
-    if (loaded)
-        return;
-    loaded = true;
-    // Skip-and-quarantine: a corrupt matrix line (torn append, bad
-    // checksum, non-invertible bim) degrades to a cache miss — the
-    // search reruns — instead of handing the grid a garbage mapper.
-    harness::loadChecksummedRecords(
-        sbimCachePath(), kSbimCacheVersion,
-        [](const std::string &key, const std::string &payload) {
-            auto c = deserialize(payload);
-            if (!c)
-                return false;
-            cache[key] = std::move(*c);
-            return true;
-        });
+    static harness::RecordCache<SbimCodec> cache;
+    return cache;
 }
-
-} // namespace
 
 namespace {
 
@@ -151,77 +105,6 @@ sbimCacheKey(const workloads::WorkloadSet &set, double scale,
     // size-1 set's key is exactly escapeSpecField(member), making the
     // two overloads agree on singletons.
     return keyFromField(set.key(), scale, layout_name, opts);
-}
-
-SearchResult
-CachedSearch::toResult() const
-{
-    SearchResult r;
-    r.bim = bim;
-    r.cost = cost;
-    r.identityCost = identityCost;
-    r.targetEntropy = targetEntropy;
-    return r;
-}
-
-std::optional<CachedSearch>
-sbimCacheLookup(const std::string &key)
-{
-    if (!harness::cacheEnabled())
-        return std::nullopt;
-    static metrics::Histogram &lookup_us =
-        metrics::histogram("cache.sbim.lookup_us");
-    metrics::ScopedTimer timer(lookup_us);
-    trace::Span span("sbim_cache.lookup", "cache");
-    std::lock_guard<std::mutex> lock(mutex);
-    loadOnceLocked();
-    const auto it = cache.find(key);
-    if (it == cache.end()) {
-        metrics::counter("cache.sbim.misses").inc();
-        return std::nullopt;
-    }
-    metrics::counter("cache.sbim.hits").inc();
-    return it->second;
-}
-
-void
-sbimCacheStore(const std::string &key, const SearchResult &r)
-{
-    // Reject-at-the-sink guard: a key with a raw newline would split
-    // into two bogus CSV lines, one with '|' would truncate at the
-    // wrong payload separator. Keys built via sbimCacheKey are
-    // escaped and can never trip this; a hand-built key that does is
-    // a caller bug worth surfacing loudly.
-    if (key.find('\n') != std::string::npos ||
-        key.find('\r') != std::string::npos ||
-        key.find('|') != std::string::npos)
-        throw std::invalid_argument(
-            "sbimCacheStore: key contains a newline or '|' — "
-            "escape fields with workloads::escapeSpecField");
-    if (!harness::cacheEnabled())
-        return;
-    metrics::counter("cache.sbim.stores").inc();
-    std::lock_guard<std::mutex> lock(mutex);
-    loadOnceLocked();
-    CachedSearch c;
-    c.bim = r.bim;
-    c.cost = r.cost;
-    c.identityCost = r.identityCost;
-    c.targetEntropy = r.targetEntropy;
-    cache[key] = std::move(c);
-
-    // Whole checksummed record in one O_APPEND write; best-effort —
-    // a failed append only loses memoization.
-    harness::atomicAppend(sbimCachePath(),
-                          harness::checksummedRecord(key, serialize(r)));
-}
-
-void
-sbimCacheResetForTesting()
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    cache.clear();
-    loaded = false;
 }
 
 } // namespace search

@@ -14,9 +14,9 @@
  * The key embeds `kSearchVersion` (bumped whenever the search would
  * produce a different matrix for the same seed), the workload key
  * (Table II abbreviation or canonical `synth:` spec) and every
- * `SearchOptions` field that shapes the outcome. Shares the
- * VALLEY_CACHE=0 escape hatch and the load-once in-memory map design
- * with the other caches.
+ * `SearchOptions` field that shapes the outcome. The cache policy
+ * lives in `harness/record_cache.hh`; this file holds the key
+ * builders and the codec.
  */
 
 #ifndef VALLEY_SEARCH_SBIM_CACHE_HH
@@ -25,17 +25,21 @@
 #include <optional>
 #include <string>
 
+#include "harness/record_cache.hh"
 #include "search/bim_search.hh"
 #include "workloads/workload_set.hh"
 
 namespace valley {
 namespace search {
 
-/** SBIM cache schema version; bump on serialization changes. */
-extern const char *kSbimCacheVersion;
-
-/** SBIM cache file path (inside `harness::cacheDir()`). */
-std::string sbimCachePath();
+/**
+ * SBIM cache schema version; bump on serialization changes.
+ * m2: checksummed record lines (atomic_io.hh) + memberWeights in the
+ * key — pre-checksum epochs are skipped as stale on load.
+ * m3: mapper-registry epoch (layout presets become first-class cache
+ * identities); pre-registry lines load as stale.
+ */
+inline constexpr const char *kSbimCacheVersion = "m3";
 
 /**
  * Unique key of one search: workload key (abbreviation or canonical
@@ -46,7 +50,7 @@ std::string sbimCachePath();
  * The workload key and layout name are percent-escaped
  * (`workloads::escapeSpecField`) before entering the key: synth specs
  * contain commas, and a raw separator or newline inside a field would
- * make the one-line-per-entry CSV ambiguous. `sbimCacheStore`
+ * make the one-line-per-entry CSV ambiguous. The cache's `store`
  * additionally *rejects* keys still containing a newline or the '|'
  * payload separator — escaping at the source plus rejection at the
  * sink, so no spec string can corrupt the file.
@@ -67,35 +71,26 @@ std::string sbimCacheKey(const workloads::WorkloadSet &set,
                          const SearchOptions &opts);
 
 /**
- * A cache hit: everything `searchedMapper` needs, plus the cost
- * breakdown so CLI callers can report gain without re-searching.
- * (Search statistics are not persisted — a hit reports zero
- * evaluations, which is accurate: nothing was evaluated.)
+ * Codec of the SBIM cache (`harness/record_cache.hh`): the matrix
+ * rows, both costs and the aggregate target entropy. Search
+ * statistics and the per-member breakdown are not persisted — a hit
+ * reports zero evaluations, which is accurate: nothing was evaluated.
+ * A non-invertible matrix decodes as corrupt, so it can never reach
+ * an `AddressMapper`.
  */
-struct CachedSearch
+struct SbimCodec
 {
-    BitMatrix bim;
-    double cost = 0.0;
-    double identityCost = 0.0;
-    std::vector<double> targetEntropy;
+    using Value = SearchResult;
+    static constexpr const char *kName = "sbim";
+    static constexpr const char *kVersion = kSbimCacheVersion;
+    static constexpr const char *kFile = "valley_sbim_cache.csv";
 
-    CachedSearch() : bim(1) {}
-
-    /** View as a `SearchResult` (stats zeroed). */
-    SearchResult toResult() const;
+    static std::string encode(const SearchResult &r);
+    static std::optional<SearchResult> decode(const std::string &line);
 };
 
-/** Look up a cached search (loads the file on first use). */
-std::optional<CachedSearch> sbimCacheLookup(const std::string &key);
-
-/** Persist a search result (no-op when caching is disabled). */
-void sbimCacheStore(const std::string &key, const SearchResult &r);
-
-/**
- * Drop the in-memory SBIM cache and forget that the file was loaded
- * (next lookup re-reads disk). Testing hook only.
- */
-void sbimCacheResetForTesting();
+/** The process-wide SBIM cache. */
+harness::RecordCache<SbimCodec> &sbimCache();
 
 } // namespace search
 } // namespace valley

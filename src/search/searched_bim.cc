@@ -157,7 +157,7 @@ searchSet(const workloads::WorkloadSet &set,
 
     const std::string cache_key =
         sbimCacheKey(set, scale, layout.name, opts);
-    const auto cached = sbimCacheLookup(cache_key);
+    const auto cached = sbimCache().lookup(cache_key);
 
     const SetPipeline pipe(set, layout, opts, scale);
 
@@ -173,14 +173,13 @@ searchSet(const workloads::WorkloadSet &set,
         out.identityProfiles.push_back(
             harness::profileWorkloadCached(*wl, po, scale, ""));
 
-    out.annealed =
-        cached ? cached->toResult() : pipe.searcher->anneal();
+    out.annealed = cached ? *cached : pipe.searcher->anneal();
     out.greedyBaseline = pipe.searcher->greedy();
     // A deadline-truncated result is a valid incumbent but
     // wall-clock-dependent: persisting it would serve a
     // nondeterministic matrix to every later (uncancelled) run.
     if (!cached && !out.annealed.stats.deadlineHit)
-        sbimCacheStore(cache_key, out.annealed);
+        sbimCache().store(cache_key, out.annealed);
 
     // Per-member searched profiles, persisted under the matrix-hashed
     // SBIM mapper id so Fig. 10-style benches can chart this exact
@@ -192,7 +191,7 @@ searchSet(const workloads::WorkloadSet &set,
     for (std::size_t m = 0; m < pipe.planes.size(); ++m) {
         EntropyProfile p = pipe.planes[m].profileFor(
             out.annealed.bim, opts.window, opts.metric);
-        harness::profileCacheStore(
+        harness::profileCache().store(
             harness::profileCacheKey(set.members()[m], mapper_id,
                                      po.window, po.numBits, po.metric,
                                      scale),
@@ -237,7 +236,7 @@ setMapper(const AddressLayout &layout,
         sbimCacheKey(set, scale, layout.name, opts);
     if (name.empty())
         name = jointMapperName(set);
-    if (auto cached = sbimCacheLookup(cache_key))
+    if (auto cached = sbimCache().lookup(cache_key))
         return mapping::makeCustom(name, layout,
                                    std::move(cached->bim));
     const SetPipeline pipe(set, layout, opts, scale);
@@ -245,7 +244,7 @@ setMapper(const AddressLayout &layout,
     // Same rule as searchSet: never cache a deadline-truncated
     // (wall-clock-dependent) matrix.
     if (!best.stats.deadlineHit)
-        sbimCacheStore(cache_key, best);
+        sbimCache().store(cache_key, best);
     return mapping::makeCustom(name, layout, std::move(best.bim));
 }
 

@@ -36,9 +36,9 @@ namespace {
 void
 resetAllCaches()
 {
-    harness::resultCacheResetForTesting();
-    harness::profileCacheResetForTesting();
-    search::sbimCacheResetForTesting();
+    harness::resultCache().resetForTesting();
+    harness::profileCache().resetForTesting();
+    search::sbimCache().resetForTesting();
 }
 
 /** Fresh cache dir per test; caches reset so they re-read it. */
@@ -163,11 +163,11 @@ TEST_F(CacheRobustnessTest, ResultCacheQuarantinesCorruptLines)
         harness::cacheKey("cfg", "LU", "BASE", 1, 1.0);
     const RunResult r1 = sampleResult("MT");
     const RunResult r2 = sampleResult("LU");
-    harness::cacheStore(k1, r1);
-    harness::cacheStore(k2, r2);
+    harness::resultCache().store(k1, r1);
+    harness::resultCache().store(k2, r2);
     resetAllCaches(); // force the next lookup to re-read disk
 
-    const std::string path = harness::resultCachePath();
+    const std::string path = harness::resultCache().path();
     const std::string v = harness::kResultCacheVersion;
     // Torn append: half a record, cut mid-payload.
     const std::string torn = harness::checksummedRecord(
@@ -188,10 +188,10 @@ TEST_F(CacheRobustnessTest, ResultCacheQuarantinesCorruptLines)
     appendRaw(path, "v3;cfg;MT;BASE;1;1|1 2 3\n");
 
     const std::uint64_t before = harness::quarantinedLineCount();
-    const auto hit1 = harness::cacheLookup(k1);
+    const auto hit1 = harness::resultCache().lookup(k1);
     ASSERT_TRUE(hit1.has_value()); // good lines survive the cleanup
     EXPECT_EQ(*hit1, r1);
-    const auto hit2 = harness::cacheLookup(k2);
+    const auto hit2 = harness::resultCache().lookup(k2);
     ASSERT_TRUE(hit2.has_value());
     EXPECT_EQ(*hit2, r2);
     EXPECT_EQ(harness::quarantinedLineCount(), before + 4);
@@ -210,10 +210,10 @@ TEST_F(CacheRobustnessTest, ResultCacheQuarantinesCorruptLines)
     // The corrupted cells degraded to misses and repopulate.
     const std::string k3 =
         harness::cacheKey("cfg", "HS", "BASE", 1, 1.0);
-    EXPECT_FALSE(harness::cacheLookup(k3).has_value());
-    harness::cacheStore(k3, sampleResult("HS"));
+    EXPECT_FALSE(harness::resultCache().lookup(k3).has_value());
+    harness::resultCache().store(k3, sampleResult("HS"));
     resetAllCaches();
-    EXPECT_TRUE(harness::cacheLookup(k3).has_value());
+    EXPECT_TRUE(harness::resultCache().lookup(k3).has_value());
 }
 
 TEST_F(CacheRobustnessTest, ProfileCacheQuarantinesCorruptLines)
@@ -223,10 +223,10 @@ TEST_F(CacheRobustnessTest, ProfileCacheQuarantinesCorruptLines)
     EntropyProfile p;
     p.weight = 7;
     p.perBit = {0.25, 1.0 / 3.0, 1.0};
-    harness::profileCacheStore(key, p);
+    harness::profileCache().store(key, p);
     resetAllCaches();
 
-    const std::string path = harness::profileCachePath();
+    const std::string path = harness::profileCache().path();
     const std::string v = harness::kProfileCacheVersion;
     // Valid checksum, impossible payload (2 bits declared, 1 given).
     appendRaw(path, harness::checksummedRecord(v + ";LU;identity",
@@ -237,7 +237,7 @@ TEST_F(CacheRobustnessTest, ProfileCacheQuarantinesCorruptLines)
     appendRaw(path, torn.substr(0, torn.size() - 6) + "\n");
 
     const std::uint64_t before = harness::quarantinedLineCount();
-    const auto hit = harness::profileCacheLookup(key);
+    const auto hit = harness::profileCache().lookup(key);
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(hit->weight, p.weight);
     EXPECT_EQ(hit->perBit, p.perBit);
@@ -254,10 +254,10 @@ TEST_F(CacheRobustnessTest, SbimCacheQuarantinesCorruptLines)
     good.targetEntropy = {0.75, 0.875};
     const std::string key =
         std::string(search::kSbimCacheVersion) + ";robust;test;key";
-    search::sbimCacheStore(key, good);
+    search::sbimCache().store(key, good);
     resetAllCaches();
 
-    const std::string path = search::sbimCachePath();
+    const std::string path = search::sbimCache().path();
     const std::string v = search::kSbimCacheVersion;
     // Valid checksum, non-invertible matrix (all-zero rows): the
     // deserializer must refuse to hand the grid a garbage mapper.
@@ -272,7 +272,7 @@ TEST_F(CacheRobustnessTest, SbimCacheQuarantinesCorruptLines)
     appendRaw(path, rotted);
 
     const std::uint64_t before = harness::quarantinedLineCount();
-    const auto hit = search::sbimCacheLookup(key);
+    const auto hit = search::sbimCache().lookup(key);
     ASSERT_TRUE(hit.has_value());
     EXPECT_TRUE(hit->bim == good.bim);
     EXPECT_EQ(hit->cost, good.cost);
@@ -280,7 +280,7 @@ TEST_F(CacheRobustnessTest, SbimCacheQuarantinesCorruptLines)
     EXPECT_EQ(harness::quarantinedLineCount(), before + 2);
     EXPECT_TRUE(std::filesystem::exists(quarantinePath(path)));
     EXPECT_FALSE(
-        search::sbimCacheLookup(v + ";zeros").has_value());
+        search::sbimCache().lookup(v + ";zeros").has_value());
 }
 
 TEST_F(CacheRobustnessTest, ChecksummedRecordRejectsSeparatorBytes)

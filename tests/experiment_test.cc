@@ -33,7 +33,7 @@ smallGrid()
 TEST(Harness, RunOneProducesLabeledResult)
 {
     const RunResult r =
-        runOne(SimConfig::paperBaseline(), Scheme::PAE, "GS", 0.25, 1);
+        runOne(SimConfig::paperBaseline(), "map:pae", "GS", 0.25, 1);
     EXPECT_EQ(r.workload, "GS");
     EXPECT_EQ(r.scheme, "PAE");
     EXPECT_GT(r.cycles, 0u);
@@ -133,9 +133,9 @@ TEST(Harness, BimSeedChangesBroadSchemeResults)
     // Fig. 19: different BIMs give (slightly) different results; the
     // run must at least be wired through to the generator.
     const RunResult a =
-        runOne(SimConfig::paperBaseline(), Scheme::PAE, "GS", 0.25, 1);
+        runOne(SimConfig::paperBaseline(), "map:pae", "GS", 0.25, 1);
     const RunResult b =
-        runOne(SimConfig::paperBaseline(), Scheme::PAE, "GS", 0.25, 2);
+        runOne(SimConfig::paperBaseline(), "map:pae", "GS", 0.25, 2);
     EXPECT_NE(a.cycles, b.cycles);
 }
 

@@ -43,14 +43,14 @@ class MapperOracle : public ::testing::Test
         std::filesystem::remove_all(dir);
         setenv("VALLEY_CACHE_DIR", dir.c_str(), 1);
         unsetenv("VALLEY_CACHE");
-        harness::resultCacheResetForTesting();
+        harness::resultCache().resetForTesting();
     }
 
     void
     TearDown() override
     {
         unsetenv("VALLEY_CACHE_DIR");
-        harness::resultCacheResetForTesting();
+        harness::resultCache().resetForTesting();
         std::filesystem::remove_all(dir);
     }
 
@@ -108,8 +108,8 @@ TEST_F(MapperOracle, RunResultsBitIdenticalOnEveryTableIIWorkload)
     // must be a cache hit of the enum cell (same v5 key).
     const SimConfig cfg = SimConfig::paperBaseline();
     for (const std::string &w : workloads::allSet()) {
-        const RunResult a =
-            harness::runOneCached(cfg, Scheme::PM, w, kScale, 1);
+        const RunResult a = harness::runOneCached(
+            cfg, mapping::schemeSpec(Scheme::PM), w, kScale, 1);
         const RunResult b =
             harness::runOneCached(cfg, "map:pm", w, kScale, 1);
         EXPECT_EQ(harness::serializeResult(a),
@@ -123,8 +123,8 @@ TEST_F(MapperOracle, RunResultsBitIdenticalAcrossSchemesAndSynthSpecs)
     const SimConfig cfg = SimConfig::paperBaseline();
     // Every buildable scheme on one workload...
     for (Scheme s : allSchemes()) {
-        const RunResult a =
-            harness::runOneCached(cfg, s, "MT", kScale, 1);
+        const RunResult a = harness::runOneCached(
+            cfg, mapping::schemeSpec(s), "MT", kScale, 1);
         const RunResult b = harness::runOneCached(
             cfg, mapping::schemeSpec(s), "MT", kScale, 1);
         EXPECT_EQ(harness::serializeResult(a),
@@ -133,7 +133,8 @@ TEST_F(MapperOracle, RunResultsBitIdenticalAcrossSchemesAndSynthSpecs)
     }
     // ...and a synth-spec workload (both grammars at once).
     const RunResult a = harness::runOneCached(
-        cfg, Scheme::PAE, "synth:stencil3d", kScale, 1);
+        cfg, mapping::schemeSpec(Scheme::PAE), "synth:stencil3d", kScale,
+        1);
     const RunResult b = harness::runOneCached(
         cfg, "map:pae", "synth:stencil3d", kScale, 1);
     EXPECT_EQ(harness::serializeResult(a),

@@ -174,10 +174,10 @@ TEST(ProfileCache, DiskFormatParsesAtFullPrecision)
         payload << 123456789 << " 3 " << 1.0 / 3.0 << ' '
                 << 0.91829583405448945 << " 5e-324";
         harness::atomicAppend(
-            harness::profileCachePath(),
+            harness::profileCache().path(),
             harness::checksummedRecord(key, payload.str()));
     }
-    const auto hit = harness::profileCacheLookup(key);
+    const auto hit = harness::profileCache().lookup(key);
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(hit->weight, 123456789u);
     ASSERT_EQ(hit->perBit.size(), 3u);
@@ -193,8 +193,8 @@ TEST(ProfileCache, StoreLookupRoundTripsAtFullPrecision)
     p.weight = 123456789;
     const std::string key = harness::profileCacheKey(
         "TESTONLY", "X", 12, 5, EntropyMetric::BitProbability, 1.0);
-    harness::profileCacheStore(key, p);
-    const auto hit = harness::profileCacheLookup(key);
+    harness::profileCache().store(key, p);
+    const auto hit = harness::profileCache().lookup(key);
     ASSERT_TRUE(hit.has_value());
     expectIdentical(p, *hit, "cache round trip");
 }

@@ -110,26 +110,26 @@ TEST_F(SbimCacheTest, KeyCoversEverySearchKnob)
 TEST_F(SbimCacheTest, StoreLookupRoundTripsAtFullPrecision)
 {
     const search::SearchResult r = sampleResult();
-    search::sbimCacheStore("k1", r);
+    search::sbimCache().store("k1", r);
 
-    const auto hit = search::sbimCacheLookup("k1");
+    const auto hit = search::sbimCache().lookup("k1");
     ASSERT_TRUE(hit.has_value());
     EXPECT_TRUE(hit->bim == r.bim);
     EXPECT_EQ(hit->cost, r.cost);
     EXPECT_EQ(hit->identityCost, r.identityCost);
     EXPECT_EQ(hit->targetEntropy, r.targetEntropy);
-    EXPECT_EQ(hit->toResult().gain(), r.gain());
+    EXPECT_EQ(hit->gain(), r.gain());
 
-    EXPECT_FALSE(search::sbimCacheLookup("absent").has_value());
+    EXPECT_FALSE(search::sbimCache().lookup("absent").has_value());
     // The entry landed in the on-disk file under the cache dir.
-    EXPECT_TRUE(std::filesystem::exists(search::sbimCachePath()));
+    EXPECT_TRUE(std::filesystem::exists(search::sbimCache().path()));
 }
 
 TEST_F(SbimCacheTest, DisabledCacheStoresAndReturnsNothing)
 {
     setenv("VALLEY_CACHE", "0", 1);
-    search::sbimCacheStore("k2", sampleResult());
-    EXPECT_FALSE(search::sbimCacheLookup("k2").has_value());
+    search::sbimCache().store("k2", sampleResult());
+    EXPECT_FALSE(search::sbimCache().lookup("k2").has_value());
     unsetenv("VALLEY_CACHE");
 }
 
@@ -157,13 +157,13 @@ TEST_F(SbimCacheTest, CommaSpecKeysAreEscapedAndRejectedAtTheSink)
                                       0.25, layout.name, base));
 
     // Store/lookup round-trips through the escaped key.
-    search::sbimCacheStore(k, sampleResult());
-    EXPECT_TRUE(search::sbimCacheLookup(k).has_value());
+    search::sbimCache().store(k, sampleResult());
+    EXPECT_TRUE(search::sbimCache().lookup(k).has_value());
 
     // Reject-at-the-sink: raw separators in a hand-built key.
-    EXPECT_THROW(search::sbimCacheStore("bad\nkey", sampleResult()),
+    EXPECT_THROW(search::sbimCache().store("bad\nkey", sampleResult()),
                  std::invalid_argument);
-    EXPECT_THROW(search::sbimCacheStore("bad|key", sampleResult()),
+    EXPECT_THROW(search::sbimCache().store("bad|key", sampleResult()),
                  std::invalid_argument);
 }
 
@@ -185,7 +185,7 @@ TEST_F(SbimCacheTest, CommaSpecSearchHitsItsOwnCacheLine)
     const auto warm = search::searchedMapper(layout, *wl, so, 0.25);
     EXPECT_TRUE(cold->matrix() == warm->matrix());
 
-    std::ifstream in(search::sbimCachePath());
+    std::ifstream in(search::sbimCache().path());
     const auto lines = std::count(
         std::istreambuf_iterator<char>(in),
         std::istreambuf_iterator<char>(), '\n');
@@ -205,21 +205,21 @@ TEST_F(SbimCacheTest, PreRegistryEpochLinesLoadAsStaleNotCorrupt)
         search::sbimCacheKey("MT", 0.25, layout.name, base);
     ASSERT_EQ(cur.rfind("m3;", 0), 0u) << cur;
 
-    search::sbimCacheStore(cur, sampleResult());
+    search::sbimCache().store(cur, sampleResult());
     const std::string old = "m2" + cur.substr(2);
     ASSERT_TRUE(harness::atomicAppend(
-        search::sbimCachePath(),
+        search::sbimCache().path(),
         harness::checksummedRecord(old, "pre-registry payload")));
 
-    search::sbimCacheResetForTesting();
+    search::sbimCache().resetForTesting();
     const std::uint64_t quarantined_before =
         harness::quarantinedLineCount();
-    EXPECT_FALSE(search::sbimCacheLookup(old).has_value());
-    EXPECT_TRUE(search::sbimCacheLookup(cur).has_value());
+    EXPECT_FALSE(search::sbimCache().lookup(old).has_value());
+    EXPECT_TRUE(search::sbimCache().lookup(cur).has_value());
     EXPECT_EQ(harness::quarantinedLineCount(), quarantined_before);
 
     // The stale line was preserved in place, not moved aside.
-    std::ifstream in(search::sbimCachePath());
+    std::ifstream in(search::sbimCache().path());
     const std::string contents(std::istreambuf_iterator<char>(in),
                                std::istreambuf_iterator<char>{});
     EXPECT_NE(contents.find("m2;"), std::string::npos);
@@ -255,13 +255,13 @@ TEST_F(SbimCacheTest, SearchedMapperHitMatchesSearchedMapperMiss)
     so.threads = 1;
 
     const auto cold = search::searchedMapper(layout, *wl, so, 0.25);
-    ASSERT_TRUE(std::filesystem::exists(search::sbimCachePath()));
+    ASSERT_TRUE(std::filesystem::exists(search::sbimCache().path()));
     const auto warm = search::searchedMapper(layout, *wl, so, 0.25);
     EXPECT_TRUE(cold->matrix() == warm->matrix());
 
     // A different scale is a different workload: key must miss (the
     // file has exactly one entry, so a second search appends one).
-    std::ifstream in(search::sbimCachePath());
+    std::ifstream in(search::sbimCache().path());
     const auto lines_before = std::count(
         std::istreambuf_iterator<char>(in),
         std::istreambuf_iterator<char>(), '\n');
