@@ -15,7 +15,8 @@
  *    bit-identity check.
  *  - BENCH_grid.json: serial vs parallel `harness::runGrid` on a
  *    6-cell grid, wall-clock seconds plus a bit-identity check of
- *    the two result sets.
+ *    the two result sets, and the simulator's rate: simulated SM
+ *    cycles per host second over the serial leg.
  *
  * Single-core hosts force the parallel legs onto 2 worker threads so
  * the recorded speedups exercise the thread-pool path instead of
@@ -335,9 +336,15 @@ main()
     const double parallel_sec = secondsSince(start);
 
     bool identical = true;
+    std::uint64_t sim_cycles = 0;
     for (const auto &w : opts.workloads)
-        for (Scheme s : opts.schemes)
+        for (Scheme s : opts.schemes) {
             identical = identical && gs.at(w, s) == gp.at(w, s);
+            sim_cycles += gs.at(w, s).cycles;
+        }
+    const double cycles_per_sec =
+        serial_sec > 0.0 ? static_cast<double>(sim_cycles) / serial_sec
+                         : 0.0;
 
     const unsigned grid_threads =
         parallel_threads == 0 ? hw_threads : parallel_threads;
@@ -354,6 +361,8 @@ main()
                     parallel_sec > 0.0 ? serial_sec / parallel_sec
                                        : 0.0);
     grid_json.field("results_identical", identical);
+    grid_json.field("sim_cycles", sim_cycles);
+    grid_json.field("sim_cycles_per_second", cycles_per_sec);
     // Internal attribution for the perf trajectory: the process-wide
     // metrics snapshot (cache hit/miss, per-phase search evals,
     // steal/submit counts) accumulated across every section above.
@@ -364,5 +373,9 @@ main()
                 opts.workloads.size() * opts.schemes.size(), serial_sec,
                 parallel_sec, grid_threads, hw_threads,
                 identical ? "yes" : "NO");
+    std::printf("simulator: %llu SM cycles in the serial leg, %.3g "
+                "cycles/s\n",
+                static_cast<unsigned long long>(sim_cycles),
+                cycles_per_sec);
     return identical && profiler_ok ? 0 : 1;
 }

@@ -2,8 +2,18 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 namespace valley {
+
+namespace {
+
+constexpr Cycle kNever = std::numeric_limits<Cycle>::max();
+
+/** Longest a conflicting request waits while row hits hold the row. */
+constexpr Cycle kStarvationLimit = 2000;
+
+} // namespace
 
 MemoryController::MemoryController(unsigned num_banks,
                                    const DramTiming &timing_,
@@ -21,8 +31,12 @@ MemoryController::enqueue(const DramRequest &req, Cycle now)
     assert(req.coord.bank < banks.size());
     DramRequest r = req;
     r.enqueued = now;
-    banks[r.coord.bank].queued++;
+    Bank &bank = banks[r.coord.bank];
+    bank.queued++;
+    if (bank.open && bank.openRow == r.coord.row)
+        bank.openRowQueued++;
     queue.push_back(r);
+    bankIdleUntil = std::min(bankIdleUntil, bankCommandAt(r, now));
     return true;
 }
 
@@ -50,6 +64,12 @@ MemoryController::tryIssueColumn(Cycle now)
             inflight.push_back(
                 Inflight{it->tag, done, it->write, it->enqueued});
             bank.queued--;
+            // With its last hit gone, the bank's conflicting requests
+            // no longer wait for the starvation cap.
+            if (--bank.openRowQueued == 0)
+                bankIdleUntil = std::min(
+                    bankIdleUntil,
+                    std::max(bank.readyAt, bank.activatedAt + timing.tRAS));
             queue.erase(it);
             return true;
         }
@@ -57,49 +77,57 @@ MemoryController::tryIssueColumn(Cycle now)
     return false;
 }
 
+Cycle
+MemoryController::bankCommandAt(const DramRequest &req, Cycle now) const
+{
+    const Bank &bank = banks[req.coord.bank];
+    const Cycle ready = std::max(bank.readyAt, now);
+    if (!bank.open)
+        return std::max(ready, nextActivateAt); // activate, after tRRD
+    if (bank.openRow == req.coord.row)
+        return kNever; // a column access will pick this up when ready
+    // Row conflict: precharge, after tRAS. FR-FCFS keeps the row open
+    // while younger row hits are still queued for it, but caps the
+    // wait so conflicting requests cannot starve.
+    const Cycle closable = std::max(ready, bank.activatedAt + timing.tRAS);
+    if (bank.openRowQueued > 0)
+        return std::max(closable, req.enqueued + kStarvationLimit);
+    return closable;
+}
+
 bool
 MemoryController::tryBankCommand(Cycle now)
 {
     // FCFS over requests whose bank can make progress. A request
     // counts as a row miss once, when its row conflict is first
-    // resolved (precharge or activate of its row).
-    for (auto &req : queue) {
-        Bank &bank = banks[req.coord.bank];
-        if (bank.readyAt > now)
+    // resolved (precharge or activate of its row). Nothing can issue
+    // before bankIdleUntil, so the scan is skipped until then.
+    if (now < bankIdleUntil)
+        return false;
+    Cycle wake = kNever;
+    for (const DramRequest &req : queue) {
+        const Cycle at = bankCommandAt(req, now);
+        if (at > now) {
+            wake = std::min(wake, at);
             continue;
-        if (bank.open && bank.openRow == req.coord.row)
-            continue; // a column access will pick this up when ready
+        }
+        Bank &bank = banks[req.coord.bank];
         if (bank.open) {
-            // FR-FCFS: keep the row open while younger row hits are
-            // still queued for it, but cap the wait so conflicting
-            // requests cannot starve.
-            constexpr Cycle starvation_limit = 2000;
-            if (now - req.enqueued < starvation_limit) {
-                bool has_hits = false;
-                for (const auto &other : queue) {
-                    if (other.coord.bank == req.coord.bank &&
-                        other.coord.row == bank.openRow) {
-                        has_hits = true;
-                        break;
-                    }
-                }
-                if (has_hits)
-                    continue;
-            }
-            // Conflict: close the current row (respect tRAS).
-            const Cycle earliest = bank.activatedAt + timing.tRAS;
-            if (earliest > now)
-                continue;
+            // Conflict: close the current row.
             bank.open = false;
+            bank.openRowQueued = 0;
             bank.readyAt = now + timing.tRP;
             stats_.precharges++;
             return true;
         }
-        // Closed bank: activate the request's row (respect tRRD).
-        if (nextActivateAt > now)
-            continue;
+        // Closed bank: activate the request's row.
         bank.open = true;
         bank.openRow = req.coord.row;
+        bank.openRowQueued = static_cast<unsigned>(std::count_if(
+            queue.begin(), queue.end(), [&](const DramRequest &other) {
+                return other.coord.bank == req.coord.bank &&
+                       other.coord.row == req.coord.row;
+            }));
         bank.readyAt = now + timing.tRCD;
         bank.activatedAt = now;
         nextActivateAt = now + timing.tRRD;
@@ -107,6 +135,7 @@ MemoryController::tryBankCommand(Cycle now)
         stats_.rowMisses++;
         return true;
     }
+    bankIdleUntil = wake;
     return false;
 }
 

@@ -119,6 +119,7 @@ class MemoryController
         Cycle readyAt = 0;      ///< earliest next command
         Cycle activatedAt = 0;  ///< for the tRAS constraint
         unsigned queued = 0;    ///< requests in queue targeting this bank
+        unsigned openRowQueued = 0; ///< queued row hits (while open)
     };
 
     /** In-flight column access waiting for its data burst. */
@@ -132,6 +133,13 @@ class MemoryController
 
     bool tryIssueColumn(Cycle now);
     bool tryBankCommand(Cycle now);
+    /**
+     * Earliest cycle >= `now` at which `req` could get its precharge or
+     * activate if no request arrived or left: `now` if it can issue
+     * now, the largest Cycle for a row hit (which needs a column
+     * access instead).
+     */
+    Cycle bankCommandAt(const DramRequest &req, Cycle now) const;
 
     DramTiming timing;
     unsigned queueCapacity;
@@ -140,6 +148,12 @@ class MemoryController
     std::vector<Inflight> inflight;
     Cycle busFreeAt = 0;
     Cycle nextActivateAt = 0; ///< tRRD window across banks
+    /**
+     * No precharge or activate can issue before this cycle: the
+     * minimum bankCommandAt over the queue at the last fruitless scan.
+     * Arrivals, and a bank's last row hit leaving, lower it.
+     */
+    Cycle bankIdleUntil = 0;
     DramChannelStats stats_;
 };
 

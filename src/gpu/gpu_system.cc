@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 
 namespace valley {
@@ -94,6 +95,8 @@ GpuSystem::dispatchTbs(const Kernel &k)
                     if (has_work) {
                         warp.readyAt =
                             cycle + warp.trace->instrs.front().gap;
+                        sm.issueIdleUntil =
+                            std::min(sm.issueIdleUntil, warp.readyAt);
                         ++tbs.warpsLeft;
                     }
                 }
@@ -116,43 +119,49 @@ void
 GpuSystem::issueStage(unsigned sm_idx)
 {
     Sm &sm = sms[sm_idx];
-    if (sm.lsu.size() >= cfg.lsuQueueDepth)
+    // Until issueIdleUntil every scan would come up empty.
+    if (cycle < sm.issueIdleUntil || sm.lsu.size() >= cfg.lsuQueueDepth)
         return;
     const unsigned warps_in_use =
         static_cast<unsigned>(sm.warps.size());
+    const auto has_work = [&](const WarpRt &warp) {
+        return warp.active && !warp.waiting &&
+               warp.nextInstr < warp.trace->instrs.size();
+    };
+    bool issued = false;
+    Cycle next_ready = std::numeric_limits<Cycle>::max();
 
     for (unsigned sched = 0; sched < cfg.schedulersPerSm; ++sched) {
-        const auto issuable = [&](unsigned w) {
-            const WarpRt &warp = sm.warps[w];
-            return warp.active && !warp.waiting &&
-                   warp.readyAt <= cycle &&
-                   warp.trace != nullptr &&
-                   warp.nextInstr < warp.trace->instrs.size();
-        };
-
         // Greedy-then-oldest: stick with the last warp while it is
         // ready; otherwise pick the oldest ready warp of this
         // scheduler (age = TB dispatch order, then warp index).
         unsigned pick = UINT32_MAX;
         const unsigned last = sm.lastIssued[sched];
         if (last != UINT32_MAX && last < warps_in_use &&
-            (last % cfg.schedulersPerSm) == sched && issuable(last)) {
+            (last % cfg.schedulersPerSm) == sched &&
+            has_work(sm.warps[last]) && sm.warps[last].readyAt <= cycle) {
             pick = last;
         } else {
             std::uint64_t best_age = ~std::uint64_t{0};
             for (unsigned w = sched; w < warps_in_use;
                  w += cfg.schedulersPerSm) {
-                if (!issuable(w))
+                const WarpRt &warp = sm.warps[w];
+                if (!has_work(warp))
                     continue;
-                if (sm.warps[w].age < best_age ||
-                    (sm.warps[w].age == best_age && w < pick)) {
-                    best_age = sm.warps[w].age;
+                if (warp.readyAt > cycle) {
+                    next_ready = std::min(next_ready, warp.readyAt);
+                    continue;
+                }
+                if (warp.age < best_age ||
+                    (warp.age == best_age && w < pick)) {
+                    best_age = warp.age;
                     pick = w;
                 }
             }
         }
         if (pick == UINT32_MAX)
             continue;
+        issued = true;
 
         WarpRt &warp = sm.warps[pick];
         const MemInstr &instr = warp.trace->instrs[warp.nextInstr];
@@ -171,6 +180,10 @@ GpuSystem::issueStage(unsigned sm_idx)
         if (sm.lsu.size() >= cfg.lsuQueueDepth)
             return;
     }
+    // Every scheduler scanned all its warps and none was ready: only
+    // time, or a warp gaining work, can change that.
+    if (!issued)
+        sm.issueIdleUntil = next_ready;
 }
 
 bool
@@ -261,6 +274,7 @@ GpuSystem::warpInstrDone(unsigned gid)
     noteProgress();
     if (warp.nextInstr < warp.trace->instrs.size()) {
         warp.readyAt = cycle + warp.trace->instrs[warp.nextInstr].gap;
+        sm.issueIdleUntil = std::min(sm.issueIdleUntil, warp.readyAt);
         return;
     }
 
@@ -280,9 +294,6 @@ GpuSystem::warpInstrDone(unsigned gid)
 void
 GpuSystem::sliceTick(unsigned slice)
 {
-    const unsigned mc_queue = slice; // naming clarity only
-    (void)mc_queue;
-
     // 1. Retry stalled replies first (they hold MSHR-free data).
     auto &stalled = stalledReplies[slice];
     while (!stalled.empty()) {
@@ -380,7 +391,6 @@ GpuSystem::handleDramCompletions()
             if (w == kNoWaiter)
                 continue;
             const unsigned sm = static_cast<unsigned>(w - 1);
-            ++llcReadReplies;
             pushEvent(Event{cycle + 4, Event::Type::ReplyReady,
                             slice, sm, line});
         }
@@ -449,7 +459,6 @@ GpuSystem::run(const Workload &workload)
     dispatchSeq = 0;
     requests = 0;
     instructions = 0.0;
-    llcReadReplies = 0;
     llcBusySamples = llcBusySum = 0;
     chBusySamples = chBusySum = 0;
     bankSamples = 0;
@@ -469,6 +478,7 @@ GpuSystem::run(const Workload &workload)
             sm.tbSlots.assign(slots, TbSlot{});
             sm.activeTbs = 0;
             sm.lastIssued.assign(cfg.schedulersPerSm, UINT32_MAX);
+            sm.issueIdleUntil = 0;
         }
         dispatchTbs(k);
 
@@ -560,13 +570,10 @@ GpuSystem::run(const Workload &workload)
         r.l1Accesses += c.stats().accesses;
         r.l1Misses += c.stats().misses + c.stats().mshrMerges;
     }
-    std::uint64_t llc_hits = 0;
     for (const SetAssocCache &c : llc) {
         r.llcAccesses += c.stats().accesses;
         r.llcMisses += c.stats().misses + c.stats().mshrMerges;
-        llc_hits += c.stats().hits;
     }
-    (void)llc_hits;
     r.llcMissRate = r.llcAccesses
                         ? static_cast<double>(r.llcMisses) /
                               static_cast<double>(r.llcAccesses)

@@ -16,9 +16,9 @@
  * accumulator). Writes are write-through at the L1 and write-allocate
  * at the LLC; dirty LLC evictions produce DRAM writebacks.
  *
- * The simulator samples the Fig. 14 parallelism metrics each cycle
- * and reports the full RunResult including Micron DRAM power and
- * GPUWattch-style system power.
+ * The simulator samples the Fig. 14 parallelism metrics every
+ * `metricSamplePeriod` cycles and reports the full RunResult
+ * including Micron DRAM power and GPUWattch-style system power.
  */
 
 #ifndef VALLEY_GPU_GPU_SYSTEM_HH
@@ -83,6 +83,12 @@ class GpuSystem
         RingBuffer<LineReq> lsu;
         std::vector<unsigned> lastIssued; ///< per scheduler
         unsigned activeTbs = 0;
+        /**
+         * No warp can issue before this cycle: the last issue scan
+         * found nothing, and this is the earliest `readyAt` among
+         * warps with work. Warps that gain work lower it.
+         */
+        Cycle issueIdleUntil = 0;
     };
 
     struct SliceReq
@@ -163,7 +169,6 @@ class GpuSystem
     std::uint64_t requests = 0;
     double instructions = 0.0;
     double instrsPerRequest = 60.0;
-    std::uint64_t llcReadReplies = 0;
 
     // Fig. 14 sampling accumulators.
     std::uint64_t llcBusySamples = 0, llcBusySum = 0;

@@ -7,7 +7,8 @@ namespace valley {
 Crossbar::Crossbar(unsigned inputs_, unsigned outputs_,
                    unsigned channel_bytes, unsigned queue_depth)
     : inputs(inputs_), outputs(outputs_), channelBytes(channel_bytes),
-      queueDepth(queue_depth), inQueue(inputs_), outPort(outputs_)
+      queueDepth(queue_depth), inQueue(inputs_), outPort(outputs_),
+      headsFor(outputs_, 0)
 {
     assert(inputs >= 1 && outputs >= 1 && channelBytes >= 1);
 }
@@ -35,6 +36,8 @@ Crossbar::inject(unsigned in, unsigned out, unsigned bytes,
         p.flits = 1;
     p.tag = tag;
     p.injected = now;
+    if (inQueue[in].empty())
+        ++headsFor[out];
     inQueue[in].push_back(p);
     return true;
 }
@@ -58,26 +61,31 @@ Crossbar::tick(Cycle now, std::vector<NocDelivery> &done)
 
     // Arbitration: each free output picks one input whose head packet
     // targets it. The round-robin start pointer rotates each cycle for
-    // fairness across SMs.
+    // fairness across SMs. A popped queue's next head counts at once,
+    // so it can still win a later output in this same tick.
     for (unsigned o = 0; o < outputs; ++o) {
         OutputPort &port = outPort[o];
-        if (port.transferring)
+        if (port.transferring || headsFor[o] == 0)
             continue;
-        for (unsigned k = 0; k < inputs; ++k) {
-            const unsigned in = (rrPointer + k) % inputs;
-            if (inQueue[in].empty())
-                continue;
-            const Packet &head = inQueue[in].front();
-            if (head.output != o)
-                continue; // head-of-line blocking
+        unsigned in = rrPointer;
+        for (unsigned k = 0; k < inputs;
+             ++k, in = in + 1 == inputs ? 0 : in + 1) {
+            std::deque<Packet> &queue = inQueue[in];
+            if (queue.empty() || queue.front().output != o)
+                continue; // empty, or head-of-line blocking
+            const Packet &head = queue.front();
             port.current = head;
             port.transferring = true;
             port.busyUntil = now + head.flits;
-            inQueue[in].pop_front();
+            queue.pop_front();
+            --headsFor[o];
+            if (!queue.empty())
+                ++headsFor[queue.front().output];
             break;
         }
     }
-    rrPointer = (rrPointer + 1) % inputs;
+    if (++rrPointer == inputs)
+        rrPointer = 0;
 }
 
 unsigned

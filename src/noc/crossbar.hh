@@ -110,6 +110,8 @@ class Crossbar
     unsigned queueDepth;
     std::vector<std::deque<Packet>> inQueue;
     std::vector<OutputPort> outPort;
+    /** Per output: input queues whose head packet targets it. */
+    std::vector<unsigned> headsFor;
     unsigned rrPointer = 0;
     NocStats stats_;
 };

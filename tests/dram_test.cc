@@ -180,6 +180,40 @@ TEST(MemoryController, LatencyAccounted)
     EXPECT_EQ(mc.stats().latencySum, done);
 }
 
+TEST(MemoryController, StarvationCapReleasesConflictBehindBusyBus)
+{
+    // Bank 0 opens row 1; a row-2 request then waits behind row-1 hits
+    // arriving every 8 cycles. Bank 1's hits arrive every 3 cycles
+    // against a 4-cycle burst, so the data bus stays saturated and
+    // bank 0's hits queue up instead of draining: its open row never
+    // runs dry. Only the 2000-cycle starvation cap lets the row-2
+    // request precharge. Requests are stamped after the tick of their
+    // cycle, as GpuSystem enqueues them.
+    MemoryController mc(2, DramTiming::hynixGddr5(),
+                        /*queue_capacity=*/1024);
+    std::vector<DramCompletion> done;
+    std::uint64_t tag = 10;
+    Cycle row2_done = 0;
+    for (Cycle c = 0; c < 4000 && row2_done == 0; ++c) {
+        mc.tick(c, done);
+        for (const auto &d : done)
+            if (d.tag == 2)
+                row2_done = d.finished;
+        done.clear();
+        bool accepted = true;
+        if (c == 0)
+            accepted &= mc.enqueue(readReq(0, 1, 1), c);
+        if (c == 1)
+            accepted &= mc.enqueue(readReq(0, 2, 2), c);
+        if (c >= 2 && (c - 2) % 8 == 0)
+            accepted &= mc.enqueue(readReq(0, 1, tag++), c);
+        if (c % 3 == 0)
+            accepted &= mc.enqueue(readReq(1, 7, tag++), c);
+        ASSERT_TRUE(accepted) << "queue full at cycle " << c;
+    }
+    EXPECT_EQ(row2_done, 2049u);
+}
+
 TEST(DramChannelStats, RowHitRateClampsAndGuards)
 {
     DramChannelStats s;

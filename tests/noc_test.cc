@@ -97,6 +97,33 @@ TEST(Crossbar, HeadOfLineBlocking)
     EXPECT_GT(t3, t2 - 2);
 }
 
+TEST(Crossbar, NewHeadCompetesForLaterOutputsInTheSameTick)
+{
+    // Outputs arbitrate in index order. When an input's head wins
+    // output 0, its next packet becomes the head at once and can win
+    // output 1 in the same tick: both deliver at tick 2.
+    Crossbar xb(1, 2, 32);
+    ASSERT_TRUE(xb.inject(0, 0, 8, 1, 0));
+    ASSERT_TRUE(xb.inject(0, 1, 8, 2, 0));
+    const auto done = run(xb, 1, 2);
+    EXPECT_EQ(done[0].delivered, 2u);
+    EXPECT_EQ(done[1].delivered, 2u);
+}
+
+TEST(Crossbar, NewHeadWaitsForOutputsAlreadyVisited)
+{
+    // Head to output 1, next packet to output 0: output 0 was visited
+    // before the pop, so the second packet starts a tick later.
+    Crossbar xb(1, 2, 32);
+    ASSERT_TRUE(xb.inject(0, 1, 8, 1, 0));
+    ASSERT_TRUE(xb.inject(0, 0, 8, 2, 0));
+    const auto done = run(xb, 1, 2);
+    EXPECT_EQ(done[0].tag, 1u);
+    EXPECT_EQ(done[0].delivered, 2u);
+    EXPECT_EQ(done[1].tag, 2u);
+    EXPECT_EQ(done[1].delivered, 3u);
+}
+
 TEST(Crossbar, QueueDepthBackpressure)
 {
     Crossbar xb(1, 1, 32, /*queue_depth=*/2);
