@@ -14,6 +14,8 @@
  * (default 0.5).
  */
 
+#include <memory>
+
 #include "bench_util.hh"
 #include "bim/bim_builder.hh"
 
@@ -60,12 +62,12 @@ main()
                    TextTable::num(hmeanSpeedup(cfg, m, base, scale),
                                   2)});
     };
-    add(*mapping::makeScheme(Scheme::PM, l), "1 row bit per target");
-    add(*mapping::makeMinimalistOpenPage(l), "lowest row bits (remap)");
-    add(*mapping::makeScheme(Scheme::RMP, l), "global top-entropy bits");
-    add(*mapping::makeScheme(Scheme::PAE, l, 1), "page address bits");
-    add(*mapping::makeScheme(Scheme::FAE, l, 1), "full address");
-    add(*mapping::makeScheme(Scheme::ALL, l, 1),
+    add(*mapping::makeMapper(mapping::kPm, l), "1 row bit per target");
+    add(*mapping::makeMapper("map:mop", l), "lowest row bits (remap)");
+    add(*mapping::makeMapper(mapping::kRmp, l), "global top-entropy bits");
+    add(*mapping::makeMapper(mapping::kPae, l, 1), "page address bits");
+    add(*mapping::makeMapper(mapping::kFae, l, 1), "full address");
+    add(*mapping::makeMapper(mapping::kAll, l, 1),
         "full address, all outputs");
     std::printf("%s\n", t1.toString().c_str());
 
@@ -77,7 +79,7 @@ main()
         XorShiftRng rng(100 + taps);
         const BitMatrix m = bim::randomBroad(
             l.addrBits, l.randomizeTargets(), l.pageMask(), rng, taps);
-        const auto mapper = mapping::makeCustom(
+        const auto mapper = std::make_unique<AddressMapper>(
             "PAE-t" + std::to_string(taps), l, m);
         double total_taps = 0;
         for (unsigned b : l.randomizeTargets())

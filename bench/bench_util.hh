@@ -177,18 +177,18 @@ printHeader(const std::string &experiment, const std::string &what)
 }
 
 /**
- * The Fig. 11-17 grid: valley set x `schemes`, Table I machine.
- * Benches that add columns (fig12's SBIM) pass an extended scheme
+ * The Fig. 11-17 grid: valley set x `mappers`, Table I machine.
+ * Benches that add columns (fig12's SBIM) pass an extended mapper
  * list; the shared cells still come from the same result cache.
  * VALLEY_WORKLOADS swaps the workload axis (synth specs included).
  */
 inline harness::Grid
 valleyGrid(double scale = 1.0,
-           std::vector<Scheme> schemes = allSchemes())
+           std::vector<std::string> mappers = mapping::paperMappers())
 {
     harness::GridOptions o;
     o.workloads = envWorkloads(workloads::valleySet());
-    o.schemes = std::move(schemes);
+    o.mappers = std::move(mappers);
     o.config.layout = envLayout(o.config.layout);
     o.scale = envScale(scale);
     o.useCache = true;
@@ -196,13 +196,12 @@ valleyGrid(double scale = 1.0,
     return harness::runGrid(std::move(o));
 }
 
-/** The Fig. 20 grid: non-valley set x all schemes. */
+/** The Fig. 20 grid: non-valley set x the paper's mappers. */
 inline harness::Grid
 nonValleyGrid(double scale = 1.0)
 {
     harness::GridOptions o;
     o.workloads = envWorkloads(workloads::nonValleySet());
-    o.schemes = allSchemes();
     o.config.layout = envLayout(o.config.layout);
     o.scale = envScale(scale);
     o.useCache = true;

@@ -37,11 +37,12 @@ main()
                        "min H* ch/bank"});
 
     const std::uint64_t bim_seed = 1;
-    std::vector<Scheme> schemes = allSchemes();
-    schemes.push_back(Scheme::SBIM); // this repo's searched mapping
-    for (Scheme s : schemes) {
+    std::vector<std::string> mappers = mapping::paperMappers();
+    mappers.push_back(mapping::kSbim); // this repo's searched mapping
+    for (const std::string &s : mappers) {
+        const std::string name = mapping::displayName(s);
         EntropyProfile p;
-        if (s == Scheme::SBIM) {
+        if (s == mapping::kSbim) {
             // The searched mapping depends on the workload's own
             // profile, so it comes from the search front-end, whose
             // result carries the profile of the searched matrix
@@ -53,17 +54,17 @@ main()
                     .searchedProfile;
         } else {
             const auto mapper =
-                mapping::makeScheme(s, layout, bim_seed);
+                mapping::makeMapper(s, layout, bim_seed);
             workloads::ProfileOptions po;
-            po.mapper = s == Scheme::BASE ? nullptr : mapper.get();
+            po.mapper = s == mapping::kBase ? nullptr : mapper.get();
             p = harness::profileWorkloadCached(
                 *wl, po, scale,
-                s == Scheme::BASE
+                s == mapping::kBase
                     ? ""
-                    : schemeName(s) + "-" + std::to_string(bim_seed));
+                    : name + "-" + std::to_string(bim_seed));
         }
 
-        std::printf("--- %s\n%s", schemeName(s).c_str(),
+        std::printf("--- %s\n%s", name.c_str(),
                     p.chart(29, 6).c_str());
         std::printf("  H*:");
         for (int b = 29; b >= 6; --b)
@@ -71,7 +72,7 @@ main()
         std::printf("\n\n");
 
         summary.addRow(
-            {schemeName(s), TextTable::num(p.meanOver({8, 9}), 3),
+            {name, TextTable::num(p.meanOver({8, 9}), 3),
              TextTable::num(p.meanOver({10, 11, 12, 13}), 3),
              TextTable::num(p.minOver({8, 9, 10, 11, 12, 13}), 3)});
     }

@@ -18,8 +18,8 @@ main()
     TextTable t;
     t.setHeader({"scheme", "norm. DRAM power", "norm. exec time",
                  "hmean speedup"});
-    for (Scheme s : allSchemes())
-        t.addRow({schemeName(s),
+    for (const std::string &s : mapping::paperMappers())
+        t.addRow({mapping::displayName(s),
                   TextTable::num(g.meanDramPowerNorm(s), 3),
                   TextTable::num(g.meanExecTimeNorm(s), 3),
                   TextTable::num(g.hmeanSpeedup(s), 2)});

@@ -19,26 +19,26 @@ main()
 
     // The shared Fig. 11-17 grid plus the searched scheme; the common
     // cells come from (and land in) the same result cache.
-    std::vector<Scheme> with_sbim = allSchemes();
-    with_sbim.push_back(Scheme::SBIM);
+    std::vector<std::string> with_sbim = mapping::paperMappers();
+    with_sbim.push_back(mapping::kSbim);
     const harness::Grid g =
         bench::valleyGrid(1.0, std::move(with_sbim));
-    const std::vector<Scheme> &schemes = g.options().schemes;
+    const std::vector<std::string> &mappers = g.options().mappers;
 
     TextTable t;
     std::vector<std::string> header = {"bench"};
-    for (Scheme s : schemes)
-        header.push_back(schemeName(s));
+    for (const std::string &s : mappers)
+        header.push_back(mapping::displayName(s));
     t.setHeader(header);
     for (const auto &w : g.options().workloads) {
         std::vector<std::string> row = {w};
-        for (Scheme s : schemes)
+        for (const std::string &s : mappers)
             row.push_back(TextTable::num(g.speedup(w, s), 2));
         t.addRow(row);
     }
     t.addRule();
     std::vector<std::string> hm = {"HMEAN"};
-    for (Scheme s : schemes)
+    for (const std::string &s : mappers)
         hm.push_back(TextTable::num(g.hmeanSpeedup(s), 2));
     t.addRow(hm);
     std::printf("%s\n", t.toString().c_str());

@@ -18,14 +18,14 @@ main()
     TextTable lat;
     TextTable miss;
     std::vector<std::string> header = {"bench"};
-    for (Scheme s : allSchemes())
-        header.push_back(schemeName(s));
+    for (const std::string &s : mapping::paperMappers())
+        header.push_back(mapping::displayName(s));
     lat.setHeader(header);
     miss.setHeader(header);
 
     for (const auto &w : g.options().workloads) {
         std::vector<std::string> lrow = {w}, mrow = {w};
-        for (Scheme s : allSchemes()) {
+        for (const std::string &s : mapping::paperMappers()) {
             lrow.push_back(
                 TextTable::num(g.at(w, s).nocLatencySmCycles, 0));
             mrow.push_back(
@@ -37,7 +37,7 @@ main()
     lat.addRule();
     miss.addRule();
     std::vector<std::string> lavg = {"AVG"}, mavg = {"AVG"};
-    for (Scheme s : allSchemes()) {
+    for (const std::string &s : mapping::paperMappers()) {
         lavg.push_back(TextTable::num(
             g.mean(s, [](const RunResult &r) {
                 return r.nocLatencySmCycles;

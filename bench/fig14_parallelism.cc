@@ -17,18 +17,18 @@ printMetric(const harness::Grid &g, const char *title,
 {
     TextTable t;
     std::vector<std::string> header = {"bench"};
-    for (Scheme s : allSchemes())
-        header.push_back(schemeName(s));
+    for (const std::string &s : mapping::paperMappers())
+        header.push_back(mapping::displayName(s));
     t.setHeader(header);
     for (const auto &w : g.options().workloads) {
         std::vector<std::string> row = {w};
-        for (Scheme s : allSchemes())
+        for (const std::string &s : mapping::paperMappers())
             row.push_back(TextTable::num(g.at(w, s).*field, 2));
         t.addRow(row);
     }
     t.addRule();
     std::vector<std::string> avg = {"AVG"};
-    for (Scheme s : allSchemes())
+    for (const std::string &s : mapping::paperMappers())
         avg.push_back(TextTable::num(
             g.mean(s, [field](const RunResult &r) { return r.*field; }),
             2));

@@ -15,12 +15,12 @@ main()
 
     TextTable t;
     std::vector<std::string> header = {"bench"};
-    for (Scheme s : allSchemes())
-        header.push_back(schemeName(s));
+    for (const std::string &s : mapping::paperMappers())
+        header.push_back(mapping::displayName(s));
     t.setHeader(header);
     for (const auto &w : g.options().workloads) {
         std::vector<std::string> row = {w};
-        for (Scheme s : allSchemes())
+        for (const std::string &s : mapping::paperMappers())
             row.push_back(
                 TextTable::num(g.at(w, s).rowBufferHitRate * 100, 1) +
                 "%");
@@ -28,7 +28,7 @@ main()
     }
     t.addRule();
     std::vector<std::string> avg = {"AVG"};
-    for (Scheme s : allSchemes())
+    for (const std::string &s : mapping::paperMappers())
         avg.push_back(
             TextTable::num(g.mean(s,
                                   [](const RunResult &r) {

@@ -18,9 +18,9 @@ main()
     t.setHeader({"bench", "scheme", "background", "activate", "read",
                  "write", "total"});
     for (const auto &w : g.options().workloads) {
-        for (Scheme s : allSchemes()) {
+        for (const std::string &s : mapping::paperMappers()) {
             const DramPowerBreakdown &p = g.at(w, s).dramPower;
-            t.addRow({w, schemeName(s),
+            t.addRow({w, mapping::displayName(s),
                       TextTable::num(p.backgroundW, 1),
                       TextTable::num(p.activateW, 1),
                       TextTable::num(p.readW, 1),
@@ -29,13 +29,13 @@ main()
         }
         t.addRule();
     }
-    for (Scheme s : allSchemes()) {
+    for (const std::string &s : mapping::paperMappers()) {
         const auto mean = [&](double (DramPowerBreakdown::*f)) {
             return g.mean(s, [f](const RunResult &r) {
                 return r.dramPower.*f;
             });
         };
-        t.addRow({"AVG", schemeName(s),
+        t.addRow({"AVG", mapping::displayName(s),
                   TextTable::num(mean(&DramPowerBreakdown::backgroundW), 1),
                   TextTable::num(mean(&DramPowerBreakdown::activateW), 1),
                   TextTable::num(mean(&DramPowerBreakdown::readW), 1),

@@ -18,26 +18,26 @@ main()
 
     TextTable t;
     std::vector<std::string> header = {"bench"};
-    for (Scheme s : allSchemes())
-        header.push_back(schemeName(s));
+    for (const std::string &s : mapping::paperMappers())
+        header.push_back(mapping::displayName(s));
     t.setHeader(header);
     for (const auto &w : g.options().workloads) {
         std::vector<std::string> row = {w};
-        for (Scheme s : allSchemes())
+        for (const std::string &s : mapping::paperMappers())
             row.push_back(TextTable::num(g.perfPerWattNorm(w, s), 2));
         t.addRow(row);
     }
     t.addRule();
     std::vector<std::string> hm = {"HMEAN"};
-    for (Scheme s : allSchemes())
+    for (const std::string &s : mapping::paperMappers())
         hm.push_back(TextTable::num(g.hmeanPerfPerWattNorm(s), 2));
     t.addRow(hm);
     std::printf("%s\n", t.toString().c_str());
 
     TextTable sys;
     sys.setHeader({"scheme", "norm. system power"});
-    for (Scheme s : allSchemes())
-        sys.addRow({schemeName(s),
+    for (const std::string &s : mapping::paperMappers())
+        sys.addRow({mapping::displayName(s),
                     TextTable::num(g.meanSystemPowerNorm(s), 3)});
     std::printf("%s\n", sys.toString().c_str());
 

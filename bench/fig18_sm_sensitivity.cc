@@ -25,21 +25,20 @@ main()
 
     TextTable t;
     std::vector<std::string> header = {"configuration"};
-    for (Scheme s : allSchemes())
-        header.push_back(schemeName(s));
+    for (const std::string &s : mapping::paperMappers())
+        header.push_back(mapping::displayName(s));
     t.setHeader(header);
 
     for (const SimConfig &cfg : configs) {
         harness::GridOptions o;
         o.config = cfg;
         o.workloads = workloads::valleySet();
-        o.schemes = allSchemes();
         o.scale = scale;
         o.useCache = true;
         o.progress = true;
         const harness::Grid g = harness::runGrid(std::move(o));
         std::vector<std::string> row = {cfg.name};
-        for (Scheme s : allSchemes())
+        for (const std::string &s : mapping::paperMappers())
             row.push_back(TextTable::num(g.hmeanSpeedup(s), 2));
         t.addRow(row);
     }

@@ -17,13 +17,13 @@ main()
 
     TextTable t;
     t.setHeader({"scheme", "BIM-1", "BIM-2", "BIM-3", "spread"});
-    for (Scheme s : {Scheme::PAE, Scheme::FAE, Scheme::ALL}) {
-        std::vector<std::string> row = {schemeName(s)};
+    for (const char *s : {mapping::kPae, mapping::kFae, mapping::kAll}) {
+        std::vector<std::string> row = {mapping::displayName(s)};
         double lo = 1e9, hi = 0.0;
         for (std::uint64_t seed = 1; seed <= 3; ++seed) {
             harness::GridOptions o;
             o.workloads = workloads::valleySet();
-            o.schemes = {Scheme::BASE, s};
+            o.mappers = {mapping::kBase, s};
             o.bimSeed = seed;
             o.scale = scale;
             o.useCache = true;

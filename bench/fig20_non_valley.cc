@@ -17,18 +17,18 @@ main()
 
     TextTable t;
     std::vector<std::string> header = {"bench"};
-    for (Scheme s : allSchemes())
-        header.push_back(schemeName(s));
+    for (const std::string &s : mapping::paperMappers())
+        header.push_back(mapping::displayName(s));
     t.setHeader(header);
     for (const auto &w : g.options().workloads) {
         std::vector<std::string> row = {w};
-        for (Scheme s : allSchemes())
+        for (const std::string &s : mapping::paperMappers())
             row.push_back(TextTable::num(g.speedup(w, s), 2));
         t.addRow(row);
     }
     t.addRule();
     std::vector<std::string> hm = {"HMEAN"};
-    for (Scheme s : allSchemes())
+    for (const std::string &s : mapping::paperMappers())
         hm.push_back(TextTable::num(g.hmeanSpeedup(s), 2));
     t.addRow(hm);
     std::printf("%s\n", t.toString().c_str());

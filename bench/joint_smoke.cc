@@ -48,7 +48,7 @@ main()
     // spelling with reordered spec params would otherwise not be
     // findable under set.members() below.
     o.workloads = set.members();
-    o.schemes = {Scheme::BASE, Scheme::SBIM, Scheme::GBIM};
+    o.mappers = {mapping::kBase, mapping::kSbim, mapping::kGbim};
     o.scale = scale;
     o.useCache = true;
     o.progress = true;
@@ -103,17 +103,17 @@ main()
         all_members_non_regressing =
             all_members_non_regressing && joint_h >= base_h - 1e-4;
 
-        t.addRow({w, TextTable::num(g.speedup(w, Scheme::SBIM), 3),
-                  TextTable::num(g.speedup(w, Scheme::GBIM), 3),
+        t.addRow({w, TextTable::num(g.speedup(w, mapping::kSbim), 3),
+                  TextTable::num(g.speedup(w, mapping::kGbim), 3),
                   TextTable::num(base_h, 3), TextTable::num(own_h, 3),
                   TextTable::num(joint_h, 3)});
 
         const std::string key = "member" + std::to_string(m);
         json.field(key, w);
         json.field(key + "_speedup_sbim",
-                   g.speedup(w, Scheme::SBIM));
+                   g.speedup(w, mapping::kSbim));
         json.field(key + "_speedup_gbim",
-                   g.speedup(w, Scheme::GBIM));
+                   g.speedup(w, mapping::kGbim));
         json.field(key + "_base_target_entropy", base_h);
         json.field(key + "_sbim_target_entropy", own_h);
         json.field(key + "_gbim_target_entropy", joint_h);
@@ -127,8 +127,8 @@ main()
     json.field("joint_beats_identity", joint_beats_identity);
     json.field("all_members_non_regressing",
                all_members_non_regressing);
-    json.field("hmean_speedup_sbim", g.hmeanSpeedup(Scheme::SBIM));
-    json.field("hmean_speedup_gbim", g.hmeanSpeedup(Scheme::GBIM));
+    json.field("hmean_speedup_sbim", g.hmeanSpeedup(mapping::kSbim));
+    json.field("hmean_speedup_gbim", g.hmeanSpeedup(mapping::kGbim));
 
     std::printf("%s\n", t.toString().c_str());
     std::printf("one joint BIM, mean H* targets: %.3f -> %.3f "

@@ -22,11 +22,10 @@ using namespace valley;
 // --- BIM ----------------------------------------------------------------
 
 static void
-BM_BimApply(benchmark::State &state)
+BM_BimApply(benchmark::State &state, const char *mapper_spec)
 {
     const AddressLayout layout = AddressLayout::hynixGddr5();
-    const auto mapper = mapping::makeScheme(
-        static_cast<Scheme>(state.range(0)), layout, 1);
+    const auto mapper = mapping::makeMapper(mapper_spec, layout, 1);
     XorShiftRng rng(7);
     Addr a = rng.next() & bits::mask(30);
     for (auto _ : state) {
@@ -36,21 +35,19 @@ BM_BimApply(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_BimApply)
-    ->Arg(static_cast<int>(Scheme::BASE))
-    ->Arg(static_cast<int>(Scheme::PM))
-    ->Arg(static_cast<int>(Scheme::PAE))
-    ->Arg(static_cast<int>(Scheme::FAE))
-    ->Arg(static_cast<int>(Scheme::ALL));
+BENCHMARK_CAPTURE(BM_BimApply, base, "map:base");
+BENCHMARK_CAPTURE(BM_BimApply, pm, "map:pm");
+BENCHMARK_CAPTURE(BM_BimApply, pae, "map:pae");
+BENCHMARK_CAPTURE(BM_BimApply, fae, "map:fae");
+BENCHMARK_CAPTURE(BM_BimApply, all, "map:all");
 
 static void
-BM_BimApplyNaive(benchmark::State &state)
+BM_BimApplyNaive(benchmark::State &state, const char *mapper_spec)
 {
     // The row-wise parity loop CompiledTransform replaces: one AND +
     // popcount-parity per output bit, 30 iterations per address.
     const AddressLayout layout = AddressLayout::hynixGddr5();
-    const auto mapper = mapping::makeScheme(
-        static_cast<Scheme>(state.range(0)), layout, 1);
+    const auto mapper = mapping::makeMapper(mapper_spec, layout, 1);
     const BitMatrix &m = mapper->matrix();
     XorShiftRng rng(7);
     Addr a = rng.next() & bits::mask(30);
@@ -61,19 +58,17 @@ BM_BimApplyNaive(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_BimApplyNaive)
-    ->Arg(static_cast<int>(Scheme::BASE))
-    ->Arg(static_cast<int>(Scheme::PAE))
-    ->Arg(static_cast<int>(Scheme::ALL));
+BENCHMARK_CAPTURE(BM_BimApplyNaive, base, "map:base");
+BENCHMARK_CAPTURE(BM_BimApplyNaive, pae, "map:pae");
+BENCHMARK_CAPTURE(BM_BimApplyNaive, all, "map:all");
 
 static void
-BM_BimApplyCompiled(benchmark::State &state)
+BM_BimApplyCompiled(benchmark::State &state, const char *mapper_spec)
 {
     // The byte-sliced fast path used by AddressMapper::map: 8 table
     // loads XORed together, independent of the matrix size.
     const AddressLayout layout = AddressLayout::hynixGddr5();
-    const auto mapper = mapping::makeScheme(
-        static_cast<Scheme>(state.range(0)), layout, 1);
+    const auto mapper = mapping::makeMapper(mapper_spec, layout, 1);
     const CompiledTransform &ct = mapper->compiled();
     XorShiftRng rng(7);
     Addr a = rng.next() & bits::mask(30);
@@ -84,10 +79,9 @@ BM_BimApplyCompiled(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_BimApplyCompiled)
-    ->Arg(static_cast<int>(Scheme::BASE))
-    ->Arg(static_cast<int>(Scheme::PAE))
-    ->Arg(static_cast<int>(Scheme::ALL));
+BENCHMARK_CAPTURE(BM_BimApplyCompiled, base, "map:base");
+BENCHMARK_CAPTURE(BM_BimApplyCompiled, pae, "map:pae");
+BENCHMARK_CAPTURE(BM_BimApplyCompiled, all, "map:all");
 
 static void
 BM_BimGenerateInvertible(benchmark::State &state)
@@ -241,7 +235,7 @@ static void
 BM_SimulatorEndToEnd(benchmark::State &state)
 {
     const SimConfig cfg = SimConfig::paperBaseline();
-    const auto mapper = mapping::makeScheme(Scheme::PAE, cfg.layout, 1);
+    const auto mapper = mapping::makeMapper(mapping::kPae, cfg.layout, 1);
     const auto wl = workloads::make("GS", 0.25);
     for (auto _ : state) {
         GpuSystem sim(cfg, *mapper);

@@ -120,8 +120,8 @@ main()
     t.setHeader({"scheme", "naive addr/s", "compiled addr/s",
                  "speedup"});
     double naive_sum = 0.0, compiled_sum = 0.0;
-    for (Scheme s : allSchemes()) {
-        const auto mapper = mapping::makeScheme(s, layout, 1);
+    for (const std::string &s : mapping::paperMappers()) {
+        const auto mapper = mapping::makeMapper(s, layout, 1);
         const MapperTiming timing = timeMapper(*mapper, addrs, passes);
         naive_sum += timing.naiveAddrsPerSec;
         compiled_sum += timing.compiledAddrsPerSec;
@@ -129,21 +129,21 @@ main()
             timing.naiveAddrsPerSec > 0.0
                 ? timing.compiledAddrsPerSec / timing.naiveAddrsPerSec
                 : 0.0;
-        t.addRow({schemeName(s),
-                  TextTable::num(timing.naiveAddrsPerSec),
+        const std::string name = mapping::displayName(s);
+        t.addRow({name, TextTable::num(timing.naiveAddrsPerSec),
                   TextTable::num(timing.compiledAddrsPerSec),
                   TextTable::num(speedup)});
-        mapper_json.field(schemeName(s) + "_naive_addrs_per_sec",
+        mapper_json.field(name + "_naive_addrs_per_sec",
                           timing.naiveAddrsPerSec);
-        mapper_json.field(schemeName(s) + "_compiled_addrs_per_sec",
+        mapper_json.field(name + "_compiled_addrs_per_sec",
                           timing.compiledAddrsPerSec);
     }
     const double mean_speedup =
         naive_sum > 0.0 ? compiled_sum / naive_sum : 0.0;
     mapper_json.field("mean_naive_addrs_per_sec",
-                      naive_sum / allSchemes().size());
+                      naive_sum / mapping::paperMappers().size());
     mapper_json.field("mean_compiled_addrs_per_sec",
-                      compiled_sum / allSchemes().size());
+                      compiled_sum / mapping::paperMappers().size());
     mapper_json.field("compiled_over_naive_speedup", mean_speedup);
     std::printf("%s", t.toString().c_str());
     std::printf("\nmean compiled/naive speedup: %.2fx\n\n",
@@ -319,7 +319,7 @@ main()
     // ---- grid wall-clock -------------------------------------------------
     harness::GridOptions opts;
     opts.workloads = {"SC", "GS"};
-    opts.schemes = {Scheme::BASE, Scheme::PM, Scheme::FAE};
+    opts.mappers = {mapping::kBase, mapping::kPm, mapping::kFae};
     opts.scale = bench::envScale(0.25);
     opts.useCache = false;
 
@@ -338,7 +338,7 @@ main()
     bool identical = true;
     std::uint64_t sim_cycles = 0;
     for (const auto &w : opts.workloads)
-        for (Scheme s : opts.schemes) {
+        for (const std::string &s : opts.mappers) {
             identical = identical && gs.at(w, s) == gp.at(w, s);
             sim_cycles += gs.at(w, s).cycles;
         }
@@ -351,7 +351,7 @@ main()
     bench::JsonEmitter grid_json("BENCH_grid.json");
     grid_json.field("cells",
                     static_cast<std::uint64_t>(opts.workloads.size() *
-                                               opts.schemes.size()));
+                                               opts.mappers.size()));
     grid_json.field("scale", opts.scale);
     grid_json.field("hardware_threads", hw_threads);
     grid_json.field("parallel_threads", grid_threads);
@@ -370,7 +370,7 @@ main()
 
     std::printf("grid: %zu cells, serial %.2fs, parallel %.2fs "
                 "(%u threads on %u-core host), identical=%s\n",
-                opts.workloads.size() * opts.schemes.size(), serial_sec,
+                opts.workloads.size() * opts.mappers.size(), serial_sec,
                 parallel_sec, grid_threads, hw_threads,
                 identical ? "yes" : "NO");
     std::printf("simulator: %llu SM cycles in the serial leg, %.3g "

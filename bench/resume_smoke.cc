@@ -39,7 +39,7 @@ gridOptions(bool checkpoint, unsigned threads, double scale,
 {
     harness::GridOptions o;
     o.workloads = workloads;
-    o.schemes = {Scheme::BASE, Scheme::PM, Scheme::PAE};
+    o.mappers = {mapping::kBase, mapping::kPm, mapping::kPae};
     o.scale = scale;
     o.useCache = false; // the journal alone carries resumed state
     o.checkpoint = checkpoint;
@@ -54,12 +54,12 @@ countMismatches(const harness::Grid &a, const harness::Grid &b)
 {
     std::size_t bad = 0;
     for (const auto &w : a.options().workloads)
-        for (Scheme s : a.options().schemes)
+        for (const std::string &s : a.options().mappers)
             if (harness::serializeResult(a.at(w, s)) !=
                 harness::serializeResult(b.at(w, s))) {
-                std::fprintf(stderr,
-                             "MISMATCH %s/%s after resume\n",
-                             w.c_str(), schemeName(s).c_str());
+                std::fprintf(stderr, "MISMATCH %s/%s after resume\n",
+                             w.c_str(),
+                             mapping::displayName(s).c_str());
                 ++bad;
             }
     return bad;

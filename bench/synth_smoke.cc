@@ -40,7 +40,7 @@ main()
 
     harness::GridOptions o;
     o.workloads = specs;
-    o.schemes = {Scheme::BASE, Scheme::SBIM};
+    o.mappers = {mapping::kBase, mapping::kSbim};
     o.scale = scale;
     o.useCache = true;
     o.progress = true;
@@ -71,7 +71,7 @@ main()
 
         const double base_h = r.identityProfile.meanOver(targets);
         const double sbim_h = r.searchedProfile.meanOver(targets);
-        const double speedup = g.speedup(spec, Scheme::SBIM);
+        const double speedup = g.speedup(spec, mapping::kSbim);
         const double gain = r.annealed.gain();
 
         all_non_regressing = all_non_regressing && gain >= 0.0;

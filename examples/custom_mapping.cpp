@@ -6,6 +6,7 @@
  */
 
 #include <cstdio>
+#include <memory>
 
 #include "bim/bim_builder.hh"
 #include "harness/experiment.hh"
@@ -35,16 +36,17 @@ main()
         std::printf("custom matrix is singular — aborting\n");
         return 1;
     }
-    const auto custom = mapping::makeCustom("WIDE-PM", layout, m);
+    const auto custom =
+        std::make_unique<AddressMapper>("WIDE-PM", layout, m);
     std::printf("custom scheme: %u XOR gates, depth %u\n\n",
                 custom->matrix().xorGateCount(),
                 custom->matrix().xorTreeDepth());
 
     // Evaluate against BASE / PM / PAE on the transpose workload.
     const auto wl = workloads::make("MT", 0.5);
-    const auto base = mapping::makeScheme(Scheme::BASE, layout);
-    const auto pm = mapping::makeScheme(Scheme::PM, layout);
-    const auto pae = mapping::makeScheme(Scheme::PAE, layout, 1);
+    const auto base = mapping::makeMapper(mapping::kBase, layout);
+    const auto pm = mapping::makeMapper(mapping::kPm, layout);
+    const auto pae = mapping::makeMapper(mapping::kPae, layout, 1);
 
     double base_seconds = 0.0;
     std::printf("%-8s %12s %10s %10s %10s\n", "scheme", "cycles",

@@ -31,8 +31,8 @@ main(int argc, char **argv)
 
     // 3. Two address mappers: the Hynix baseline and the paper's
     //    power-efficient Page Address Entropy scheme.
-    const auto base = mapping::makeScheme(Scheme::BASE, cfg.layout);
-    const auto pae = mapping::makeScheme(Scheme::PAE, cfg.layout, 1);
+    const auto base = mapping::makeMapper(mapping::kBase, cfg.layout);
+    const auto pae = mapping::makeMapper(mapping::kPae, cfg.layout, 1);
 
     // 4. Simulate.
     for (const AddressMapper *m : {base.get(), pae.get()}) {

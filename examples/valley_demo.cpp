@@ -11,7 +11,7 @@
 
 #include "bim/bim_builder.hh"
 #include "common/rng.hh"
-#include "mapping/address_mapper.hh"
+#include "mapping/mapper_registry.hh"
 
 using namespace valley;
 
@@ -52,20 +52,20 @@ main()
                     static_cast<unsigned long long>(a));
     std::printf("\n");
 
-    const auto base = mapping::makeScheme(Scheme::BASE, layout);
+    const auto base = mapping::makeMapper(mapping::kBase, layout);
     showDistribution("BASE (Hynix map):", *base, requests);
 
     // State-of-the-art PM: XORs channel/bank bits with the lowest
     // row bits — too narrow a range for this access pattern.
-    const auto pm = mapping::makeScheme(Scheme::PM, layout);
+    const auto pm = mapping::makeMapper(mapping::kPm, layout);
     showDistribution("PM (narrow XOR):", *pm, requests);
 
     // A Broad-strategy BIM gathers entropy from the whole page
     // address; the invertibility check guarantees one-to-one mapping.
-    const auto pae = mapping::makeScheme(Scheme::PAE, layout, 1);
+    const auto pae = mapping::makeMapper(mapping::kPae, layout, 1);
     showDistribution("PAE (Broad BIM):", *pae, requests);
 
-    const auto fae = mapping::makeScheme(Scheme::FAE, layout, 1);
+    const auto fae = mapping::makeMapper(mapping::kFae, layout, 1);
     showDistribution("FAE (Broad BIM, full addr):", *fae, requests);
 
     std::printf(

@@ -221,12 +221,6 @@ Grid::wIndex(const std::string &workload) const
 }
 
 std::size_t
-Grid::sIndex(Scheme s) const
-{
-    return sIndex(mapping::schemeSpec(s));
-}
-
-std::size_t
 Grid::sIndex(const std::string &mapper_spec) const
 {
     const std::string canon = mapping::canonicalMapperSpec(mapper_spec);
@@ -237,12 +231,6 @@ Grid::sIndex(const std::string &mapper_spec) const
 }
 
 const RunResult &
-Grid::at(const std::string &workload, Scheme s) const
-{
-    return results[wIndex(workload)][sIndex(s)];
-}
-
-const RunResult &
 Grid::at(const std::string &workload,
          const std::string &mapper_spec) const
 {
@@ -250,114 +238,114 @@ Grid::at(const std::string &workload,
 }
 
 double
-Grid::speedup(const std::string &workload, Scheme s) const
-{
-    const RunResult &base = at(workload, Scheme::BASE);
-    const RunResult &r = at(workload, s);
-    return r.seconds > 0.0 ? base.seconds / r.seconds : 0.0;
-}
-
-double
 Grid::speedup(const std::string &workload,
               const std::string &mapper_spec) const
 {
-    const RunResult &base = at(workload, Scheme::BASE);
+    const RunResult &base = at(workload, mapping::kBase);
     const RunResult &r = at(workload, mapper_spec);
     return r.seconds > 0.0 ? base.seconds / r.seconds : 0.0;
 }
 
 double
-Grid::dramPowerNorm(const std::string &workload, Scheme s) const
+Grid::dramPowerNorm(const std::string &workload,
+                    const std::string &mapper_spec) const
 {
-    const double base = at(workload, Scheme::BASE).dramPower.totalW();
-    const double v = at(workload, s).dramPower.totalW();
+    const double base = at(workload, mapping::kBase).dramPower.totalW();
+    const double v = at(workload, mapper_spec).dramPower.totalW();
     return base > 0.0 ? v / base : 0.0;
 }
 
 double
-Grid::systemPowerNorm(const std::string &workload, Scheme s) const
+Grid::systemPowerNorm(const std::string &workload,
+                      const std::string &mapper_spec) const
 {
-    const double base = at(workload, Scheme::BASE).systemPowerW;
-    const double v = at(workload, s).systemPowerW;
+    const double base = at(workload, mapping::kBase).systemPowerW;
+    const double v = at(workload, mapper_spec).systemPowerW;
     return base > 0.0 ? v / base : 0.0;
 }
 
 double
-Grid::perfPerWattNorm(const std::string &workload, Scheme s) const
+Grid::perfPerWattNorm(const std::string &workload,
+                      const std::string &mapper_spec) const
 {
     const double base =
-        at(workload, Scheme::BASE).performancePerWatt();
-    const double v = at(workload, s).performancePerWatt();
+        at(workload, mapping::kBase).performancePerWatt();
+    const double v = at(workload, mapper_spec).performancePerWatt();
     return base > 0.0 ? v / base : 0.0;
 }
 
 double
-Grid::hmeanSpeedup(Scheme s) const
+Grid::hmeanSpeedup(const std::string &mapper_spec) const
 {
     std::vector<double> v;
     v.reserve(opts.workloads.size());
     for (const auto &w : opts.workloads)
-        v.push_back(speedup(w, s));
+        v.push_back(speedup(w, mapper_spec));
     return harmonicMean(v);
 }
 
 double
-Grid::mean(Scheme s,
+Grid::mean(const std::string &mapper_spec,
            const std::function<double(const RunResult &)> &metric) const
 {
     std::vector<double> v;
     v.reserve(opts.workloads.size());
     for (const auto &w : opts.workloads)
-        v.push_back(metric(at(w, s)));
+        v.push_back(metric(at(w, mapper_spec)));
     return arithmeticMean(v);
 }
 
 double
-Grid::meanDramPowerNorm(Scheme s) const
+Grid::meanDramPowerNorm(const std::string &mapper_spec) const
 {
     std::vector<double> v;
     for (const auto &w : opts.workloads)
-        v.push_back(dramPowerNorm(w, s));
+        v.push_back(dramPowerNorm(w, mapper_spec));
     return arithmeticMean(v);
 }
 
 double
-Grid::meanExecTimeNorm(Scheme s) const
+Grid::meanExecTimeNorm(const std::string &mapper_spec) const
 {
     std::vector<double> v;
     for (const auto &w : opts.workloads) {
-        const double sp = speedup(w, s);
+        const double sp = speedup(w, mapper_spec);
         v.push_back(sp > 0.0 ? 1.0 / sp : 0.0);
     }
     return arithmeticMean(v);
 }
 
 double
-Grid::meanSystemPowerNorm(Scheme s) const
+Grid::meanSystemPowerNorm(const std::string &mapper_spec) const
 {
     std::vector<double> v;
     for (const auto &w : opts.workloads)
-        v.push_back(systemPowerNorm(w, s));
+        v.push_back(systemPowerNorm(w, mapper_spec));
     return arithmeticMean(v);
 }
 
 double
-Grid::hmeanPerfPerWattNorm(Scheme s) const
+Grid::hmeanPerfPerWattNorm(const std::string &mapper_spec) const
 {
     std::vector<double> v;
     for (const auto &w : opts.workloads)
-        v.push_back(perfPerWattNorm(w, s));
+        v.push_back(perfPerWattNorm(w, mapper_spec));
     return harmonicMean(v);
 }
 
 void
 normalizeGridAxes(GridOptions &opts)
 {
-    if (opts.mappers.empty())
-        for (Scheme s : opts.schemes)
-            opts.mappers.push_back(mapping::schemeSpec(s));
-    for (auto &m : opts.mappers)
-        m = mapping::canonicalMapperSpec(m);
+    for (std::size_t i = 0; i < opts.mappers.size(); ++i) {
+        opts.mappers[i] = mapping::canonicalMapperSpec(opts.mappers[i]);
+        // Two spellings of one mapper would share a cell identity:
+        // simulated twice, journaled twice, reported twice.
+        if (std::find(opts.mappers.begin(), opts.mappers.begin() + i,
+                      opts.mappers[i]) != opts.mappers.begin() + i)
+            throw std::invalid_argument("grid: mapper " +
+                                        opts.mappers[i] +
+                                        " appears twice on the axis");
+    }
 }
 
 namespace {

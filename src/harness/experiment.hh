@@ -1,8 +1,9 @@
 /**
  * @file
- * Experiment harness: runs workloads x schemes grids, normalizes
- * metrics against BASE, and aggregates means the way the paper's
- * figures do (harmonic mean for speedups, arithmetic elsewhere).
+ * Experiment harness: runs workloads x mappers grids, normalizes
+ * metrics against `map:base`, and aggregates means the way the
+ * paper's figures do (harmonic mean for speedups, arithmetic
+ * elsewhere).
  */
 
 #ifndef VALLEY_HARNESS_EXPERIMENT_HH
@@ -17,7 +18,7 @@
 #include "gpu/run_result.hh"
 #include "gpu/sim_config.hh"
 #include "harness/grid_report.hh"
-#include "mapping/address_mapper.hh"
+#include "mapping/mapper_registry.hh"
 #include "workloads/workload.hh"
 #include "workloads/workload_set.hh"
 
@@ -31,20 +32,12 @@ struct GridOptions
     std::vector<std::string> workloads;  ///< Table II abbreviations
 
     /**
-     * Legacy scheme axis. A convenience facade over `mappers`: when
-     * `mappers` is empty, each enum value is translated to its
-     * registry spec (`mapping::schemeSpec`) at grid start. Ignored
-     * when `mappers` is set explicitly.
-     */
-    std::vector<Scheme> schemes = allSchemes();
-
-    /**
      * The grid's mapper axis as registry spec strings
-     * (`map:FAMILY[,k=v]...` — mapping/mapper_registry.hh). Empty =
-     * derived from `schemes`. Canonicalized in place by `runGrid`,
-     * so `Grid::options().mappers` always holds canonical specs.
+     * (`map:FAMILY[,k=v]...` — mapping/mapper_registry.hh).
+     * Canonicalized in place by `runGrid`, so
+     * `Grid::options().mappers` always holds canonical specs.
      */
-    std::vector<std::string> mappers;
+    std::vector<std::string> mappers = mapping::paperMappers();
 
     /**
      * Layout axis for `runGrids`: `layout:KEY` specs
@@ -182,9 +175,9 @@ RunResult runOneCached(const SimConfig &config,
                            nullptr);
 
 /**
- * Results of a workloads x schemes grid with paper-style
- * normalization helpers. BASE must be part of the scheme list for
- * the normalized metrics.
+ * Results of a workloads x mappers grid with paper-style
+ * normalization helpers. Every helper takes a mapper spec in any
+ * spelling; `map:base` must be on the axis for the normalized ones.
  */
 class Grid
 {
@@ -202,54 +195,47 @@ class Grid
      */
     const GridReport &report() const { return report_; }
 
-    const RunResult &at(const std::string &workload, Scheme s) const;
-
-    /** Cell lookup by mapper spec (any spelling; canonicalized). */
     const RunResult &at(const std::string &workload,
                         const std::string &mapper_spec) const;
 
     /** Exec-time speedup over BASE for one cell. */
-    double speedup(const std::string &workload, Scheme s) const;
-
-    /** Speedup over BASE by mapper spec (`map:base` must be on the
-     *  axis, as BASE must be for the enum overloads). */
     double speedup(const std::string &workload,
                    const std::string &mapper_spec) const;
 
     /** DRAM power normalized to BASE. */
-    double dramPowerNorm(const std::string &workload, Scheme s) const;
+    double dramPowerNorm(const std::string &workload,
+                         const std::string &mapper_spec) const;
 
     /** System power normalized to BASE. */
     double systemPowerNorm(const std::string &workload,
-                           Scheme s) const;
+                           const std::string &mapper_spec) const;
 
     /** Performance per Watt normalized to BASE. */
     double perfPerWattNorm(const std::string &workload,
-                           Scheme s) const;
+                           const std::string &mapper_spec) const;
 
     /** Harmonic mean of per-workload speedups (paper HMEAN bars). */
-    double hmeanSpeedup(Scheme s) const;
+    double hmeanSpeedup(const std::string &mapper_spec) const;
 
     /** Arithmetic mean of a per-cell metric across workloads. */
-    double mean(Scheme s,
+    double mean(const std::string &mapper_spec,
                 const std::function<double(const RunResult &)> &metric)
         const;
 
     /** Arithmetic mean of normalized DRAM power across workloads. */
-    double meanDramPowerNorm(Scheme s) const;
+    double meanDramPowerNorm(const std::string &mapper_spec) const;
 
     /** Arithmetic mean of normalized exec time across workloads. */
-    double meanExecTimeNorm(Scheme s) const;
+    double meanExecTimeNorm(const std::string &mapper_spec) const;
 
     /** Arithmetic mean of normalized system power. */
-    double meanSystemPowerNorm(Scheme s) const;
+    double meanSystemPowerNorm(const std::string &mapper_spec) const;
 
     /** Harmonic mean of normalized perf/Watt. */
-    double hmeanPerfPerWattNorm(Scheme s) const;
+    double hmeanPerfPerWattNorm(const std::string &mapper_spec) const;
 
   private:
     std::size_t wIndex(const std::string &workload) const;
-    std::size_t sIndex(Scheme s) const;
     std::size_t sIndex(const std::string &mapper_spec) const;
 
     GridOptions opts;
@@ -258,9 +244,9 @@ class Grid
 };
 
 /**
- * Resolve the mapper axis in place: derive `mappers` from `schemes`
- * when empty, then canonicalize every spec (throws
- * `std::invalid_argument` on an unknown family/parameter). `runGrid`
+ * Canonicalize the mapper axis in place. Throws
+ * `std::invalid_argument` on an unknown family or parameter, and on
+ * a mapper that appears twice (in any two spellings). `runGrid`
  * calls this first; CLIs call it to validate user specs up front.
  */
 void normalizeGridAxes(GridOptions &opts);

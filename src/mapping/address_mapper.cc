@@ -1,41 +1,11 @@
 #include "mapping/address_mapper.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 #include "bim/bim_builder.hh"
-#include "common/bitops.hh"
-#include "common/rng.hh"
-#include "mapping/mapper_registry.hh"
 
 namespace valley {
-
-const std::vector<Scheme> &
-allSchemes()
-{
-    static const std::vector<Scheme> order = {
-        Scheme::BASE, Scheme::PM,  Scheme::RMP,
-        Scheme::PAE,  Scheme::FAE, Scheme::ALL,
-    };
-    return order;
-}
-
-std::string
-schemeName(Scheme s)
-{
-    switch (s) {
-      case Scheme::BASE: return "BASE";
-      case Scheme::PM:   return "PM";
-      case Scheme::RMP:  return "RMP";
-      case Scheme::PAE:  return "PAE";
-      case Scheme::FAE:  return "FAE";
-      case Scheme::ALL:  return "ALL";
-      case Scheme::SBIM: return "SBIM";
-      case Scheme::GBIM: return "GBIM";
-    }
-    return "?";
-}
 
 AddressMapper::AddressMapper(std::string name, AddressLayout layout,
                              BitMatrix bim)
@@ -49,46 +19,6 @@ AddressMapper::AddressMapper(std::string name, AddressLayout layout,
 }
 
 namespace mapping {
-
-std::unique_ptr<AddressMapper>
-makeScheme(Scheme s, const AddressLayout &layout, std::uint64_t seed)
-{
-    // The enum is now a facade over the mapper registry: every value
-    // resolves to its registered family (builtin_mappers.cc), whose
-    // seed tag preserves the seed's per-scheme RNG streams. The
-    // differential oracle pins this delegation bit-identical.
-    if (s == Scheme::SBIM || s == Scheme::GBIM)
-        // The searched BIMs depend on workload profiles, which this
-        // layout-only factory does not have; the harness builds them
-        // via search::searchedMapper / search::setMapper.
-        throw std::invalid_argument(
-            "makeScheme: " + schemeName(s) +
-            " requires workload profiles; use the search:: mappers");
-    return makeMapper(schemeSpec(s), layout, seed);
-}
-
-std::unique_ptr<AddressMapper>
-makeRemap(const AddressLayout &layout,
-          const std::vector<unsigned> &source_bits)
-{
-    BitMatrix m = bim::remap(layout.addrBits, layout.randomizeTargets(),
-                             source_bits);
-    return std::make_unique<AddressMapper>("RMP", layout, std::move(m));
-}
-
-std::unique_ptr<AddressMapper>
-makeCustom(std::string name, const AddressLayout &layout, BitMatrix bim)
-{
-    return std::make_unique<AddressMapper>(std::move(name), layout,
-                                           std::move(bim));
-}
-
-std::unique_ptr<AddressMapper>
-makeMinimalistOpenPage(const AddressLayout &layout)
-{
-    // Registered as the `map:mop` family (builtin_mappers.cc).
-    return makeMapper("map:mop", layout);
-}
 
 std::unique_ptr<AddressMapper>
 makeRemapFromProfile(const AddressLayout &layout,

@@ -1,6 +1,8 @@
 /**
  * @file
- * Address mapping schemes evaluated by the paper (Section VI):
+ * Address mappers: a BIM bound to a DRAM address layout. The paper's
+ * six mappings (Section VI) are registered `map:` families
+ * (mapping/mapper_registry.hh, builtin_mappers.cc):
  *
  *  - BASE: the Hynix address map, i.e. the identity BIM.
  *  - PM:   permutation-based mapping [4,5]; XORs each channel/bank bit
@@ -12,8 +14,11 @@
  *  - FAE:  Broad strategy, inputs from the full (non-block) address.
  *  - ALL:  like FAE but also rewrites the row and column output bits.
  *
- * Every scheme is realized as a BIM, so mapping is one GF(2)
- * matrix-vector product == a tree of XOR gates in hardware.
+ * Every mapping is realized as a BIM, so mapping is one GF(2)
+ * matrix-vector product == a tree of XOR gates in hardware. Mappers
+ * come from `mapping::makeMapper` (a spec), `search::setMapper` (a
+ * searched BIM) or the `AddressMapper` constructor (any invertible
+ * BIM).
  */
 
 #ifndef VALLEY_MAPPING_ADDRESS_MAPPER_HH
@@ -28,33 +33,6 @@
 #include "mapping/address_layout.hh"
 
 namespace valley {
-
-/**
- * The six schemes of the paper's evaluation, plus the two searched
- * schemes produced by `search::BimSearch` (this repo's automation of
- * the Section IV-B design-time methodology):
- *
- *  - SBIM: per-workload searched BIM — one matrix annealed against a
- *    single workload's trace planes;
- *  - GBIM: global searched BIM — one matrix annealed *jointly*
- *    against a whole `workloads::WorkloadSet`, the profile-driven
- *    counterpart of the paper's one-size-fits-all RMP.
- *
- * Both depend on workload profiles, so `mapping::makeScheme` cannot
- * build them from a layout alone; the harness routes them through
- * `search::searchedMapper` / `search::setMapper` instead.
- */
-enum class Scheme { BASE, PM, RMP, PAE, FAE, ALL, SBIM, GBIM };
-
-/**
- * The paper's six schemes in its presentation order (SBIM/GBIM
- * excluded; benches append them explicitly when comparing searched
- * mappings).
- */
-const std::vector<Scheme> &allSchemes();
-
-/** Scheme name as printed in the paper's figures. */
-std::string schemeName(Scheme s);
 
 /**
  * An address mapper: a named BIM bound to an address layout. Maps
@@ -111,40 +89,6 @@ class AddressMapper
 };
 
 namespace mapping {
-
-/**
- * Build one of the six paper schemes for a layout.
- *
- * @param s      scheme
- * @param layout DRAM address layout (conventional or 3D-stacked)
- * @param seed   BIM instantiation seed for PAE/FAE/ALL ("BIM-1..3" in
- *               Fig. 19 are seeds 1..3); ignored by BASE/PM/RMP
- */
-std::unique_ptr<AddressMapper> makeScheme(Scheme s,
-                                          const AddressLayout &layout,
-                                          std::uint64_t seed = 1);
-
-/**
- * Remap scheme with explicit donor bits (ascending target order).
- * `makeScheme(RMP,...)` uses the paper's global-entropy bits for the
- * GDDR5 layout; this overload supports profile-driven selection.
- */
-std::unique_ptr<AddressMapper> makeRemap(
-    const AddressLayout &layout, const std::vector<unsigned> &source_bits);
-
-/** Wrap an arbitrary (invertible) BIM as a mapper. */
-std::unique_ptr<AddressMapper> makeCustom(std::string name,
-                                          const AddressLayout &layout,
-                                          BitMatrix bim);
-
-/**
- * The minimalist open-page mapping of Kaseridis et al. [7], one of
- * the paper's Remap-strategy examples: route the address bits
- * immediately above the column field — where streaming CPU workloads
- * carry their entropy — into the channel/bank positions.
- */
-std::unique_ptr<AddressMapper> makeMinimalistOpenPage(
-    const AddressLayout &layout);
 
 /**
  * Profile-driven Remap: route the `n` highest-entropy bits of the

@@ -4,10 +4,9 @@
  * SBIM/GBIM placeholders, the minimalist open-page mapping, and the
  * permutation-order family the registry makes nearly free.
  *
- * The BIM constructions are moved verbatim from the seed's
- * `makeScheme` — the differential oracle (tests/mapper_oracle_test.cc)
- * holds every family bit-identical to its legacy enum path, so edits
- * here must preserve draw order and seed tags.
+ * Every cache key depends on the BIMs built here: the golden BIM
+ * hashes in tests/mapper_oracle_test.cc pin each family's matrix, so
+ * edits must preserve draw order and seed tags.
  */
 
 #include <stdexcept>
@@ -73,7 +72,7 @@ buildAll(const AddressLayout &layout, XorShiftRng &rng)
     return bim::randomBroad(n, targets, mask, rng);
 }
 
-/** Fixed display name + no parameters + legacy seed tag. */
+/** Fixed display name + no parameters + seed tag. */
 MapperFamily
 paperFamily(std::string name, std::string display, std::string summary,
             std::uint64_t seed_tag,
@@ -258,8 +257,9 @@ mopFamily()
         });
 }
 
-// Seed tags 0..7 are the legacy `Scheme` enum ordinals — load-bearing
-// for bit-identity with the seed's `makeScheme` RNG streams.
+// Seed tags 0..7 seed every BIM draw of these families. The golden
+// BIM hashes (tests/mapper_oracle_test.cc) and the seed-tag pin
+// (tests/mapper_registry_test.cc) hold them fixed.
 
 VALLEY_REGISTER_MAPPER(paperFamily(
     "base", "BASE", "the native layout order (identity BIM)", 0,
@@ -319,7 +319,7 @@ VALLEY_REGISTER_MAPPER([] {
 
 VALLEY_REGISTER_MAPPER(searchedFamily(
     "sbim", "SBIM",
-    "per-workload searched BIM (built by search::searchedMapper)", 6));
+    "per-workload searched BIM (built by search::setMapper)", 6));
 
 VALLEY_REGISTER_MAPPER(searchedFamily(
     "gbim", "GBIM",

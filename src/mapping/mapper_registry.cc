@@ -219,10 +219,8 @@ canonicalMapperSpec(const std::string &spec)
 std::uint64_t
 mapperSeed(const MapperFamily &family, std::uint64_t seed)
 {
-    // The seed's `schemeSeed` mix, with the family's tag standing in
-    // for the enum ordinal — bit-compatibility is load-bearing: the
-    // differential oracle compares registry BIMs against legacy
-    // `makeScheme` draws.
+    // Load-bearing for every cached result: tests/mapper_oracle_test.cc
+    // pins the BIMs this mix draws.
     return (seed + 1) * 0x9E3779B97F4A7C15ull ^
            (family.seedTag + 1) * 0xBF58476D1CE4E5B9ull;
 }
@@ -252,19 +250,18 @@ makeMapper(const std::string &spec, const AddressLayout &layout,
 }
 
 std::string
-schemeSpec(Scheme s)
+displayName(const std::string &spec)
 {
-    switch (s) {
-      case Scheme::BASE: return "map:base";
-      case Scheme::PM:   return "map:pm";
-      case Scheme::RMP:  return "map:rmp";
-      case Scheme::PAE:  return "map:pae";
-      case Scheme::FAE:  return "map:fae";
-      case Scheme::ALL:  return "map:all";
-      case Scheme::SBIM: return "map:sbim";
-      case Scheme::GBIM: return "map:gbim";
-    }
-    return "map:base";
+    const ResolvedMapperSpec r = resolveMapperSpec(spec);
+    return r.family().displayName(r);
+}
+
+const std::vector<std::string> &
+paperMappers()
+{
+    static const std::vector<std::string> order = {kBase, kPm,  kRmp,
+                                                   kPae,  kFae, kAll};
+    return order;
 }
 
 namespace detail {

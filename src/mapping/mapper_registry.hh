@@ -2,12 +2,10 @@
  * @file
  * String-keyed, self-registering address-mapper registry.
  *
- * The seed's closed `Scheme` enum meant adding a mapper touched the
- * harness, the caches and every CLI. Now a mapper *family* registers
- * under a spec-string key (the Ramulator
- * `RAMULATOR_REGISTER_IMPLEMENTATION` idiom) and everything downstream
- * — `harness::runOne`/`runGrid`, the cache keys, the CLIs — speaks
- * specs:
+ * A mapper *family* registers under a spec-string key (the Ramulator
+ * `RAMULATOR_REGISTER_IMPLEMENTATION` idiom), and the spec string is
+ * the only name of a mapper — `harness::runOne`/`runGrid`, the cache
+ * keys, the CLIs, the benches and the tests all speak specs:
  *
  *     map:FAMILY[,key=value]...
  *     e.g.  map:base   map:pae,seed=3   map:perm,order=RoCoBaCh
@@ -20,10 +18,8 @@
  * the on-disk caches key on — exactly the `synth:` workload-spec
  * semantics (`synth/registry.hh`).
  *
- * The legacy `Scheme` enum survives as a thin facade: every enum
- * value maps to a registered family via `schemeSpec`, and the
- * differential oracle (tests/mapper_oracle_test.cc) pins the two
- * paths bit-identical.
+ * `kBase` ... `kGbim` name the built-in families' canonical specs and
+ * `paperMappers()` lists the paper's six in its order.
  *
  * Profile-dependent families (sbim, gbim) register with
  * `needsProfiles`; `makeMapper` cannot build them from a layout alone
@@ -99,9 +95,10 @@ struct MapperFamily
 
     /**
      * Seed-stream tag mixed with the user seed into the family's RNG
-     * (see `mapperSeed`). Built-in families keep their legacy enum
-     * ordinal so their BIM draws are bit-identical to the seed's
-     * `makeScheme`; new families pick any unused value.
+     * (see `mapperSeed`). The built-in tags are pinned by
+     * tests/mapper_oracle_test.cc's golden BIM hashes, because every
+     * BIM draw, and with it every cache key, depends on them; new
+     * families pick any unused value.
      */
     std::uint64_t seedTag = 0;
 
@@ -189,11 +186,7 @@ ResolvedMapperSpec resolveMapperSpec(const std::string &spec);
 /** Shorthand for `resolveMapperSpec(spec).canonical()`. */
 std::string canonicalMapperSpec(const std::string &spec);
 
-/**
- * RNG seed stream of a family: mixes the family's `seedTag` with the
- * user seed exactly like the seed's `schemeSeed`, so built-in
- * families reproduce the legacy BIM draws bit-for-bit.
- */
+/** RNG seed stream of a family: its `seedTag` mixed with the user seed. */
 std::uint64_t mapperSeed(const MapperFamily &family, std::uint64_t seed);
 
 /**
@@ -209,8 +202,25 @@ std::unique_ptr<AddressMapper> makeMapper(const std::string &spec,
                                           const AddressLayout &layout,
                                           std::uint64_t seed = 1);
 
-/** Canonical registry spec of a legacy enum scheme. */
-std::string schemeSpec(Scheme s);
+/**
+ * Display name of a spec's mapper — `AddressMapper::name()` and the
+ * `RunResult::scheme` label, e.g. "PAE" or "PERM-RoCoBaCh". Throws
+ * like `resolveMapperSpec`.
+ */
+std::string displayName(const std::string &spec);
+
+/** Canonical specs of the built-in families. */
+inline constexpr const char *kBase = "map:base";
+inline constexpr const char *kPm = "map:pm";
+inline constexpr const char *kRmp = "map:rmp";
+inline constexpr const char *kPae = "map:pae";
+inline constexpr const char *kFae = "map:fae";
+inline constexpr const char *kAll = "map:all";
+inline constexpr const char *kSbim = "map:sbim";
+inline constexpr const char *kGbim = "map:gbim";
+
+/** The paper's six mappers (Section VI), in its presentation order. */
+const std::vector<std::string> &paperMappers();
 
 namespace detail {
 

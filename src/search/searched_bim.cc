@@ -237,15 +237,16 @@ setMapper(const AddressLayout &layout,
     if (name.empty())
         name = jointMapperName(set);
     if (auto cached = sbimCache().lookup(cache_key))
-        return mapping::makeCustom(name, layout,
-                                   std::move(cached->bim));
+        return std::make_unique<AddressMapper>(
+            std::move(name), layout, std::move(cached->bim));
     const SetPipeline pipe(set, layout, opts, scale);
     SearchResult best = pipe.searcher->anneal();
     // Same rule as searchSet: never cache a deadline-truncated
     // (wall-clock-dependent) matrix.
     if (!best.stats.deadlineHit)
         sbimCache().store(cache_key, best);
-    return mapping::makeCustom(name, layout, std::move(best.bim));
+    return std::make_unique<AddressMapper>(std::move(name), layout,
+                                           std::move(best.bim));
 }
 
 WorkloadSearchResult
@@ -260,15 +261,6 @@ searchWorkload(const Workload &workload, const AddressLayout &layout,
     out.identityProfile = std::move(r.identityProfiles[0]);
     out.searchedProfile = std::move(r.searchedProfiles[0]);
     return out;
-}
-
-std::unique_ptr<AddressMapper>
-searchedMapper(const AddressLayout &layout, const Workload &workload,
-               const SearchOptions &opts, double scale)
-{
-    return setMapper(layout,
-                     workloads::WorkloadSet({workload.info().abbrev}),
-                     opts, scale);
 }
 
 } // namespace search

@@ -2,14 +2,14 @@
  * @file
  * Front-end glue of the mapping service: one-call joint search over a
  * `workloads::WorkloadSet`, profile-cache integration, and the
- * `AddressMapper` wrapping used by the harness' SBIM/GBIM schemes and
- * `tools/valley_search`.
+ * `AddressMapper` wrapping used by the harness' `map:sbim`/`map:gbim`
+ * cells and `tools/valley_search`.
  *
  * The set is the first-class unit: `searchSet`/`setMapper` anneal one
- * invertible BIM against every member at once, and the historical
- * single-workload entry points (`searchWorkload`/`searchedMapper`)
- * are thin wrappers over a size-1 set — bit-identical to the joint
- * path by construction (asserted in `tests/joint_search_test.cc`).
+ * invertible BIM against every member at once. A per-workload (SBIM)
+ * search is the size-1 set; `searchWorkload` is a thin wrapper over
+ * it, bit-identical to the joint path by construction (asserted in
+ * `tests/joint_search_test.cc`).
  */
 
 #ifndef VALLEY_SEARCH_SEARCHED_BIM_HH
@@ -136,17 +136,6 @@ std::unique_ptr<AddressMapper> setMapper(
 WorkloadSearchResult searchWorkload(const Workload &workload,
                                     const AddressLayout &layout,
                                     SearchOptions opts, double scale);
-
-/**
- * Search a workload and wrap the best matrix as an `AddressMapper`
- * named "SBIM" — `setMapper` over the size-1 set. Deterministic in
- * (workload, layout, opts, scale). `scale` must be the factor the
- * workload was built with (deliberately no default: a mismatched
- * scale would mislabel the cache key).
- */
-std::unique_ptr<AddressMapper> searchedMapper(
-    const AddressLayout &layout, const Workload &workload,
-    const SearchOptions &opts, double scale);
 
 } // namespace search
 } // namespace valley

@@ -1,15 +1,16 @@
 /**
  * @file
- * Unit and property tests for the six address mapping schemes.
+ * Unit and property tests for the paper's six address mappers.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
 #include "common/bitops.hh"
 #include "common/rng.hh"
-#include "mapping/address_mapper.hh"
+#include "mapping/mapper_registry.hh"
 
 using namespace valley;
 
@@ -24,21 +25,21 @@ gddr5()
 
 } // namespace
 
-TEST(Schemes, AllSchemesOrdered)
+TEST(PaperMappers, PresentationOrder)
 {
-    const auto &order = allSchemes();
+    const auto &order = mapping::paperMappers();
     ASSERT_EQ(order.size(), 6u);
-    EXPECT_EQ(schemeName(order[0]), "BASE");
-    EXPECT_EQ(schemeName(order[1]), "PM");
-    EXPECT_EQ(schemeName(order[2]), "RMP");
-    EXPECT_EQ(schemeName(order[3]), "PAE");
-    EXPECT_EQ(schemeName(order[4]), "FAE");
-    EXPECT_EQ(schemeName(order[5]), "ALL");
+    EXPECT_EQ(mapping::displayName(order[0]), "BASE");
+    EXPECT_EQ(mapping::displayName(order[1]), "PM");
+    EXPECT_EQ(mapping::displayName(order[2]), "RMP");
+    EXPECT_EQ(mapping::displayName(order[3]), "PAE");
+    EXPECT_EQ(mapping::displayName(order[4]), "FAE");
+    EXPECT_EQ(mapping::displayName(order[5]), "ALL");
 }
 
 TEST(BaseScheme, IsIdentity)
 {
-    const auto m = mapping::makeScheme(Scheme::BASE, gddr5());
+    const auto m = mapping::makeMapper(mapping::kBase, gddr5());
     XorShiftRng rng(1);
     for (int i = 0; i < 1000; ++i) {
         const Addr a = rng.next() & bits::mask(30);
@@ -49,7 +50,7 @@ TEST(BaseScheme, IsIdentity)
 
 TEST(PmScheme, OnlyChannelAndBankBitsChange)
 {
-    const auto m = mapping::makeScheme(Scheme::PM, gddr5());
+    const auto m = mapping::makeMapper(mapping::kPm, gddr5());
     XorShiftRng rng(2);
     const std::uint64_t target_mask = bits::mask(6) << 8; // bits 8-13
     for (int i = 0; i < 1000; ++i) {
@@ -60,7 +61,7 @@ TEST(PmScheme, OnlyChannelAndBankBitsChange)
 
 TEST(PmScheme, XorsLowRowBits)
 {
-    const auto m = mapping::makeScheme(Scheme::PM, gddr5());
+    const auto m = mapping::makeMapper(mapping::kPm, gddr5());
     // Flipping row bit 18 must flip exactly one target bit (bit 8) in
     // the output, since PM donors are the LSB row bits in order.
     const Addr base = 0;
@@ -72,7 +73,7 @@ TEST(PmScheme, XorsLowRowBits)
 TEST(PmScheme, MatrixRowsHaveTwoTaps)
 {
     // Fig. 6c: PM rows for target bits have exactly two ones.
-    const auto m = mapping::makeScheme(Scheme::PM, gddr5());
+    const auto m = mapping::makeMapper(mapping::kPm, gddr5());
     for (unsigned t : gddr5().randomizeTargets())
         EXPECT_EQ(std::popcount(m->matrix().row(t)), 2);
 }
@@ -82,7 +83,7 @@ TEST(RmpScheme, RoutesGlobalTopEntropyBitsToChannelBank)
     // RMP's donors are the suite's top-6 average-entropy bits (11-16,
     // per the Section IV-B methodology applied to our workload set);
     // they land in the channel/bank positions 8-13 in order.
-    const auto m = mapping::makeScheme(Scheme::RMP, gddr5());
+    const auto m = mapping::makeMapper(mapping::kRmp, gddr5());
     for (unsigned i = 0; i < 6; ++i)
         EXPECT_EQ(m->map(Addr{1} << (11 + i)), Addr{1} << (8 + i));
     // Displaced inputs 8..10 reappear at the vacated outputs 14..16.
@@ -95,7 +96,7 @@ TEST(RmpScheme, RoutesGlobalTopEntropyBitsToChannelBank)
 
 TEST(PaeScheme, ReadsOnlyPageBitsWritesOnlyChBank)
 {
-    const auto m = mapping::makeScheme(Scheme::PAE, gddr5(), 1);
+    const auto m = mapping::makeMapper(mapping::kPae, gddr5(), 1);
     const auto targets = gddr5().randomizeTargets();
     const std::uint64_t page = gddr5().pageMask();
     for (unsigned t = 0; t < 30; ++t) {
@@ -113,7 +114,7 @@ TEST(PaeScheme, ColumnBitsNeverAffectOutput)
 {
     // PAE must keep requests within a DRAM page on the same page:
     // changing only column/block bits never changes channel/bank/row.
-    const auto m = mapping::makeScheme(Scheme::PAE, gddr5(), 1);
+    const auto m = mapping::makeMapper(mapping::kPae, gddr5(), 1);
     XorShiftRng rng(3);
     const std::uint64_t page = gddr5().pageMask();
     for (int i = 0; i < 300; ++i) {
@@ -135,7 +136,7 @@ TEST(FaeScheme, ColumnBitsDoAffectChannelBank)
     // FAE harvests column entropy, so some column bit must influence
     // the channel/bank selection — the row-locality cost the paper
     // reports (Fig. 15).
-    const auto m = mapping::makeScheme(Scheme::FAE, gddr5(), 1);
+    const auto m = mapping::makeMapper(mapping::kFae, gddr5(), 1);
     bool any_column_tap = false;
     for (unsigned t : gddr5().randomizeTargets())
         any_column_tap |=
@@ -152,7 +153,7 @@ TEST(FaeScheme, ColumnBitsDoAffectChannelBank)
 
 TEST(AllScheme, RewritesRowAndColumnBitsToo)
 {
-    const auto m = mapping::makeScheme(Scheme::ALL, gddr5(), 1);
+    const auto m = mapping::makeMapper(mapping::kAll, gddr5(), 1);
     unsigned non_identity_rows = 0;
     for (unsigned b = 6; b < 30; ++b)
         non_identity_rows += !m->matrix().rowIsIdentity(b);
@@ -163,40 +164,40 @@ TEST(AllScheme, RewritesRowAndColumnBitsToo)
 
 TEST(AllSchemesP, BlockBitsAlwaysPreserved)
 {
-    for (Scheme s : allSchemes()) {
-        const auto m = mapping::makeScheme(s, gddr5(), 1);
+    for (const std::string &s : mapping::paperMappers()) {
+        const auto m = mapping::makeMapper(s, gddr5(), 1);
         XorShiftRng rng(5);
         for (int i = 0; i < 500; ++i) {
             const Addr a = rng.next() & bits::mask(30);
             EXPECT_EQ(m->map(a) & bits::mask(6), a & bits::mask(6))
-                << schemeName(s);
+                << s;
         }
     }
 }
 
 TEST(AllSchemesP, BijectiveOnRandomSample)
 {
-    for (Scheme s : allSchemes()) {
-        const auto m = mapping::makeScheme(s, gddr5(), 2);
+    for (const std::string &s : mapping::paperMappers()) {
+        const auto m = mapping::makeMapper(s, gddr5(), 2);
         const auto inv = m->matrix().inverse();
-        ASSERT_TRUE(inv.has_value()) << schemeName(s);
+        ASSERT_TRUE(inv.has_value()) << s;
         XorShiftRng rng(6);
         for (int i = 0; i < 2000; ++i) {
             const Addr a = rng.next() & bits::mask(30);
-            EXPECT_EQ(inv->apply(m->map(a)), a) << schemeName(s);
+            EXPECT_EQ(inv->apply(m->map(a)), a) << s;
         }
     }
 }
 
 TEST(AllSchemesP, RemapLatencyOneCycleExceptBase)
 {
-    for (Scheme s : allSchemes()) {
-        const auto m = mapping::makeScheme(s, gddr5(), 1);
-        if (s == Scheme::BASE || s == Scheme::RMP) {
+    for (const std::string &s : mapping::paperMappers()) {
+        const auto m = mapping::makeMapper(s, gddr5(), 1);
+        if (s == mapping::kBase || s == mapping::kRmp) {
             // Pure wire permutations need no XOR gates.
             EXPECT_EQ(m->matrix().xorGateCount(), 0u);
         } else {
-            EXPECT_EQ(m->remapLatency(), 1u) << schemeName(s);
+            EXPECT_EQ(m->remapLatency(), 1u) << s;
         }
     }
 }
@@ -205,52 +206,52 @@ TEST(AllSchemesP, SingleCycleXorTreeDepth)
 {
     // The paper's single-cycle budget: tree depth must stay tiny
     // (< 6 levels of 2-input XORs even for ALL).
-    for (Scheme s : allSchemes()) {
-        const auto m = mapping::makeScheme(s, gddr5(), 1);
-        EXPECT_LE(m->matrix().xorTreeDepth(), 5u) << schemeName(s);
+    for (const std::string &s : mapping::paperMappers()) {
+        const auto m = mapping::makeMapper(s, gddr5(), 1);
+        EXPECT_LE(m->matrix().xorTreeDepth(), 5u) << s;
     }
 }
 
 TEST(BroadSchemes, DifferentSeedsGiveDifferentBims)
 {
-    for (Scheme s : {Scheme::PAE, Scheme::FAE, Scheme::ALL}) {
-        const auto m1 = mapping::makeScheme(s, gddr5(), 1);
-        const auto m2 = mapping::makeScheme(s, gddr5(), 2);
-        const auto m3 = mapping::makeScheme(s, gddr5(), 3);
-        EXPECT_FALSE(m1->matrix() == m2->matrix()) << schemeName(s);
-        EXPECT_FALSE(m2->matrix() == m3->matrix()) << schemeName(s);
+    for (const char *s : {mapping::kPae, mapping::kFae, mapping::kAll}) {
+        const auto m1 = mapping::makeMapper(s, gddr5(), 1);
+        const auto m2 = mapping::makeMapper(s, gddr5(), 2);
+        const auto m3 = mapping::makeMapper(s, gddr5(), 3);
+        EXPECT_FALSE(m1->matrix() == m2->matrix()) << s;
+        EXPECT_FALSE(m2->matrix() == m3->matrix()) << s;
         // Same seed reproduces the same BIM.
-        const auto m1b = mapping::makeScheme(s, gddr5(), 1);
-        EXPECT_TRUE(m1->matrix() == m1b->matrix()) << schemeName(s);
+        const auto m1b = mapping::makeMapper(s, gddr5(), 1);
+        EXPECT_TRUE(m1->matrix() == m1b->matrix()) << s;
     }
 }
 
 TEST(Schemes3d, TargetsCoverStackVaultBank)
 {
     const AddressLayout l = AddressLayout::stacked3d();
-    for (Scheme s : {Scheme::PAE, Scheme::FAE, Scheme::ALL}) {
-        const auto m = mapping::makeScheme(s, l, 1);
+    for (const char *s : {mapping::kPae, mapping::kFae, mapping::kAll}) {
+        const auto m = mapping::makeMapper(s, l, 1);
         EXPECT_TRUE(m->matrix().invertible());
         // 10 randomized bits (2 ch + 4 vault + 4 bank).
         unsigned randomized = 0;
         for (unsigned t : l.randomizeTargets())
             randomized += !m->matrix().rowIsIdentity(t);
-        EXPECT_GE(randomized, 9u) << schemeName(s);
+        EXPECT_GE(randomized, 9u) << s;
     }
     // PM and RMP build too.
-    EXPECT_NO_THROW(mapping::makeScheme(Scheme::PM, l));
-    EXPECT_NO_THROW(mapping::makeScheme(Scheme::RMP, l));
+    EXPECT_NO_THROW(mapping::makeMapper(mapping::kPm, l));
+    EXPECT_NO_THROW(mapping::makeMapper(mapping::kRmp, l));
 }
 
 TEST(Mapper, CoordOfUsesMappedAddress)
 {
-    const auto base = mapping::makeScheme(Scheme::BASE, gddr5());
+    const auto base = mapping::makeMapper(mapping::kBase, gddr5());
     const Addr a = (Addr{3} << 8) | (Addr{9} << 10); // ch 3, bank 9
     const DramCoord c = base->coordOf(a);
     EXPECT_EQ(c.channel, 3u);
     EXPECT_EQ(c.bank, 9u);
 
-    const auto rmp = mapping::makeScheme(Scheme::RMP, gddr5());
+    const auto rmp = mapping::makeMapper(mapping::kRmp, gddr5());
     // Input bit 15 routed to output bit 12 (bank bit 2).
     const DramCoord cr = rmp->coordOf(Addr{1} << 15);
     EXPECT_EQ(cr.bank, 4u);
@@ -261,7 +262,7 @@ TEST(Mapper, CustomBimWrapping)
 {
     BitMatrix m = BitMatrix::identity(30);
     m.set(8, 20, true); // channel bit harvests one row bit
-    const auto mapper = mapping::makeCustom("MY", gddr5(), m);
+    const auto mapper = std::make_unique<AddressMapper>("MY", gddr5(), m);
     EXPECT_EQ(mapper->name(), "MY");
     EXPECT_EQ(mapper->map(Addr{1} << 20),
               (Addr{1} << 20) | (Addr{1} << 8));
@@ -271,20 +272,18 @@ TEST(Mapper, RejectsSingularBim)
 {
     BitMatrix m = BitMatrix::identity(30);
     m.setRow(8, 0);
-    EXPECT_THROW(mapping::makeCustom("BAD", gddr5(), m),
-                 std::invalid_argument);
+    EXPECT_THROW(AddressMapper("BAD", gddr5(), m), std::invalid_argument);
 }
 
 TEST(Mapper, RejectsSizeMismatch)
 {
-    EXPECT_THROW(
-        mapping::makeCustom("BAD", gddr5(), BitMatrix::identity(16)),
-        std::invalid_argument);
+    EXPECT_THROW(AddressMapper("BAD", gddr5(), BitMatrix::identity(16)),
+                 std::invalid_argument);
 }
 
 TEST(MinimalistOpenPage, RoutesLowestRowBitsToChannelBank)
 {
-    const auto m = mapping::makeMinimalistOpenPage(gddr5());
+    const auto m = mapping::makeMapper("map:mop", gddr5());
     EXPECT_EQ(m->name(), "MOP");
     // Row bits 18..23 land in the channel/bank positions 8..13.
     for (unsigned i = 0; i < 6; ++i)
@@ -298,7 +297,7 @@ TEST(MinimalistOpenPage, ConsecutivePagesInterleaveAcrossChannels)
 {
     // The scheme's design goal: page-sized strides hit different
     // channels/banks (good for CPU streams).
-    const auto m = mapping::makeMinimalistOpenPage(gddr5());
+    const auto m = mapping::makeMapper("map:mop", gddr5());
     std::set<unsigned> channels;
     for (unsigned page = 0; page < 8; ++page)
         channels.insert(
@@ -329,7 +328,7 @@ TEST(RemapFromProfile, MatchesDefaultRmpOnSuiteProfile)
     for (unsigned b = 11; b <= 16; ++b)
         profile[b] = 1.0;
     const auto custom = mapping::makeRemapFromProfile(gddr5(), profile);
-    const auto rmp = mapping::makeScheme(Scheme::RMP, gddr5());
+    const auto rmp = mapping::makeMapper(mapping::kRmp, gddr5());
     EXPECT_TRUE(custom->matrix() == rmp->matrix());
 }
 
@@ -350,9 +349,9 @@ TEST(Schemes, ChannelSpreadOnPathologicalColumnMajorStream)
         return chans.size();
     };
 
-    const auto base = mapping::makeScheme(Scheme::BASE, gddr5());
-    const auto pae = mapping::makeScheme(Scheme::PAE, gddr5(), 1);
-    const auto fae = mapping::makeScheme(Scheme::FAE, gddr5(), 1);
+    const auto base = mapping::makeMapper(mapping::kBase, gddr5());
+    const auto pae = mapping::makeMapper(mapping::kPae, gddr5(), 1);
+    const auto fae = mapping::makeMapper(mapping::kFae, gddr5(), 1);
     EXPECT_EQ(count_channels(*base), 1u);
     EXPECT_EQ(count_channels(*pae), 4u);
     EXPECT_EQ(count_channels(*fae), 4u);

@@ -17,6 +17,7 @@
 #include "bim/bim_builder.hh"
 #include "common/cancellation.hh"
 #include "common/rng.hh"
+#include "mapping/mapper_registry.hh"
 #include "search/searched_bim.hh"
 #include "workloads/profiler.hh"
 
@@ -78,7 +79,7 @@ TEST(TracePlanes, MappedProfileMatchesProfilerBitExactly)
     // the profiler maps every address; same integers must fall out.
     PlanesFixture s("MT");
     const auto mapper =
-        mapping::makeScheme(Scheme::PAE, gddr5(), /*seed=*/1);
+        mapping::makeMapper(mapping::kPae, gddr5(), /*seed=*/1);
     workloads::ProfileOptions po = s.po;
     po.mapper = mapper.get();
     const EntropyProfile direct =
@@ -367,8 +368,8 @@ TEST(SearchedMapper, WrapsInvertibleBimNamedSbim)
     // VALLEY_CACHE=0: this test must exercise the live search (and
     // never write a cache entry into the developer's cache dir).
     setenv("VALLEY_CACHE", "0", 1);
-    const auto mapper =
-        search::searchedMapper(layout, *s.wl, opts, kScale);
+    const auto mapper = search::setMapper(
+        layout, workloads::WorkloadSet({"MT"}), opts, kScale);
     unsetenv("VALLEY_CACHE");
     EXPECT_EQ(mapper->name(), "SBIM");
     EXPECT_TRUE(mapper->matrix().invertible());
@@ -380,15 +381,6 @@ TEST(SearchedMapper, WrapsInvertibleBimNamedSbim)
         const Addr a = rng.next() & ((1ull << 30) - 1);
         EXPECT_EQ(inv->apply(mapper->map(a)), a);
     }
-}
-
-TEST(SearchedMapper, MakeSchemeRefusesSbim)
-{
-    EXPECT_THROW(mapping::makeScheme(Scheme::SBIM, gddr5()),
-                 std::invalid_argument);
-    EXPECT_EQ(schemeName(Scheme::SBIM), "SBIM");
-    // The paper's presentation order stays the six paper schemes.
-    EXPECT_EQ(allSchemes().size(), 6u);
 }
 
 TEST(BimSearch, CancelledSearchDegradesToScoredInvertibleIncumbent)

@@ -10,7 +10,7 @@
 #include "bim/compiled_transform.hh"
 #include "common/bitops.hh"
 #include "common/rng.hh"
-#include "mapping/address_mapper.hh"
+#include "mapping/mapper_registry.hh"
 
 using namespace valley;
 
@@ -18,17 +18,18 @@ TEST(CompiledTransform, MatchesNaiveApplyForAllSchemes)
 {
     for (const AddressLayout &layout :
          {AddressLayout::hynixGddr5(), AddressLayout::stacked3d()}) {
-        for (Scheme s : allSchemes()) {
+        const std::vector<std::string> &specs = mapping::paperMappers();
+        for (std::uint64_t i = 0; i < specs.size(); ++i) {
+            const std::string &s = specs[i];
             for (std::uint64_t seed : {1, 2, 3}) {
-                const auto m = mapping::makeScheme(s, layout, seed);
+                const auto m = mapping::makeMapper(s, layout, seed);
                 const CompiledTransform &ct = m->compiled();
-                XorShiftRng rng(seed * 1000 +
-                                static_cast<std::uint64_t>(s));
+                XorShiftRng rng(seed * 1000 + i);
                 for (int i = 0; i < 2000; ++i) {
                     const Addr a =
                         rng.next() & bits::mask(layout.addrBits);
                     ASSERT_EQ(ct.apply(a), m->matrix().apply(a))
-                        << schemeName(s) << " seed " << seed
+                        << s << " seed " << seed
                         << " addr " << a;
                 }
             }
@@ -71,11 +72,11 @@ TEST(CompiledTransform, IdentityDetection)
     m.set(8, 20, true);
     EXPECT_FALSE(CompiledTransform(m).isIdentity());
 
-    const auto base = mapping::makeScheme(
-        Scheme::BASE, AddressLayout::hynixGddr5(), 1);
+    const auto base = mapping::makeMapper(
+        mapping::kBase, AddressLayout::hynixGddr5(), 1);
     EXPECT_TRUE(base->compiled().isIdentity());
-    const auto fae = mapping::makeScheme(
-        Scheme::FAE, AddressLayout::hynixGddr5(), 1);
+    const auto fae = mapping::makeMapper(
+        mapping::kFae, AddressLayout::hynixGddr5(), 1);
     EXPECT_FALSE(fae->compiled().isIdentity());
 }
 
@@ -103,8 +104,8 @@ TEST(AddressMapper, MapUsesCompiledPath)
     // the mapper freezes its matrix at construction.
     const AddressLayout layout = AddressLayout::hynixGddr5();
     XorShiftRng rng(11);
-    for (Scheme s : allSchemes()) {
-        const auto m = mapping::makeScheme(s, layout, 5);
+    for (const std::string &s : mapping::paperMappers()) {
+        const auto m = mapping::makeMapper(s, layout, 5);
         for (int i = 0; i < 1000; ++i) {
             const Addr a = rng.next() & bits::mask(30);
             ASSERT_EQ(m->map(a), m->matrix().apply(a));

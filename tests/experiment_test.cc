@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "harness/experiment.hh"
 #include "workloads/profiler.hh"
 
@@ -21,7 +24,7 @@ smallGrid()
     static const Grid grid = [] {
         GridOptions o;
         o.workloads = {"SC", "GS"};
-        o.schemes = {Scheme::BASE, Scheme::PM, Scheme::FAE};
+        o.mappers = {mapping::kBase, mapping::kPm, mapping::kFae};
         o.scale = 0.5;
         return runGrid(std::move(o));
     }();
@@ -43,51 +46,51 @@ TEST(Harness, GridShapeAndLookup)
 {
     const Grid &g = smallGrid();
     EXPECT_EQ(g.options().workloads.size(), 2u);
-    EXPECT_EQ(g.at("SC", Scheme::BASE).workload, "SC");
-    EXPECT_EQ(g.at("GS", Scheme::FAE).scheme, "FAE");
-    EXPECT_THROW(g.at("XXX", Scheme::BASE), std::out_of_range);
-    EXPECT_THROW(g.at("SC", Scheme::ALL), std::out_of_range);
+    EXPECT_EQ(g.at("SC", mapping::kBase).workload, "SC");
+    EXPECT_EQ(g.at("GS", mapping::kFae).scheme, "FAE");
+    EXPECT_THROW(g.at("XXX", mapping::kBase), std::out_of_range);
+    EXPECT_THROW(g.at("SC", mapping::kAll), std::out_of_range);
 }
 
 TEST(Harness, BaseNormalizationsAreOne)
 {
     const Grid &g = smallGrid();
     for (const auto &w : g.options().workloads) {
-        EXPECT_DOUBLE_EQ(g.speedup(w, Scheme::BASE), 1.0);
-        EXPECT_DOUBLE_EQ(g.dramPowerNorm(w, Scheme::BASE), 1.0);
-        EXPECT_DOUBLE_EQ(g.systemPowerNorm(w, Scheme::BASE), 1.0);
-        EXPECT_DOUBLE_EQ(g.perfPerWattNorm(w, Scheme::BASE), 1.0);
+        EXPECT_DOUBLE_EQ(g.speedup(w, mapping::kBase), 1.0);
+        EXPECT_DOUBLE_EQ(g.dramPowerNorm(w, mapping::kBase), 1.0);
+        EXPECT_DOUBLE_EQ(g.systemPowerNorm(w, mapping::kBase), 1.0);
+        EXPECT_DOUBLE_EQ(g.perfPerWattNorm(w, mapping::kBase), 1.0);
     }
-    EXPECT_DOUBLE_EQ(g.hmeanSpeedup(Scheme::BASE), 1.0);
+    EXPECT_DOUBLE_EQ(g.hmeanSpeedup(mapping::kBase), 1.0);
 }
 
 TEST(Harness, SpeedupIsTimeRatio)
 {
     const Grid &g = smallGrid();
-    const double expected = g.at("SC", Scheme::BASE).seconds /
-                            g.at("SC", Scheme::FAE).seconds;
-    EXPECT_DOUBLE_EQ(g.speedup("SC", Scheme::FAE), expected);
+    const double expected = g.at("SC", mapping::kBase).seconds /
+                            g.at("SC", mapping::kFae).seconds;
+    EXPECT_DOUBLE_EQ(g.speedup("SC", mapping::kFae), expected);
 }
 
 TEST(Harness, PerfPerWattConsistency)
 {
     const Grid &g = smallGrid();
-    const double sp = g.speedup("SC", Scheme::FAE);
-    const double pw = g.systemPowerNorm("SC", Scheme::FAE);
-    EXPECT_NEAR(g.perfPerWattNorm("SC", Scheme::FAE), sp / pw, 1e-9);
+    const double sp = g.speedup("SC", mapping::kFae);
+    const double pw = g.systemPowerNorm("SC", mapping::kFae);
+    EXPECT_NEAR(g.perfPerWattNorm("SC", mapping::kFae), sp / pw, 1e-9);
 }
 
 TEST(Harness, MeanHelpers)
 {
     const Grid &g = smallGrid();
-    const double m = g.mean(Scheme::BASE, [](const RunResult &r) {
+    const double m = g.mean(mapping::kBase, [](const RunResult &r) {
         return r.llcMissRate;
     });
     EXPECT_GE(m, 0.0);
     EXPECT_LE(m, 1.0);
-    EXPECT_GT(g.meanDramPowerNorm(Scheme::FAE), 0.0);
-    EXPECT_GT(g.hmeanPerfPerWattNorm(Scheme::FAE), 0.0);
-    EXPECT_NEAR(g.meanExecTimeNorm(Scheme::BASE), 1.0, 1e-12);
+    EXPECT_GT(g.meanDramPowerNorm(mapping::kFae), 0.0);
+    EXPECT_GT(g.hmeanPerfPerWattNorm(mapping::kFae), 0.0);
+    EXPECT_NEAR(g.meanExecTimeNorm(mapping::kBase), 1.0, 1e-12);
 }
 
 TEST(Harness, ReproductionShapeAtReducedScale)
@@ -97,11 +100,11 @@ TEST(Harness, ReproductionShapeAtReducedScale)
     // essentially untouched (paper Figs. 12 & 20).
     GridOptions o;
     o.workloads = {"SC", "MUM"};
-    o.schemes = {Scheme::BASE, Scheme::FAE};
+    o.mappers = {mapping::kBase, mapping::kFae};
     o.scale = 0.5;
     const Grid g = runGrid(std::move(o));
-    EXPECT_GT(g.speedup("SC", Scheme::FAE), 1.3);
-    EXPECT_NEAR(g.speedup("MUM", Scheme::FAE), 1.0, 0.1);
+    EXPECT_GT(g.speedup("SC", mapping::kFae), 1.3);
+    EXPECT_NEAR(g.speedup("MUM", mapping::kFae), 1.0, 0.1);
 }
 
 TEST(Harness, ParallelGridBitIdenticalToSerial)
@@ -111,7 +114,7 @@ TEST(Harness, ParallelGridBitIdenticalToSerial)
     // exactly — including every derived power/parallelism metric.
     GridOptions o;
     o.workloads = {"SC", "GS"};
-    o.schemes = {Scheme::BASE, Scheme::FAE};
+    o.mappers = {mapping::kBase, mapping::kFae};
     o.scale = 0.25;
 
     GridOptions serial = o;
@@ -123,9 +126,30 @@ TEST(Harness, ParallelGridBitIdenticalToSerial)
     const Grid gp = runGrid(std::move(parallel));
 
     for (const auto &w : o.workloads)
-        for (Scheme s : o.schemes)
+        for (const std::string &s : o.mappers)
             EXPECT_TRUE(gs.at(w, s) == gp.at(w, s))
-                << w << "/" << schemeName(s);
+                << w << "/" << s;
+}
+
+TEST(Harness, MapperNamedTwiceOnTheAxisIsRejected)
+{
+    // Two spellings of one mapper share a cell identity: the grid
+    // would simulate, journal and report that cell twice. The axis
+    // must be rejected, naming the canonical spec, before any cell
+    // runs.
+    GridOptions o;
+    o.workloads = {"SC"};
+    o.mappers = {"map:pae", "map:pae,seed=0", mapping::kBase};
+    o.scale = 0.05;
+    try {
+        normalizeGridAxes(o);
+        ADD_FAILURE() << "a repeated mapper must be rejected";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("map:pae"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(runGrid(o), std::invalid_argument);
 }
 
 TEST(Harness, BimSeedChangesBroadSchemeResults)
@@ -148,8 +172,8 @@ TEST(Profiler, MappedProfileRemovesValley)
     workloads::ProfileOptions po;
     const EntropyProfile base = workloads::profileWorkload(*wl, po);
 
-    const auto fae = mapping::makeScheme(
-        Scheme::FAE, AddressLayout::hynixGddr5(), 1);
+    const auto fae = mapping::makeMapper(
+        mapping::kFae, AddressLayout::hynixGddr5(), 1);
     workloads::ProfileOptions pm = po;
     pm.mapper = fae.get();
     const EntropyProfile mapped = workloads::profileWorkload(*wl, pm);

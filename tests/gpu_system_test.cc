@@ -53,7 +53,7 @@ quickConfig()
 TEST(GpuSystem, TinyKernelCompletes)
 {
     const SimConfig cfg = quickConfig();
-    const auto mapper = mapping::makeScheme(Scheme::BASE, cfg.layout);
+    const auto mapper = mapping::makeMapper(mapping::kBase, cfg.layout);
     GpuSystem sim(cfg, *mapper);
     const RunResult r = sim.run(*miniWorkload(4, false));
     EXPECT_GT(r.cycles, 0u);
@@ -65,14 +65,14 @@ TEST(GpuSystem, RejectsMismatchedLayout)
 {
     const SimConfig cfg = quickConfig();
     const auto mapper =
-        mapping::makeScheme(Scheme::BASE, AddressLayout::stacked3d());
+        mapping::makeMapper(mapping::kBase, AddressLayout::stacked3d());
     EXPECT_THROW(GpuSystem(cfg, *mapper), std::invalid_argument);
 }
 
 TEST(GpuSystem, DeterministicAcrossRuns)
 {
     const SimConfig cfg = quickConfig();
-    const auto mapper = mapping::makeScheme(Scheme::PAE, cfg.layout, 1);
+    const auto mapper = mapping::makeMapper(mapping::kPae, cfg.layout, 1);
     GpuSystem sim(cfg, *mapper);
     const auto wl = miniWorkload(32, true);
     const RunResult a = sim.run(*wl);
@@ -85,7 +85,7 @@ TEST(GpuSystem, DeterministicAcrossRuns)
 TEST(GpuSystem, AccountingInvariants)
 {
     const SimConfig cfg = quickConfig();
-    const auto mapper = mapping::makeScheme(Scheme::BASE, cfg.layout);
+    const auto mapper = mapping::makeMapper(mapping::kBase, cfg.layout);
     GpuSystem sim(cfg, *mapper);
     const RunResult r = sim.run(*miniWorkload(64, true, true));
 
@@ -107,7 +107,7 @@ TEST(GpuSystem, AccountingInvariants)
 TEST(GpuSystem, ParallelismMetricsWithinUnitCounts)
 {
     const SimConfig cfg = quickConfig();
-    const auto mapper = mapping::makeScheme(Scheme::FAE, cfg.layout, 1);
+    const auto mapper = mapping::makeMapper(mapping::kFae, cfg.layout, 1);
     GpuSystem sim(cfg, *mapper);
     const RunResult r = sim.run(*miniWorkload(64, true));
     EXPECT_GE(r.llcParallelism, 1.0);
@@ -125,7 +125,7 @@ TEST(GpuSystem, MoreSmsRunFasterOnParallelWork)
     SimConfig c12 = quickConfig();
     SimConfig c24 = SimConfig::withSms(24);
     c24.maxCycles = c12.maxCycles;
-    const auto m12 = mapping::makeScheme(Scheme::FAE, c12.layout, 1);
+    const auto m12 = mapping::makeMapper(mapping::kFae, c12.layout, 1);
     const RunResult r12 = GpuSystem(c12, *m12).run(*wl);
     const RunResult r24 = GpuSystem(c24, *m12).run(*wl);
     EXPECT_LT(r24.cycles, r12.cycles);
@@ -153,8 +153,8 @@ TEST(GpuSystem, ValleyPatternSerializesUnderBase)
                       std::move(ks));
 
     const SimConfig cfg = quickConfig();
-    const auto base = mapping::makeScheme(Scheme::BASE, cfg.layout);
-    const auto fae = mapping::makeScheme(Scheme::FAE, cfg.layout, 1);
+    const auto base = mapping::makeMapper(mapping::kBase, cfg.layout);
+    const auto fae = mapping::makeMapper(mapping::kFae, cfg.layout, 1);
     const RunResult rb = GpuSystem(cfg, *base).run(wl);
     const RunResult rf = GpuSystem(cfg, *fae).run(wl);
     EXPECT_GT(static_cast<double>(rb.cycles) /
@@ -167,7 +167,7 @@ TEST(GpuSystem, ValleyPatternSerializesUnderBase)
 TEST(GpuSystem, ApkiMpkiDerivedMetrics)
 {
     const SimConfig cfg = quickConfig();
-    const auto mapper = mapping::makeScheme(Scheme::BASE, cfg.layout);
+    const auto mapper = mapping::makeMapper(mapping::kBase, cfg.layout);
     GpuSystem sim(cfg, *mapper);
     const RunResult r = sim.run(*miniWorkload(32, false));
     EXPECT_NEAR(r.apki(),
@@ -181,7 +181,7 @@ TEST(GpuSystem, Stacked3dConfigRuns)
 {
     SimConfig cfg = SimConfig::stacked3d();
     cfg.maxCycles = 50'000'000;
-    const auto mapper = mapping::makeScheme(Scheme::PAE, cfg.layout, 1);
+    const auto mapper = mapping::makeMapper(mapping::kPae, cfg.layout, 1);
     GpuSystem sim(cfg, *mapper);
     const RunResult r = sim.run(*miniWorkload(64, true));
     EXPECT_GT(r.cycles, 0u);

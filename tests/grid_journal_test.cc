@@ -57,7 +57,7 @@ class GridJournalTest : public ::testing::Test
     {
         GridOptions o;
         o.workloads = {"synth:strided", "synth:stencil3d"};
-        o.schemes = {Scheme::BASE, Scheme::PM};
+        o.mappers = {mapping::kBase, mapping::kPm};
         o.scale = 0.25;
         o.useCache = false;
         o.checkpoint = checkpoint;
@@ -69,12 +69,12 @@ class GridJournalTest : public ::testing::Test
     expectBitIdentical(const Grid &a, const Grid &b)
     {
         for (const auto &w : a.options().workloads)
-            for (Scheme s : a.options().schemes) {
+            for (const std::string &s : a.options().mappers) {
                 // serializeResult covers every persisted field at
                 // full precision; config is restamped on resume.
                 EXPECT_EQ(serializeResult(a.at(w, s)),
                           serializeResult(b.at(w, s)))
-                    << w << "/" << schemeName(s);
+                    << w << "/" << s;
                 EXPECT_EQ(a.at(w, s).config, b.at(w, s).config);
             }
     }
@@ -265,7 +265,7 @@ TEST_F(GridJournalTest, EnvVarEnablesCheckpointing)
     setenv("VALLEY_CHECKPOINT", "1", 1);
     GridOptions o = gridOptions(false, 1);
     o.workloads = {"synth:strided"};
-    o.schemes = {Scheme::BASE};
+    o.mappers = {mapping::kBase};
     runGrid(o);
     bool found_journal = false;
     for (const auto &e : std::filesystem::directory_iterator(dir))

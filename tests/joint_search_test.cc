@@ -5,7 +5,7 @@
  * restarts on a multi-member set, set-order invariance of both the
  * search result and the cache key, the size-1 set reducing exactly
  * to the single-workload search, the `maxEvaluations` budget cap,
- * and `Scheme::GBIM` end-to-end through `harness::runGrid` with
+ * and `map:gbim` end-to-end through `harness::runGrid` with
  * cache hits on repeat runs.
  */
 
@@ -245,9 +245,8 @@ TEST(JointSearch, SizeOneSetBitIdenticalToSearchWorkload)
     EXPECT_EQ(jointMapperName(set), "SBIM");
     EXPECT_EQ(jointMapperName(WorkloadSet({"MT", "LU"})), "GBIM");
     const auto m1 = setMapper(layout, set, opts, kScale);
-    const auto m2 = searchedMapper(layout, *wl, opts, kScale);
     EXPECT_EQ(m1->name(), "SBIM");
-    EXPECT_TRUE(m1->matrix() == m2->matrix());
+    EXPECT_TRUE(m1->matrix() == single.annealed.bim);
 }
 
 TEST(JointSearch, WeightedSizeOneEqualsUnweighted)
@@ -415,30 +414,21 @@ TEST_F(GbimGridTest, GbimRunsEndToEndWithCacheHitsOnRepeat)
 {
     harness::GridOptions o;
     o.workloads = {"synth:strided", "synth:stencil3d"};
-    o.schemes = {Scheme::BASE, Scheme::GBIM};
+    o.mappers = {mapping::kBase, mapping::kGbim};
     o.scale = 0.25;
     o.useCache = true;
     o.threads = 1;
 
     const harness::Grid first = harness::runGrid(o);
     for (const std::string &w : o.workloads) {
-        EXPECT_GT(first.speedup(w, Scheme::GBIM), 0.0) << w;
-        EXPECT_GT(first.at(w, Scheme::GBIM).seconds, 0.0) << w;
+        EXPECT_GT(first.speedup(w, mapping::kGbim), 0.0) << w;
+        EXPECT_GT(first.at(w, mapping::kGbim).seconds, 0.0) << w;
     }
     // The searched-BIM cache now holds the joint matrix; a repeat
     // grid must reproduce every cell exactly from the caches.
     const harness::Grid second = harness::runGrid(o);
     for (const std::string &w : o.workloads)
-        for (Scheme s : o.schemes)
+        for (const std::string &s : o.mappers)
             EXPECT_TRUE(first.at(w, s) == second.at(w, s))
-                << w << " " << schemeName(s);
-}
-
-TEST(GbimScheme, MakeSchemeRefusesGbim)
-{
-    EXPECT_THROW(mapping::makeScheme(Scheme::GBIM, gddr5()),
-                 std::invalid_argument);
-    EXPECT_EQ(schemeName(Scheme::GBIM), "GBIM");
-    // The paper's presentation order stays the six paper schemes.
-    EXPECT_EQ(allSchemes().size(), 6u);
+                << w << " " << s;
 }

@@ -1,22 +1,25 @@
 /**
  * @file
- * Differential oracle: the legacy `Scheme` enum path and the
- * registry spec path must be bit-identical — same BIM matrices on
- * every layout preset, same serialized `RunResult`s on every Table II
- * workload (and synth specs), same grid cells — and the new layout
- * presets must run end to end, searched mappers included.
+ * Mapper oracles: golden row hashes pin the BIM every built-in family
+ * draws on every layout preset, a cold simulation serializes
+ * byte-identically to its cache hit, spellings of one mapper share
+ * one grid axis, and the non-GDDR5 presets run end to end, searched
+ * mappers included.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
+#include <iterator>
 #include <string>
 #include <unistd.h>
+#include <utility>
+#include <vector>
 
+#include "common/metrics.hh"
 #include "harness/experiment.hh"
 #include "harness/result_cache.hh"
-#include "mapping/address_mapper.hh"
 #include "mapping/layout_registry.hh"
 #include "mapping/mapper_registry.hh"
 #include "search/searched_bim.hh"
@@ -28,9 +31,8 @@ using namespace valley;
 namespace {
 
 /**
- * Every oracle run uses a private cache directory: the enum and spec
- * paths must agree through the cache too (same keys, same hits), and
- * the developer's real cache must stay untouched.
+ * Every oracle run uses a private cache directory, so cold runs are
+ * really cold and the developer's real cache stays untouched.
  */
 class MapperOracle : public ::testing::Test
 {
@@ -60,122 +62,169 @@ class MapperOracle : public ::testing::Test
 /** The small scale every oracle simulation runs at. */
 constexpr double kScale = 0.05;
 
+/** One pinned matrix: FNV-1a over its rows, as `sbimMapperId` hashes. */
+struct GoldenBim
+{
+    const char *layout;
+    const char *spec;
+    std::uint64_t seed; ///< 0: the family ignores the seed
+    const char *rowHash;
+};
+
+/**
+ * Every built-in BIM family on every layout preset. Result, profile
+ * and searched-BIM cache keys depend on these draws (through each
+ * family's seed tag and draw order), so a mismatch here breaks every
+ * cache on disk.
+ */
+const GoldenBim kGoldenBims[] = {
+    {"gddr5_1gb", "map:base", 0, "c48e8f84555dc8c1"},
+    {"gddr5_1gb", "map:pm", 0, "22de0b341e6408ed"},
+    {"gddr5_1gb", "map:rmp", 0, "3b5c085354be84a1"},
+    {"gddr5_1gb", "map:pae", 1, "8d96ae7114891a85"},
+    {"gddr5_1gb", "map:pae", 2, "47987db31fd30a5e"},
+    {"gddr5_1gb", "map:pae", 3, "4e8208c8bb35a594"},
+    {"gddr5_1gb", "map:fae", 1, "fc3e59bed3c1595e"},
+    {"gddr5_1gb", "map:fae", 2, "cba8e09a82f59f4d"},
+    {"gddr5_1gb", "map:fae", 3, "5898775c537c39a5"},
+    {"gddr5_1gb", "map:all", 1, "7946dd147411b294"},
+    {"gddr5_1gb", "map:all", 2, "e3c639abb24297eb"},
+    {"gddr5_1gb", "map:all", 3, "8d5af0a1a6989121"},
+    {"gddr5_1gb", "map:mop", 0, "f2bc90efab25df85"},
+    {"stacked3d_4gb", "map:base", 0, "992d71a5cf9711c1"},
+    {"stacked3d_4gb", "map:pm", 0, "323e5760b801dcb8"},
+    {"stacked3d_4gb", "map:rmp", 0, "865b76a82cd09261"},
+    {"stacked3d_4gb", "map:pae", 1, "9a47d20d1041e309"},
+    {"stacked3d_4gb", "map:pae", 2, "245518ec105212d7"},
+    {"stacked3d_4gb", "map:pae", 3, "d82d9dda1f04a9d5"},
+    {"stacked3d_4gb", "map:fae", 1, "70dd4f3bf07fe169"},
+    {"stacked3d_4gb", "map:fae", 2, "95f92499fc3218b7"},
+    {"stacked3d_4gb", "map:fae", 3, "a77ef264fcd6b699"},
+    {"stacked3d_4gb", "map:all", 1, "86e50a002e296039"},
+    {"stacked3d_4gb", "map:all", 2, "52058583a4c8e8b7"},
+    {"stacked3d_4gb", "map:all", 3, "848f58461143ff94"},
+    {"stacked3d_4gb", "map:mop", 0, "c9d7a578edc6851d"},
+    {"hbm2_4gb", "map:base", 0, "992d71a5cf9711c1"},
+    {"hbm2_4gb", "map:pm", 0, "77cb69c0d92163bc"},
+    {"hbm2_4gb", "map:rmp", 0, "6299066406f52e61"},
+    {"hbm2_4gb", "map:pae", 1, "b10e17869b8b43fa"},
+    {"hbm2_4gb", "map:pae", 2, "413576c8f4e7da78"},
+    {"hbm2_4gb", "map:pae", 3, "e2ef40647b0c4c12"},
+    {"hbm2_4gb", "map:fae", 1, "c66bfeedccdbd7fc"},
+    {"hbm2_4gb", "map:fae", 2, "2cb6ddbbefdaa5fa"},
+    {"hbm2_4gb", "map:fae", 3, "e7f2c1eda6c07820"},
+    {"hbm2_4gb", "map:all", 1, "86e50a002e296039"},
+    {"hbm2_4gb", "map:all", 2, "52058583a4c8e8b7"},
+    {"hbm2_4gb", "map:all", 3, "848f58461143ff94"},
+    {"hbm2_4gb", "map:mop", 0, "451f964768e94251"},
+    {"ddr4_4gb", "map:base", 0, "992d71a5cf9711c1"},
+    {"ddr4_4gb", "map:pm", 0, "ca3803ff6906546d"},
+    {"ddr4_4gb", "map:rmp", 0, "e0ca375560b33dc1"},
+    {"ddr4_4gb", "map:pae", 1, "1865bfd2caddf5ff"},
+    {"ddr4_4gb", "map:pae", 2, "41de23813204b8b3"},
+    {"ddr4_4gb", "map:pae", 3, "f8a5aab5123e605e"},
+    {"ddr4_4gb", "map:fae", 1, "9eaa726975546902"},
+    {"ddr4_4gb", "map:fae", 2, "6c6f35e3ea670d3f"},
+    {"ddr4_4gb", "map:fae", 3, "d8b4883cd6d48af1"},
+    {"ddr4_4gb", "map:all", 1, "86e50a002e296039"},
+    {"ddr4_4gb", "map:all", 2, "52058583a4c8e8b7"},
+    {"ddr4_4gb", "map:all", 3, "848f58461143ff94"},
+    {"ddr4_4gb", "map:mop", 0, "1dfe77f4d3ddf685"},
+    {"gddr6_2gb", "map:base", 0, "19d9684bbf731221"},
+    {"gddr6_2gb", "map:pm", 0, "52e28af418e20fcd"},
+    {"gddr6_2gb", "map:rmp", 0, "f6a14db3dcd84d41"},
+    {"gddr6_2gb", "map:pae", 1, "6adec242ab0e9265"},
+    {"gddr6_2gb", "map:pae", 2, "57938200fd87f31e"},
+    {"gddr6_2gb", "map:pae", 3, "718c2ecf009fb314"},
+    {"gddr6_2gb", "map:fae", 1, "906bcb6de7a4a09e"},
+    {"gddr6_2gb", "map:fae", 2, "2cc605dd86c5dd2d"},
+    {"gddr6_2gb", "map:fae", 3, "ab7f2bd15d197745"},
+    {"gddr6_2gb", "map:all", 1, "82a934fe4158760d"},
+    {"gddr6_2gb", "map:all", 2, "41a70f6ddda40d0c"},
+    {"gddr6_2gb", "map:all", 3, "3f2df559fc07acae"},
+    {"gddr6_2gb", "map:mop", 0, "9fe2ad828dcea965"},
+};
+
+std::string
+rowHash(const BitMatrix &bim)
+{
+    const std::string id = search::sbimMapperId(bim, 0);
+    return id.substr(id.rfind('-') + 1);
+}
+
 } // namespace
 
-TEST(MapperOracleMatrix, EnumAndSpecBuildIdenticalBimsOnEveryLayout)
+TEST(MapperOracleMatrix, GoldenBimsOnEveryLayout)
 {
-    // The heart of the refactor: for every layout preset, every
-    // buildable scheme and several seeds, `makeScheme` (legacy) and
-    // `makeMapper(schemeSpec(s))` (registry) produce the same matrix
-    // and the same display name.
-    for (const auto *org : mapping::layoutPresets()) {
-        const AddressLayout layout = mapping::makeLayout(org->key);
-        for (Scheme s : allSchemes()) {
-            for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
-                const auto legacy =
-                    mapping::makeScheme(s, layout, seed);
-                const auto spec = mapping::makeMapper(
-                    mapping::schemeSpec(s), layout, seed);
-                EXPECT_TRUE(legacy->matrix() == spec->matrix())
-                    << org->key << " " << schemeName(s) << " seed "
-                    << seed;
-                EXPECT_EQ(legacy->name(), spec->name());
-                EXPECT_TRUE(spec->matrix().invertible());
-            }
+    // Per preset: 4 seed-free families once, 3 seeded ones x 3 seeds.
+    EXPECT_EQ(std::size(kGoldenBims), 13 * mapping::layoutPresets().size());
+    for (const GoldenBim &g : kGoldenBims) {
+        const AddressLayout layout = mapping::makeLayout(g.layout);
+        const std::vector<std::uint64_t> seeds =
+            g.seed ? std::vector<std::uint64_t>{g.seed}
+                   : std::vector<std::uint64_t>{1, 2, 3};
+        for (std::uint64_t seed : seeds) {
+            const auto m = mapping::makeMapper(g.spec, layout, seed);
+            EXPECT_EQ(rowHash(m->matrix()), g.rowHash)
+                << g.layout << " " << g.spec << " seed " << seed;
+            EXPECT_TRUE(m->matrix().invertible())
+                << g.layout << " " << g.spec << " seed " << seed;
         }
-        // The non-enum families are invertible everywhere too.
-        const auto mop = mapping::makeMapper("map:mop", layout);
-        EXPECT_TRUE(mop->matrix().invertible()) << org->key;
     }
 }
 
-TEST(MapperOracleMatrix, SearchedSchemesThrowInBothPaths)
+TEST_F(MapperOracle, RunResultsBitIdenticalBetweenColdRunAndCacheHit)
 {
-    const AddressLayout l = AddressLayout::hynixGddr5();
-    for (Scheme s : {Scheme::SBIM, Scheme::GBIM}) {
-        EXPECT_THROW(mapping::makeScheme(s, l),
-                     std::invalid_argument);
-        EXPECT_THROW(
-            mapping::makeMapper(mapping::schemeSpec(s), l),
-            std::invalid_argument);
-    }
-}
+    // All 16 Table II workloads under PM, the six paper mappers on
+    // MT and a synth-spec workload under PAE: the second call must be
+    // a cache hit that serializes byte-identically to the cold run.
+    std::vector<std::pair<std::string, std::string>> cells;
+    for (const std::string &w : workloads::allSet())
+        cells.emplace_back(mapping::kPm, w);
+    for (const std::string &m : mapping::paperMappers())
+        cells.emplace_back(m, "MT");
+    cells.emplace_back(mapping::kPae, "synth:stencil3d");
 
-TEST_F(MapperOracle, RunResultsBitIdenticalOnEveryTableIIWorkload)
-{
-    // All 16 Table II workloads under PM: the enum cell must
-    // serialize byte-identically to the spec cell, and the spec cell
-    // must be a cache hit of the enum cell (same v5 key).
     const SimConfig cfg = SimConfig::paperBaseline();
-    for (const std::string &w : workloads::allSet()) {
-        const RunResult a = harness::runOneCached(
-            cfg, mapping::schemeSpec(Scheme::PM), w, kScale, 1);
-        const RunResult b =
-            harness::runOneCached(cfg, "map:pm", w, kScale, 1);
-        EXPECT_EQ(harness::serializeResult(a),
-                  harness::serializeResult(b))
-            << w;
+    const metrics::Counter &hits = metrics::counter("cache.result.hits");
+    for (const auto &[mapper, w] : cells) {
+        const RunResult cold =
+            harness::runOneCached(cfg, mapper, w, kScale, 1);
+        const std::uint64_t hits_before = hits.value();
+        const RunResult hit =
+            harness::runOneCached(cfg, mapper, w, kScale, 1);
+        EXPECT_EQ(hits.value(), hits_before + 1) << mapper << " " << w;
+        EXPECT_EQ(harness::serializeResult(cold),
+                  harness::serializeResult(hit))
+            << mapper << " " << w;
     }
 }
 
-TEST_F(MapperOracle, RunResultsBitIdenticalAcrossSchemesAndSynthSpecs)
+TEST_F(MapperOracle, SpellingsOfOneMapperShareOneGridAxis)
 {
-    const SimConfig cfg = SimConfig::paperBaseline();
-    // Every buildable scheme on one workload...
-    for (Scheme s : allSchemes()) {
-        const RunResult a = harness::runOneCached(
-            cfg, mapping::schemeSpec(s), "MT", kScale, 1);
-        const RunResult b = harness::runOneCached(
-            cfg, mapping::schemeSpec(s), "MT", kScale, 1);
-        EXPECT_EQ(harness::serializeResult(a),
-                  harness::serializeResult(b))
-            << schemeName(s);
-    }
-    // ...and a synth-spec workload (both grammars at once).
-    const RunResult a = harness::runOneCached(
-        cfg, mapping::schemeSpec(Scheme::PAE), "synth:stencil3d", kScale,
-        1);
-    const RunResult b = harness::runOneCached(
-        cfg, "map:pae", "synth:stencil3d", kScale, 1);
-    EXPECT_EQ(harness::serializeResult(a),
-              harness::serializeResult(b));
-}
+    harness::GridOptions spelled;
+    spelled.workloads = {"MT", "LU"};
+    spelled.mappers = {mapping::kBase, "map:pae,seed=0"};
+    spelled.scale = kScale;
+    spelled.threads = 1;
+    spelled.useCache = true;
 
-TEST_F(MapperOracle, GridCellsBitIdenticalAcrossEnumAndSpecAxes)
-{
-    harness::GridOptions enum_axis;
-    enum_axis.workloads = {"MT", "LU"};
-    enum_axis.schemes = {Scheme::BASE, Scheme::PM, Scheme::PAE};
-    enum_axis.scale = kScale;
-    enum_axis.threads = 1;
-    enum_axis.useCache = true;
+    harness::GridOptions canonical = spelled;
+    canonical.mappers = {mapping::kBase, mapping::kPae};
 
-    harness::GridOptions spec_axis = enum_axis;
-    spec_axis.schemes.clear();
-    spec_axis.mappers = {"map:base", "map:pm", "map:pae"};
+    const harness::Grid gs = harness::runGrid(spelled);
+    const harness::Grid gc = harness::runGrid(canonical);
 
-    const harness::Grid ge = harness::runGrid(enum_axis);
-    const harness::Grid gs = harness::runGrid(spec_axis);
-
+    EXPECT_EQ(gs.options().mappers, gc.options().mappers);
     for (const std::string &w : {std::string("MT"),
                                  std::string("LU")}) {
-        for (Scheme s : {Scheme::BASE, Scheme::PM, Scheme::PAE}) {
-            // Enum lookup on the enum grid == spec lookup on the
-            // spec grid — and the cross lookups agree too, because
-            // the enum axis *is* the spec axis after normalization.
-            EXPECT_EQ(harness::serializeResult(ge.at(w, s)),
-                      harness::serializeResult(gs.at(
-                          w, mapping::schemeSpec(s))))
-                << w << " " << schemeName(s);
-            EXPECT_EQ(harness::serializeResult(ge.at(
-                          w, mapping::schemeSpec(s))),
-                      harness::serializeResult(gs.at(w, s)));
-        }
-        EXPECT_EQ(ge.speedup(w, Scheme::PM),
-                  gs.speedup(w, "map:pm"));
+        for (const std::string &m : gc.options().mappers)
+            EXPECT_EQ(harness::serializeResult(gs.at(w, m)),
+                      harness::serializeResult(gc.at(w, m)))
+                << w << " " << m;
+        EXPECT_EQ(gs.speedup(w, "map:pae,seed=0"),
+                  gc.speedup(w, mapping::kPae));
     }
-    // Both spellings produced one normalized mapper axis.
-    EXPECT_EQ(ge.options().mappers, gs.options().mappers);
 }
 
 TEST_F(MapperOracle, NewPresetsProduceInvertibleSearchedMappers)

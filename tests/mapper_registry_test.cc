@@ -4,13 +4,16 @@
  * (`mapping/mapper_registry`): spec grammar round trips, canonical
  * forms and hash stability, schema validation diagnostics (unknown
  * family/parameter listing the registered keys), duplicate
- * registration rejection, and the legacy `Scheme` facade.
+ * registration rejection, and the pinned spec, display name and
+ * seed tag of every built-in family.
  */
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "mapping/address_layout.hh"
 #include "mapping/mapper_registry.hh"
@@ -184,21 +187,32 @@ TEST(MapperRegistry, MalformedFamiliesAreRejected)
                  std::invalid_argument);
 }
 
-TEST(MapperRegistry, SchemeSpecCoversEveryEnumValue)
+TEST(MapperRegistry, BuiltinFamiliesPinSpecDisplayNameAndSeedTag)
 {
-    for (Scheme s : {Scheme::BASE, Scheme::PM, Scheme::RMP,
-                     Scheme::PAE, Scheme::FAE, Scheme::ALL,
-                     Scheme::SBIM, Scheme::GBIM}) {
-        const std::string spec = mapping::schemeSpec(s);
-        const auto r = mapping::resolveMapperSpec(spec);
-        // The builtin family keeps its legacy enum ordinal as the
-        // seed tag, the bit-identity anchor of the differential
-        // oracle.
-        EXPECT_EQ(r.family().seedTag,
-                  static_cast<std::uint64_t>(s))
-            << spec;
-        // And the display name is the legacy scheme name.
-        EXPECT_EQ(r.family().displayName(r), schemeName(s));
+    // The display name is the RunResult::scheme label and the seed
+    // tag seeds every BIM draw; both reach the on-disk caches.
+    struct Pin
+    {
+        const char *spec;
+        const char *name;
+        std::uint64_t seedTag;
+    };
+    const Pin pins[] = {
+        {"map:base", "BASE", 0}, {"map:pm", "PM", 1},
+        {"map:rmp", "RMP", 2},   {"map:pae", "PAE", 3},
+        {"map:fae", "FAE", 4},   {"map:all", "ALL", 5},
+        {"map:sbim", "SBIM", 6}, {"map:gbim", "GBIM", 7},
+    };
+    const std::vector<std::string> constants = {
+        mapping::kBase, mapping::kPm,  mapping::kRmp,  mapping::kPae,
+        mapping::kFae,  mapping::kAll, mapping::kSbim, mapping::kGbim};
+    for (std::size_t i = 0; i < std::size(pins); ++i) {
+        const Pin &p = pins[i];
+        const auto r = mapping::resolveMapperSpec(p.spec);
+        EXPECT_EQ(r.canonical(), p.spec);
+        EXPECT_EQ(constants[i], p.spec);
+        EXPECT_EQ(mapping::displayName(p.spec), p.name);
+        EXPECT_EQ(r.family().seedTag, p.seedTag) << p.spec;
     }
 }
 

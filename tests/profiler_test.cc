@@ -16,6 +16,7 @@
 #include "harness/atomic_io.hh"
 #include "harness/profile_cache.hh"
 #include "harness/result_cache.hh"
+#include "mapping/mapper_registry.hh"
 #include "workloads/profiler.hh"
 
 using namespace valley;
@@ -76,7 +77,7 @@ TEST(Profiler, SlicedMatchesScalarReferenceBitForBit)
     // The per-bit one-counts are exact integers on both paths, so the
     // profiles must agree exactly — with and without a remap.
     const AddressLayout layout = AddressLayout::hynixGddr5();
-    const auto mapper = mapping::makeScheme(Scheme::PAE, layout, 1);
+    const auto mapper = mapping::makeMapper(mapping::kPae, layout, 1);
     for (const char *abbrev : {"MT", "SPMV"}) {
         const auto wl = workloads::make(abbrev, 0.25);
         const AddressMapper *mappers[] = {nullptr, mapper.get()};

@@ -18,7 +18,6 @@
 #include "common/rng.hh"
 #include "dram/memory_controller.hh"
 #include "entropy/window_entropy.hh"
-#include "mapping/address_mapper.hh"
 #include "mapping/layout_registry.hh"
 #include "mapping/mapper_registry.hh"
 #include "noc/crossbar.hh"
@@ -37,9 +36,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SchemeSeeds,
 TEST_P(SchemeSeeds, BroadSchemesAlwaysInvertible)
 {
     const AddressLayout l = AddressLayout::hynixGddr5();
-    for (Scheme s : {Scheme::PAE, Scheme::FAE, Scheme::ALL}) {
-        const auto m = mapping::makeScheme(s, l, GetParam());
-        EXPECT_TRUE(m->matrix().invertible()) << schemeName(s);
+    for (const char *s : {mapping::kPae, mapping::kFae, mapping::kAll}) {
+        const auto m = mapping::makeMapper(s, l, GetParam());
+        EXPECT_TRUE(m->matrix().invertible()) << s;
     }
 }
 
@@ -49,7 +48,7 @@ TEST_P(SchemeSeeds, PaePreservesDramPageMembership)
     // in the same page under PAE — the property behind its row-buffer
     // friendliness (paper Section VI-B).
     const AddressLayout l = AddressLayout::hynixGddr5();
-    const auto m = mapping::makeScheme(Scheme::PAE, l, GetParam());
+    const auto m = mapping::makeMapper(mapping::kPae, l, GetParam());
     XorShiftRng rng(GetParam() * 31 + 7);
     for (int i = 0; i < 300; ++i) {
         const Addr page = rng.next() & l.pageMask();
@@ -68,7 +67,7 @@ TEST_P(SchemeSeeds, PaePreservesDramPageMembership)
 TEST_P(SchemeSeeds, FaeOnlyRewritesChannelBankBits)
 {
     const AddressLayout l = AddressLayout::hynixGddr5();
-    const auto m = mapping::makeScheme(Scheme::FAE, l, GetParam());
+    const auto m = mapping::makeMapper(mapping::kFae, l, GetParam());
     const std::uint64_t targets = l.channel.positionMask() |
                                   l.bank.positionMask();
     XorShiftRng rng(GetParam());
@@ -81,8 +80,8 @@ TEST_P(SchemeSeeds, FaeOnlyRewritesChannelBankBits)
 TEST_P(SchemeSeeds, CompositionOfInvertiblesIsInvertible)
 {
     const AddressLayout l = AddressLayout::hynixGddr5();
-    const auto a = mapping::makeScheme(Scheme::PAE, l, GetParam());
-    const auto b = mapping::makeScheme(Scheme::FAE, l, GetParam() + 1);
+    const auto a = mapping::makeMapper(mapping::kPae, l, GetParam());
+    const auto b = mapping::makeMapper(mapping::kFae, l, GetParam() + 1);
     const BitMatrix prod = a->matrix().multiply(b->matrix());
     EXPECT_TRUE(prod.invertible());
     // And it equals sequential application.
@@ -386,8 +385,8 @@ TEST(EntropyProperty, MappingCannotCreateEntropyFromConstants)
     // A constant address stream has zero entropy under any mapping —
     // BIMs redistribute information, they cannot create it.
     const AddressLayout l = AddressLayout::hynixGddr5();
-    for (Scheme s : allSchemes()) {
-        const auto m = mapping::makeScheme(s, l, 3);
+    for (const std::string &s : mapping::paperMappers()) {
+        const auto m = mapping::makeMapper(s, l, 3);
         BvrAccumulator acc(30);
         for (int i = 0; i < 100; ++i)
             acc.add(m->map(0x12345680));

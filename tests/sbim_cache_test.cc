@@ -3,7 +3,7 @@
  * Tests for the persistent searched-BIM cache (`search/sbim_cache`):
  * key uniqueness across every input that shapes the search outcome,
  * store/lookup round trips at full precision, corrupt-line rejection,
- * and the end-to-end guarantee that a cache hit hands `searchedMapper`
+ * and the end-to-end guarantee that a cache hit hands `setMapper`
  * exactly the matrix the original search produced.
  */
 
@@ -169,20 +169,19 @@ TEST_F(SbimCacheTest, CommaSpecKeysAreEscapedAndRejectedAtTheSink)
 
 TEST_F(SbimCacheTest, CommaSpecSearchHitsItsOwnCacheLine)
 {
-    // End to end with a comma-parameter spec: the first searchedMapper
+    // End to end with a comma-parameter spec: the first setMapper
     // call searches and stores; the second must reproduce the matrix
     // from the cache file it just wrote (i.e. the escaped line parses
     // back to the same entry, not to a corrupt miss).
     const AddressLayout layout = AddressLayout::hynixGddr5();
-    const auto wl =
-        workloads::make("synth:hash_shuffle,fmb=64,tbs=32", 0.25);
+    const workloads::WorkloadSet set({"synth:hash_shuffle,fmb=64,tbs=32"});
     search::SearchOptions so = search::defaultOptions(layout);
     so.restarts = 1;
     so.iterations = 120;
     so.threads = 1;
 
-    const auto cold = search::searchedMapper(layout, *wl, so, 0.25);
-    const auto warm = search::searchedMapper(layout, *wl, so, 0.25);
+    const auto cold = search::setMapper(layout, set, so, 0.25);
+    const auto warm = search::setMapper(layout, set, so, 0.25);
     EXPECT_TRUE(cold->matrix() == warm->matrix());
 
     std::ifstream in(search::sbimCache().path());
@@ -242,21 +241,21 @@ TEST_F(SbimCacheTest, LayoutPresetsKeyDistinctSearches)
     EXPECT_EQ(keys.size(), 5u);
 }
 
-TEST_F(SbimCacheTest, SearchedMapperHitMatchesSearchedMapperMiss)
+TEST_F(SbimCacheTest, SetMapperHitMatchesSetMapperMiss)
 {
-    // End to end: the second searchedMapper call must produce the
-    // exact matrix of the first (which ran the real search), i.e. the
-    // cache is invisible except for the time it saves.
+    // End to end: the second setMapper call must produce the exact
+    // matrix of the first (which ran the real search), i.e. the cache
+    // is invisible except for the time it saves.
     const AddressLayout layout = AddressLayout::hynixGddr5();
-    const auto wl = workloads::make("synth:strided", 0.25);
+    const workloads::WorkloadSet set({"synth:strided"});
     search::SearchOptions so = search::defaultOptions(layout);
     so.restarts = 1;
     so.iterations = 120;
     so.threads = 1;
 
-    const auto cold = search::searchedMapper(layout, *wl, so, 0.25);
+    const auto cold = search::setMapper(layout, set, so, 0.25);
     ASSERT_TRUE(std::filesystem::exists(search::sbimCache().path()));
-    const auto warm = search::searchedMapper(layout, *wl, so, 0.25);
+    const auto warm = search::setMapper(layout, set, so, 0.25);
     EXPECT_TRUE(cold->matrix() == warm->matrix());
 
     // A different scale is a different workload: key must miss (the

@@ -64,7 +64,7 @@ class SelfHealingTest : public ::testing::Test
     {
         GridOptions o;
         o.workloads = {"synth:strided", "synth:stencil3d"};
-        o.schemes = {Scheme::BASE, Scheme::PM};
+        o.mappers = {mapping::kBase, mapping::kPm};
         o.scale = 0.25;
         o.useCache = false;
         o.threads = threads;
@@ -75,10 +75,10 @@ class SelfHealingTest : public ::testing::Test
     expectBitIdentical(const Grid &a, const Grid &b)
     {
         for (const auto &w : a.options().workloads)
-            for (Scheme s : a.options().schemes)
+            for (const std::string &s : a.options().mappers)
                 EXPECT_EQ(serializeResult(a.at(w, s)),
                           serializeResult(b.at(w, s)))
-                    << w << "/" << schemeName(s);
+                    << w << "/" << s;
     }
 
     std::filesystem::path dir;
@@ -318,12 +318,12 @@ TEST_F(SelfHealingTest, PoisonedCellQuarantinesAndGridCompletes)
 
     // The healthy cells are bit-identical across the two runs.
     for (const auto &w : degraded.options().workloads)
-        for (Scheme s : degraded.options().schemes) {
-            if (w == "synth:strided" && s == Scheme::PM)
+        for (const std::string &s : degraded.options().mappers) {
+            if (w == "synth:strided" && s == mapping::kPm)
                 continue;
             EXPECT_EQ(serializeResult(degraded.at(w, s)),
                       serializeResult(resumed.at(w, s)))
-                << w << "/" << schemeName(s);
+                << w << "/" << s;
         }
 }
 

@@ -15,7 +15,7 @@
 #include "common/rng.hh"
 #include "entropy/sliced_bvr.hh"
 #include "entropy/window_entropy.hh"
-#include "mapping/address_mapper.hh"
+#include "mapping/mapper_registry.hh"
 
 using namespace valley;
 
@@ -115,7 +115,7 @@ TEST(SlicedBvrAccumulator, AddManyMappedFusesTheRemap)
     // Feeding raw addresses through the fused remap must equal
     // mapping each address first and accumulating the result.
     const AddressLayout layout = AddressLayout::hynixGddr5();
-    const auto mapper = mapping::makeScheme(Scheme::FAE, layout, 1);
+    const auto mapper = mapping::makeMapper(mapping::kFae, layout, 1);
     const CompiledTransform &ct = mapper->compiled();
     const auto addrs = randomStream(999, 30, 11);
 

@@ -338,7 +338,7 @@ TEST_F(TraceSpanTest, GridResultsBitIdenticalWithTracingOnAndOff)
     // cycles, power, energy — so string equality is bit identity).
     harness::GridOptions base;
     base.workloads = {"SC"};
-    base.schemes = {Scheme::BASE, Scheme::PM};
+    base.mappers = {mapping::kBase, mapping::kPm};
     base.scale = 0.25;
 
     ASSERT_FALSE(trace::enabled());
@@ -352,7 +352,7 @@ TEST_F(TraceSpanTest, GridResultsBitIdenticalWithTracingOnAndOff)
     trace::disable();
 
     for (const std::string &w : base.workloads)
-        for (Scheme s : base.schemes)
+        for (const std::string &s : base.mappers)
             EXPECT_EQ(harness::serializeResult(untraced.at(w, s)),
                       harness::serializeResult(traced.at(w, s)))
                 << w;

@@ -34,7 +34,6 @@
 #include "harness/grid_journal.hh"
 #include "harness/result_cache.hh"
 #include "harness/supervisor.hh"
-#include "mapping/address_mapper.hh"
 #include "mapping/layout_registry.hh"
 #include "mapping/mapper_registry.hh"
 
@@ -169,7 +168,8 @@ splitList(const std::string &s)
 
 /**
  * One --schemes token to a canonical mapper spec: a `map:` spec is
- * schema-validated as-is, anything else must be a legacy scheme name.
+ * schema-validated as-is, anything else must be the display name of
+ * a paper mapper or of a searched one (BASE ... ALL, SBIM, GBIM).
  */
 std::string
 parseMapper(const std::string &name)
@@ -180,23 +180,13 @@ parseMapper(const std::string &name)
     } catch (const std::exception &e) {
         usageError(e.what()); // lists the registered families
     }
-    static const Scheme all[] = {Scheme::BASE, Scheme::PM,
-                                 Scheme::RMP,  Scheme::PAE,
-                                 Scheme::FAE,  Scheme::ALL,
-                                 Scheme::SBIM, Scheme::GBIM};
-    for (Scheme s : all)
-        if (schemeName(s) == name)
-            return mapping::schemeSpec(s);
+    std::vector<std::string> named = mapping::paperMappers();
+    named.push_back(mapping::kSbim);
+    named.push_back(mapping::kGbim);
+    for (const std::string &spec : named)
+        if (mapping::displayName(spec) == name)
+            return spec;
     usageError("unknown scheme: " + name);
-}
-
-/** Display label of a canonical spec (the --out scheme column). */
-std::string
-mapperLabel(const std::string &spec)
-{
-    const mapping::ResolvedMapperSpec r =
-        mapping::resolveMapperSpec(spec);
-    return r.family().displayName(r);
 }
 
 /** Our own executable, for the supervised re-exec. */
@@ -261,7 +251,7 @@ runChild(CliOptions cli)
                 for (const auto &m : opts.mappers) {
                     if (multi_layout)
                         out << lg.layout << '|';
-                    out << w << '|' << mapperLabel(m) << '|'
+                    out << w << '|' << mapping::displayName(m) << '|'
                         << harness::serializeResult(lg.grid.at(w, m))
                         << '\n';
                 }
@@ -300,7 +290,6 @@ int
 main(int argc, char **argv)
 {
     CliOptions cli;
-    cli.grid.schemes = allSchemes();
     cli.grid.scale = 0.25;
 
     // Args forwarded to the supervised child: everything except the
@@ -323,7 +312,6 @@ main(int argc, char **argv)
         } else if (arg == "--workloads") {
             cli.grid.workloads = splitList(need(i, "--workloads"));
         } else if (arg == "--schemes") {
-            cli.grid.schemes.clear();
             cli.grid.mappers.clear();
             // A key=value token attaches to the preceding map: spec
             // (same list grammar as valley_search --set for synth:
@@ -408,8 +396,13 @@ main(int argc, char **argv)
 
     if (cli.grid.workloads.empty())
         usageError("--workloads is required");
-    if (cli.grid.schemes.empty() && cli.grid.mappers.empty())
+    if (cli.grid.mappers.empty())
         usageError("--schemes must name at least one scheme");
+    try {
+        harness::normalizeGridAxes(cli.grid);
+    } catch (const std::exception &e) {
+        usageError(e.what()); // a mapper named twice
+    }
     if (!(cli.grid.scale > 0.0) || cli.grid.scale > 1.0)
         usageError("--scale must be in (0, 1]");
 
