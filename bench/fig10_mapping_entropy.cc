@@ -6,8 +6,8 @@
  * valleys; SBIM should match the Broad schemes on its target bits.
  *
  * Profiles are memoized in the profile cache, keyed by scheme name
- * plus BIM seed (the per-scheme remap is fused into the bit-sliced
- * accumulation on a miss; SBIM keys on the searched matrix's hash).
+ * plus BIM seed (a miss profiles MT's trace planes under the scheme's
+ * matrix; SBIM keys on the searched matrix's hash).
  */
 
 #include "bench_util.hh"

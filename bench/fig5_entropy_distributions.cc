@@ -5,7 +5,7 @@
  * for channel/bank selection (8-13 under the Hynix map) are marked.
  *
  * Workload profiles go through the on-disk profile cache (first run
- * computes with the parallel bit-sliced profiler, later runs reuse;
+ * computes them from the workload's trace planes, later runs reuse;
  * VALLEY_CACHE=0 disables).
  */
 

@@ -12,7 +12,6 @@
 #include "common/bitops.hh"
 #include "common/rng.hh"
 #include "dram/dram_system.hh"
-#include "entropy/sliced_bvr.hh"
 #include "entropy/window_entropy.hh"
 #include "harness/experiment.hh"
 #include "workloads/profiler.hh"
@@ -146,7 +145,7 @@ BENCHMARK(BM_WindowEntropyReference)->Arg(256)->Arg(4096);
 static void
 BM_BvrAccumulate(benchmark::State &state)
 {
-    // Scalar baseline: one shift/mask/add per bit per address.
+    // Scalar oracle path: one shift/mask/add per bit per address.
     XorShiftRng rng(13);
     std::vector<Addr> addrs(1024);
     for (Addr &a : addrs)
@@ -160,23 +159,6 @@ BM_BvrAccumulate(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * addrs.size());
 }
 BENCHMARK(BM_BvrAccumulate);
-
-static void
-BM_SlicedBvrAccumulate(benchmark::State &state)
-{
-    // Bit-sliced path: transpose 64 addresses, popcount per bit.
-    XorShiftRng rng(13);
-    std::vector<Addr> addrs(1024);
-    for (Addr &a : addrs)
-        a = rng.next() & bits::mask(30);
-    for (auto _ : state) {
-        SlicedBvrAccumulator acc(30);
-        acc.addMany(addrs);
-        benchmark::DoNotOptimize(acc.bvrs());
-    }
-    state.SetItemsProcessed(state.iterations() * addrs.size());
-}
-BENCHMARK(BM_SlicedBvrAccumulate);
 
 static void
 BM_ProfileWorkload(benchmark::State &state)

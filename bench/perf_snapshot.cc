@@ -8,11 +8,9 @@
  *    reduction per output bit) vs the byte-sliced
  *    `CompiledTransform::apply` (8 table loads), addrs/sec on the
  *    30-bit paper layout across all six schemes.
- *  - BENCH_profiler.json: scalar `BvrAccumulator` vs the bit-sliced
- *    `SlicedBvrAccumulator` (addrs/sec, with a bit-identity check),
- *    the reference vs incremental `windowEntropy`, and serial vs
- *    parallel `profileWorkload` wall-clock with a profile
- *    bit-identity check.
+ *  - BENCH_profiler.json: the reference vs incremental
+ *    `windowEntropy`, and serial vs parallel `profileWorkload`
+ *    wall-clock with a profile bit-identity check.
  *  - BENCH_grid.json: serial vs parallel `harness::runGrid` on a
  *    6-cell grid, wall-clock seconds plus a bit-identity check of
  *    the two result sets, and the simulator's rate: simulated SM
@@ -35,7 +33,6 @@
 #include "common/metrics.hh"
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
-#include "entropy/sliced_bvr.hh"
 #include "search/searched_bim.hh"
 #include "workloads/workload_set.hh"
 
@@ -92,7 +89,7 @@ main()
 {
     bench::printHeader(
         "Perf snapshot",
-        "compiled BIM + bit-sliced profiler + parallel grid");
+        "compiled BIM + trace-plane profiler + parallel grid");
 
     const unsigned hw_threads = ThreadPool::defaultThreads();
     // On a 1-core host a "parallel" run at the default thread count
@@ -155,47 +152,6 @@ main()
         bench::JsonEmitter prof_json("BENCH_profiler.json");
         prof_json.field("hardware_threads", hw_threads);
 
-        // Scalar vs bit-sliced BVR accumulation on the same stream.
-        XorShiftRng prng(1234);
-        std::vector<Addr> paddrs(1u << 18);
-        for (Addr &a : paddrs)
-            a = prng.next() & bits::mask(30);
-        const unsigned ppasses = 16;
-        const double n_accum =
-            static_cast<double>(paddrs.size()) * ppasses;
-
-        BvrAccumulator scalar_acc(30);
-        auto start = Clock::now();
-        for (unsigned p = 0; p < ppasses; ++p)
-            for (Addr a : paddrs)
-                scalar_acc.add(a);
-        const double scalar_sec = secondsSince(start);
-
-        SlicedBvrAccumulator sliced_acc(30);
-        start = Clock::now();
-        for (unsigned p = 0; p < ppasses; ++p)
-            sliced_acc.addMany(paddrs);
-        const double sliced_sec = secondsSince(start);
-
-        const bool bvrs_identical =
-            scalar_acc.bvrs() == sliced_acc.bvrs() &&
-            scalar_acc.requestCount() == sliced_acc.requestCount();
-        profiler_ok = profiler_ok && bvrs_identical;
-        const double accum_speedup =
-            sliced_sec > 0.0 ? scalar_sec / sliced_sec : 0.0;
-        prof_json.field("accum_addresses",
-                        static_cast<std::uint64_t>(n_accum));
-        prof_json.field("scalar_addrs_per_sec",
-                        scalar_sec > 0.0 ? n_accum / scalar_sec : 0.0);
-        prof_json.field("sliced_addrs_per_sec",
-                        sliced_sec > 0.0 ? n_accum / sliced_sec : 0.0);
-        prof_json.field("sliced_over_scalar_speedup", accum_speedup);
-        prof_json.field("bvrs_identical", bvrs_identical);
-        std::printf("bvr accumulation: scalar %.0f addr/s, sliced "
-                    "%.0f addr/s (%.1fx), identical=%s\n",
-                    n_accum / scalar_sec, n_accum / sliced_sec,
-                    accum_speedup, bvrs_identical ? "yes" : "NO");
-
         // Reference (per-window sort) vs incremental window entropy.
         XorShiftRng wrng(99);
         std::vector<double> series(4096);
@@ -203,7 +159,7 @@ main()
             v = static_cast<double>(wrng.below(8)) / 7.0;
         const unsigned wpasses = 32;
         double sink = 0.0;
-        start = Clock::now();
+        auto start = Clock::now();
         for (unsigned p = 0; p < wpasses; ++p)
             sink += windowEntropyReference(series, 12);
         const double ref_sec = secondsSince(start);

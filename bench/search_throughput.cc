@@ -67,12 +67,12 @@ struct Leg
 };
 
 /** Non-owning member pointers for the joint constructor. */
-std::vector<const search::TracePlanes *>
-ptrsOf(const std::vector<search::TracePlanes> &planes)
+std::vector<const workloads::TracePlanes *>
+ptrsOf(const std::vector<workloads::TracePlanes> &planes)
 {
-    std::vector<const search::TracePlanes *> out;
+    std::vector<const workloads::TracePlanes *> out;
     out.reserve(planes.size());
-    for (const search::TracePlanes &p : planes)
+    for (const workloads::TracePlanes &p : planes)
         out.push_back(&p);
     return out;
 }
@@ -88,7 +88,7 @@ sameResult(const search::SearchResult &a, const search::SearchResult &b)
 
 Leg
 runLeg(const AddressLayout &layout,
-       const std::vector<search::TracePlanes> &planes,
+       const std::vector<workloads::TracePlanes> &planes,
        const search::SearchOptions &so)
 {
     const search::BimSearch s(
@@ -149,16 +149,16 @@ main()
         const char *tag = small ? "" : "large_";
 
         const auto wls = jset.build(scale);
-        search::PlaneOptions scalar_po{layout.addrBits, 1, true};
-        search::PlaneOptions simd_po{layout.addrBits, 1, false};
-        std::vector<search::TracePlanes> scalar_planes;
-        std::vector<search::TracePlanes> simd_planes;
+        workloads::PlaneOptions scalar_po{layout.addrBits, 1, true};
+        workloads::PlaneOptions simd_po{layout.addrBits, 1, false};
+        std::vector<workloads::TracePlanes> scalar_planes;
+        std::vector<workloads::TracePlanes> simd_planes;
         for (const auto &w : wls) {
             scalar_planes.emplace_back(*w, scalar_po);
             simd_planes.emplace_back(*w, simd_po);
         }
         std::uint64_t plane_bytes = 0;
-        for (const search::TracePlanes &p : simd_planes)
+        for (const workloads::TracePlanes &p : simd_planes)
             plane_bytes += p.planeBytes();
 
         search::SearchOptions so = search::defaultOptions(layout);
@@ -222,9 +222,9 @@ main()
     // ---- batched scoring vs a per-row rowEntropy loop ---------------------
     {
         const auto wls = jset.build(small_scale);
-        const search::TracePlanes planes(
+        const workloads::TracePlanes planes(
             *wls.front(),
-            search::PlaneOptions{layout.addrBits, 1, false});
+            workloads::PlaneOptions{layout.addrBits, 1, false});
         const search::SearchOptions so =
             search::defaultOptions(layout);
 
@@ -274,15 +274,15 @@ main()
         so.iterations = 600;
 
         const auto wls = jset.build(jscale);
-        std::vector<search::TracePlanes> planes;
+        std::vector<workloads::TracePlanes> planes;
         planes.reserve(wls.size());
         for (const auto &w : wls)
             planes.emplace_back(
-                *w, search::PlaneOptions{layout.addrBits, 1});
+                *w, workloads::PlaneOptions{layout.addrBits, 1});
 
         auto start = Clock::now();
         double independent_cost = 0.0;
-        for (const search::TracePlanes &p : planes) {
+        for (const workloads::TracePlanes &p : planes) {
             const search::BimSearch s(
                 layout, p,
                 search::defaultObjective(layout, so.targets), so);

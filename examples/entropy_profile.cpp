@@ -7,10 +7,11 @@
  *
  *   ./build/examples/entropy_profile [workload] [window] [scale] [threads]
  *
- * Profiling runs on the bit-sliced parallel pipeline: per-TB BVRs
- * accumulate 64 addresses at a time via transpose+popcount and
- * kernels fan out over a thread pool (threads: 0 = one per hardware
- * thread, 1 = serial; the result is bit-identical either way).
+ * Profiling runs on the trace planes: each TB's addresses are
+ * transposed 64 at a time into one bit plane per address bit, a
+ * plane's popcount gives the bit's BVR, and TB ranges fan out over a
+ * thread pool (threads: 0 = one per hardware thread, 1 = serial; the
+ * result is bit-identical either way).
  */
 
 #include <cstdio>

@@ -110,13 +110,13 @@ transposeStage(std::uint64_t *rows, std::uint64_t mask)
  * afterwards bit `c` of `rows[r]` equals bit `r` of the original
  * `rows[c]`. Recursive block-swap (Hacker's Delight 7-3): six passes
  * of masked delta-swaps, ~3 ops per word per pass, independent of the
- * matrix content. The entropy profiler uses it to turn 64 buffered
+ * matrix content. The trace planes use it to turn 64 buffered
  * addresses into one 64-bit lane per address bit, which then
  * accumulate via `popcount` instead of a per-address bit walk.
  *
  * This is the scalar reference implementation — always available, and
- * the oracle the SIMD variants are tested against. `transpose64`
- * below routes through the runtime-dispatched kernel table.
+ * the oracle the SIMD variants are tested against. Callers go through
+ * the runtime-dispatched `SimdOps::transpose64` below.
  */
 inline void
 transpose64Scalar(std::uint64_t rows[64])
@@ -132,13 +132,14 @@ transpose64Scalar(std::uint64_t rows[64])
 /**
  * ## Runtime SIMD dispatch (common/simd.cc)
  *
- * The profiler's bit-sliced accumulator and the search's trace planes
- * spend their time in exactly four word-level kernels: the 64x64
- * transpose, bulk popcount, fused two-plane XOR+popcount, and N-plane
- * XOR-combine+popcount. `SimdOps` is a function-pointer table with
- * one implementation per ISA level; `simdOps()` resolves the widest
- * level the CPU supports exactly once (thread-safe magic static, the
- * std::once idiom) and every call after that is one indirect call.
+ * The trace planes (workloads/trace_planes.hh), which feed both the
+ * profiler and the search, spend their time in a few word-level
+ * kernels: the 64x64 transpose, bulk popcount, fused two-plane and
+ * per-word XOR+popcount, and N-plane XOR-combine+popcount. `SimdOps`
+ * is a function-pointer table with one implementation per ISA level;
+ * `simdOps()` resolves the widest level the CPU supports exactly once
+ * (thread-safe magic static, the std::once idiom) and every call
+ * after that is one indirect call.
  *
  * All levels produce bit-identical results — the kernels compute
  * exact integer one-counts, so the choice of level can never change a
@@ -212,13 +213,6 @@ const SimdOps &scalarSimdOps();
  * cannot run it. Scalar is never null. For tests and benches.
  */
 const SimdOps *simdOpsFor(SimdLevel level);
-
-/** Dispatched 64x64 transpose (see `transpose64Scalar` for layout). */
-inline void
-transpose64(std::uint64_t rows[64])
-{
-    simdOps().transpose64(rows);
-}
 
 } // namespace bits
 } // namespace valley

@@ -3,11 +3,11 @@
  * Cooperative cancellation and wall-clock deadlines for the
  * self-healing execution layer.
  *
- * Long-running work (grids, profiles, searches) cannot be preempted
- * safely — a cell mid-simulation owns caches, journals and pool
- * slots — so cancellation here is *cooperative*: the worker polls a
+ * Long-running work (grids, searches) cannot be preempted safely —
+ * a cell mid-simulation owns caches, journals and pool slots — so
+ * cancellation here is *cooperative*: the worker polls a
  * `CancelToken` at its natural checkpoint boundaries (one grid cell,
- * one TB range, one search move) and winds down gracefully. Two
+ * one pool task, one search move) and winds down gracefully. Two
  * things make a token fire:
  *
  *  - an explicit `cancel()` — e.g. the SIGINT/SIGTERM handler of
@@ -24,14 +24,11 @@
  * deadline is armed, one clock read — cheap enough for per-move
  * polling in the search.
  *
- * Degradation contract (the "never a throw" rule): consumers that can
- * return a *valid partial answer* — `BimSearch` with its best
- * incumbent, `runGrid` with its finished cells — poll `cancelled()`
- * and degrade, flagging the result (`SearchStats::deadlineHit`, the
- * grid report's deadline-missed cells). Consumers with no meaningful
- * partial result (`profileWorkload`) call `check()`, which throws
- * `Cancelled`; the caller's cell-level retry/poison machinery treats
- * it like any other failure. Wall-clock deadlines are inherently
+ * Degradation contract (the "never a throw" rule): consumers return
+ * a *valid partial answer* — `BimSearch` its best incumbent, `runGrid`
+ * its finished cells — so they poll `cancelled()` and degrade,
+ * flagging the result (`SearchStats::deadlineHit`, the grid report's
+ * deadline-missed cells). Wall-clock deadlines are inherently
  * nondeterministic; bit-identical tests use explicit `cancel()` or
  * the counted `maxEvaluations` budget instead.
  */
@@ -44,18 +41,8 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <stdexcept>
 
 namespace valley {
-
-/** Thrown by `CancelToken::check()`; catchable like any failure. */
-struct Cancelled : std::runtime_error
-{
-    explicit Cancelled(const std::string &what)
-        : std::runtime_error(what)
-    {
-    }
-};
 
 /**
  * A monotonic-clock deadline. Default-constructed = never expires.
@@ -164,14 +151,6 @@ class CancelToken
                 return true;
         }
         return false;
-    }
-
-    /** Throw `Cancelled` if `cancelled()`. */
-    void
-    check(const char *what = "operation cancelled") const
-    {
-        if (cancelled())
-            throw Cancelled(what);
     }
 
     /**

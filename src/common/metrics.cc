@@ -6,6 +6,7 @@
 #include <mutex>
 #include <sstream>
 
+#include "common/json.hh"
 #include "harness/atomic_io.hh"
 
 namespace valley {
@@ -94,19 +95,6 @@ registry()
 {
     static Registry r;
     return r;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
 }
 
 } // namespace

@@ -3,8 +3,8 @@
  * Runtime-dispatched SIMD kernels behind `bits::simdOps()`.
  *
  * Three tables — scalar, AVX2, AVX-512 — all computing bit-identical
- * integer results for the four word-level kernels the profiler and
- * the BIM search hot paths reduce to (see bitops.hh). The widest
+ * integer results for the word-level kernels the trace planes behind
+ * the profiler and the BIM search reduce to (see bitops.hh). The widest
  * level the CPU supports is probed once via `__builtin_cpu_supports`
  * (which also verifies OS XSAVE state, so a kernel that masks AVX-512
  * off degrades cleanly) and cached in a thread-safe static;
@@ -13,9 +13,7 @@
  *
  * The vector implementations are compiled with per-function `target`
  * attributes so the translation unit itself needs no -mavx2/-mavx512
- * flags and the rest of the build keeps the default target ISA — the
- * same pattern as the -mpopcnt island around sliced_bvr.cc, but
- * resolved at run time instead of build time.
+ * flags and the rest of the build keeps the default target ISA.
  *
  * Level notes:
  *  - AVX2 transpose: the six delta-swap stages of the scalar

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <vector>
 
+#include "common/json.hh"
 #include "harness/atomic_io.hh"
 
 namespace valley {
@@ -99,21 +100,6 @@ append(Event &&e)
         b.head = (b.head + 1) % ThreadBuffer::kCapacity;
         ++b.dropped;
     }
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (static_cast<unsigned char>(c) < 0x20)
-            continue;
-        out += c;
-    }
-    return out;
 }
 
 void

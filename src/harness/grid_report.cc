@@ -1,9 +1,9 @@
 #include "harness/grid_report.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/metrics.hh"
 #include "harness/atomic_io.hh"
 #include "harness/result_cache.hh"
@@ -32,44 +32,6 @@ severity(CellStatus s)
         return 0;
     }
     return 0;
-}
-
-/** Minimal JSON string escaping (quotes, backslash, control chars). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out.push_back(c);
-            }
-        }
-    }
-    return out;
 }
 
 } // namespace

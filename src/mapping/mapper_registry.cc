@@ -1,6 +1,7 @@
 #include "mapping/mapper_registry.hh"
 
 #include <cctype>
+#include <charconv>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -31,14 +32,13 @@ canonicalValue(const MapperParamSpec &p, const std::string &value,
 {
     std::string out = value;
     if (p.kind == MapperParamKind::U64) {
-        std::size_t used = 0;
-        unsigned long long v = 0;
-        try {
-            v = std::stoull(value, &used, 10);
-        } catch (const std::exception &) {
-            used = std::string::npos;
-        }
-        if (used != value.size())
+        // ASCII digits only: from_chars takes no sign or whitespace
+        // for an unsigned type and reports overflow instead of
+        // wrapping.
+        std::uint64_t v = 0;
+        const char *end = value.data() + value.size();
+        const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+        if (ec != std::errc() || ptr != end)
             throw std::invalid_argument(
                 "bad mapper spec '" + spec_text + "': parameter '" +
                 p.key + "' wants an unsigned integer, got '" + value +

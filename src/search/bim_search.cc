@@ -120,14 +120,14 @@ exportStatsToRegistry(const SearchStats &s)
 } // namespace
 
 BimSearch::BimSearch(const AddressLayout &layout,
-                     std::vector<const TracePlanes *> planes,
+                     std::vector<const workloads::TracePlanes *> planes,
                      JointObjective objective_, SearchOptions opts_)
     : nbits(layout.addrBits), planes_(std::move(planes)),
       objective(std::move(objective_)), opts(std::move(opts_))
 {
     if (planes_.empty())
         throw std::invalid_argument("BimSearch: empty plane set");
-    for (const TracePlanes *p : planes_)
+    for (const workloads::TracePlanes *p : planes_)
         if (p == nullptr || p->numBits() != nbits)
             throw std::invalid_argument(
                 "BimSearch: planes bit width != layout address bits");
@@ -168,9 +168,10 @@ BimSearch::BimSearch(const AddressLayout &layout,
 }
 
 BimSearch::BimSearch(const AddressLayout &layout,
-                     const TracePlanes &planes, FlatnessObjective obj,
-                     SearchOptions opts_)
-    : BimSearch(layout, std::vector<const TracePlanes *>{&planes},
+                     const workloads::TracePlanes &planes,
+                     FlatnessObjective obj, SearchOptions opts_)
+    : BimSearch(layout,
+                std::vector<const workloads::TracePlanes *>{&planes},
                 JointObjective{std::move(obj), JointCombiner::Mean, {}},
                 std::move(opts_))
 {

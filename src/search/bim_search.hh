@@ -64,7 +64,7 @@
 #include "bim/bit_matrix.hh"
 #include "mapping/address_layout.hh"
 #include "search/objective.hh"
-#include "search/trace_planes.hh"
+#include "workloads/trace_planes.hh"
 
 namespace valley {
 namespace search {
@@ -278,7 +278,7 @@ class BimSearch
      *               default from `layout` as documented above
      */
     BimSearch(const AddressLayout &layout,
-              std::vector<const TracePlanes *> planes,
+              std::vector<const workloads::TracePlanes *> planes,
               JointObjective objective, SearchOptions opts);
 
     /**
@@ -286,7 +286,8 @@ class BimSearch
      * `objective` in a `JointObjective` whose Mean combiner over one
      * member reproduces the per-workload cost exactly.
      */
-    BimSearch(const AddressLayout &layout, const TracePlanes &planes,
+    BimSearch(const AddressLayout &layout,
+              const workloads::TracePlanes &planes,
               FlatnessObjective objective, SearchOptions opts);
 
     /** Annealed search: best of `restarts` parallel chains. */
@@ -328,7 +329,7 @@ class BimSearch
     std::vector<unsigned> targets_;
     std::vector<unsigned> candidateBits; ///< set bits of mask_
     std::uint64_t mask_ = 0;
-    std::vector<const TracePlanes *> planes_;
+    std::vector<const workloads::TracePlanes *> planes_;
     JointObjective objective;
     SearchOptions opts;
 };

@@ -8,7 +8,6 @@
 #include "common/fnv.hh"
 #include "harness/profile_cache.hh"
 #include "search/sbim_cache.hh"
-#include "workloads/profiler.hh"
 
 namespace valley {
 namespace search {
@@ -91,7 +90,7 @@ namespace {
 struct SetPipeline
 {
     std::vector<std::unique_ptr<Workload>> workloads;
-    std::vector<TracePlanes> planes;
+    std::vector<workloads::TracePlanes> planes;
     std::unique_ptr<BimSearch> searcher;
 
     SetPipeline(const workloads::WorkloadSet &set,
@@ -101,11 +100,11 @@ struct SetPipeline
     {
         planes.reserve(workloads.size());
         for (const auto &wl : workloads)
-            planes.emplace_back(
-                *wl, PlaneOptions{layout.addrBits, opts.threads});
-        std::vector<const TracePlanes *> ptrs;
+            planes.emplace_back(*wl, workloads::PlaneOptions{
+                                         layout.addrBits, opts.threads});
+        std::vector<const workloads::TracePlanes *> ptrs;
         ptrs.reserve(planes.size());
-        for (const TracePlanes &p : planes)
+        for (const workloads::TracePlanes &p : planes)
             ptrs.push_back(&p);
         JointObjective obj =
             defaultJointObjective(layout, opts.targets, opts.combiner);
@@ -163,15 +162,22 @@ searchSet(const workloads::WorkloadSet &set,
 
     // Identity profiles through the on-disk cache: repeated service
     // invocations (and the Fig. 5/10 benches) share the computation.
-    workloads::ProfileOptions po;
-    po.window = opts.window;
-    po.numBits = layout.addrBits;
-    po.metric = opts.metric;
-    po.threads = opts.threads;
+    // A miss profiles the member's planes, already extracted for the
+    // search, instead of walking its trace a second time.
+    const BitMatrix identity = BitMatrix::identity(layout.addrBits);
     out.identityProfiles.reserve(set.size());
-    for (const auto &wl : pipe.workloads)
-        out.identityProfiles.push_back(
-            harness::profileWorkloadCached(*wl, po, scale, ""));
+    for (std::size_t m = 0; m < pipe.planes.size(); ++m) {
+        const std::string key = harness::profileCacheKey(
+            pipe.workloads[m]->info().abbrev, "", opts.window,
+            layout.addrBits, opts.metric, scale);
+        auto p = harness::profileCache().lookup(key);
+        if (!p) {
+            p = pipe.planes[m].profileFor(identity, opts.window,
+                                          opts.metric);
+            harness::profileCache().store(key, *p);
+        }
+        out.identityProfiles.push_back(std::move(*p));
+    }
 
     out.annealed = cached ? *cached : pipe.searcher->anneal();
     out.greedyBaseline = pipe.searcher->greedy();
@@ -193,8 +199,8 @@ searchSet(const workloads::WorkloadSet &set,
             out.annealed.bim, opts.window, opts.metric);
         harness::profileCache().store(
             harness::profileCacheKey(set.members()[m], mapper_id,
-                                     po.window, po.numBits, po.metric,
-                                     scale),
+                                     opts.window, layout.addrBits,
+                                     opts.metric, scale),
             p);
         out.searchedProfiles.push_back(std::move(p));
     }

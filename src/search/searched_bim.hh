@@ -90,15 +90,15 @@ struct SetSearchResult
 };
 
 /**
- * Run the full joint search pipeline over a workload set: profile
- * every member under the identity mapping through the on-disk
- * profile cache (`harness::profileWorkloadCached`; `scale` keys the
- * cache entries), build one `TracePlanes` per member, anneal a single
- * BIM against all of them (plus the greedy baseline), and store each
- * member's searched profile back into the profile cache under
- * `sbimMapperId(...)` so figure benches reuse them. Empty
- * `opts.targets` and a zero `opts.candidateMask` default from the
- * layout; the objective is
+ * Run the full joint search pipeline over a workload set: build one
+ * `workloads::TracePlanes` per member, profile every member under
+ * the identity mapping from its planes through the on-disk profile
+ * cache (the key `harness::profileWorkloadCached` uses; `scale` keys
+ * the cache entries), anneal a single BIM against all of them (plus
+ * the greedy baseline), and store each member's searched profile
+ * back into the profile cache under `sbimMapperId(...)` so figure
+ * benches reuse them. Empty `opts.targets` and a zero
+ * `opts.candidateMask` default from the layout; the objective is
  * `defaultJointObjective(layout, opts.targets, opts.combiner)`.
  *
  * The annealed matrix is memoized in the on-disk SBIM cache under the

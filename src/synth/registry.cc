@@ -1,6 +1,8 @@
 #include "synth/registry.hh"
 
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -185,15 +187,15 @@ std::uint64_t
 parseU64(const FamilyInfo &fam, const ParamSpec &p,
          const std::string &text)
 {
-    if (text.empty() || text[0] == '-' || text[0] == '+')
-        resolveError(fam.name, "parameter '" + p.key +
-                                   "' must be a non-negative integer");
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (errno != 0 || end == text.c_str() || *end != '\0')
+    // ASCII digits only: from_chars takes no sign or whitespace for an
+    // unsigned type and reports overflow instead of wrapping.
+    std::uint64_t v = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || ptr != end)
         resolveError(fam.name, "parameter '" + p.key + "' value '" +
-                                   text + "' is not an integer");
+                                   text +
+                                   "' is not a non-negative integer");
     return v;
 }
 
@@ -204,9 +206,11 @@ parseF64(const FamilyInfo &fam, const ParamSpec &p,
     errno = 0;
     char *end = nullptr;
     const double v = std::strtod(text.c_str(), &end);
-    if (errno != 0 || end == text.c_str() || *end != '\0')
+    // NaN would pass every later range check (it compares false).
+    if (errno != 0 || end == text.c_str() || *end != '\0' ||
+        !std::isfinite(v))
         resolveError(fam.name, "parameter '" + p.key + "' value '" +
-                                   text + "' is not a number");
+                                   text + "' is not a finite number");
     return v;
 }
 

@@ -8,21 +8,18 @@
  * computes per-kernel profiles with the TB window, and combines them
  * weighted by request count.
  *
- * The pipeline is batched and parallel: per-TB accumulation streams
- * through the bit-sliced `SlicedBvrAccumulator` with the mapper's
- * `CompiledTransform` fused into the batch loop, and
- * `profileWorkload` fans kernels — and large kernels, split into TB
- * ranges — over a `ThreadPool`. Every TB writes only its own
- * preallocated BVR slot and kernels combine in launch order, so the
- * parallel profile is bit-identical to the serial one
- * (`ProfileOptions::threads = 1`), which in turn is bit-identical to
+ * Both entry points are thin wrappers over `TracePlanes`, the one
+ * engine that turns addresses into BVRs (`workloads/trace_planes.hh`):
+ * build the planes of the kernels, then `profileFor` the mapper's
+ * matrix (the identity when there is no mapper). Extraction fans TB
+ * ranges over a `ThreadPool` and every TB writes only its own plane
+ * slot, so the profile is bit-identical at any thread count and to
  * the scalar `BvrAccumulator` path (see `tests/profiler_test.cc`).
  */
 
 #ifndef VALLEY_WORKLOADS_PROFILER_HH
 #define VALLEY_WORKLOADS_PROFILER_HH
 
-#include "common/cancellation.hh"
 #include "entropy/window_entropy.hh"
 #include "mapping/address_mapper.hh"
 #include "workloads/workload.hh"
@@ -35,26 +32,19 @@ struct ProfileOptions
 {
     unsigned window = 12;   ///< TB window w = #SMs (Section III-A)
     unsigned numBits = 30;  ///< physical address bits
-    const AddressMapper *mapper = nullptr; ///< optional remapping
+    /**
+     * Optional remapping; its matrix must be `numBits` wide
+     * (`std::invalid_argument` otherwise).
+     */
+    const AddressMapper *mapper = nullptr;
     EntropyMetric metric = EntropyMetric::BitProbability;
 
     /**
-     * Worker threads for BVR accumulation and per-kernel profiling:
-     * 1 = serial, 0 = one per hardware thread. Results are
-     * bit-identical at any thread count.
+     * Worker threads for trace-plane extraction: 1 = serial, 0 = one
+     * per hardware thread. Results are bit-identical at any thread
+     * count.
      */
     unsigned threads = 0;
-
-    /**
-     * Optional cooperative cancellation token (non-owning; must
-     * outlive the call). A profile has no meaningful partial result —
-     * half the TBs is a *different* profile, not a degraded one — so
-     * unlike `BimSearch` the profiler checks the token at each TB
-     * range / kernel-combine boundary and throws `Cancelled`. The
-     * caller's cell-level retry/poison machinery treats that like any
-     * other cell failure.
-     */
-    const CancelToken *cancel = nullptr;
 };
 
 /** Per-bit entropy profile of a single kernel. */

@@ -1,4 +1,4 @@
-#include "search/trace_planes.hh"
+#include "workloads/trace_planes.hh"
 
 #include <algorithm>
 #include <cassert>
@@ -10,7 +10,7 @@
 #include "common/thread_pool.hh"
 
 namespace valley {
-namespace search {
+namespace workloads {
 
 namespace {
 
@@ -67,12 +67,12 @@ extractTb(const Kernel &kernel, TbId tb, unsigned nbits,
     out.words = words;
 }
 
-/** TB-range task granularity, matching workloads/profiler.cc. */
+/** TB-range task granularity for splitting large kernels. */
 constexpr unsigned kTbsPerTask = 256;
 
 } // namespace
 
-TracePlanes::TracePlanes(const Workload &workload,
+TracePlanes::TracePlanes(std::span<const Kernel> ks,
                          const PlaneOptions &opts)
     : nbits(opts.numBits),
       ops(opts.forceScalar ? &bits::scalarSimdOps() : &bits::simdOps())
@@ -80,7 +80,6 @@ TracePlanes::TracePlanes(const Workload &workload,
     if (nbits == 0 || nbits > 64)
         throw std::invalid_argument("TracePlanes: bad bit width");
 
-    const auto &ks = workload.kernels();
     kernels.resize(ks.size());
 
     // Stage 1: generate + transpose every TB trace into per-TB
@@ -142,6 +141,11 @@ TracePlanes::TracePlanes(const Workload &workload,
         k.arena.resize(static_cast<std::size_t>(nbits) * k.kwords);
         for (std::size_t t = 0; t < staged[ki].size(); ++t) {
             TbStage &s = staged[ki][t];
+            // A TB without requests has no words; its buffer (and, in
+            // an all-empty kernel, the arena) may be null, which
+            // memcpy must not see even for zero bytes.
+            if (s.words == 0)
+                continue;
             const std::size_t lo = k.tbs[t].rowOff - k.rowBase;
             for (unsigned b = 0; b < nbits; ++b)
                 std::memcpy(
@@ -347,10 +351,10 @@ TracePlanes::entropyFromOnes(const std::uint64_t *ones,
                              unsigned window,
                              EntropyMetric metric) const
 {
-    // Mirror profileWorkload: per-kernel window entropy of the BVR
-    // series, then EntropyProfile::combine's weighted average — same
-    // operations in the same order, so the result is bit-identical to
-    // the profiler's value for this output bit.
+    // Mirror the scalar oracle: kernelProfile's per-kernel window
+    // entropy of the BVR series, then EntropyProfile::combine's
+    // weighted average — same operations in the same order, so the
+    // result is bit-identical to it for this output bit.
     const std::uint64_t total = requests_;
     if (total == 0)
         return 0.0;
@@ -460,5 +464,5 @@ TracePlanes::profileFor(const BitMatrix &m, unsigned window,
     return out;
 }
 
-} // namespace search
+} // namespace workloads
 } // namespace valley

@@ -1,15 +1,20 @@
 /**
  * @file
- * Bit-plane trace representation for fast BIM-candidate scoring.
+ * Bit-plane trace representation: the one engine that turns a
+ * workload's coalesced request addresses into per-TB Bit Value
+ * Ratios (paper Section III-B).
  *
- * The BIM search loop (Section IV-B's design-time methodology turned
- * into `search::BimSearch`) must score thousands of candidate
- * matrices against one workload. Re-profiling the workload per
- * candidate — even through the bit-sliced accumulator — would re-read
- * every trace address each time. `TracePlanes` instead streams each
- * TB's coalesced request addresses through `bits::transpose64`
- * *once*, keeping the transposed lanes: for every tracked address bit
- * `b` and every TB, one packed 64-requests-per-word bit plane.
+ * Two consumers start from the same data. The entropy profiler
+ * (`workloads::profileWorkload`, Figs. 5 and 10) builds planes and
+ * asks for one `profileFor` under the identity or a mapper's matrix.
+ * The BIM search (Section IV-B's design-time methodology turned into
+ * `search::BimSearch`) builds them once and scores thousands of
+ * candidate matrices against them; re-profiling per candidate would
+ * re-read every trace address each time. `TracePlanes` streams each
+ * TB's coalesced request addresses through the dispatched 64x64
+ * transpose (`bits::SimdOps::transpose64`) *once*, keeping the
+ * transposed lanes: for every tracked address bit `b` and every TB,
+ * one packed 64-requests-per-word bit plane.
  *
  * Because a BIM output bit is the XOR of the input bits its row taps,
  * the mapped output plane is just the XOR of the tapped input planes,
@@ -47,16 +52,15 @@
  * stay cache-hot — no per-candidate allocation, which is what a loop
  * of `rowEntropy` calls pays.
  *
- * The arithmetic mirrors `workloads::profileWorkload` exactly: the
- * per-TB one-counts are the same integers the scalar and sliced
- * accumulators produce, the BVR division is the same, and the window
- * metric and kernel combination reuse `entropy/window_entropy.hh` —
- * so `profileFor` is bit-identical to profiling the workload under
- * the same matrix (asserted in `tests/bim_search_test.cc`).
+ * The per-TB one-counts are exact integers and each BVR is one
+ * division, so `profileFor` equals the scalar path — a
+ * `BvrAccumulator` per TB fed `AddressMapper::map` of every address,
+ * then `kernelProfile` and `EntropyProfile::combine` — bit for bit
+ * (the oracle kept in `tests/profiler_test.cc`).
  */
 
-#ifndef VALLEY_SEARCH_TRACE_PLANES_HH
-#define VALLEY_SEARCH_TRACE_PLANES_HH
+#ifndef VALLEY_WORKLOADS_TRACE_PLANES_HH
+#define VALLEY_WORKLOADS_TRACE_PLANES_HH
 
 #include <cstdint>
 #include <span>
@@ -68,7 +72,7 @@
 #include "workloads/workload.hh"
 
 namespace valley {
-namespace search {
+namespace workloads {
 
 /** Knobs for building a workload's bit planes. */
 struct PlaneOptions
@@ -90,7 +94,8 @@ struct PlaneOptions
 };
 
 /**
- * Transposed per-TB request planes of one workload.
+ * Transposed per-TB request planes of a run of kernels: a whole
+ * workload, or the one kernel `profileKernel` profiles.
  *
  * Immutable after construction; the scoring entry points are const
  * and touch no shared mutable state, so one instance can be shared by
@@ -100,8 +105,15 @@ struct PlaneOptions
 class TracePlanes
 {
   public:
-    /** Generate and transpose every TB trace of `workload`. */
-    TracePlanes(const Workload &workload, const PlaneOptions &opts);
+    /** Generate and transpose every TB trace of `kernels`. */
+    TracePlanes(std::span<const Kernel> kernels,
+                const PlaneOptions &opts);
+
+    /** The planes of every kernel of `workload`, in launch order. */
+    TracePlanes(const Workload &workload, const PlaneOptions &opts)
+        : TracePlanes(workload.kernels(), opts)
+    {
+    }
 
     TracePlanes(const TracePlanes &) = delete;
     TracePlanes &operator=(const TracePlanes &) = delete;
@@ -134,11 +146,11 @@ class TracePlanes
     /**
      * Window entropy of the output bit produced by XOR-combining the
      * input bits selected by `row_mask` (a `BitMatrix` row), averaged
-     * across kernels weighted by request count — exactly the value
-     * `profileWorkload` would report for that output bit under a
-     * matrix containing this row. Bits of `row_mask` at or above
-     * `numBits()` must be clear. The from-scratch oracle the
-     * incremental and batched paths are tested against.
+     * across kernels weighted by request count — the value a profile
+     * under a matrix containing this row reports for that output bit.
+     * Bits of `row_mask` at or above `numBits()` must be clear. The
+     * from-scratch oracle the incremental and batched paths are
+     * tested against.
      */
     double rowEntropy(std::uint64_t row_mask, unsigned window,
                       EntropyMetric metric) const;
@@ -193,8 +205,9 @@ class TracePlanes
 
     /**
      * Full workload profile under matrix `m`: per output bit `r`,
-     * `rowEntropy(m.row(r))`. Bit-identical to
-     * `profileWorkload(workload, opts with mapper = m)`.
+     * `rowEntropy(m.row(r))`; `weight` is `totalRequests()`.
+     *
+     * @throws std::invalid_argument if `m.size() != numBits()`
      */
     EntropyProfile profileFor(const BitMatrix &m, unsigned window,
                               EntropyMetric metric) const;
@@ -237,7 +250,7 @@ class TracePlanes
     std::vector<KernelPlanes> kernels;
 };
 
-} // namespace search
+} // namespace workloads
 } // namespace valley
 
-#endif // VALLEY_SEARCH_TRACE_PLANES_HH
+#endif // VALLEY_WORKLOADS_TRACE_PLANES_HH

@@ -1,12 +1,14 @@
 /**
  * @file
  * Tests for the profile-driven BIM search (`src/search/`): the
- * bit-plane evaluator must be bit-identical to the profiler, every
- * searched matrix must be invertible with identity non-target rows,
- * results must be deterministic for a fixed seed and bit-identical
- * between serial and parallel restarts, and the search must strictly
- * lower the entropy-flatness objective against the identity mapping
- * on valley workloads.
+ * bit-plane evaluator's batched, incremental, parallel and SIMD paths
+ * must be bit-identical to its from-scratch oracle (the planes
+ * themselves are pinned to the scalar profiler in profiler_test),
+ * every searched matrix must be invertible with identity non-target
+ * rows, results must be deterministic for a fixed seed and
+ * bit-identical between serial and parallel restarts, and the search
+ * must strictly lower the entropy-flatness objective against the
+ * identity mapping on valley workloads.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +21,7 @@
 #include "common/rng.hh"
 #include "mapping/mapper_registry.hh"
 #include "search/searched_bim.hh"
-#include "workloads/profiler.hh"
+#include "workloads/trace_planes.hh"
 
 using namespace valley;
 using namespace valley::search;
@@ -34,81 +36,27 @@ gddr5()
     return AddressLayout::hynixGddr5();
 }
 
-/** Planes + profiler options that must describe the same profile. */
+/** A suite workload and its serially extracted 30-bit planes. */
 struct PlanesFixture
 {
     std::unique_ptr<Workload> wl;
-    std::unique_ptr<TracePlanes> planes;
-    workloads::ProfileOptions po;
+    std::unique_ptr<workloads::TracePlanes> planes;
 
-    explicit PlanesFixture(const std::string &abbrev,
-                   EntropyMetric metric = EntropyMetric::BitProbability)
+    explicit PlanesFixture(const std::string &abbrev)
     {
         wl = workloads::make(abbrev, kScale);
-        po.metric = metric;
-        po.threads = 1;
-        PlaneOptions popts;
-        popts.numBits = po.numBits;
-        popts.threads = 1;
-        planes = std::make_unique<TracePlanes>(*wl, popts);
+        planes = std::make_unique<workloads::TracePlanes>(
+            *wl, workloads::PlaneOptions{30, 1});
     }
 };
 
 } // namespace
 
-TEST(TracePlanes, IdentityProfileMatchesProfilerBitExactly)
-{
-    for (const char *abbrev : {"MT", "NN"}) {
-        PlanesFixture s(abbrev);
-        const EntropyProfile direct =
-            workloads::profileWorkload(*s.wl, s.po);
-        const EntropyProfile planes = s.planes->profileFor(
-            BitMatrix::identity(s.po.numBits), s.po.window,
-            s.po.metric);
-        ASSERT_EQ(direct.perBit.size(), planes.perBit.size());
-        EXPECT_EQ(direct.weight, planes.weight);
-        for (std::size_t b = 0; b < direct.perBit.size(); ++b)
-            EXPECT_EQ(direct.perBit[b], planes.perBit[b])
-                << abbrev << " bit " << b;
-    }
-}
-
-TEST(TracePlanes, MappedProfileMatchesProfilerBitExactly)
-{
-    // Under a non-trivial BIM the planes path XORs input planes while
-    // the profiler maps every address; same integers must fall out.
-    PlanesFixture s("MT");
-    const auto mapper =
-        mapping::makeMapper(mapping::kPae, gddr5(), /*seed=*/1);
-    workloads::ProfileOptions po = s.po;
-    po.mapper = mapper.get();
-    const EntropyProfile direct =
-        workloads::profileWorkload(*s.wl, po);
-    const EntropyProfile planes = s.planes->profileFor(
-        mapper->matrix(), po.window, po.metric);
-    ASSERT_EQ(direct.perBit.size(), planes.perBit.size());
-    for (std::size_t b = 0; b < direct.perBit.size(); ++b)
-        EXPECT_EQ(direct.perBit[b], planes.perBit[b]) << "bit " << b;
-}
-
-TEST(TracePlanes, MatchesProfilerUnderBvrDistributionMetric)
-{
-    PlanesFixture s("LU", EntropyMetric::BvrDistribution);
-    const EntropyProfile direct =
-        workloads::profileWorkload(*s.wl, s.po);
-    const EntropyProfile planes = s.planes->profileFor(
-        BitMatrix::identity(s.po.numBits), s.po.window, s.po.metric);
-    for (std::size_t b = 0; b < direct.perBit.size(); ++b)
-        EXPECT_EQ(direct.perBit[b], planes.perBit[b]) << "bit " << b;
-}
-
 TEST(TracePlanes, ParallelExtractionBitIdenticalToSerial)
 {
     const auto wl = workloads::make("LU", kScale);
-    PlaneOptions serial{30, 1};
-    PlaneOptions parallel{30, 3};
-    const TracePlanes a(*wl, serial);
-    const TracePlanes b(*wl, parallel);
+    const workloads::TracePlanes a(*wl, workloads::PlaneOptions{30, 1});
+    const workloads::TracePlanes b(*wl, workloads::PlaneOptions{30, 3});
     const BitMatrix id = BitMatrix::identity(30);
     const EntropyProfile pa = a.profileFor(id, 12,
                                            EntropyMetric::BitProbability);
@@ -145,7 +93,7 @@ TEST(TracePlanes, IncrementalMovesMatchOracle)
     // every intermediate entropyFromOnes value must equal the
     // from-scratch rowEntropy of the mask the cache represents.
     PlanesFixture s("MT");
-    const TracePlanes &p = *s.planes;
+    const workloads::TracePlanes &p = *s.planes;
     XorShiftRng rng(23);
     std::vector<std::uint64_t> plane(p.planeWords());
     std::vector<std::uint64_t> other(p.planeWords());
@@ -187,10 +135,10 @@ TEST(TracePlanes, IncrementalMovesMatchOracle)
 TEST(TracePlanes, ForceScalarBitIdenticalToDispatched)
 {
     const auto wl = workloads::make("LU", kScale);
-    PlaneOptions dispatched{30, 1, false};
-    PlaneOptions scalar{30, 1, true};
-    const TracePlanes a(*wl, dispatched);
-    const TracePlanes b(*wl, scalar);
+    const workloads::TracePlanes a(*wl,
+                                   workloads::PlaneOptions{30, 1, false});
+    const workloads::TracePlanes b(*wl,
+                                   workloads::PlaneOptions{30, 1, true});
     const BitMatrix id = BitMatrix::identity(30);
     for (const EntropyMetric metric :
          {EntropyMetric::BitProbability,
@@ -426,7 +374,7 @@ TEST(BimSearch, PlaneCacheOffBitIdenticalToOn)
     for (const EntropyMetric metric :
          {EntropyMetric::BitProbability,
           EntropyMetric::BvrDistribution}) {
-        PlanesFixture s("MT", metric);
+        PlanesFixture s("MT");
         SearchOptions cached = defaultOptions(layout);
         cached.threads = 1;
         cached.restarts = 2;

@@ -99,13 +99,13 @@ TEST(Bitops, Log2Ceil)
 TEST(Bitops, Transpose64Orientation)
 {
     // After the transpose, bit c of rows[r] is bit r of the original
-    // rows[c] — the exact property the bit-sliced accumulator needs
-    // (lane[b] position i == address i bit b).
+    // rows[c] — the exact property the trace planes need (lane[b]
+    // position i == address i bit b).
     XorShiftRng rng(31);
     std::array<std::uint64_t, 64> orig, t;
     for (unsigned i = 0; i < 64; ++i)
         orig[i] = t[i] = rng.next();
-    bits::transpose64(t.data());
+    bits::simdOps().transpose64(t.data());
     for (unsigned r = 0; r < 64; ++r)
         for (unsigned c = 0; c < 64; ++c)
             ASSERT_EQ((t[r] >> c) & 1, (orig[c] >> r) & 1)
@@ -118,8 +118,8 @@ TEST(Bitops, Transpose64IsAnInvolution)
     std::array<std::uint64_t, 64> orig, t;
     for (unsigned i = 0; i < 64; ++i)
         orig[i] = t[i] = rng.next();
-    bits::transpose64(t.data());
-    bits::transpose64(t.data());
+    bits::simdOps().transpose64(t.data());
+    bits::simdOps().transpose64(t.data());
     EXPECT_EQ(t, orig);
 }
 
@@ -130,7 +130,7 @@ TEST(Bitops, Transpose64Identity)
     for (unsigned i = 0; i < 64; ++i)
         t[i] = std::uint64_t{1} << i;
     const std::array<std::uint64_t, 64> orig = t;
-    bits::transpose64(t.data());
+    bits::simdOps().transpose64(t.data());
     EXPECT_EQ(t, orig);
 }
 

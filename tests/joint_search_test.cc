@@ -40,21 +40,21 @@ gddr5()
 struct SetPlanes
 {
     std::vector<std::unique_ptr<Workload>> wls;
-    std::vector<TracePlanes> planes;
+    std::vector<workloads::TracePlanes> planes;
 
     explicit SetPlanes(const WorkloadSet &set)
         : wls(set.build(kScale))
     {
         planes.reserve(wls.size());
         for (const auto &w : wls)
-            planes.emplace_back(*w, PlaneOptions{30, 1});
+            planes.emplace_back(*w, workloads::PlaneOptions{30, 1});
     }
 
-    std::vector<const TracePlanes *>
+    std::vector<const workloads::TracePlanes *>
     ptrs() const
     {
-        std::vector<const TracePlanes *> out;
-        for (const TracePlanes &p : planes)
+        std::vector<const workloads::TracePlanes *> out;
+        for (const workloads::TracePlanes &p : planes)
             out.push_back(&p);
         return out;
     }

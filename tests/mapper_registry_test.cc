@@ -159,6 +159,13 @@ TEST(MapperRegistry, ValueValidationRejectsGarbage)
                  std::invalid_argument);
     EXPECT_THROW(mapping::resolveMapperSpec("map:pae,seed=1x"),
                  std::invalid_argument);
+    // Digits only: a sign or whitespace must not wrap or be skipped.
+    EXPECT_THROW(mapping::resolveMapperSpec("map:pae,seed=-1"),
+                 std::invalid_argument);
+    EXPECT_THROW(mapping::resolveMapperSpec("map:pae,seed=+3"),
+                 std::invalid_argument);
+    EXPECT_THROW(mapping::resolveMapperSpec("map:pae,seed= 3"),
+                 std::invalid_argument);
     // The perm order validator: unknown and duplicate field tokens.
     EXPECT_THROW(mapping::resolveMapperSpec("map:perm,order=RoXx"),
                  std::invalid_argument);

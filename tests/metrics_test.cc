@@ -200,6 +200,17 @@ TEST(Metrics, SnapshotSortsNamesAndOrdersFields)
     EXPECT_LT(sum_f, buckets_f);
 }
 
+TEST(Metrics, SnapshotEscapesControlCharactersInNames)
+{
+    // A raw newline inside a JSON string is invalid JSON: the name
+    // must carry the two-character escape instead.
+    const std::string name = uniq("line\nbreak");
+    metrics::counter(name).inc();
+    const std::string snap = metrics::snapshotJson();
+    EXPECT_EQ(snap.find(name), std::string::npos) << snap;
+    EXPECT_NE(snap.find("line\\nbreak"), std::string::npos) << snap;
+}
+
 TEST(Metrics, SnapshotIndentEmbedsAtValuePosition)
 {
     metrics::counter(uniq("indent")).inc();

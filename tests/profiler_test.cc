@@ -1,10 +1,9 @@
 /**
  * @file
- * Tests for the batched parallel entropy profiler: the bit-sliced
- * pipeline must reproduce the scalar reference profile exactly, the
- * parallel run must be bit-identical to the serial one for every
- * suite workload, and the profile cache must round-trip profiles at
- * full precision.
+ * Tests for the entropy profiler: its trace-plane profile must
+ * reproduce the scalar reference profile exactly, the parallel run
+ * must be bit-identical to the serial one for every suite workload,
+ * and the profile cache must round-trip profiles at full precision.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "harness/atomic_io.hh"
 #include "harness/profile_cache.hh"
@@ -24,7 +24,7 @@ using namespace valley;
 namespace {
 
 /**
- * The scalar profiler the bit-sliced pipeline replaced: per-TB
+ * The scalar profiler the trace planes replaced: per-TB
  * `BvrAccumulator` walking every bit of every line, `map()` call per
  * line. Kept here as the oracle.
  */
@@ -72,25 +72,67 @@ expectIdentical(const EntropyProfile &a, const EntropyProfile &b,
 
 } // namespace
 
-TEST(Profiler, SlicedMatchesScalarReferenceBitForBit)
+TEST(Profiler, PlanesMatchScalarReferenceBitForBit)
 {
     // The per-bit one-counts are exact integers on both paths, so the
-    // profiles must agree exactly — with and without a remap.
+    // profiles must agree exactly — with and without a remap, under
+    // both metrics. The synth inputs pin the 64-request word packing:
+    // hash_shuffle with rpw=63 / rpw=127 issues 2031 / 4094-4095
+    // requests per TB (several words plus a partial tail), and
+    // stencil3d at scale 0.25 issues 19-24 per TB (one partial word
+    // per TB). DWT2D at scale 0.25 has two kernels whose TBs issue no
+    // requests at all (zero words, an empty arena).
+    struct Case
+    {
+        const char *workload;
+        double scale;
+        EntropyMetric metric;
+    };
+    const Case cases[] = {
+        {"MT", 0.25, EntropyMetric::BitProbability},
+        {"SPMV", 0.25, EntropyMetric::BitProbability},
+        {"NN", 0.25, EntropyMetric::BitProbability},
+        {"LU", 0.25, EntropyMetric::BvrDistribution},
+        {"DWT2D", 0.25, EntropyMetric::BitProbability},
+        {"synth:hash_shuffle,warps=1,tbs=8,rpw=63", 1.0,
+         EntropyMetric::BitProbability},
+        {"synth:hash_shuffle,warps=1,tbs=8,rpw=127", 1.0,
+         EntropyMetric::BitProbability},
+        {"synth:stencil3d", 0.25, EntropyMetric::BitProbability},
+    };
     const AddressLayout layout = AddressLayout::hynixGddr5();
     const auto mapper = mapping::makeMapper(mapping::kPae, layout, 1);
-    for (const char *abbrev : {"MT", "SPMV"}) {
-        const auto wl = workloads::make(abbrev, 0.25);
+    for (const Case &c : cases) {
+        const auto wl = workloads::make(c.workload, c.scale);
         const AddressMapper *mappers[] = {nullptr, mapper.get()};
         for (const AddressMapper *m : mappers) {
             workloads::ProfileOptions po;
             po.mapper = m;
+            po.metric = c.metric;
             po.threads = 1;
             expectIdentical(scalarProfileWorkload(*wl, po),
                             workloads::profileWorkload(*wl, po),
-                            std::string(abbrev) +
+                            std::string(c.workload) +
                                 (m ? "+PAE" : "+none"));
         }
     }
+}
+
+TEST(Profiler, MapperOfAnotherWidthThrows)
+{
+    // The mapper's matrix must match the tracked width: a 32-bit
+    // 3D-stacked mapper over the default 30 bits is rejected, not
+    // profiled on a truncated address.
+    const auto wl = workloads::make("NN", 0.25);
+    const auto mapper = mapping::makeMapper(
+        mapping::kBase, AddressLayout::stacked3d(), 1);
+    workloads::ProfileOptions po;
+    po.mapper = mapper.get();
+    ASSERT_NE(mapper->matrix().size(), po.numBits);
+    EXPECT_THROW(workloads::profileWorkload(*wl, po),
+                 std::invalid_argument);
+    EXPECT_THROW(workloads::profileKernel(wl->kernels().front(), po),
+                 std::invalid_argument);
 }
 
 TEST(Profiler, ParallelIsBitIdenticalToSerialForEverySuiteWorkload)

@@ -136,14 +136,6 @@ TEST(CancelToken, ExpiredDeadlineFiresAndChildCannotExtendParent)
     EXPECT_FALSE(fresh.cancelled());
 }
 
-TEST(CancelToken, CheckThrowsCancelledOnlyWhenFired)
-{
-    CancelToken t;
-    EXPECT_NO_THROW(t.check("should not fire"));
-    t.cancel();
-    EXPECT_THROW(t.check("fired"), Cancelled);
-}
-
 TEST(CancelToken, EnvDeadlineParsesPositiveIntegersOnly)
 {
     unsetenv("VALLEY_DEADLINE_MS");

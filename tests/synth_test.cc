@@ -107,6 +107,17 @@ TEST(SynthSpec, ResolveRejectsBadInput)
                  std::invalid_argument);
     EXPECT_THROW(synth::resolve("synth:stream,n=-5"),
                  std::invalid_argument);
+    // A sign behind whitespace would wrap to 2^64 - 1.
+    EXPECT_THROW(synth::resolve("synth:stream,n= -1"),
+                 std::invalid_argument);
+    // Non-finite reals: NaN compares false, so it would pass every
+    // range check.
+    EXPECT_THROW(synth::resolve("synth:stream,ipr=nan"),
+                 std::invalid_argument);
+    EXPECT_THROW(synth::resolve("synth:stream,scale=nan"),
+                 std::invalid_argument);
+    EXPECT_THROW(synth::resolve("synth:stream,wr=inf"),
+                 std::invalid_argument);
     EXPECT_THROW(synth::resolve("synth:tiled2d,order=diag"),
                  std::invalid_argument);
     EXPECT_THROW(synth::resolve("synth:stream,scale=0"),

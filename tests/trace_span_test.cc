@@ -271,8 +271,8 @@ TEST_F(TraceSpanTest, FlushEmitsValidChromeTraceJson)
     EXPECT_EQ(countOccurrences(text, "\"ph\": \"X\""), 2u);
     EXPECT_EQ(countOccurrences(text, "\"ph\": \"i\""), 1u);
     EXPECT_NE(text.find("\"outer\""), std::string::npos);
-    // Escaped quote survives, raw control chars do not.
-    EXPECT_NE(text.find("inner \\\"quoted\\\""), std::string::npos);
+    // The quote and the newline come out escaped, not raw.
+    EXPECT_NE(text.find("inner \\\"quoted\\\"\\n"), std::string::npos);
     EXPECT_NE(text.find("\"droppedEvents\": 0"), std::string::npos);
     // Flush drains the buffers.
     EXPECT_EQ(trace::pendingEventCountForTesting(), 0u);
