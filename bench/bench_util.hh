@@ -13,6 +13,7 @@
 #ifndef VALLEY_BENCH_BENCH_UTIL_HH
 #define VALLEY_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -20,10 +21,17 @@
 #include <string>
 #include <vector>
 
+#include "common/bitops.hh"
+#include "common/json.hh"
 #include "common/table.hh"
 #include "harness/experiment.hh"
 #include "mapping/layout_registry.hh"
 #include "workloads/profiler.hh"
+
+// Set by CMake for every bench binary: the BENCH_*.json provenance.
+#ifndef VALLEY_BENCH_BUILD_TYPE
+#define VALLEY_BENCH_BUILD_TYPE "unknown"
+#endif
 
 namespace valley {
 namespace bench {
@@ -31,7 +39,9 @@ namespace bench {
 /**
  * Minimal machine-readable bench output: a flat, ordered JSON object
  * written on destruction. Used for the BENCH_*.json perf-trajectory
- * files that later PRs compare against.
+ * files that later PRs compare against. Every file leads with its
+ * provenance (`compiler`, `build_type`, `simd_level`), except a key
+ * the bench writes itself.
  */
 class JsonEmitter
 {
@@ -98,12 +108,21 @@ class JsonEmitter
     void
     write() const
     {
+        std::vector<std::pair<std::string, std::string>> all;
+        for (const auto &[key, value] :
+             {std::pair<std::string, std::string>{"compiler", __VERSION__},
+              {"build_type", VALLEY_BENCH_BUILD_TYPE},
+              {"simd_level", bits::simdOps().name}})
+            if (std::none_of(fields.begin(), fields.end(),
+                             [&](const auto &f) { return f.first == key; }))
+                all.emplace_back(key, '"' + jsonEscape(value) + '"');
+        all.insert(all.end(), fields.begin(), fields.end());
+
         std::ofstream out(path);
         out << "{\n";
-        for (std::size_t i = 0; i < fields.size(); ++i)
-            out << "  \"" << fields[i].first
-                << "\": " << fields[i].second
-                << (i + 1 < fields.size() ? ",\n" : "\n");
+        for (std::size_t i = 0; i < all.size(); ++i)
+            out << "  \"" << all[i].first << "\": " << all[i].second
+                << (i + 1 < all.size() ? ",\n" : "\n");
         out << "}\n";
     }
 

@@ -156,7 +156,9 @@ snapshotJson(unsigned indent)
     first = true;
     for (const auto &[name, g] : r.gauges) {
         out << (first ? "\n" : ",\n") << in2 << '"'
-            << jsonEscape(name) << "\": " << g->value();
+            << jsonEscape(name) << "\": " << g->value() << ",\n"
+            << in2 << '"' << jsonEscape(name + ".peak")
+            << "\": " << g->peak();
         first = false;
     }
     out << (first ? "},\n" : "\n" + in1 + "},\n");

@@ -111,7 +111,11 @@ class Counter
     std::array<Shard, kShards> shards{};
 };
 
-/** Last-writer-wins signed instantaneous value (thread counts &c). */
+/**
+ * Last-writer-wins signed instantaneous value (thread counts &c), with
+ * a high-water mark: a gauge that is back at zero by snapshot time
+ * (resident bytes of objects since destroyed) still shows its peak.
+ */
 class Gauge
 {
   public:
@@ -119,12 +123,13 @@ class Gauge
     set(std::int64_t v) noexcept
     {
         value_.store(v, std::memory_order_relaxed);
+        raisePeak(v);
     }
 
     void
     add(std::int64_t d) noexcept
     {
-        value_.fetch_add(d, std::memory_order_relaxed);
+        raisePeak(value_.fetch_add(d, std::memory_order_relaxed) + d);
     }
 
     std::int64_t
@@ -133,14 +138,33 @@ class Gauge
         return value_.load(std::memory_order_relaxed);
     }
 
+    /** Highest value held since construction or the last reset. */
+    std::int64_t
+    peak() const noexcept
+    {
+        return peak_.load(std::memory_order_relaxed);
+    }
+
     void
     reset() noexcept
     {
-        set(0);
+        value_.store(0, std::memory_order_relaxed);
+        peak_.store(0, std::memory_order_relaxed);
     }
 
   private:
+    void
+    raisePeak(std::int64_t v) noexcept
+    {
+        std::int64_t p = peak_.load(std::memory_order_relaxed);
+        while (v > p && !peak_.compare_exchange_weak(
+                            p, v, std::memory_order_relaxed))
+        {
+        }
+    }
+
     std::atomic<std::int64_t> value_{0};
+    std::atomic<std::int64_t> peak_{0};
 };
 
 /**
@@ -218,7 +242,8 @@ Histogram &histogram(const std::string &name);
  *
  *     {
  *       "counters": {"grid.cells_done": 4, ...},
- *       "gauges": {...},
+ *       "gauges": {"search.plane_bytes": 0,
+ *                  "search.plane_bytes.peak": 1059840, ...},
  *       "histograms": {
  *         "cache.result.lookup_us":
  *           {"count": 4, "sum_us": 12, "buckets": [ ... ]}

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.hh"
 #include "dram/dram_system.hh"
 
 using namespace valley;
@@ -212,6 +215,310 @@ TEST(MemoryController, StarvationCapReleasesConflictBehindBusyBus)
         ASSERT_TRUE(accepted) << "queue full at cycle " << c;
     }
     EXPECT_EQ(row2_done, 2049u);
+}
+
+namespace {
+
+/**
+ * Brute-force FR-FCFS: one arrival-ordered vector, rescanned in full
+ * every cycle, with no cached counts or wake bounds. It issues the
+ * first ready open-row hit, else the first request whose bank can
+ * take a precharge or activate, holding a conflict back while its
+ * bank's open row still has queued hits unless it has waited 2000
+ * cycles.
+ */
+class ReferenceController
+{
+  public:
+    ReferenceController(unsigned num_banks, const DramTiming &timing,
+                        unsigned capacity)
+        : t(timing), capacity(capacity), banks(num_banks)
+    {}
+
+    bool
+    enqueue(const DramRequest &req, Cycle now)
+    {
+        if (queue.size() >= capacity)
+            return false;
+        queue.push_back(Queued{req, now});
+        return true;
+    }
+
+    void
+    tick(Cycle now, std::vector<DramCompletion> &done)
+    {
+        // Completion order is part of the contract (it orders LLC
+        // fills), so retire in the controller's swap-remove order.
+        for (std::size_t i = 0; i < inflight.size();) {
+            if (inflight[i].doneAt <= now) {
+                if (!inflight[i].write) {
+                    stats.latencySum += now - inflight[i].enqueued;
+                    done.push_back(
+                        DramCompletion{inflight[i].tag, now, false});
+                }
+                inflight[i] = inflight.back();
+                inflight.pop_back();
+            } else {
+                ++i;
+            }
+        }
+        if (!issueColumn(now))
+            issueBankCommand(now);
+    }
+
+    unsigned
+    pending() const
+    {
+        return static_cast<unsigned>(queue.size() + inflight.size());
+    }
+
+    unsigned
+    banksWithPending() const
+    {
+        std::vector<bool> busy(banks.size(), false);
+        for (const Queued &q : queue)
+            busy[q.req.coord.bank] = true;
+        return static_cast<unsigned>(
+            std::count(busy.begin(), busy.end(), true));
+    }
+
+    DramChannelStats stats;
+    /** Precharges the starvation cap released past queued hits. */
+    unsigned cappedPrecharges = 0;
+
+  private:
+    struct Queued
+    {
+        DramRequest req;
+        Cycle enqueued;
+    };
+
+    struct Bank
+    {
+        bool open = false;
+        unsigned row = 0;
+        Cycle readyAt = 0;
+        Cycle activatedAt = 0;
+    };
+
+    struct Flight
+    {
+        std::uint64_t tag;
+        Cycle doneAt;
+        bool write;
+        Cycle enqueued;
+    };
+
+    bool
+    isHit(const DramRequest &r) const
+    {
+        const Bank &b = banks[r.coord.bank];
+        return b.open && b.row == r.coord.row;
+    }
+
+    bool
+    issueColumn(Cycle now)
+    {
+        if (busFreeAt > now)
+            return false;
+        for (auto it = queue.begin(); it != queue.end(); ++it) {
+            const DramRequest &r = it->req;
+            Bank &b = banks[r.coord.bank];
+            if (!isHit(r) || b.readyAt > now)
+                continue;
+            busFreeAt = now + t.tBurst;
+            stats.busBusyCycles += t.tBurst;
+            b.readyAt = now + t.tBurst + (r.write ? t.tWR : 0);
+            ++(r.write ? stats.writes : stats.reads);
+            inflight.push_back(Flight{r.tag, now + t.tCL + t.tBurst,
+                                      r.write, it->enqueued});
+            queue.erase(it);
+            return true;
+        }
+        return false;
+    }
+
+    bool
+    issueBankCommand(Cycle now)
+    {
+        std::vector<bool> hits_queued(banks.size(), false);
+        for (const Queued &q : queue)
+            if (isHit(q.req))
+                hits_queued[q.req.coord.bank] = true;
+        for (const Queued &q : queue) {
+            const DramRequest &r = q.req;
+            Bank &b = banks[r.coord.bank];
+            if (b.readyAt > now || isHit(r))
+                continue;
+            if (!b.open) {
+                if (nextActivateAt > now)
+                    continue;
+                b.open = true;
+                b.row = r.coord.row;
+                b.readyAt = now + t.tRCD;
+                b.activatedAt = now;
+                nextActivateAt = now + t.tRRD;
+                ++stats.activations;
+                ++stats.rowMisses;
+                return true;
+            }
+            if (b.activatedAt + t.tRAS > now ||
+                (hits_queued[r.coord.bank] && q.enqueued + 2000 > now))
+                continue;
+            b.open = false;
+            b.readyAt = now + t.tRP;
+            ++stats.precharges;
+            cappedPrecharges += hits_queued[r.coord.bank];
+            return true;
+        }
+        return false;
+    }
+
+    DramTiming t;
+    unsigned capacity;
+    std::vector<Bank> banks;
+    std::vector<Queued> queue;
+    std::vector<Flight> inflight;
+    Cycle busFreeAt = 0;
+    Cycle nextActivateAt = 0;
+};
+
+/**
+ * Seeded arrival stream in phases. A hot-row phase (2500–6000 cycles,
+ * longer than the starvation cap) sends hits on one bank's row faster
+ * than the bus drains them, with the odd conflict on that bank, either
+ * alone or over random traffic; alone, no other arrival re-arms the
+ * controller's wake bound. The other phases (500–3000 cycles) are
+ * uniform random traffic over a few rows per bank and bursts of up to
+ * four arrivals a cycle that keep the queue full.
+ */
+class ArrivalStream
+{
+  public:
+    ArrivalStream(unsigned num_banks, std::uint64_t seed)
+        : numBanks(num_banks), rng(seed)
+    {}
+
+    /** Requests arriving this cycle (tags are unique). */
+    std::vector<DramRequest>
+    next()
+    {
+        if (phaseLeft == 0) {
+            phase = static_cast<Phase>(rng.below(4));
+            phaseLeft = phase == Phase::HotRow || phase == Phase::HotMixed
+                            ? rng.range(2500, 6000)
+                            : rng.range(500, 3000);
+            hotBank = static_cast<unsigned>(rng.below(numBanks));
+            hotRow = static_cast<unsigned>(rng.below(4));
+        }
+        --phaseLeft;
+        std::vector<DramRequest> out;
+        switch (phase) {
+        case Phase::HotRow:
+        case Phase::HotMixed:
+            if (rng.chance(2, 5))
+                out.push_back(make(hotBank, hotRow));
+            if (rng.chance(1, 100))
+                out.push_back(make(hotBank, hotRow + 1 +
+                                   static_cast<unsigned>(rng.below(3))));
+            if (phase == Phase::HotMixed && rng.chance(1, 10))
+                out.push_back(randomRequest());
+            break;
+        case Phase::Random:
+            if (rng.chance(1, 4))
+                out.push_back(randomRequest());
+            break;
+        case Phase::Burst:
+            for (std::uint64_t n = rng.below(5); n > 0; --n)
+                out.push_back(randomRequest());
+            break;
+        }
+        return out;
+    }
+
+  private:
+    enum class Phase { HotRow, HotMixed, Random, Burst };
+
+    DramRequest
+    make(unsigned bank, unsigned row)
+    {
+        DramRequest r;
+        r.coord = DramCoord{0, bank, row, 0};
+        r.write = rng.chance(3, 10);
+        r.tag = ++lastTag;
+        return r;
+    }
+
+    DramRequest
+    randomRequest()
+    {
+        return make(static_cast<unsigned>(rng.below(numBanks)),
+                    static_cast<unsigned>(rng.below(4)));
+    }
+
+    unsigned numBanks;
+    XorShiftRng rng;
+    Phase phase = Phase::Random;
+    std::uint64_t phaseLeft = 0;
+    unsigned hotBank = 0;
+    unsigned hotRow = 0;
+    std::uint64_t lastTag = 0;
+};
+
+} // namespace
+
+TEST(MemoryController, MatchesBruteForceFrFcfs)
+{
+    // Requests arrive after the tick of their cycle, as GpuSystem
+    // enqueues them. 128 banks span two bitset words.
+    constexpr Cycle kCycles = 20000;
+    unsigned rejected = 0;
+    unsigned capped = 0;
+    for (const DramTiming &timing :
+         {DramTiming::hynixGddr5(), fastTiming()})
+        for (unsigned num_banks : {1u, 16u, 128u})
+            for (unsigned capacity : {4u, 64u})
+                for (std::uint64_t seed : {1u, 2u, 3u}) {
+                    SCOPED_TRACE(testing::Message()
+                                 << "tBurst " << timing.tBurst << ", "
+                                 << num_banks << " banks, capacity "
+                                 << capacity << ", seed " << seed);
+                    MemoryController mc(num_banks, timing, capacity);
+                    ReferenceController ref(num_banks, timing, capacity);
+                    ArrivalStream arrivals(num_banks, seed);
+                    std::vector<DramCompletion> got, want;
+                    for (Cycle c = 0; c < kCycles; ++c) {
+                        mc.tick(c, got);
+                        ref.tick(c, want);
+                        ASSERT_EQ(got.size(), want.size()) << "cycle " << c;
+                        for (std::size_t i = 0; i < got.size(); ++i) {
+                            ASSERT_EQ(got[i].tag, want[i].tag)
+                                << "cycle " << c;
+                            ASSERT_EQ(got[i].finished, want[i].finished);
+                            ASSERT_EQ(got[i].write, want[i].write);
+                        }
+                        got.clear();
+                        want.clear();
+                        ASSERT_EQ(mc.stats(), ref.stats) << "cycle " << c;
+                        ASSERT_EQ(mc.pending(), ref.pending())
+                            << "cycle " << c;
+                        ASSERT_EQ(mc.banksWithPending(),
+                                  ref.banksWithPending())
+                            << "cycle " << c;
+                        for (const DramRequest &r : arrivals.next()) {
+                            const bool accepted = ref.enqueue(r, c);
+                            ASSERT_EQ(mc.enqueue(r, c), accepted)
+                                << "cycle " << c;
+                            rejected += !accepted;
+                        }
+                    }
+                    EXPECT_GT(ref.stats.precharges, 0u);
+                    EXPECT_GT(ref.stats.writes, 0u);
+                    capped += ref.cappedPrecharges;
+                }
+    // The streams reached a full queue and the starvation cap.
+    EXPECT_GT(rejected, 0u);
+    EXPECT_GT(capped, 0u);
 }
 
 TEST(DramChannelStats, RowHitRateClampsAndGuards)

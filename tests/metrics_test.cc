@@ -102,6 +102,29 @@ TEST(Metrics, GaugeSetAndAdd)
     EXPECT_EQ(g.value(), 0);
 }
 
+TEST(Metrics, GaugePeakSurvivesDropToZero)
+{
+    // An instrument released before the snapshot (resident bytes of a
+    // destroyed object) reads zero; its peak still shows the load.
+    const std::string name = uniq("peak");
+    metrics::Gauge &g = metrics::gauge(name);
+    g.add(5);
+    g.add(-5);
+    EXPECT_EQ(g.value(), 0);
+    EXPECT_EQ(g.peak(), 5);
+    const std::string snap = metrics::snapshotJson();
+    EXPECT_NE(snap.find('"' + name + "\": 0,"), std::string::npos);
+    EXPECT_NE(snap.find('"' + name + ".peak\": 5"), std::string::npos);
+
+    g.set(3);
+    EXPECT_EQ(g.peak(), 5);
+    g.set(8);
+    EXPECT_EQ(g.peak(), 8);
+    g.reset();
+    EXPECT_EQ(g.value(), 0);
+    EXPECT_EQ(g.peak(), 0);
+}
+
 TEST(Metrics, HistogramBucketPlacement)
 {
     // Bucket i holds samples of bit width i: 0 -> bucket 0,
