@@ -13,6 +13,9 @@ namespace {
 /** LLC read waiters store sm+1 so 0 can mean "write, nobody waits". */
 constexpr std::uint64_t kNoWaiter = 0;
 
+/** `sliceParkedOn` entry of a slice whose head is not blocked. */
+constexpr unsigned kNotParked = std::numeric_limits<unsigned>::max();
+
 } // namespace
 
 GpuSystem::GpuSystem(const SimConfig &cfg_, const AddressMapper &mapper_)
@@ -119,9 +122,6 @@ void
 GpuSystem::issueStage(unsigned sm_idx)
 {
     Sm &sm = sms[sm_idx];
-    // Until issueIdleUntil every scan would come up empty.
-    if (cycle < sm.issueIdleUntil || sm.lsu.size() >= cfg.lsuQueueDepth)
-        return;
     const unsigned warps_in_use =
         static_cast<unsigned>(sm.warps.size());
     const auto has_work = [&](const WarpRt &warp) {
@@ -237,15 +237,32 @@ GpuSystem::tryIssueLine(unsigned sm_idx, const LineReq &req)
     return false;
 }
 
+bool
+GpuSystem::lsuHeadCanIssue(unsigned sm_idx) const
+{
+    const LineReq &head = sms[sm_idx].lsu.front();
+    assert(head.write || (!l1s[sm_idx].contains(head.line) &&
+                          !l1s[sm_idx].mshrPending(head.line)));
+    return reqNoc->canInject(sm_idx) &&
+           (head.write || l1s[sm_idx].mshrAvailable());
+}
+
 void
 GpuSystem::lsuStage(unsigned sm_idx)
 {
+    // The SM loop calls this only for a non-empty, unparked queue.
     Sm &sm = sms[sm_idx];
-    for (unsigned n = 0; n < cfg.lsuWidth && !sm.lsu.empty(); ++n) {
-        if (!tryIssueLine(sm_idx, sm.lsu.front()))
-            break; // head-of-line blocking; retry next cycle
+    for (unsigned n = 0; n < cfg.lsuWidth; ++n) {
+        if (!tryIssueLine(sm_idx, sm.lsu.front())) {
+            // Head-of-line blocking: wait for the NoC block to free
+            // what the head lacks.
+            sm.lsuParked = true;
+            return;
+        }
         sm.lsu.pop_front();
         noteProgress();
+        if (sm.lsu.empty())
+            return;
     }
 }
 
@@ -313,12 +330,22 @@ GpuSystem::sliceTick(unsigned slice)
         wbs.pop_front();
     }
 
-    // 3. Serve the input queue.
+    // 3. Serve the input queue. A parked head's line is neither in
+    // nor pending in the slice, so it issues once an MSHR and room on
+    // its channel are both back.
+    SetAssocCache &cache = llc[slice];
+    unsigned &parked_on = sliceParkedOn[slice];
+    if (parked_on != kNotParked) {
+        assert(!cache.contains(sliceQueue[slice].front().line) &&
+               !cache.mshrPending(sliceQueue[slice].front().line));
+        if (!cache.mshrAvailable() || !dram->canAccept(parked_on))
+            return;
+        parked_on = kNotParked;
+    }
     for (unsigned n = 0; n < cfg.llcPortsPerTick; ++n) {
         if (sliceQueue[slice].empty())
             break;
         const SliceReq req = sliceQueue[slice].front();
-        SetAssocCache &cache = llc[slice];
         const DramCoord coord = decoder.decode(req.line);
 
         const bool present = cache.contains(req.line);
@@ -326,8 +353,10 @@ GpuSystem::sliceTick(unsigned slice)
         if (!present && !pending) {
             // Will need a DRAM fill: require MSHR + MC queue space.
             if (!cache.mshrAvailable() ||
-                !dram->canAccept(coord.channel))
+                !dram->canAccept(coord.channel)) {
+                parked_on = coord.channel;
                 break;
+            }
         }
 
         const std::uint64_t waiter =
@@ -439,6 +468,7 @@ GpuSystem::run(const Workload &workload)
     for (unsigned s = 0; s < cfg.llcSlices; ++s)
         llc.emplace_back(cfg.llcSlice);
     sliceQueue.assign(cfg.llcSlices, {});
+    sliceParkedOn.assign(cfg.llcSlices, kNotParked);
     pendingWritebacks.assign(cfg.llcSlices, {});
     stalledReplies.assign(cfg.llcSlices, {});
     reqNoc = std::make_unique<Crossbar>(cfg.numSms, cfg.llcSlices,
@@ -491,10 +521,17 @@ GpuSystem::run(const Workload &workload)
                 throw std::runtime_error(
                     "GpuSystem: no forward progress in " + k.name());
 
-            // SM domain.
+            // SM domain. A parked LSU head cannot issue before the
+            // next NoC block; until issueIdleUntil every issue scan
+            // would come up empty.
             for (unsigned s = 0; s < cfg.numSms; ++s) {
-                lsuStage(s);
-                issueStage(s);
+                Sm &sm = sms[s];
+                assert(!sm.lsuParked || !lsuHeadCanIssue(s));
+                if (!sm.lsuParked && !sm.lsu.empty())
+                    lsuStage(s);
+                if (cycle >= sm.issueIdleUntil &&
+                    sm.lsu.size() < cfg.lsuQueueDepth)
+                    issueStage(s);
             }
 
             // Event retirement (L1 hits, store acks, LLC replies).
@@ -538,6 +575,11 @@ GpuSystem::run(const Workload &workload)
                     deliverReply(d.output,
                                  d.tag &
                                      ((std::uint64_t{1} << 48) - 1));
+                // Request-NoC pops and L1 fills above are the only
+                // events that free what a parked LSU head waits for.
+                for (unsigned s = 0; s < cfg.numSms; ++s)
+                    if (sms[s].lsuParked && lsuHeadCanIssue(s))
+                        sms[s].lsuParked = false;
             }
 
             // DRAM domain (fractional clock).

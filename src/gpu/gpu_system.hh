@@ -89,6 +89,14 @@ class GpuSystem
          * warps with work. Warps that gain work lower it.
          */
         Cycle issueIdleUntil = 0;
+        /**
+         * The LSU head failed to issue. It waits for a request-NoC
+         * slot and, if it is a read, an L1 MSHR: a failed read is a
+         * miss, neither cached nor pending, and stays one. Both free
+         * only in the NoC block, which clears the flag once they are
+         * back; until then the SM loop skips `lsuStage`.
+         */
+        bool lsuParked = false;
     };
 
     struct SliceReq
@@ -128,6 +136,8 @@ class GpuSystem
     void issueStage(unsigned sm_idx);
     void lsuStage(unsigned sm_idx);
     bool tryIssueLine(unsigned sm_idx, const LineReq &req);
+    /** Whether a parked LSU head now has what it waits for. */
+    bool lsuHeadCanIssue(unsigned sm_idx) const;
     void lineDone(unsigned gid);
     void warpInstrDone(unsigned gid);
     void sliceTick(unsigned slice);
@@ -146,6 +156,13 @@ class GpuSystem
     std::vector<SetAssocCache> l1s;
     std::vector<SetAssocCache> llc;
     std::vector<RingBuffer<SliceReq>> sliceQueue;
+    /**
+     * Per slice: the DRAM channel its input-queue head waits on, or
+     * kNotParked. The head needs a fill and found no free MSHR or no
+     * room in that channel's controller queue; `sliceTick` skips it
+     * until both are back.
+     */
+    std::vector<unsigned> sliceParkedOn;
     std::vector<RingBuffer<DramRequest>> pendingWritebacks;
     std::vector<RingBuffer<std::pair<unsigned, Addr>>> stalledReplies;
     std::unique_ptr<Crossbar> reqNoc;
