@@ -92,12 +92,11 @@ paperFamily(std::string name, std::string display, std::string summary,
 }
 
 /** The `seed=` parameter of the randomized Broad families. */
-MapperParamSpec
+spec::Param
 seedParam()
 {
-    return {"seed", MapperParamKind::U64, "0",
-            "BIM instantiation seed; 0 inherits the harness seed",
-            nullptr};
+    return {"seed", spec::Kind::U64, "0",
+            "BIM instantiation seed; 0 inherits the harness seed", {}};
 }
 
 /** needsProfiles placeholder for the searched families. */
@@ -220,15 +219,15 @@ permFamily()
     f.summary = "pure field permutation; order= lists fields MSB to "
                 "LSB from Ro/Co/Ch/Va/Ba";
     f.seedTag = 17; // never draws; tag only namespaces the seed stream
-    f.params = {{"order", MapperParamKind::Str, "",
-                 "field order, MSB first, e.g. RoCoBaCh (required)",
+    f.params = {{"order", spec::Kind::Str, "",
+                 "field order, MSB first, e.g. RoCoBaCh (required)", {},
                  [](const std::string &v) { parseOrderTokens(v); }}};
     f.displayName = [](const ResolvedMapperSpec &r) {
-        return "PERM-" + r.value("order");
+        return "PERM-" + r.s("order");
     };
     f.build = [](const ResolvedMapperSpec &r, const AddressLayout &l,
                  XorShiftRng &) {
-        return buildPerm(r.value("order"), l);
+        return buildPerm(r.s("order"), l);
     };
     return f;
 }

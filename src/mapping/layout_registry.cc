@@ -1,29 +1,17 @@
 #include "mapping/layout_registry.hh"
 
-#include <cctype>
 #include <cstring>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 
+#include "common/spec.hh"
 #include "workloads/workload_set.hh"
 
 namespace valley {
 namespace mapping {
 
 namespace {
-
-bool
-validKey(const std::string &k)
-{
-    if (k.empty())
-        return false;
-    for (char c : k)
-        if (!(std::islower(static_cast<unsigned char>(c)) ||
-              std::isdigit(static_cast<unsigned char>(c)) || c == '_'))
-            return false;
-    return true;
-}
 
 BitField *
 fieldOf(AddressLayout &l, FieldKind kind)
@@ -116,7 +104,7 @@ struct Registry
     void
     add(DramOrganization org)
     {
-        if (!validKey(org.key))
+        if (!spec::validKey(org.key))
             throw std::invalid_argument("bad layout key '" + org.key +
                                         "': want [a-z0-9_]+");
         // Validate the field list up front so a broken registration

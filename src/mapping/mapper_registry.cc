@@ -1,54 +1,13 @@
 #include "mapping/mapper_registry.hh"
 
-#include <cctype>
-#include <charconv>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
-
-#include "common/fnv.hh"
 
 namespace valley {
 namespace mapping {
 
 namespace {
-
-bool
-validKey(const std::string &k)
-{
-    if (k.empty())
-        return false;
-    for (char c : k)
-        if (!(std::islower(static_cast<unsigned char>(c)) ||
-              std::isdigit(static_cast<unsigned char>(c)) || c == '_'))
-            return false;
-    return true;
-}
-
-/** Canonical text of a value under its parameter kind; throws. */
-std::string
-canonicalValue(const MapperParamSpec &p, const std::string &value,
-               const std::string &spec_text)
-{
-    std::string out = value;
-    if (p.kind == MapperParamKind::U64) {
-        // ASCII digits only: from_chars takes no sign or whitespace
-        // for an unsigned type and reports overflow instead of
-        // wrapping.
-        std::uint64_t v = 0;
-        const char *end = value.data() + value.size();
-        const auto [ptr, ec] = std::from_chars(value.data(), end, v);
-        if (ec != std::errc() || ptr != end)
-            throw std::invalid_argument(
-                "bad mapper spec '" + spec_text + "': parameter '" +
-                p.key + "' wants an unsigned integer, got '" + value +
-                "'");
-        out = std::to_string(v);
-    }
-    if (p.validate)
-        p.validate(out);
-    return out;
-}
 
 struct Registry
 {
@@ -60,7 +19,7 @@ struct Registry
     void
     add(MapperFamily f)
     {
-        if (!validKey(f.name))
+        if (!spec::validKey(f.name))
             throw std::invalid_argument("bad mapper family name '" +
                                         f.name + "': want [a-z0-9_]+");
         if (!f.build && !f.needsProfiles)
@@ -70,7 +29,7 @@ struct Registry
             throw std::invalid_argument("mapper family '" + f.name +
                                         "' has no display name");
         for (const auto &p : f.params)
-            if (!validKey(p.key))
+            if (!spec::validKey(p.key))
                 throw std::invalid_argument(
                     "mapper family '" + f.name +
                     "' has a bad parameter key '" + p.key + "'");
@@ -100,36 +59,10 @@ ensureBuiltins()
 
 } // namespace
 
-const std::string &
-ResolvedMapperSpec::value(const std::string &key) const
+bool
+isMapperSpec(const std::string &name)
 {
-    for (std::size_t i = 0; i < family_->params.size(); ++i)
-        if (family_->params[i].key == key)
-            return values_[i];
-    throw std::invalid_argument("mapper family '" + family_->name +
-                                "' has no parameter '" + key + "'");
-}
-
-std::uint64_t
-ResolvedMapperSpec::u64(const std::string &key) const
-{
-    return std::stoull(value(key));
-}
-
-std::string
-ResolvedMapperSpec::canonical() const
-{
-    std::string out = std::string(kMapperPrefix) + family_->name;
-    for (std::size_t i = 0; i < family_->params.size(); ++i)
-        if (values_[i] != family_->params[i].def)
-            out += "," + family_->params[i].key + "=" + values_[i];
-    return out;
-}
-
-std::uint64_t
-ResolvedMapperSpec::hash() const
-{
-    return bits::fnv1a(canonical());
+    return name.rfind(MapperFamily::kPrefix, 0) == 0;
 }
 
 void
@@ -164,50 +97,20 @@ findMapperFamily(const std::string &name)
 }
 
 ResolvedMapperSpec
-resolveMapperSpec(const std::string &spec)
+resolveMapperSpec(const std::string &text)
 {
-    const MapperSpec parsed = MapperSpec::parse(spec);
-
+    const spec::Spec parsed = spec::Spec::parse(MapperFamily::kPrefix, text);
     const MapperFamily *family = findMapperFamily(parsed.family);
     if (!family) {
         std::string known;
         for (const MapperFamily *f : mapperFamilies())
             known += (known.empty() ? "" : ", ") + f->name;
-        throw std::invalid_argument(
-            "bad mapper spec '" + spec + "': unknown family '" +
-            parsed.family + "'; registered families are " + known);
+        spec::error(text, "unknown family '" + parsed.family +
+                              "'; registered families are " + known);
     }
-
-    // Every written parameter must exist in the schema.
-    for (const auto &[key, value] : parsed.params) {
-        bool known = false;
-        for (const auto &p : family->params)
-            known = known || p.key == key;
-        if (!known) {
-            std::string keys;
-            for (const auto &p : family->params)
-                keys += (keys.empty() ? "" : ", ") + p.key;
-            throw std::invalid_argument(
-                "bad mapper spec '" + spec + "': family '" +
-                family->name + "' has no parameter '" + key +
-                "'; known parameters are " +
-                (keys.empty() ? std::string("(none)") : keys));
-        }
-    }
-
-    // Fill schema order: written value (canonicalized) or default.
-    std::vector<std::string> values;
-    values.reserve(family->params.size());
-    for (const auto &p : family->params) {
-        const std::string *written = parsed.find(p.key);
-        if (!written && p.def.empty())
-            throw std::invalid_argument(
-                "bad mapper spec '" + spec + "': family '" +
-                family->name + "' requires parameter '" + p.key + "'");
-        values.push_back(
-            written ? canonicalValue(p, *written, spec) : p.def);
-    }
-    return ResolvedMapperSpec(family, std::move(values));
+    return ResolvedMapperSpec(
+        family, spec::resolveValues(text, parsed, family->name,
+                                    family->params));
 }
 
 std::string
@@ -240,8 +143,8 @@ makeMapper(const std::string &spec, const AddressLayout &layout,
     // string alone names the exact matrix; 0 (the default) inherits.
     std::uint64_t effective = seed;
     for (const auto &p : family.params)
-        if (p.key == "seed" && resolved.u64("seed") != 0)
-            effective = resolved.u64("seed");
+        if (p.key == "seed" && resolved.u("seed") != 0)
+            effective = resolved.u("seed");
 
     XorShiftRng rng(mapperSeed(family, effective));
     BitMatrix m = family.build(resolved, layout, rng);

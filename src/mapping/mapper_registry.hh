@@ -15,8 +15,9 @@
  * rng) to a BIM. `ResolvedMapperSpec` is a spec validated against its
  * family's schema; its `canonical()` form (non-default parameters
  * only, schema order) and FNV-1a `hash()` are the stable identities
- * the on-disk caches key on — exactly the `synth:` workload-spec
- * semantics (`synth/registry.hh`).
+ * the on-disk caches key on. The grammar, schema resolution and
+ * canonical form are the one copy `synth:` workloads share
+ * (`common/spec.hh`).
  *
  * `kBase` ... `kGbim` name the built-in families' canonical specs and
  * `paperMappers()` lists the paper's six in its order.
@@ -50,39 +51,29 @@
 
 #include "bim/bit_matrix.hh"
 #include "common/rng.hh"
+#include "common/spec.hh"
 #include "mapping/address_mapper.hh"
-#include "mapping/mapper_spec.hh"
 
 namespace valley {
 namespace mapping {
 
-class ResolvedMapperSpec;
+/** True iff `name` is a `map:` spec string (by prefix). */
+bool isMapperSpec(const std::string &name);
 
-/** Parameter value types; drive canonicalization. */
-enum class MapperParamKind
-{
-    U64, ///< unsigned integer; canonicalized via parse + reprint
-    Str, ///< free text (no ','); kept verbatim after validation
-};
+struct MapperFamily;
 
-/** One parameter of a mapper family's schema. */
-struct MapperParamSpec
-{
-    std::string key;  ///< [a-z0-9_]+
-    MapperParamKind kind = MapperParamKind::U64;
-    /**
-     * Canonical default text; empty means the parameter is required.
-     * `canonical()` omits parameters whose value equals the default.
-     */
-    std::string def;
-    std::string help; ///< one-liner for --list-mappers
-    /** Optional extra validation; throws std::invalid_argument. */
-    std::function<void(const std::string &value)> validate;
-};
+/**
+ * A mapper spec validated against its family's schema
+ * (`common/spec.hh`): every parameter resolved to canonical text,
+ * defaults filled in. Its `canonical()` form is the cache identity.
+ */
+using ResolvedMapperSpec = spec::Resolved<MapperFamily>;
 
 /** A registered mapper family. */
 struct MapperFamily
 {
+    static constexpr const char *kPrefix = "map:";
+
     std::string name;    ///< registry key, [a-z0-9_]+
     std::string summary; ///< one-liner for --list-mappers
 
@@ -102,7 +93,7 @@ struct MapperFamily
      */
     std::uint64_t seedTag = 0;
 
-    std::vector<MapperParamSpec> params;
+    std::vector<spec::Param> params;
 
     /**
      * Display name of the built mapper — `AddressMapper::name()`,
@@ -121,43 +112,6 @@ struct MapperFamily
                             const AddressLayout &layout,
                             XorShiftRng &rng)>
         build;
-};
-
-/**
- * A mapper spec validated against its family's schema: every
- * parameter resolved to canonical text (defaults filled in).
- */
-class ResolvedMapperSpec
-{
-  public:
-    ResolvedMapperSpec(const MapperFamily *family,
-                       std::vector<std::string> values)
-        : family_(family), values_(std::move(values))
-    {
-    }
-
-    const MapperFamily &family() const { return *family_; }
-
-    /** Canonical value of a schema parameter (must exist). */
-    const std::string &value(const std::string &key) const;
-
-    /** `value(key)` parsed as u64 (parameter must be U64-kind). */
-    std::uint64_t u64(const std::string &key) const;
-
-    /**
-     * Canonical spec string: `map:family[,key=value]...` with
-     * default-valued parameters omitted, remaining ones in schema
-     * order. Equal mappers print equal strings; this is the cache
-     * identity.
-     */
-    std::string canonical() const;
-
-    /** FNV-1a 64 of `canonical()` — the stable short identity. */
-    std::uint64_t hash() const;
-
-  private:
-    const MapperFamily *family_;
-    std::vector<std::string> values_; ///< schema order, canonical text
 };
 
 /**

@@ -14,12 +14,15 @@ namespace {
 constexpr Addr region(unsigned idx) { return Addr{idx} << 25; }
 constexpr std::uint64_t kRegionBytes = std::uint64_t{1} << 25;
 
-/** Reject invalid parameter combinations loudly (never truncate). */
+/**
+ * Reject invalid parameter combinations loudly (never truncate);
+ * `synth::make` adds the spec text to the message.
+ */
 void
-require(bool ok, const std::string &family, const std::string &why)
+require(bool ok, const std::string &why)
 {
     if (!ok)
-        throw std::invalid_argument("synth:" + family + ": " + why);
+        throw std::invalid_argument(why);
 }
 
 /**
@@ -93,11 +96,12 @@ makeStream(const ResolvedSpec &spec, double scale)
     const unsigned warps = static_cast<unsigned>(spec.u("warps"));
     const unsigned ipt = static_cast<unsigned>(spec.u("ipt"));
 
-    require(tstride >= 4 && tstride % 4 == 0, "stream",
+    require(tstride >= 4 && tstride % 4 == 0,
             "tstride must be a positive multiple of 4");
-    require(std::uint64_t{n} * tstride <= kRegionBytes, "stream",
+    require(std::uint64_t{n} * tstride <= kRegionBytes,
             "n * tstride exceeds the 32 MB stream region");
-    require(wr >= 0.0 && wr <= 1.0, "stream", "wr must be in [0, 1]");
+    require(wr >= 0.0 && wr <= 1.0, "wr must be in [0, 1]");
+    require(ipt >= 1 && ipt <= 4096, "ipt must be in [1, 4096]");
 
     const Addr src = region(0);
     const Addr dst = region(2);
@@ -144,11 +148,11 @@ makeStrided(const ResolvedSpec &spec, double scale)
     const unsigned rpt = static_cast<unsigned>(spec.u("rpt"));
     const unsigned warps = static_cast<unsigned>(spec.u("warps"));
 
-    require(pitch >= 128 && pitch % 128 == 0, "strided",
+    require(pitch >= 128 && pitch % 128 == 0,
             "pitch must be a positive multiple of 128");
-    require(rpt >= warps && rpt % warps == 0, "strided",
+    require(rpt >= warps && rpt % warps == 0,
             "rpt must be a multiple of warps");
-    require(std::uint64_t{rows} * pitch <= kRegionBytes, "strided",
+    require(std::uint64_t{rows} * pitch <= kRegionBytes,
             "rows * pitch exceeds the 32 MB region");
 
     const Addr va = region(4);
@@ -203,11 +207,10 @@ makeTiled2d(const ResolvedSpec &spec, double scale)
     const bool col_major = spec.s("order") == "col";
     const unsigned warps = static_cast<unsigned>(spec.u("warps"));
 
-    require(nx >= 32 && nx % 32 == 0, "tiled2d",
-            "nx must be a positive multiple of 32");
-    require(tile >= 1 && ny % tile == 0, "tiled2d",
-            "tile must divide ny");
-    require(std::uint64_t{ny} * nx * 4 <= kRegionBytes, "tiled2d",
+    require(nx >= 32 && nx % 32 == 0, "nx must be a positive multiple of 32");
+    require(tile >= 1 && ny % tile == 0, "tile must divide ny");
+    // ny * nx fits 64 bits (both are 32-bit); times 4 might not.
+    require(std::uint64_t{ny} * nx <= kRegionBytes / 4,
             "nx * ny exceeds the 32 MB region");
 
     const unsigned pitch = nx * 4;
@@ -259,17 +262,16 @@ makeStencil3d(const ResolvedSpec &spec, double scale)
     const unsigned halo = static_cast<unsigned>(spec.u("halo"));
     const unsigned warps = static_cast<unsigned>(spec.u("warps"));
 
-    require(nx >= 64 && nx <= 1024 && bits::isPow2(nx), "stencil3d",
+    require(nx >= 64 && nx <= 1024 && bits::isPow2(nx),
             "nx must be a power of two in [64, 1024]");
-    require(halo >= 1 && halo <= 4, "stencil3d",
-            "halo must be in [1, 4]");
-    require(nx % warps == 0, "stencil3d", "warps must divide nx");
+    require(halo >= 1 && halo <= 4, "halo must be in [1, 4]");
+    require(nx % warps == 0, "warps must divide nx");
 
     const Addr pitchY = Addr{nx} * 4;              // pow2: clean bits
     const Addr pitchZ = pitchY * nx;
     const Addr in = region(12);
     const Addr out = region(20); // 8 regions apart: room to grow in z
-    require(pitchZ * n <= 8 * kRegionBytes, "stencil3d",
+    require(pitchZ * n <= 8 * kRegionBytes,
             "nx * nx * n exceeds the 256 MB stencil region");
 
     const unsigned x_blocks = nx / 32;
@@ -331,14 +333,12 @@ makeCsrGather(const ResolvedSpec &spec, double scale)
     const std::uint64_t seed = spec.u("seed");
     const unsigned warps = static_cast<unsigned>(spec.u("warps"));
 
-    require(deg >= 1 && deg <= 64, "csr_gather",
-            "deg must be in [1, 64]");
-    require(bits::isPow2(xmb) && xmb <= 32, "csr_gather",
+    require(deg >= 1 && deg <= 64, "deg must be in [1, 64]");
+    require(bits::isPow2(xmb) && xmb <= 32,
             "xmb must be a power of two <= 32");
-    require(loc >= 0.0 && loc <= 1.0, "csr_gather",
-            "loc must be in [0, 1]");
+    require(loc >= 0.0 && loc <= 1.0, "loc must be in [0, 1]");
     require(std::uint64_t{nodes} * deg * 8 <= kRegionBytes,
-            "csr_gather", "nodes * deg exceeds the values region");
+            "nodes * deg exceeds the values region");
 
     const Addr rp = region(24);
     const Addr cols = region(24) + (Addr{1} << 22);
@@ -414,12 +414,11 @@ makeAttention(const ResolvedSpec &spec, double scale)
     const std::uint64_t seed = spec.u("seed");
     const unsigned warps = static_cast<unsigned>(spec.u("warps"));
 
-    require(dm >= 32 && dm % 32 == 0 && dm <= 512, "attention",
+    require(dm >= 32 && dm % 32 == 0 && dm <= 512,
             "dm must be a multiple of 32 in [32, 512]");
-    require(topk >= 1 && topk <= 256, "attention",
-            "topk must be in [1, 256]");
+    require(topk >= 1 && topk <= 256, "topk must be in [1, 256]");
     const unsigned rb = dm * 4; // row bytes, multiple of 128
-    require(std::uint64_t{seq} * rb <= kRegionBytes, "attention",
+    require(std::uint64_t{seq} * rb <= kRegionBytes,
             "seq * dm exceeds the 32 MB region");
 
     const Addr q = region(1);
@@ -477,11 +476,10 @@ makeHashShuffle(const ResolvedSpec &spec, double scale)
     const std::uint64_t seed = spec.u("seed");
     const unsigned warps = static_cast<unsigned>(spec.u("warps"));
 
-    require(bits::isPow2(fmb) && fmb <= 512, "hash_shuffle",
+    require(bits::isPow2(fmb) && fmb <= 512,
             "fmb must be a power of two <= 512");
-    require(rpw >= 1, "hash_shuffle", "rpw must be >= 1");
-    require(wr >= 0.0 && wr <= 1.0, "hash_shuffle",
-            "wr must be in [0, 1]");
+    require(rpw >= 1 && rpw <= 4096, "rpw must be in [1, 4096]");
+    require(wr >= 0.0 && wr <= 1.0, "wr must be in [0, 1]");
 
     const Addr base = region(0);
     const std::uint64_t mask = (std::uint64_t{fmb} << 20) - 1;
@@ -527,10 +525,9 @@ makePipeline(const ResolvedSpec &spec, double scale)
     const std::uint64_t seed = spec.u("seed");
     const unsigned warps = static_cast<unsigned>(spec.u("warps"));
 
-    require(stages >= 2 && stages <= 4, "pipeline",
-            "stages must be in [2, 4]");
-    require(n <= 2048, "pipeline", "n must be <= 2048");
-    require(n % 32 == 0, "pipeline", "n must be a multiple of 32");
+    require(stages >= 2 && stages <= 4, "stages must be in [2, 4]");
+    require(n <= 2048, "n must be <= 2048");
+    require(n % 32 == 0, "n must be a multiple of 32");
 
     const unsigned pitch = n * 4;
     const unsigned x_blocks = n / 32;

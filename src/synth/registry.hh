@@ -27,81 +27,28 @@
 #include <string>
 #include <vector>
 
-#include "synth/spec.hh"
+#include "common/spec.hh"
 #include "workloads/workload.hh"
 
 namespace valley {
 namespace synth {
 
-/** Parameter value type. */
-enum class ParamKind
-{
-    U64, ///< unsigned integer
-    F64, ///< double
-    Str, ///< identifier from a fixed choice set
-};
-
-/** One schema entry of a family. */
-struct ParamSpec
-{
-    std::string key;
-    ParamKind kind = ParamKind::U64;
-    std::string def;            ///< default, canonical text
-    std::string help;           ///< one-line description
-    std::vector<std::string> choices; ///< Str only: allowed values
-};
+/** True iff `name` is a `synth:` spec string (by prefix). */
+bool isSynthSpec(const std::string &name);
 
 /** One registered scenario family. */
 struct FamilyInfo
 {
+    static constexpr const char *kPrefix = "synth:";
+
     std::string name;           ///< e.g. "stencil3d"
     std::string summary;        ///< one-line description
     bool typicallyValley = false; ///< default-parameter entropy shape
-    std::vector<ParamSpec> params;
+    std::vector<spec::Param> params;
 };
 
-/**
- * A spec validated against its family schema: every schema key is
- * present with a canonically formatted value.
- */
-class ResolvedSpec
-{
-  public:
-    ResolvedSpec(const FamilyInfo *family,
-                 std::vector<std::pair<std::string, std::string>> values);
-
-    const FamilyInfo &family() const { return *family_; }
-
-    /** All (key, canonical value) pairs in schema order. */
-    const std::vector<std::pair<std::string, std::string>> &
-    values() const
-    {
-        return values_;
-    }
-
-    /** Typed accessors; the key must exist in the schema. */
-    std::uint64_t u(const std::string &key) const;
-    double d(const std::string &key) const;
-    const std::string &s(const std::string &key) const;
-
-    /**
-     * Canonical spec string: `synth:family` plus only the parameters
-     * that differ from their defaults, in schema order. Parsing the
-     * canonical string resolves back to an identical `ResolvedSpec`
-     * (round-trip), so it is the stable workload identity used for
-     * `WorkloadInfo::abbrev` and every cache key.
-     */
-    std::string canonical() const;
-
-    /** FNV-1a hash of `canonical()` — stable across runs/platforms. */
-    std::uint64_t hash() const;
-
-  private:
-    const std::string &raw(const std::string &key) const;
-
-    const FamilyInfo *family_;
-    std::vector<std::pair<std::string, std::string>> values_;
-};
+/** A spec validated against its family schema (`common/spec.hh`). */
+using ResolvedSpec = spec::Resolved<FamilyInfo>;
 
 /** All registered families, listing order. */
 const std::vector<FamilyInfo> &families();
@@ -110,13 +57,14 @@ const std::vector<FamilyInfo> &families();
 const FamilyInfo *findFamily(const std::string &name);
 
 /**
- * Resolve a parsed spec against its family schema. Throws
- * `std::invalid_argument` on an unknown family, unknown key, or a
- * value that fails to parse/validate for its kind.
+ * Parse a spec string and resolve it against its family schema.
+ * Throws `std::invalid_argument` (naming the spec) on a grammar
+ * error, an unknown family or key, a value that fails to parse for
+ * its kind, or a shared parameter out of range: `warps` outside
+ * [1, 32], `gap` above 65535, any other integer but `seed` above
+ * 2^32 - 1 (generators read them as 32 bits), `ipr` <= 0 or `scale`
+ * outside (0, 1].
  */
-ResolvedSpec resolve(const SynthSpec &spec);
-
-/** Convenience: parse + resolve a spec string. */
 ResolvedSpec resolve(const std::string &spec_string);
 
 /**
@@ -124,6 +72,8 @@ ResolvedSpec resolve(const std::string &spec_string);
  * own `scale` parameter (both in (0, 1]); the workload's
  * `WorkloadInfo::abbrev` is the canonical spec (without the external
  * `scale`, which callers pass alongside, mirroring Table II usage).
+ * Throws like `resolve`, and names the spec when the generator
+ * rejects a parameter combination (e.g. `ipt` outside [1, 4096]).
  */
 std::unique_ptr<Workload> make(const std::string &spec_string,
                                double scale = 1.0);

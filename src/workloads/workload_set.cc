@@ -6,8 +6,8 @@
 #include <stdexcept>
 
 #include "common/fnv.hh"
+#include "common/spec.hh"
 #include "synth/registry.hh"
-#include "synth/spec.hh"
 
 namespace valley {
 namespace workloads {
@@ -74,45 +74,10 @@ WorkloadSet::WorkloadSet(std::vector<std::string> members)
     hash_ = bits::fnv1a(key_);
 }
 
-std::vector<std::string>
-WorkloadSet::splitList(const std::string &list)
-{
-    std::vector<std::string> members;
-    std::string fragment;
-    std::size_t start = 0;
-    while (start <= list.size()) {
-        const std::size_t comma = list.find(',', start);
-        const std::size_t end =
-            comma == std::string::npos ? list.size() : comma;
-        fragment = list.substr(start, end - start);
-        if (!fragment.empty()) {
-            // `key=value` fragments are synth spec parameters split
-            // off by the comma scan: glue them back onto the
-            // preceding synth member.
-            if (fragment.find('=') != std::string::npos &&
-                !synth::isSynthSpec(fragment)) {
-                if (members.empty() ||
-                    !synth::isSynthSpec(members.back()))
-                    throw std::invalid_argument(
-                        "WorkloadSet: parameter fragment \"" +
-                        fragment + "\" without a preceding synth: "
-                        "member");
-                members.back() += ',' + fragment;
-            } else {
-                members.push_back(fragment);
-            }
-        }
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return members;
-}
-
 WorkloadSet
 WorkloadSet::parse(const std::string &list)
 {
-    return WorkloadSet(splitList(list));
+    return WorkloadSet(spec::splitList(list));
 }
 
 std::string

@@ -65,22 +65,11 @@ class WorkloadSet
 
     /**
      * Parse a comma-separated member list, e.g.
-     * `"MT,LU,synth:hash_shuffle,fmb=64,tbs=32"`. Because synth spec
-     * parameters also use commas, a fragment of the form `key=value`
-     * is re-attached to the preceding `synth:` member rather than
-     * starting a new one (Table II abbreviations never contain '=').
+     * `"MT,LU,synth:hash_shuffle,fmb=64,tbs=32"`, split by
+     * `spec::splitList`: a `key=value` fragment is a parameter of the
+     * preceding `synth:` member, not a member of its own.
      */
     static WorkloadSet parse(const std::string &list);
-
-    /**
-     * The raw member-splitting step of `parse`, exposed separately:
-     * the member strings in *input order*, before canonicalization,
-     * sorting or deduplication. This is the order a user's positional
-     * side-channel data (e.g. `valley_search --weights`) refers to,
-     * which `canonicalMemberWeights` then maps onto the canonical
-     * `members()` order.
-     */
-    static std::vector<std::string> splitList(const std::string &list);
 
     /** Canonical members, sorted; the set's defining order. */
     const std::vector<std::string> &members() const { return members_; }

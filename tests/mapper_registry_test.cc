@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the string-keyed mapper registry
- * (`mapping/mapper_registry`): spec grammar round trips, canonical
- * forms and hash stability, schema validation diagnostics (unknown
- * family/parameter listing the registered keys), duplicate
+ * (`mapping/mapper_registry`): canonical forms and hash stability,
+ * schema validation diagnostics (unknown family/parameter listing
+ * the registered keys), duplicate
  * registration rejection, and the pinned spec, display name and
  * seed tag of every built-in family.
  */
@@ -17,7 +17,6 @@
 
 #include "mapping/address_layout.hh"
 #include "mapping/mapper_registry.hh"
-#include "mapping/mapper_spec.hh"
 
 using namespace valley;
 
@@ -56,29 +55,6 @@ probeFamily(const std::string &name)
 }
 
 } // namespace
-
-TEST(MapperSpec, ParsePrintRoundTrips)
-{
-    const auto s =
-        mapping::MapperSpec::parse("map:perm,order=RoCoBaCh");
-    EXPECT_EQ(s.family, "perm");
-    ASSERT_EQ(s.params.size(), 1u);
-    EXPECT_EQ(s.params[0].first, "order");
-    EXPECT_EQ(s.params[0].second, "RoCoBaCh");
-    EXPECT_EQ(s.print(), "map:perm,order=RoCoBaCh");
-}
-
-TEST(MapperSpec, GrammarErrorsCarryTheOffendingSpec)
-{
-    // Every diagnostic names the spec it was parsing.
-    for (const char *bad :
-         {"map:", "map:PAE", "map:pae,seed", "map:pae,=1",
-          "map:pae,seed=1,seed=2", "map:pae,,seed=1", "pae"}) {
-        const std::string msg = errorOf(
-            [&] { mapping::MapperSpec::parse(bad); });
-        EXPECT_NE(msg.find(bad), std::string::npos) << msg;
-    }
-}
 
 TEST(MapperRegistry, BuiltinFamiliesAreRegistered)
 {

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the synthetic scenario generator (`src/synth/`): spec
- * grammar and canonicalization, registry integrity, generator
+ * canonicalization and range checks, registry integrity, generator
  * determinism across runs and thread counts, the line-alignment
  * invariant every family must uphold, the entropy shapes the families
  * advertise, and the `workloads::make` fallthrough (including the
@@ -16,7 +16,6 @@
 #include "common/types.hh"
 #include "search/searched_bim.hh"
 #include "synth/registry.hh"
-#include "synth/spec.hh"
 #include "workloads/profiler.hh"
 
 using namespace valley;
@@ -36,35 +35,6 @@ smallSpecs()
 } // namespace
 
 // ---------------------------------------------------------------- spec
-
-TEST(SynthSpec, ParsePrintRoundTrip)
-{
-    const auto s =
-        synth::SynthSpec::parse("synth:stencil3d,n=96,halo=1");
-    EXPECT_EQ(s.family, "stencil3d");
-    ASSERT_EQ(s.params.size(), 2u);
-    EXPECT_EQ(s.params[0].first, "n");
-    EXPECT_EQ(s.params[0].second, "96");
-    EXPECT_EQ(s.print(), "synth:stencil3d,n=96,halo=1");
-}
-
-TEST(SynthSpec, RejectsMalformedSpecs)
-{
-    EXPECT_THROW(synth::SynthSpec::parse("stencil3d"),
-                 std::invalid_argument);
-    EXPECT_THROW(synth::SynthSpec::parse("synth:"),
-                 std::invalid_argument);
-    EXPECT_THROW(synth::SynthSpec::parse("synth:st encil"),
-                 std::invalid_argument);
-    EXPECT_THROW(synth::SynthSpec::parse("synth:stream,n"),
-                 std::invalid_argument);
-    EXPECT_THROW(synth::SynthSpec::parse("synth:stream,n="),
-                 std::invalid_argument);
-    EXPECT_THROW(synth::SynthSpec::parse("synth:stream,=4"),
-                 std::invalid_argument);
-    EXPECT_THROW(synth::SynthSpec::parse("synth:stream,n=1,n=2"),
-                 std::invalid_argument);
-}
 
 TEST(SynthSpec, ResolveCanonicalizesValuesAndOrder)
 {
@@ -124,11 +94,49 @@ TEST(SynthSpec, ResolveRejectsBadInput)
                  std::invalid_argument);
     EXPECT_THROW(synth::resolve("synth:stream,warps=64"),
                  std::invalid_argument);
+    // Integers wider than the 32 bits generators read would alias a
+    // smaller value under a different canonical identity; so would a
+    // gap wider than `MemInstr::gap`. The seed is read as 64 bits.
+    EXPECT_THROW(synth::resolve("synth:stream,tstride=4294967300"),
+                 std::invalid_argument);
+    EXPECT_THROW(synth::resolve("synth:stream,n=4294967296"),
+                 std::invalid_argument);
+    EXPECT_THROW(synth::resolve("synth:stream,ipt=18446744073709551615"),
+                 std::invalid_argument);
+    EXPECT_THROW(synth::resolve("synth:stream,gap=70000"),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(synth::resolve("synth:stream,gap=65535"));
+    EXPECT_NO_THROW(
+        synth::resolve("synth:hash_shuffle,seed=18446744073709551615"));
+    // A zero divisor (ipt=0, or warps * ipt wrapping to 0) would die
+    // with SIGFPE, which no retry or poisoning can catch.
+    EXPECT_THROW(synth::make("synth:stream,ipt=0", 1.0),
+                 std::invalid_argument);
+    EXPECT_THROW(synth::make("synth:stream,ipt=536870912", 1.0),
+                 std::invalid_argument);
+    EXPECT_THROW(synth::make("synth:stream,ipt=4097", 1.0),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(synth::make("synth:stream,ipt=4096", 1.0));
+    EXPECT_THROW(synth::make("synth:hash_shuffle,rpw=0", 1.0),
+                 std::invalid_argument);
+    EXPECT_THROW(synth::make("synth:hash_shuffle,rpw=4097", 1.0),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(synth::make("synth:hash_shuffle,rpw=4096", 1.0));
     // Out-of-range geometry is rejected at build time, not truncated.
     EXPECT_THROW(synth::make("synth:stencil3d,nx=100", 1.0),
                  std::invalid_argument);
     EXPECT_THROW(synth::make("synth:hash_shuffle,fmb=100", 1.0),
                  std::invalid_argument);
+    // A region check whose product wraps at 2^64 (4 * 2^31 * 2^31)
+    // must still reject, and for the right reason.
+    try {
+        synth::make("synth:tiled2d,nx=2147483648,ny=2147483648", 1.0);
+        ADD_FAILURE() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("exceeds the 32 MB region"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 // ------------------------------------------------------------ registry

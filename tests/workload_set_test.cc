@@ -114,16 +114,6 @@ TEST(WorkloadSet, BuildsEveryMemberInCanonicalOrder)
     EXPECT_EQ(wls[2]->info().abbrev, "synth:strided");
 }
 
-TEST(WorkloadSet, SplitListPreservesInputOrder)
-{
-    const auto raw = WorkloadSet::splitList(
-        "MT,synth:hash_shuffle,fmb=64,LU");
-    ASSERT_EQ(raw.size(), 3u);
-    EXPECT_EQ(raw[0], "MT");
-    EXPECT_EQ(raw[1], "synth:hash_shuffle,fmb=64");
-    EXPECT_EQ(raw[2], "LU");
-}
-
 TEST(WorkloadSet, CanonicalMemberWeightsFollowTheSort)
 {
     // Input order MT,LU — canonical order LU,MT: the weights must

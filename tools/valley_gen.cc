@@ -134,11 +134,10 @@ printFamilies()
                     f.typicallyValley ? " [valley]" : "");
         TextTable t;
         t.setHeader({"param", "type", "default", "description"});
-        for (const synth::ParamSpec &p : f.params) {
-            std::string kind =
-                p.kind == synth::ParamKind::U64   ? "int"
-                : p.kind == synth::ParamKind::F64 ? "float"
-                                                  : "choice";
+        for (const spec::Param &p : f.params) {
+            std::string kind = p.kind == spec::Kind::U64   ? "int"
+                               : p.kind == spec::Kind::F64 ? "float"
+                                                           : "choice";
             std::string help = p.help;
             if (!p.choices.empty()) {
                 help += " (";

@@ -29,6 +29,7 @@
 
 #include "common/cancellation.hh"
 #include "common/metrics.hh"
+#include "common/spec.hh"
 #include "common/trace_span.hh"
 #include "harness/experiment.hh"
 #include "harness/grid_journal.hh"
@@ -146,24 +147,15 @@ usageError(const std::string &msg)
     std::exit(1);
 }
 
+/** A comma list flag's members (`spec::splitList`); usage error if bad. */
 std::vector<std::string>
-splitList(const std::string &s)
+listArg(const char *flag, const char *value)
 {
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= s.size()) {
-        const auto sep = s.find(',', start);
-        const std::string item =
-            s.substr(start, sep == std::string::npos
-                                ? std::string::npos
-                                : sep - start);
-        if (!item.empty())
-            out.push_back(item);
-        if (sep == std::string::npos)
-            break;
-        start = sep + 1;
+    try {
+        return spec::splitList(value);
+    } catch (const std::exception &e) {
+        usageError(std::string(flag) + ": " + e.what());
     }
-    return out;
 }
 
 /**
@@ -310,29 +302,17 @@ main(int argc, char **argv)
             std::fputs(kHelp, stdout);
             return 0;
         } else if (arg == "--workloads") {
-            cli.grid.workloads = splitList(need(i, "--workloads"));
+            cli.grid.workloads =
+                listArg("--workloads", need(i, "--workloads"));
         } else if (arg == "--schemes") {
             cli.grid.mappers.clear();
-            // A key=value token attaches to the preceding map: spec
-            // (same list grammar as valley_search --set for synth:
-            // members) — the spec's own commas were just split.
-            std::vector<std::string> merged;
             for (const std::string &s :
-                 splitList(need(i, "--schemes"))) {
-                if (!merged.empty() &&
-                    mapping::isMapperSpec(merged.back()) &&
-                    !mapping::isMapperSpec(s) &&
-                    s.find('=') != std::string::npos)
-                    merged.back() += "," + s;
-                else
-                    merged.push_back(s);
-            }
-            for (const std::string &s : merged)
+                 listArg("--schemes", need(i, "--schemes")))
                 cli.grid.mappers.push_back(parseMapper(s));
         } else if (arg == "--layouts") {
             cli.grid.layouts.clear();
             for (const std::string &l :
-                 splitList(need(i, "--layouts"))) {
+                 listArg("--layouts", need(i, "--layouts"))) {
                 try {
                     cli.grid.layouts.push_back(
                         mapping::canonicalLayoutSpec(l));

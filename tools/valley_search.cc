@@ -39,6 +39,7 @@
 #include "bim/compiled_transform.hh"
 #include "common/bitops.hh"
 #include "common/metrics.hh"
+#include "common/spec.hh"
 #include "common/table.hh"
 #include "common/trace_span.hh"
 #include "mapping/layout_registry.hh"
@@ -496,7 +497,7 @@ main(int argc, char **argv)
                 start = comma + 1;
             }
             weights = workloads::canonicalMemberWeights(
-                workloads::WorkloadSet::splitList(o.set), raw_weights);
+                spec::splitList(o.set), raw_weights);
         }
     } catch (const std::exception &e) {
         usageError(e.what());
