@@ -1,14 +1,14 @@
 /**
  * @file
- * Cooperative cancellation and wall-clock deadlines for the
- * self-healing execution layer.
+ * Cooperative cancellation and wall-clock deadlines for grids and
+ * searches.
  *
- * Long-running work (grids, searches) cannot be preempted safely —
- * a cell mid-simulation owns caches, journals and pool slots — so
- * cancellation here is *cooperative*: the worker polls a
+ * Long-running work cannot be preempted safely — a simulation owns
+ * its machine state, a grid cell its result slot and pool worker —
+ * so cancellation here is *cooperative*: the worker polls a
  * `CancelToken` at its natural checkpoint boundaries (one grid cell,
- * one pool task, one search move) and winds down gracefully. Two
- * things make a token fire:
+ * one pool task, one search move, every 4096 simulated SM cycles)
+ * and winds down. Two things make a token fire:
  *
  *  - an explicit `cancel()` — e.g. the SIGINT/SIGTERM handler of
  *    `tools/valley_grid`, which is why `cancel()` is a single atomic
@@ -24,13 +24,15 @@
  * deadline is armed, one clock read — cheap enough for per-move
  * polling in the search.
  *
- * Degradation contract (the "never a throw" rule): consumers return
- * a *valid partial answer* — `BimSearch` its best incumbent, `runGrid`
- * its finished cells — so they poll `cancelled()` and degrade,
- * flagging the result (`SearchStats::deadlineHit`, the grid report's
- * deadline-missed cells). Wall-clock deadlines are inherently
- * nondeterministic; bit-identical tests use explicit `cancel()` or
- * the counted `maxEvaluations` budget instead.
+ * Degradation contract. A consumer that has a valid partial answer
+ * returns it and flags it: `BimSearch` its best incumbent
+ * (`SearchStats::deadlineHit`), `runGrid` its finished cells. A
+ * simulation has no partial answer — half a run's cycle count means
+ * nothing — so `GpuSystem::run` throws `Cancelled` instead, and
+ * `runGrid` catches it and reports the cell deadline-missed (never
+ * cached). Wall-clock deadlines are inherently nondeterministic;
+ * bit-identical tests use explicit `cancel()` or the counted
+ * `maxEvaluations` budget instead.
  */
 
 #ifndef VALLEY_COMMON_CANCELLATION_HH
@@ -41,6 +43,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 
 namespace valley {
 
@@ -171,6 +174,16 @@ class CancelToken
     };
 
     std::shared_ptr<State> state_;
+};
+
+/**
+ * Thrown by work that has no partial answer (`GpuSystem::run`) when
+ * its token fires mid-run.
+ */
+class Cancelled : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
 };
 
 } // namespace valley

@@ -2,7 +2,7 @@
  * @file
  * Process-wide metrics registry: named counters, gauges, and
  * fixed-bucket latency histograms shared by every subsystem
- * (grid harness, caches, search, thread pool, supervisor).
+ * (grid harness, caches, search, thread pool).
  *
  * ## Sharding model
  *

@@ -28,8 +28,7 @@ struct Event
     std::string name;
     const char *cat;
     std::uint64_t beginNs;
-    std::uint64_t durNs; ///< 0 and phase 'i' for instant events
-    char phase;
+    std::uint64_t durNs;
 };
 
 /**
@@ -185,16 +184,12 @@ flush()
             out << (first ? "\n" : ",\n");
             first = false;
             out << "{\"name\": \"" << jsonEscape(e.name)
-                << "\", \"cat\": \"" << e.cat << "\", \"ph\": \""
-                << e.phase << "\", \"ts\": " << e.beginNs / 1000
-                << "." << (e.beginNs % 1000) / 100;
-            if (e.phase == 'X')
-                out << ", \"dur\": " << e.durNs / 1000 << "."
-                    << (e.durNs % 1000) / 100;
-            else
-                out << ", \"s\": \"t\"";
-            out << ", \"pid\": " << pid << ", \"tid\": " << bp->tid
-                << "}";
+                << "\", \"cat\": \"" << e.cat
+                << "\", \"ph\": \"X\", \"ts\": " << e.beginNs / 1000
+                << "." << (e.beginNs % 1000) / 100
+                << ", \"dur\": " << e.durNs / 1000 << "."
+                << (e.durNs % 1000) / 100 << ", \"pid\": " << pid
+                << ", \"tid\": " << bp->tid << "}";
         }
         dropped += bp->dropped;
         bp->ring.clear();
@@ -249,14 +244,6 @@ resetForTesting()
     }
 }
 
-void
-instant(const char *name, const char *cat)
-{
-    if (!enabled())
-        return;
-    append(Event{name, cat, nowNs(), 0, 'i'});
-}
-
 namespace detail {
 
 std::uint64_t
@@ -270,7 +257,7 @@ spanEnd(std::string &&name, const char *cat, std::uint64_t beginNs)
 {
     const std::uint64_t end = nowNs();
     append(Event{std::move(name), cat, beginNs,
-                 end > beginNs ? end - beginNs : 0, 'X'});
+                 end > beginNs ? end - beginNs : 0});
 }
 
 } // namespace detail

@@ -84,12 +84,6 @@ std::size_t pendingEventCountForTesting();
 /** Drop buffers, disable, forget the path (testing). */
 void resetForTesting();
 
-/**
- * Record an instant event ("ph":"i") — a point marker, e.g. a
- * supervisor restart. No-op when disabled.
- */
-void instant(const char *name, const char *cat);
-
 namespace detail {
 /// Out-of-line slow path: stamp the begin time. Returns the
 /// begin timestamp (ns since trace epoch).

@@ -453,7 +453,7 @@ GpuSystem::sampleMetrics()
 }
 
 RunResult
-GpuSystem::run(const Workload &workload)
+GpuSystem::run(const Workload &workload, const CancelToken *cancel)
 {
     // ---- reset all run state ------------------------------------------
     sms.assign(cfg.numSms, Sm{});
@@ -513,6 +513,9 @@ GpuSystem::run(const Workload &workload)
         dispatchTbs(k);
 
         while (tbDone < k.numTbs()) {
+            if (cycle % kCancelPollCycles == 0 && cancel &&
+                cancel->cancelled())
+                throw Cancelled("GpuSystem: cancelled in " + k.name());
             ++cycle;
             if (cycle >= cfg.maxCycles)
                 throw std::runtime_error("GpuSystem: cycle budget "

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "cache/set_assoc_cache.hh"
+#include "common/cancellation.hh"
 #include "common/ring_buffer.hh"
 #include "dram/dram_system.hh"
 #include "gpu/run_result.hh"
@@ -45,8 +46,17 @@ class GpuSystem
   public:
     GpuSystem(const SimConfig &cfg, const AddressMapper &mapper);
 
-    /** Simulate a workload to completion and report all metrics. */
-    RunResult run(const Workload &workload);
+    /**
+     * Simulate a workload to completion and report all metrics.
+     * With `cancel`, the token is polled every `kCancelPollCycles` SM
+     * cycles and a fired token throws `Cancelled`; an unfired token
+     * changes nothing in the result.
+     */
+    RunResult run(const Workload &workload,
+                  const CancelToken *cancel = nullptr);
+
+    /** SM cycles between two polls of `run`'s cancel token. */
+    static constexpr Cycle kCancelPollCycles = 4096;
 
   private:
     // ---- static runtime structures -----------------------------------

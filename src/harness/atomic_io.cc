@@ -12,7 +12,6 @@
 #include <sstream>
 #include <vector>
 
-#include "common/fault_inject.hh"
 #include "common/fnv.hh"
 #include "common/metrics.hh"
 #include "harness/result_cache.hh"
@@ -78,8 +77,7 @@ lockPathFor(const std::string &path)
  * contract.
  *
  * The lock file is a *dotfile* (`.<basename>.lock`) so directory
- * scans for data files (e.g. the journal's `grid_journal_*` glob)
- * never pick it up as an empty data file.
+ * scans for data files never pick it up as an empty data file.
  *
  * Acquisition verifies the locked inode: `cleanStaleLock` may unlink
  * the lock file between our open(2) and flock(2), in which case we
@@ -183,7 +181,6 @@ cleanStaleLock(const std::string &path)
 bool
 atomicAppend(const std::string &path, std::string_view data)
 {
-    fault::maybeInject("cache_write");
     ensureParentDir(path);
     // The flock (not O_APPEND, which already prevents intra-record
     // tearing) is what keeps this append from racing a concurrent

@@ -1,10 +1,11 @@
 /**
  * @file
- * Crash-consistent file primitives shared by every on-disk cache and
- * the grid journal.
+ * Crash-consistent file primitives shared by every on-disk cache.
+ * They are what lets a killed `--cache` grid resume: every finished
+ * cell is already one whole, checksummed record on disk.
  *
- * Three failure modes motivated this layer (ISSUE 6, "mega-grid
- * resilience"): two bench binaries appending to the same CSV can
+ * Three failure modes motivated this layer: two bench binaries
+ * appending to the same CSV can
  * interleave buffered writes and tear a line; a process killed
  * mid-append leaves a truncated tail; and a single corrupt line used
  * to poison — or abort — every later run that loaded the file. The
@@ -49,10 +50,6 @@ namespace harness {
  * read pass and its quarantine rewrite (where it would be silently
  * dropped). Best-effort: returns false on I/O failure (a lost append
  * only loses memoization, never correctness).
- *
- * This is also the `cache_write` fault-injection site
- * (`fault::maybeInject`), so tests and `bench/resume_smoke` can kill
- * a run at the Nth persisted record deterministically.
  */
 bool atomicAppend(const std::string &path, std::string_view data);
 

@@ -4,20 +4,15 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <map>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
-#include "common/fault_inject.hh"
 #include "common/metrics.hh"
 #include "common/stats.hh"
 #include "common/thread_pool.hh"
 #include "common/trace_span.hh"
 #include "harness/atomic_io.hh"
-#include "harness/grid_journal.hh"
 #include "harness/result_cache.hh"
 #include "mapping/layout_registry.hh"
 #include "mapping/mapper_registry.hh"
@@ -30,9 +25,15 @@ namespace harness {
 
 namespace {
 
-/** Search options every searched-scheme grid cell uses. */
+/**
+ * Search options every searched-scheme grid cell uses. A search the
+ * token cuts short is never cached, and the simulation after it
+ * throws `Cancelled` at its first poll, so no result comes from a
+ * truncated matrix.
+ */
 search::SearchOptions
-cellSearchOptions(const SimConfig &config, std::uint64_t bim_seed)
+cellSearchOptions(const SimConfig &config, std::uint64_t bim_seed,
+                  const CancelToken *cancel)
 {
     // Restarts stay serial here — grid cells already fan out over the
     // harness thread pool — and the search is deterministic in
@@ -42,6 +43,7 @@ cellSearchOptions(const SimConfig &config, std::uint64_t bim_seed)
     so.seed = bim_seed;
     so.window = config.numSms;
     so.threads = 1;
+    so.cancel = cancel;
     return so;
 }
 
@@ -83,30 +85,18 @@ cellCacheKey(const SimConfig &config, const std::string &mapper_spec,
             : workload;
     // Free-form and spec-bearing fields are percent-escaped: a ','
     // (mapper/synth parameter lists), ';' (key field separator) or
-    // '|' (journal line separator) inside one field can never
-    // collide two different cells onto one identity.
+    // '|' (record separator) inside one field can never collide two
+    // different cells onto one identity.
     return cacheKey(workloads::escapeSpecField(config.name),
                     workloads::escapeSpecField(workload_key),
                     workloads::escapeSpecField(scheme_id), bim_seed,
                     scale, mapping::layoutIdentity(config.layout));
 }
 
-/** `GridOptions::checkpoint`, overridable by VALLEY_CHECKPOINT. */
-bool
-checkpointEnabled(const GridOptions &opts)
-{
-    if (opts.checkpoint)
-        return true;
-    const char *env = std::getenv("VALLEY_CHECKPOINT");
-    return env && *env && std::string(env) != "0";
-}
-
 /**
- * Everything that makes two grids "the same grid" for resume
- * purposes. Cell keys alone already disambiguate cells, but hashing
- * the identity into the journal *path* keeps each grid's journal
- * self-contained (and lets an unrelated grid start fresh instead of
- * loading thousands of foreign records).
+ * Everything that makes two grids "the same grid": the identity the
+ * grid report is filed under. Cell keys alone already disambiguate
+ * cells; this names the whole run.
  */
 std::string
 gridIdentity(const GridOptions &opts,
@@ -118,7 +108,7 @@ gridIdentity(const GridOptions &opts,
     // which is itself escaped but re-escaped here for uniformity)
     // are percent-escaped so a ';' or ',' inside one of them cannot
     // make two different grids serialize to the same identity and
-    // share a journal file.
+    // share a report file.
     out << workloads::escapeSpecField(opts.config.name) << ';'
         << opts.bimSeed << ';' << opts.scale << ';';
     for (const auto &w : opts.workloads)
@@ -135,11 +125,12 @@ gridIdentity(const GridOptions &opts,
 /** Simulate one workload under an already-built mapper. */
 RunResult
 simulateCell(const SimConfig &config, const AddressMapper &mapper,
-             const std::string &workload, double scale)
+             const std::string &workload, double scale,
+             const CancelToken *cancel)
 {
     const auto wl = workloads::make(workload, scale);
     GpuSystem sim(config, mapper);
-    return sim.run(*wl);
+    return sim.run(*wl, cancel);
 }
 
 } // namespace
@@ -147,7 +138,8 @@ simulateCell(const SimConfig &config, const AddressMapper &mapper,
 RunResult
 runOne(const SimConfig &config, const std::string &mapper_spec,
        const std::string &workload, double scale,
-       std::uint64_t bim_seed, const workloads::WorkloadSet *joint_set)
+       std::uint64_t bim_seed, const workloads::WorkloadSet *joint_set,
+       const CancelToken *cancel)
 {
     const mapping::ResolvedMapperSpec resolved =
         mapping::resolveMapperSpec(mapper_spec);
@@ -159,7 +151,7 @@ runOne(const SimConfig &config, const std::string &mapper_spec,
         // trace planes: the size-1 set, named "SBIM" by default.
         mapper = search::setMapper(
             config.layout, workloads::WorkloadSet({workload}),
-            cellSearchOptions(config, bim_seed), scale);
+            cellSearchOptions(config, bim_seed, cancel), scale);
     } else if (family.name == "gbim") {
         // Global searched mapping: one BIM annealed jointly against
         // the whole set — the deployment story the per-workload SBIM
@@ -171,7 +163,7 @@ runOne(const SimConfig &config, const std::string &mapper_spec,
         const workloads::WorkloadSet fallback({workload});
         mapper = search::setMapper(
             config.layout, joint_set ? *joint_set : fallback,
-            cellSearchOptions(config, bim_seed), scale, "GBIM");
+            cellSearchOptions(config, bim_seed, cancel), scale, "GBIM");
     } else if (family.needsProfiles) {
         throw std::invalid_argument(
             "runOne: " + resolved.canonical() +
@@ -180,14 +172,15 @@ runOne(const SimConfig &config, const std::string &mapper_spec,
         mapper = mapping::makeMapper(mapper_spec, config.layout,
                                      bim_seed);
     }
-    return simulateCell(config, *mapper, workload, scale);
+    return simulateCell(config, *mapper, workload, scale, cancel);
 }
 
 RunResult
 runOneCached(const SimConfig &config, const std::string &mapper_spec,
              const std::string &workload, double scale,
              std::uint64_t bim_seed,
-             const workloads::WorkloadSet *joint_set)
+             const workloads::WorkloadSet *joint_set,
+             const CancelToken *cancel)
 {
     const std::string key = cellCacheKey(config, mapper_spec, workload,
                                          bim_seed, scale, joint_set);
@@ -196,7 +189,7 @@ runOneCached(const SimConfig &config, const std::string &mapper_spec,
         return *hit;
     }
     RunResult r = runOne(config, mapper_spec, workload, scale, bim_seed,
-                         joint_set);
+                         joint_set, cancel);
     resultCache().store(key, r);
     return r;
 }
@@ -339,7 +332,7 @@ normalizeGridAxes(GridOptions &opts)
     for (std::size_t i = 0; i < opts.mappers.size(); ++i) {
         opts.mappers[i] = mapping::canonicalMapperSpec(opts.mappers[i]);
         // Two spellings of one mapper would share a cell identity:
-        // simulated twice, journaled twice, reported twice.
+        // simulated twice, cached twice, reported twice.
         if (std::find(opts.mappers.begin(), opts.mappers.begin() + i,
                       opts.mappers[i]) != opts.mappers.begin() + i)
             throw std::invalid_argument("grid: mapper " +
@@ -353,7 +346,7 @@ namespace {
 /** One resolved entry of the grid's mapper axis. */
 struct MapperAxisEntry
 {
-    std::string spec;  ///< canonical spec (cache/journal identity)
+    std::string spec;  ///< canonical spec (cache identity)
     std::string label; ///< family display name (reports, progress)
     bool gbim = false; ///< shares the grid's one joint searched BIM
 };
@@ -386,6 +379,22 @@ runGrid(GridOptions opts)
         opts.workloads.size(),
         std::vector<RunResult>(axis.size()));
 
+    // The grid's cancellation scope: a child of the caller's token
+    // (so external SIGINT/service cancellation propagates) carrying
+    // this grid's own wall-clock deadline, when one is configured.
+    // Checked before each cell starts and polled by each cell's
+    // search and simulation.
+    CancelToken token =
+        opts.cancel ? opts.cancel->child() : CancelToken();
+    std::uint64_t deadline_ms = opts.deadlineMs;
+    if (deadline_ms == 0) {
+        if (const auto env = CancelToken::envDeadlineMs())
+            deadline_ms = static_cast<std::uint64_t>(env->count());
+    }
+    if (deadline_ms != 0)
+        token.setDeadline(Deadline::after(
+            std::chrono::milliseconds(deadline_ms)));
+
     // One canonical joint set for every GBIM cell of this grid: the
     // explicit override, or the grid's own workload axis — "the best
     // single BIM for the workloads being compared". The searched
@@ -404,57 +413,18 @@ runGrid(GridOptions opts)
         std::call_once(gbim_once, [&] {
             gbim_mapper = search::setMapper(
                 opts.config.layout, *joint,
-                cellSearchOptions(opts.config, opts.bimSeed),
+                cellSearchOptions(opts.config, opts.bimSeed, &token),
                 opts.scale, "GBIM");
         });
         return *gbim_mapper;
     };
 
-    // Checkpoint journal: load once up front (the maps are then
-    // read-only, so parallel cells need no lock), append one record
-    // per finished cell. Resume = skip every journaled cell with its
-    // recorded result — bit-identical because the journal round-trips
-    // doubles exactly. Poisoned cells are skipped with their recorded
-    // reason instead of being re-simulated.
-    const bool checkpoint = checkpointEnabled(opts);
-    const std::string identity = gridIdentity(opts, joint.get());
-    std::unique_ptr<GridJournal> journal;
-    JournalContents done_cells;
-    if (checkpoint) {
-        journal = std::make_unique<GridJournal>(
-            GridJournal::pathFor(identity));
-        done_cells = journal->loadAll();
-    }
-
-    // The grid's cancellation scope: a child of the caller's token
-    // (so external SIGINT/service cancellation propagates) carrying
-    // this grid's own wall-clock deadline, when one is configured.
-    // Checked at cell boundaries only — a started cell always runs
-    // to completion, keeping journaled results deterministic.
-    CancelToken token =
-        opts.cancel ? opts.cancel->child() : CancelToken();
-    std::uint64_t deadline_ms = opts.deadlineMs;
-    if (deadline_ms == 0) {
-        if (const auto env = CancelToken::envDeadlineMs())
-            deadline_ms = static_cast<std::uint64_t>(env->count());
-    }
-    if (deadline_ms != 0)
-        token.setDeadline(Deadline::after(
-            std::chrono::milliseconds(deadline_ms)));
-
-    const unsigned max_attempts = std::max(1u, opts.maxAttempts);
     const std::size_t cells = opts.workloads.size() * axis.size();
     std::atomic<std::size_t> cells_done{0};
-    std::atomic<std::size_t> cells_resumed{0};
 
-    // Registry mirrors of the progress counters above: one source of
-    // truth per event site (each atomic bump below has exactly one
-    // matching registry bump), exported via --metrics / grid_report.
+    // Registry mirrors of the progress counters: one source of truth
+    // per event site, exported via --metrics / grid_report.
     metrics::Counter &m_done = metrics::counter("grid.cells_done");
-    metrics::Counter &m_resumed =
-        metrics::counter("grid.cells_resumed");
-    metrics::Counter &m_retried = metrics::counter("grid.cells_retried");
-    metrics::Counter &m_retries = metrics::counter("grid.cell_retries");
     metrics::Counter &m_poisoned =
         metrics::counter("grid.cells_poisoned");
     metrics::Histogram &m_cell_us = metrics::histogram("grid.cell_us");
@@ -462,10 +432,34 @@ runGrid(GridOptions opts)
     // Per-cell outcome slots for the report: like `results`, each
     // cell writes only its own entry, so no lock is needed.
     std::vector<CellStatus> status(cells, CellStatus::NotRun);
-    std::vector<unsigned> attempts_used(cells, 0);
     std::vector<std::string> fail_reason(cells);
 
+    // GBIM cells simulate under the one shared matrix; the result
+    // cache still short-circuits repeat grids (and, on a full hit,
+    // the search never runs at all).
+    const auto gbimCell = [&](const std::string &w,
+                              const MapperAxisEntry &m) -> RunResult {
+        if (!opts.useCache)
+            return simulateCell(opts.config, sharedGbim(), w,
+                                opts.scale, &token);
+        const std::string key = cellCacheKey(
+            opts.config, m.spec, w, opts.bimSeed, opts.scale, joint.get());
+        if (auto hit = resultCache().lookup(key)) {
+            hit->config = opts.config.name;
+            return *hit;
+        }
+        RunResult r = simulateCell(opts.config, sharedGbim(), w,
+                                   opts.scale, &token);
+        resultCache().store(key, r);
+        return r;
+    };
+
     const auto runCell = [&](std::size_t wi, std::size_t si) {
+        // A cell the token stopped, before it started or while it
+        // ran, stays NotRun (reported deadline-missed) and is never
+        // cached: a cell is either fully simulated or not run.
+        if (token.cancelled())
+            return;
         const std::string &w = opts.workloads[wi];
         const MapperAxisEntry &m = axis[si];
         const std::size_t idx = wi * axis.size() + si;
@@ -473,144 +467,34 @@ runGrid(GridOptions opts)
             trace::enabled() ? "cell " + w + "/" + m.label
                              : std::string(),
             "grid");
-        const std::string key =
-            (checkpoint || opts.useCache)
-                ? cellCacheKey(opts.config, m.spec, w, opts.bimSeed,
-                               opts.scale, joint.get())
-                : std::string();
-        if (checkpoint) {
-            const auto it = done_cells.cells.find(key);
-            if (it != done_cells.cells.end()) {
-                RunResult r = it->second;
-                r.config = opts.config.name;
-                results[wi][si] = std::move(r);
-                status[idx] = CellStatus::Resumed;
-                cells_resumed.fetch_add(1,
-                                        std::memory_order_relaxed);
-                m_resumed.inc();
-                m_done.inc();
-                const std::size_t d = cells_done.fetch_add(1) + 1;
-                if (opts.progress)
-                    std::fprintf(stderr,
-                                 "[grid] %-6s %-5s resumed from "
-                                 "journal (%zu/%zu)\n",
-                                 w.c_str(), m.label.c_str(), d,
-                                 cells);
-                return;
-            }
-            const auto pit = done_cells.poisoned.find(key);
-            if (pit != done_cells.poisoned.end()) {
-                // Quarantined by an earlier run: one pathological
-                // cell costs one skip per sweep, not a fresh crash.
-                status[idx] = CellStatus::Poisoned;
-                fail_reason[idx] = pit->second;
-                m_poisoned.inc();
-                m_done.inc();
-                cells_done.fetch_add(1);
-                if (opts.progress)
-                    std::fprintf(stderr,
-                                 "[grid] %-6s %-5s skipped: poisoned "
-                                 "by earlier run (%s)\n",
-                                 w.c_str(), m.label.c_str(),
-                                 pit->second.c_str());
-                return;
-            }
-        }
-        if (token.cancelled()) {
-            // Deadline/cancellation fired before this cell started:
-            // leave it NotRun (classified DeadlineMissed below) so
-            // the journal never records a rushed or partial result.
-            return;
-        }
         if (opts.progress)
             std::fprintf(stderr, "[grid] %-6s %-5s %s...\n", w.c_str(),
                          m.label.c_str(),
                          opts.config.name.c_str());
         metrics::ScopedTimer cell_timer(m_cell_us);
-        for (unsigned attempt = 1;; ++attempt) {
-            attempts_used[idx] = attempt;
-            try {
-                // Fault-injection site: counts per simulation
-                // *attempt* and skips resumed cells, so a resumed run
-                // with the same VALLEY_FAULT_INJECT spec dies N *new*
-                // attempts further in, not at the same spot forever.
-                fault::maybeInject("grid_cell");
-                if (m.gbim && joint) {
-                    // GBIM cells simulate under the one shared
-                    // matrix; the result cache still short-circuits
-                    // repeat grids (and, on a full hit, the search
-                    // never runs at all).
-                    bool hit_cache = false;
-                    if (opts.useCache) {
-                        if (auto hit = resultCache().lookup(key)) {
-                            hit->config = opts.config.name;
-                            results[wi][si] = *hit;
-                            hit_cache = true;
-                        }
-                    }
-                    if (!hit_cache) {
-                        results[wi][si] = simulateCell(
-                            opts.config, sharedGbim(), w, opts.scale);
-                        if (opts.useCache)
-                            resultCache().store(key,
-                                                results[wi][si]);
-                    }
-                } else {
-                    results[wi][si] =
-                        opts.useCache
-                            ? runOneCached(opts.config, m.spec, w,
-                                           opts.scale, opts.bimSeed,
-                                           joint.get())
-                            : runOne(opts.config, m.spec, w, opts.scale,
-                                     opts.bimSeed, joint.get());
-                }
-                if (checkpoint)
-                    journal->record(key, results[wi][si]);
-                if (attempt > 1) {
-                    status[idx] = CellStatus::Retried;
-                    m_retried.inc();
-                } else {
-                    status[idx] = CellStatus::Ok;
-                }
-                break;
-            } catch (const std::exception &e) {
-                if (attempt < max_attempts && !token.cancelled()) {
-                    m_retries.inc();
-                    // Deterministic exponential backoff: delays only,
-                    // never feeds into any computed result.
-                    if (opts.retryBackoffMs != 0)
-                        std::this_thread::sleep_for(
-                            std::chrono::milliseconds(
-                                static_cast<std::uint64_t>(
-                                    opts.retryBackoffMs)
-                                << (attempt - 1)));
-                    if (opts.progress)
-                        std::fprintf(stderr,
-                                     "[grid] %-6s %-5s attempt %u "
-                                     "failed (%s), retrying\n",
-                                     w.c_str(), m.label.c_str(),
-                                     attempt, e.what());
-                    continue;
-                }
-                if (!opts.poison)
-                    throw; // historical contract: first failure aborts
-                // Crash-consistency invariant 5: quarantine the cell
-                // in the journal BEFORE surfacing the failure, so a
-                // kill right here cannot lose the decision and make
-                // the next run crash on the same cell again.
-                if (checkpoint)
-                    journal->recordPoisoned(key, e.what());
-                status[idx] = CellStatus::Poisoned;
-                m_poisoned.inc();
-                fail_reason[idx] = e.what();
-                if (opts.progress)
-                    std::fprintf(stderr,
-                                 "[grid] %-6s %-5s poisoned after %u "
-                                 "attempt(s): %s\n",
-                                 w.c_str(), m.label.c_str(),
-                                 attempt, e.what());
-                break;
-            }
+        try {
+            if (m.gbim)
+                results[wi][si] = gbimCell(w, m);
+            else if (opts.useCache)
+                results[wi][si] = runOneCached(
+                    opts.config, m.spec, w, opts.scale, opts.bimSeed,
+                    joint.get(), &token);
+            else
+                results[wi][si] =
+                    runOne(opts.config, m.spec, w, opts.scale,
+                           opts.bimSeed, joint.get(), &token);
+            status[idx] = CellStatus::Ok;
+        } catch (const Cancelled &) {
+            return;
+        } catch (const std::exception &e) {
+            if (!opts.poison)
+                throw; // the figure drivers abort on the first failure
+            status[idx] = CellStatus::Poisoned;
+            m_poisoned.inc();
+            fail_reason[idx] = e.what();
+            if (opts.progress)
+                std::fprintf(stderr, "[grid] %-6s %-5s poisoned: %s\n",
+                             w.c_str(), m.label.c_str(), e.what());
         }
         m_done.inc();
         const std::size_t d = cells_done.fetch_add(1) + 1;
@@ -635,15 +519,14 @@ runGrid(GridOptions opts)
             for (std::size_t si = 0; si < axis.size(); ++si)
                 pool.submit([&runCell, wi, si] { runCell(wi, si); });
         // The token lets the pool skip (claim-and-retire) cells that
-        // have not started when the deadline fires; runCell's own
-        // cancelled() check classifies them below.
+        // have not started when it fires; they stay NotRun.
         pool.run(&token);
         steals = pool.stealCount();
     }
 
-    // Classify cells the deadline prevented from starting.
+    // Classify cells the token stopped.
     GridReport report;
-    report.gridId = gridIdHex(identity);
+    report.gridId = gridIdHex(gridIdentity(opts, joint.get()));
     report.steals = steals;
     report.quarantinedLines = quarantinedLineCount();
     report.deadlineHit = token.cancelled();
@@ -657,7 +540,6 @@ runGrid(GridOptions opts)
             c.status = status[idx] == CellStatus::NotRun
                            ? CellStatus::DeadlineMissed
                            : status[idx];
-            c.attempts = attempts_used[idx];
             c.reason = fail_reason[idx];
             report.cells.push_back(std::move(c));
         }
@@ -673,11 +555,10 @@ runGrid(GridOptions opts)
 
     if (opts.progress)
         std::fprintf(stderr,
-                     "[grid] done: %zu/%zu cells (%zu resumed, "
-                     "%zu retried, %zu poisoned, %zu deadline-missed, "
-                     "%llu stolen, %llu cache lines quarantined)\n",
-                     cells_done.load(), cells, cells_resumed.load(),
-                     report.retried, report.poisoned,
+                     "[grid] done: %zu/%zu cells (%zu poisoned, "
+                     "%zu deadline-missed, %llu stolen, "
+                     "%llu cache lines quarantined)\n",
+                     cells_done.load(), cells, report.poisoned,
                      report.deadlineMissed,
                      static_cast<unsigned long long>(steals),
                      static_cast<unsigned long long>(

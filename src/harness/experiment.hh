@@ -51,23 +51,19 @@ struct GridOptions
 
     /**
      * Log progress to stderr: one line per launched cell, a running
-     * cells-done / total counter with resume-skip counts, and a final
-     * summary including work-steal and cache-quarantine counters.
+     * cells-done / total counter, and a final summary including
+     * work-steal and cache-quarantine counters.
      */
     bool progress = false;
-    bool useCache = false;               ///< memoize via result_cache
 
     /**
-     * Checkpoint every finished cell to a per-grid journal
-     * (`GridJournal`) and, on the next run of the same grid, resume
-     * by skipping every journaled cell — bit-identically, whether the
-     * previous run was interrupted mid-grid or completed.
-     * `VALLEY_CHECKPOINT=1` in the environment turns this on without
-     * touching call sites (any value but "0" counts). Independent of
-     * `useCache`: the journal records *this grid's* cells even when
-     * the global result cache is disabled.
+     * Memoize cells in the on-disk result cache (result_cache.hh)
+     * and serve matching cells from earlier runs. Each cell is stored
+     * as one checksummed record the moment it finishes, so rerunning
+     * a killed `useCache` grid resumes it: finished cells come back
+     * as bit-identical hits and only the rest are simulated.
      */
-    bool checkpoint = false;
+    bool useCache = false;
 
     /**
      * Members of the joint set GBIM cells search against; empty =
@@ -86,36 +82,12 @@ struct GridOptions
     unsigned threads = 0;
 
     /**
-     * Simulation attempts per cell before the cell is given up on
-     * (>= 1; 0 is treated as 1). The default keeps the historical
-     * contract — one attempt, first failure propagates — which the
-     * fault-injection drills (`bench/resume_smoke`) rely on. With
-     * more attempts, a failed attempt is retried after a
-     * deterministic exponential backoff and only the final failure
-     * is surfaced (or quarantined — see `poison`).
-     */
-    unsigned maxAttempts = 1;
-
-    /**
-     * Base of the deterministic exponential retry backoff: attempt k
-     * (1-based) sleeps `retryBackoffMs << (k-1)` milliseconds before
-     * retrying. 0 (default) retries immediately — the right choice
-     * for deterministic in-process faults; nonzero gives transient
-     * environmental faults (ENOSPC, OOM-kill fallout) room to clear.
-     * Backoff only delays; it never changes any computed result.
-     */
-    unsigned retryBackoffMs = 0;
-
-    /**
-     * Quarantine instead of abort: a cell that fails *every* attempt
-     * is journaled as poisoned (when `checkpoint` is on; crash
-     * invariant 5: the mark is written before the failure is
-     * surfaced), recorded in the grid report with its failure
-     * reason, and the grid *continues* — completing with
-     * success-with-degradation (`GridReport::degraded()`) rather
-     * than throwing. Resumed runs skip poisoned cells. Off by
-     * default: the historical behavior (first cell failure aborts
-     * the whole grid) is what the interrupt/resume drills expect.
+     * Capture failures instead of aborting: a cell that throws is
+     * recorded in the grid report as poisoned with the exception
+     * text, and the grid *continues* — completing with
+     * success-with-degradation (`GridReport::degraded()`) rather than
+     * throwing. Off by default: the figure drivers must abort on the
+     * first failure.
      */
     bool poison = false;
 
@@ -129,22 +101,21 @@ struct GridOptions
     /**
      * Wall-clock budget for the whole grid in milliseconds (0 = the
      * `VALLEY_DEADLINE_MS` environment value, or unlimited when that
-     * is unset too). When the budget expires the grid stops
-     * *starting* cells — in-flight cells finish and are journaled
-     * normally, remaining cells are reported deadline-missed — and
-     * returns a degraded grid instead of running over. Checkpointed
-     * journals stay bit-exact because a cell is either fully
-     * simulated or not run at all; which cells made the cut is
-     * wall-clock-dependent, so deterministic tests use explicit
-     * `cancel` tokens instead of deadlines.
+     * is unset too). When the budget expires the grid stops starting
+     * cells and running cells stop at their next token poll (a
+     * search move, or every `GpuSystem::kCancelPollCycles` simulated
+     * cycles); both are reported deadline-missed and never cached,
+     * and the grid returns degraded instead of running over. Which
+     * cells made the cut is wall-clock-dependent, so deterministic
+     * tests use explicit `cancel` tokens instead of deadlines.
      */
     std::uint64_t deadlineMs = 0;
 
     /**
      * Optional external cancellation token (non-owning; must outlive
      * the call). The grid derives a child token from it, so SIGINT
-     * handlers or embedding services can stop a sweep at the next
-     * cell boundary; the deadline above arms the child and therefore
+     * handlers or embedding services can stop a sweep, running cells
+     * included; the deadline above arms the child and therefore
      * composes with (never extends) the parent's own deadline.
      */
     const CancelToken *cancel = nullptr;
@@ -160,19 +131,27 @@ struct GridOptions
  *        searched against (every cell of a grid shares one set, and
  *        therefore one matrix); null = the degenerate singleton
  *        `{workload}`. Ignored by every other family.
+ * @param cancel polled by the searched families' search and by the
+ *        simulation (`GpuSystem::run`), which throws `Cancelled` once
+ *        it fires; null = run to completion.
  */
 RunResult runOne(const SimConfig &config, const std::string &mapper_spec,
                  const std::string &workload, double scale = 1.0,
                  std::uint64_t bim_seed = 1,
-                 const workloads::WorkloadSet *joint_set = nullptr);
+                 const workloads::WorkloadSet *joint_set = nullptr,
+                 const CancelToken *cancel = nullptr);
 
-/** Like runOne, but consults/updates the on-disk result cache. */
+/**
+ * Like runOne, but consults/updates the on-disk result cache. A
+ * cancelled run throws before anything is stored.
+ */
 RunResult runOneCached(const SimConfig &config,
                        const std::string &mapper_spec,
                        const std::string &workload, double scale = 1.0,
                        std::uint64_t bim_seed = 1,
                        const workloads::WorkloadSet *joint_set =
-                           nullptr);
+                           nullptr,
+                       const CancelToken *cancel = nullptr);
 
 /**
  * Results of a workloads x mappers grid with paper-style
@@ -265,7 +244,7 @@ struct LayoutGrid
  * Run the grid once per entry of `opts.layouts` (the whole mapper x
  * workload grid becomes a 3D sweep with the layout axis outermost).
  * Empty `layouts` = one grid on `opts.config.layout`. Each layout's
- * journal/cache identities are distinct: the layout identity is a
+ * cache and report identities are distinct: the layout identity is a
  * first-class field of the cell cache keys and the grid identity.
  */
 std::vector<LayoutGrid> runGrids(GridOptions opts);

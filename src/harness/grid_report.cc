@@ -1,8 +1,10 @@
 #include "harness/grid_report.hh"
 
 #include <algorithm>
+#include <cstdio>
 #include <sstream>
 
+#include "common/fnv.hh"
 #include "common/json.hh"
 #include "common/metrics.hh"
 #include "harness/atomic_io.hh"
@@ -19,14 +21,10 @@ severity(CellStatus s)
 {
     switch (s) {
     case CellStatus::Poisoned:
-        return 5;
-    case CellStatus::DeadlineMissed:
-        return 4;
-    case CellStatus::NotRun:
         return 3;
-    case CellStatus::Retried:
+    case CellStatus::DeadlineMissed:
         return 2;
-    case CellStatus::Resumed:
+    case CellStatus::NotRun:
         return 1;
     case CellStatus::Ok:
         return 0;
@@ -36,6 +34,16 @@ severity(CellStatus s)
 
 } // namespace
 
+std::string
+gridIdHex(const std::string &grid_identity)
+{
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(
+                      bits::fnv1a(grid_identity)));
+    return buf;
+}
+
 const char *
 cellStatusName(CellStatus s)
 {
@@ -44,10 +52,6 @@ cellStatusName(CellStatus s)
         return "not_run";
     case CellStatus::Ok:
         return "ok";
-    case CellStatus::Resumed:
-        return "resumed";
-    case CellStatus::Retried:
-        return "retried";
     case CellStatus::Poisoned:
         return "poisoned";
     case CellStatus::DeadlineMissed:
@@ -71,17 +75,11 @@ GridReport::finalize()
                      [](const CellReport &a, const CellReport &b) {
                          return severity(a.status) > severity(b.status);
                      });
-    ok = resumed = retried = poisoned = deadlineMissed = 0;
+    ok = poisoned = deadlineMissed = 0;
     for (const CellReport &c : cells) {
         switch (c.status) {
         case CellStatus::Ok:
             ++ok;
-            break;
-        case CellStatus::Resumed:
-            ++resumed;
-            break;
-        case CellStatus::Retried:
-            ++retried;
             break;
         case CellStatus::Poisoned:
             ++poisoned;
@@ -106,8 +104,6 @@ GridReport::toJson() const
         << ",\n";
     out << "  \"cells_total\": " << cells.size() << ",\n";
     out << "  \"ok\": " << ok << ",\n";
-    out << "  \"resumed\": " << resumed << ",\n";
-    out << "  \"retried\": " << retried << ",\n";
     out << "  \"poisoned\": " << poisoned << ",\n";
     out << "  \"deadline_missed\": " << deadlineMissed << ",\n";
     out << "  \"steals\": " << steals << ",\n";
@@ -118,7 +114,7 @@ GridReport::toJson() const
         out << "    {\"workload\": \"" << jsonEscape(c.workload)
             << "\", \"scheme\": \"" << jsonEscape(c.scheme)
             << "\", \"status\": \"" << cellStatusName(c.status)
-            << "\", \"attempts\": " << c.attempts;
+            << "\"";
         if (!c.reason.empty())
             out << ", \"reason\": \"" << jsonEscape(c.reason) << "\"";
         out << "}" << (i + 1 < cells.size() ? "," : "") << "\n";

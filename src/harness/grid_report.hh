@@ -5,19 +5,19 @@
  * exactly did it cost?".
  *
  * `runGrid` classifies every (workload, scheme) cell as it retires —
- * ok / resumed-from-journal / retried / poisoned / deadline-missed —
- * and folds the classification, plus the run's quarantine and
- * work-steal counters, into a `GridReport`. The report always exists
- * in memory (the `Grid` carries it, so tests and `tools/valley_grid`
- * can branch on `degraded()`); with `GridOptions::report` it is also
- * written as `cache/grid_report_<grid id>.json` (atomic replace), the
- * artifact CI uploads so a degraded soak run names its casualties
- * without anyone re-running the sweep.
+ * ok / poisoned / deadline-missed — and folds the classification,
+ * plus the run's quarantine and work-steal counters, into a
+ * `GridReport`. The report always exists in memory (the `Grid`
+ * carries it, so tests and `tools/valley_grid` can branch on
+ * `degraded()`); with `GridOptions::report` it is also written as
+ * `cache/grid_report_<grid id>.json` (atomic replace), the artifact
+ * CI uploads so a degraded run names its casualties without anyone
+ * re-running the sweep.
  *
  * Cells are *ranked*: most degraded first (poisoned, then
- * deadline-missed, then retried-but-recovered, then resumed, then
- * clean), ties in grid order — so a human reading the first lines of
- * the JSON sees the problems, not the 95 healthy cells.
+ * deadline-missed, then clean), ties in grid order — so a human
+ * reading the first lines of the JSON sees the problems, not the 95
+ * healthy cells.
  */
 
 #ifndef VALLEY_HARNESS_GRID_REPORT_HH
@@ -30,15 +30,19 @@
 namespace valley {
 namespace harness {
 
+/**
+ * 16-hex-digit FNV-1a hash of a grid identity string: the name the
+ * grid's report is filed under (`grid_report_<id>.json`).
+ */
+std::string gridIdHex(const std::string &grid_identity);
+
 /** Terminal state of one grid cell. */
 enum class CellStatus
 {
-    NotRun,         ///< never started (transient; becomes DeadlineMissed)
-    Ok,             ///< simulated cleanly on the first attempt
-    Resumed,        ///< restored from the checkpoint journal
-    Retried,        ///< succeeded after >= 1 failed attempt
-    Poisoned,       ///< failed every attempt; quarantined in the journal
-    DeadlineMissed, ///< skipped: deadline/cancellation fired first
+    NotRun,         ///< no result (transient; becomes DeadlineMissed)
+    Ok,             ///< simulated, or served by the result cache
+    Poisoned,       ///< threw; captured with `GridOptions::poison`
+    DeadlineMissed, ///< deadline/cancellation stopped it
 };
 
 /** Stable lower-case name (JSON field values, progress lines). */
@@ -50,7 +54,6 @@ struct CellReport
     std::string workload;
     std::string scheme;
     CellStatus status = CellStatus::NotRun;
-    unsigned attempts = 0;  ///< simulation attempts (0 if never run)
     std::string reason;     ///< failure reason (poisoned cells only)
 };
 
@@ -61,8 +64,6 @@ struct GridReport
     std::vector<CellReport> cells;  ///< ranked most-degraded-first
 
     std::size_t ok = 0;
-    std::size_t resumed = 0;
-    std::size_t retried = 0;
     std::size_t poisoned = 0;
     std::size_t deadlineMissed = 0;
 

@@ -52,10 +52,10 @@ std::string cacheKey(const std::string &config_name,
 
 /**
  * Round-trip-exact text serialization of a RunResult (doubles at
- * max_digits10), shared by the result cache and the grid journal so
- * a resumed cell is byte-identical to a freshly simulated one.
- * `RunResult::config` is NOT serialized — both consumers restamp it
- * from the active SimConfig on lookup.
+ * max_digits10), so a cached cell — including one a rerun of a killed
+ * grid resumes from — is byte-identical to a freshly simulated one.
+ * `RunResult::config` is NOT serialized — consumers restamp it from
+ * the active SimConfig on lookup.
  */
 std::string serializeResult(const RunResult &r);
 

@@ -75,8 +75,8 @@ class AddressLayout
     /**
      * Canonical `layout:KEY` spec when this layout was built from a
      * registered preset (`mapping/layout_registry.hh`); empty for
-     * hand-assembled layouts. Cache and journal identities key on
-     * this via `mapping::layoutIdentity`.
+     * hand-assembled layouts. Cache and grid identities key on this
+     * via `mapping::layoutIdentity`.
      */
     std::string spec;
 

@@ -111,7 +111,7 @@ std::string canonicalLayoutSpec(const std::string &spec);
 
 /**
  * Canonical cache identity of a layout: its `spec` when preset-built,
- * else its free-form name (escaped upstream). Every cache/journal
+ * else its free-form name (escaped upstream). Every cache and grid
  * identity that depends on the address geometry keys on this.
  */
 std::string layoutIdentity(const AddressLayout &layout);

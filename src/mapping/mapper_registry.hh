@@ -99,7 +99,7 @@ struct MapperFamily
      * Display name of the built mapper — `AddressMapper::name()`,
      * which lands in `RunResult::scheme` and the figure columns. Must
      * contain no whitespace and none of `,;|%` (it is embedded in
-     * space-separated result rows and '|'-separated journal lines).
+     * space-separated result rows and '|'-separated cache records).
      */
     std::function<std::string(const ResolvedMapperSpec &)> displayName;
 

@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "common/bitops.hh"
-#include "common/fault_inject.hh"
 #include "common/metrics.hh"
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
@@ -516,7 +515,6 @@ BimSearch::runChain(unsigned restart, bool greedy) const
     for (unsigned k = 0; k < iters; ++k) {
         if (stopRequested())
             break;
-        fault::maybeInject("search_step");
         const double temp =
             greedy ? 0.0
                    : t0 * std::pow(tf / t0,
@@ -554,7 +552,6 @@ BimSearch::runChain(unsigned restart, bool greedy) const
         for (unsigned k = 0; k < iters / 3 + 1; ++k) {
             if (stopRequested())
                 break;
-            fault::maybeInject("search_step");
             step(0.0);
         }
     }

@@ -34,6 +34,10 @@ SbimCodec::decode(const std::string &line)
     for (unsigned row = 0; row < n; ++row) {
         std::uint64_t mask = 0;
         in >> std::hex >> mask >> std::dec;
+        // A row reaching past the matrix is a corrupt line, not a
+        // matrix: setRow only asserts that it fits.
+        if (!in || (n < 64 && (mask >> n) != 0))
+            return std::nullopt;
         r.bim.setRow(row, mask);
     }
     std::size_t targets = 0;
@@ -45,6 +49,9 @@ SbimCodec::decode(const std::string &line)
         in >> e;
     if (!in || !r.bim.invertible())
         return std::nullopt; // corrupt line: treat as a miss
+    std::string extra;
+    if (in >> extra)
+        return std::nullopt; // wrong field count for this schema
     return r;
 }
 

@@ -264,6 +264,15 @@ TEST_F(CacheRobustnessTest, SbimCacheQuarantinesCorruptLines)
     appendRaw(path,
               harness::checksummedRecord(
                   v + ";zeros", "4 0 0 0 0 1.0 2.0 1 0.5"));
+    // Valid checksum, row 0 = 0x9 in a 3 x 3 matrix: the row
+    // reaches past the matrix, and BitMatrix::setRow only asserts.
+    const std::string wide = "3 9 2 4 0.5 1 0";
+    EXPECT_FALSE(search::SbimCodec::decode(wide).has_value());
+    appendRaw(path, harness::checksummedRecord(v + ";wide", wide));
+    // Valid checksum, one field more than the schema has.
+    const std::string longer = "3 1 2 4 0.5 1 0 99";
+    EXPECT_FALSE(search::SbimCodec::decode(longer).has_value());
+    appendRaw(path, harness::checksummedRecord(v + ";longer", longer));
     // Flipped checksum digit.
     std::string rotted =
         harness::checksummedRecord(v + ";rot", "1 1 0.1 0.2 0");
@@ -277,10 +286,11 @@ TEST_F(CacheRobustnessTest, SbimCacheQuarantinesCorruptLines)
     EXPECT_TRUE(hit->bim == good.bim);
     EXPECT_EQ(hit->cost, good.cost);
     EXPECT_EQ(hit->targetEntropy, good.targetEntropy);
-    EXPECT_EQ(harness::quarantinedLineCount(), before + 2);
+    EXPECT_EQ(harness::quarantinedLineCount(), before + 4);
     EXPECT_TRUE(std::filesystem::exists(quarantinePath(path)));
     EXPECT_FALSE(
         search::sbimCache().lookup(v + ";zeros").has_value());
+    EXPECT_FALSE(search::sbimCache().lookup(v + ";wide").has_value());
 }
 
 TEST_F(CacheRobustnessTest, ChecksummedRecordRejectsSeparatorBytes)

@@ -134,7 +134,7 @@ TEST(Harness, ParallelGridBitIdenticalToSerial)
 TEST(Harness, MapperNamedTwiceOnTheAxisIsRejected)
 {
     // Two spellings of one mapper share a cell identity: the grid
-    // would simulate, journal and report that cell twice. The axis
+    // would simulate, cache and report that cell twice. The axis
     // must be rejected, naming the canonical spec, before any cell
     // runs.
     GridOptions o;

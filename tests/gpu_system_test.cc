@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/cancellation.hh"
 #include "gpu/gpu_system.hh"
 #include "harness/experiment.hh"
+#include "harness/result_cache.hh"
 
 using namespace valley;
 
@@ -80,6 +82,30 @@ TEST(GpuSystem, DeterministicAcrossRuns)
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.llcMisses, b.llcMisses);
     EXPECT_EQ(a.dram.activations, b.dram.activations);
+}
+
+TEST(GpuSystem, FiredTokenThrowsCancelled)
+{
+    const SimConfig cfg = quickConfig();
+    const auto mapper = mapping::makeMapper(mapping::kBase, cfg.layout);
+    GpuSystem sim(cfg, *mapper);
+    CancelToken token;
+    token.cancel();
+    EXPECT_THROW(sim.run(*miniWorkload(4, false), &token), Cancelled);
+}
+
+TEST(GpuSystem, UnfiredTokenLeavesTheResultBitIdentical)
+{
+    const SimConfig cfg = quickConfig();
+    const auto mapper = mapping::makeMapper(mapping::kPae, cfg.layout, 1);
+    GpuSystem sim(cfg, *mapper);
+    const auto wl = miniWorkload(256, true, true);
+    const RunResult plain = sim.run(*wl);
+    // Long enough to cross several poll points.
+    ASSERT_GT(plain.cycles, 4 * GpuSystem::kCancelPollCycles);
+    const CancelToken token;
+    EXPECT_EQ(harness::serializeResult(sim.run(*wl, &token)),
+              harness::serializeResult(plain));
 }
 
 TEST(GpuSystem, AccountingInvariants)

@@ -202,7 +202,7 @@ TEST(MapperRegistry, BuiltinFamiliesPinSpecDisplayNameAndSeedTag)
 TEST(MapperRegistry, DisplayNamesAreJournalSafe)
 {
     // Display names land in space-separated result rows and
-    // '|'-separated journal lines; none of the reserved characters
+    // '|'-separated cache records; none of the reserved characters
     // may appear.
     for (const auto *f : mapping::mapperFamilies()) {
         std::string spec = "map:" + f->name;

@@ -1,27 +1,23 @@
 /**
  * @file
- * `valley_grid` — self-healing grid runner: the unattended-execution
- * front-end of `harness::runGrid` (checkpoints, retries, poisoning,
- * deadlines) plus the `--supervise` crash-restart wrapper.
+ * `valley_grid` — command-line front-end of `harness::runGrids`: one
+ * workloads x schemes grid (per layout) with the result cache,
+ * failure capture, deadlines, observability artifacts and a
+ * byte-stable `--out` file exposed as flags.
  *
- * The plain mode runs one workloads x schemes grid with every
- * robustness knob exposed as a flag; `--supervise` re-execs the same
- * invocation as a child process under `harness::supervise`, so a
- * crashed grid (SIGKILL, `_Exit`, OOM) restarts itself and resumes
- * from the checkpoint journal — the CI drill "inject a kill at cell
- * k, supervise, diff against the fault-free grid" runs through this
- * binary.
+ * A killed `--cache` grid resumes by being rerun: every finished cell
+ * is already a checksummed record in the result cache, so the rerun
+ * serves it as a hit and simulates only the rest. The CI drill "kill
+ * a cached grid, rerun it, compare `--out` with an uninterrupted run"
+ * runs through this binary.
  *
  * The --help text below is pinned by README.md's usage block; CI
  * fails if the two drift (`tools/check_help_drift.sh`).
  */
 
-#include <unistd.h>
-
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <fstream>
 #include <string>
@@ -32,9 +28,7 @@
 #include "common/spec.hh"
 #include "common/trace_span.hh"
 #include "harness/experiment.hh"
-#include "harness/grid_journal.hh"
 #include "harness/result_cache.hh"
-#include "harness/supervisor.hh"
 #include "mapping/layout_registry.hh"
 #include "mapping/mapper_registry.hh"
 
@@ -43,14 +37,14 @@ using namespace valley;
 namespace {
 
 const char *kHelp =
-    R"(valley_grid — self-healing workloads x schemes grid runner
+    R"(valley_grid — workloads x schemes grid runner
 
-Runs one harness grid (every workload under every mapping scheme)
-with the robustness stack exposed: per-cell checkpoint/resume, bounded
-retries with deterministic backoff, poisoned-cell quarantine, a
-wall-clock deadline that degrades instead of overrunning, and an
-optional crash-restart supervisor that re-execs the grid after a
-SIGKILL-grade loss and resumes from the journal.
+Runs one harness grid (every workload under every mapping scheme).
+With --cache every finished cell is stored as it completes, so a
+killed grid resumes by rerunning the same command: finished cells
+are served from the cache bit-identically and only the rest are
+simulated. A wall-clock deadline stops the grid, running cells
+included, instead of letting it overrun.
 
 Usage: valley_grid --workloads A,B,C [options]
 
@@ -73,24 +67,18 @@ Options:
   --seed N          BIM seed (the "BIM-N" of Fig. 19); default 1
   --threads N       worker threads (0 = all cores, 1 = serial);
                     default 0; results are identical at any count
-  --checkpoint      journal every finished cell and resume a rerun
-                    of the same grid bit-identically
-                    (VALLEY_CHECKPOINT=1 does the same)
-  --max-attempts N  simulation attempts per cell before giving up on
-                    it; default 1
-  --retry-backoff-ms N  base of the exponential backoff between
-                    attempts (N, 2N, 4N... ms); default 0
-  --poison          quarantine a cell that fails every attempt
-                    (journaled; skipped on resume) and keep going
-                    instead of aborting the grid
+  --poison          report a cell that fails (with its error) and
+                    finish the other cells instead of aborting the
+                    grid
   --deadline-ms N   wall-clock budget for the whole grid; on expiry
-                    unstarted cells are skipped and reported as
-                    deadline-missed (VALLEY_DEADLINE_MS does the
+                    running and unstarted cells stop and are reported
+                    as deadline-missed (VALLEY_DEADLINE_MS does the
                     same); default 0 = unlimited
   --report          write the ranked cache/grid_report_<id>.json
                     outcome artifact (includes a metrics snapshot)
   --cache           memoize finished cells in the on-disk result
-                    cache and reuse matching cells from prior runs
+                    cache and reuse matching cells from prior runs;
+                    rerunning a killed grid resumes it
                     (VALLEY_CACHE=0 still disables all caches)
   --trace FILE      record Chrome trace-event spans (grid cells,
                     search phases, cache lookups) and write them to
@@ -104,28 +92,18 @@ Options:
                     layout| field is prepended) — byte-identical
                     across runs that computed the same cells
   --progress        log per-cell progress to stderr
-  --supervise       run the grid as a supervised child process:
-                    crashes (signals, _Exit) restart it with resume
-                    from the journal; implies --checkpoint
-  --max-restarts N  supervised crash restarts before giving up;
-                    default 16
-  --restart-backoff-ms N  base supervisor restart backoff (doubling,
-                    capped at 5s); default 100; 0 disables
   --help            print this help and exit
 
 Environment:
   VALLEY_CACHE=0        disable the on-disk result/profile caches
   VALLEY_CACHE_DIR=D    cache directory (default: ./cache)
-  VALLEY_CHECKPOINT=1   same as --checkpoint
   VALLEY_DEADLINE_MS=N  same as --deadline-ms N
   VALLEY_TRACE=FILE     same as --trace FILE
-  VALLEY_FAULT_INJECT=site:N[:throw|:kill][:every=K]
-                        deterministic fault injection (CI drills)
 
 Exit status: 0 grid complete; 4 complete but degraded (poisoned or
 deadline-missed cells — see the grid report); 3 grid failed with an
-error; 5 supervisor restart budget exhausted; 130 interrupted
-(SIGINT/SIGTERM; journal flushed); 1 on usage errors.
+error; 130 interrupted (SIGINT/SIGTERM; running cells stop, finished
+cells stay cached); 1 on usage errors.
 )";
 
 struct CliOptions
@@ -134,9 +112,6 @@ struct CliOptions
     std::string out;
     std::string tracePath;
     std::string metricsPath;
-    bool supervise = false;
-    unsigned maxRestarts = 16;
-    unsigned restartBackoffMs = 100;
 };
 
 [[noreturn]] void
@@ -181,24 +156,10 @@ parseMapper(const std::string &name)
     usageError("unknown scheme: " + name);
 }
 
-/** Our own executable, for the supervised re-exec. */
-std::string
-selfExe(const char *argv0)
-{
-    char buf[4096];
-    const ssize_t n =
-        ::readlink("/proc/self/exe", buf, sizeof buf - 1);
-    if (n > 0) {
-        buf[n] = '\0';
-        return buf;
-    }
-    return argv0;
-}
-
 // SIGINT/SIGTERM: one async-signal-safe atomic store each. The grid
-// stops at the next cell boundary; every finished cell is already on
-// disk (the journal appends as it goes), so "flush and exit cleanly"
-// is simply "stop starting cells and return".
+// stops starting cells and running cells stop at their next token
+// poll; every finished cell of a --cache grid is already on disk, so
+// "flush and exit cleanly" is simply "stop and return".
 CancelToken g_token;                       // constructed before main
 volatile std::sig_atomic_t g_interrupted = 0;
 
@@ -210,7 +171,7 @@ onSignal(int)
 }
 
 int
-runChild(CliOptions cli)
+runCli(CliOptions cli)
 {
     std::signal(SIGINT, onSignal);
     std::signal(SIGTERM, onSignal);
@@ -232,7 +193,7 @@ runChild(CliOptions cli)
     if (!cli.out.empty()) {
         // Grid order is fixed by the options, so two runs that
         // computed the same cells emit byte-identical files — the
-        // comparison artifact of the CI supervisor drill. Without
+        // comparison artifact of the CI kill-and-rerun drill. Without
         // --layouts the format is the legacy 3-field one.
         std::ofstream out(cli.out);
         if (!out)
@@ -253,11 +214,10 @@ runChild(CliOptions cli)
     bool degraded = false;
     for (const harness::LayoutGrid &lg : grids) {
         const harness::GridReport &report = lg.grid.report();
-        std::printf("grid %s: %zu cells — %zu ok, %zu resumed, %zu "
-                    "retried, %zu poisoned, %zu deadline-missed\n",
+        std::printf("grid %s: %zu cells — %zu ok, %zu poisoned, %zu "
+                    "deadline-missed\n",
                     report.gridId.c_str(), report.cells.size(),
-                    report.ok, report.resumed, report.retried,
-                    report.poisoned, report.deadlineMissed);
+                    report.ok, report.poisoned, report.deadlineMissed);
         degraded = degraded || report.degraded();
     }
     // Observability artifacts are written on every exit path —
@@ -284,10 +244,6 @@ main(int argc, char **argv)
     CliOptions cli;
     cli.grid.scale = 0.25;
 
-    // Args forwarded to the supervised child: everything except the
-    // supervisor's own flags (the child must not supervise again).
-    std::vector<std::string> child_args;
-
     const auto need = [&](int &i, const char *flag) -> const char * {
         if (i + 1 >= argc)
             usageError(std::string(flag) + " needs a value");
@@ -296,8 +252,6 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        const int arg_index = i;
-        bool forward = true;
         if (arg == "--help") {
             std::fputs(kHelp, stdout);
             return 0;
@@ -328,15 +282,6 @@ main(int argc, char **argv)
         } else if (arg == "--threads") {
             cli.grid.threads = static_cast<unsigned>(
                 std::strtoul(need(i, "--threads"), nullptr, 10));
-        } else if (arg == "--checkpoint") {
-            cli.grid.checkpoint = true;
-        } else if (arg == "--max-attempts") {
-            cli.grid.maxAttempts = static_cast<unsigned>(
-                std::strtoul(need(i, "--max-attempts"), nullptr, 10));
-        } else if (arg == "--retry-backoff-ms") {
-            cli.grid.retryBackoffMs = static_cast<unsigned>(
-                std::strtoul(need(i, "--retry-backoff-ms"), nullptr,
-                             10));
         } else if (arg == "--poison") {
             cli.grid.poison = true;
         } else if (arg == "--deadline-ms") {
@@ -354,24 +299,9 @@ main(int argc, char **argv)
             cli.out = need(i, "--out");
         } else if (arg == "--progress") {
             cli.grid.progress = true;
-        } else if (arg == "--supervise") {
-            cli.supervise = true;
-            forward = false;
-        } else if (arg == "--max-restarts") {
-            cli.maxRestarts = static_cast<unsigned>(
-                std::strtoul(need(i, "--max-restarts"), nullptr, 10));
-            forward = false;
-        } else if (arg == "--restart-backoff-ms") {
-            cli.restartBackoffMs = static_cast<unsigned>(
-                std::strtoul(need(i, "--restart-backoff-ms"), nullptr,
-                             10));
-            forward = false;
         } else {
             usageError("unknown option: " + arg);
         }
-        if (forward)
-            for (int j = arg_index; j <= i; ++j)
-                child_args.push_back(argv[j]);
     }
 
     if (cli.grid.workloads.empty())
@@ -386,35 +316,5 @@ main(int argc, char **argv)
     if (!(cli.grid.scale > 0.0) || cli.grid.scale > 1.0)
         usageError("--scale must be in (0, 1]");
 
-    if (!cli.supervise)
-        return runChild(std::move(cli));
-
-    // Supervised mode: re-exec ourselves as the grid child, with the
-    // supervisor flags stripped and --checkpoint forced — resume from
-    // the journal is what makes the restart loop converge.
-    std::vector<std::string> child_argv;
-    child_argv.push_back(selfExe(argv[0]));
-    child_argv.insert(child_argv.end(), child_args.begin(),
-                      child_args.end());
-    if (!cli.grid.checkpoint)
-        child_argv.push_back("--checkpoint");
-
-    harness::SupervisorOptions sup;
-    sup.maxRestarts = cli.maxRestarts;
-    sup.backoffMs = cli.restartBackoffMs;
-    const harness::SuperviseOutcome outcome =
-        harness::supervise(child_argv, sup);
-    if (outcome.exhausted) {
-        std::fprintf(stderr,
-                     "valley_grid: supervision exhausted after %u "
-                     "restart(s) (last exit %d)\n",
-                     outcome.restarts, outcome.exitCode);
-        return 5;
-    }
-    if (outcome.restarts > 0)
-        std::fprintf(stderr,
-                     "valley_grid: recovered after %u crash "
-                     "restart(s)\n",
-                     outcome.restarts);
-    return outcome.exitCode;
+    return runCli(std::move(cli));
 }
