@@ -18,30 +18,18 @@ canonicalValue(const std::string &text, const Param &p,
 {
     const std::string what = "parameter '" + p.key + "' value '" + value;
     switch (p.kind) {
-    case Kind::U64: {
-        // ASCII digits only: from_chars takes no sign or whitespace
-        // for an unsigned type and reports overflow instead of
-        // wrapping.
-        std::uint64_t v = 0;
-        const char *end = value.data() + value.size();
-        const auto [ptr, ec] = std::from_chars(value.data(), end, v);
-        if (ec != std::errc() || ptr != end)
-            error(text, what + "' is not a non-negative integer");
-        return std::to_string(v);
-    }
-    case Kind::F64: {
-        errno = 0;
-        char *end = nullptr;
-        const double v = std::strtod(value.c_str(), &end);
-        // NaN would pass every later range check (it compares false).
-        if (errno != 0 || end == value.c_str() || *end != '\0' ||
-            !std::isfinite(v))
-            error(text, what + "' is not a finite number");
-        std::ostringstream out;
-        out.precision(17);
-        out << v;
-        return out.str();
-    }
+    case Kind::U64:
+        if (const std::optional<std::uint64_t> v = parseU64(value))
+            return std::to_string(*v);
+        error(text, what + "' is not a non-negative integer");
+    case Kind::F64:
+        if (const std::optional<double> v = parseF64(value)) {
+            std::ostringstream out;
+            out.precision(17);
+            out << *v;
+            return out.str();
+        }
+        error(text, what + "' is not a finite number");
     case Kind::Str:
         if (p.choices.empty())
             return value;
@@ -55,6 +43,32 @@ canonicalValue(const std::string &text, const Param &p,
 }
 
 } // namespace
+
+std::optional<std::uint64_t>
+parseU64(const std::string &text)
+{
+    // from_chars takes no sign or whitespace for an unsigned type and
+    // reports overflow instead of wrapping.
+    std::uint64_t v = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || ptr != end)
+        return std::nullopt;
+    return v;
+}
+
+std::optional<double>
+parseF64(const std::string &text)
+{
+    errno = 0;
+    char *end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    // NaN would pass every later range check (it compares false).
+    if (errno != 0 || end == text.c_str() || *end != '\0' ||
+        !std::isfinite(v))
+        return std::nullopt;
+    return v;
+}
 
 bool
 validKey(const std::string &key)

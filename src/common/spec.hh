@@ -13,8 +13,10 @@
  * hash keys every on-disk cache. This module is the single copy of
  * that machinery: `Spec::parse` (grammar only), the `Param` schema
  * entry, `resolveValues` (schema checks and canonicalisation),
- * `Resolved<Family>` (typed access, canonical form, hash), `validKey`
- * and `splitList` (comma lists whose members are specs).
+ * `Resolved<Family>` (typed access, canonical form, hash), `validKey`,
+ * `splitList` (comma lists whose members are specs), and `parseU64`
+ * and `parseF64`, the number rules spec values and the command-line
+ * tools' numeric flags share.
  *
  * Grammar (no whitespace, no escaping):
  *
@@ -35,6 +37,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -53,6 +56,19 @@ using Values = std::vector<std::pair<std::string, std::string>>;
 
 /** True iff `key` is a non-empty [a-z0-9_]+ identifier. */
 bool validKey(const std::string &key);
+
+/**
+ * `text` as an unsigned integer: ASCII digits only (no sign, no
+ * whitespace) that fit in 64 bits; nullopt otherwise.
+ */
+std::optional<std::uint64_t> parseU64(const std::string &text);
+
+/**
+ * `text` as a real: the whole text must be one finite number as
+ * `strtod` reads it (so a sign and leading whitespace pass); nullopt
+ * for anything else, including NaN, infinities and overflow.
+ */
+std::optional<double> parseF64(const std::string &text);
 
 /** Throw `std::invalid_argument("bad spec '<text>': <why>")`. */
 [[noreturn]] void error(const std::string &text, const std::string &why);

@@ -104,6 +104,8 @@ exportStatsToRegistry(const SearchStats &s)
     metrics::counter("search.plane_toggles").add(s.planeToggles);
     metrics::counter("search.plane_xors").add(s.planeXors);
     metrics::counter("search.plane_rebuilds").add(s.planeRebuilds);
+    metrics::counter("search.kernels_rescored").add(s.kernelsRescored);
+    metrics::counter("search.kernels_reused").add(s.kernelsReused);
     // Throughput of the finished run (last-writer-wins gauge): the
     // headline evaluations/sec the throughput bench tracks.
     if (s.totalSeconds > 0.0)
@@ -235,44 +237,35 @@ BimSearch::runChain(unsigned restart, bool greedy) const
     };
 
     // Incremental plane cache (SearchOptions::planeCache): for every
-    // (member, target slot) the XOR-combined output plane of the
-    // current row plus its exact per-TB one-counts, and one candidate
-    // scratch row per member. Proposals derive the candidate from a
-    // cached plane in O(one plane); accepts swap the scratch row into
-    // the cache in O(1) vector swaps. One-counts are exact integers,
+    // (member, target slot) the current row as a TracePlanes::Row —
+    // combined output plane, exact per-TB one-counts and per-kernel
+    // entropies — plus one proposal scratch per member. A proposal
+    // rescores only the kernels its move changes; an accept commits
+    // just those kernels into the slot. One-counts are exact integers,
     // so every entropy value equals the oracle's bit for bit.
-    struct RowCache
-    {
-        std::vector<std::uint64_t> plane; ///< combined output plane
-        std::vector<std::uint64_t> ones;  ///< per-TB one-counts
-    };
+    using Row = workloads::TracePlanes::Row;
+    using Proposal = workloads::TracePlanes::Proposal;
     const bool use_cache = opts.planeCache;
-    std::vector<RowCache> cache;   // [m * nt + i], rows of cur
-    std::vector<RowCache> scratch; // [m], the proposed row
+    std::vector<Row> cache;        // [m * nt + i], rows of cur
+    std::vector<Proposal> scratch; // [m], the proposed row
     if (use_cache) {
-        cache.resize(nm * nt);
-        scratch.resize(nm);
+        cache.reserve(nm * nt);
+        scratch.reserve(nm);
         for (std::size_t m = 0; m < nm; ++m) {
-            const std::size_t pw = planes_[m]->planeWords();
-            const std::size_t tc = planes_[m]->tbCount();
-            scratch[m].plane.resize(pw);
-            scratch[m].ones.resize(tc);
-            for (std::size_t i = 0; i < nt; ++i) {
-                cache[m * nt + i].plane.resize(pw);
-                cache[m * nt + i].ones.resize(tc);
-            }
+            scratch.emplace_back(*planes_[m]);
+            for (std::size_t i = 0; i < nt; ++i)
+                cache.emplace_back(*planes_[m]);
         }
     }
 
-    // (Re)combine cache slot (m, i) from scratch and score it — the
+    // (Re)seed cache slot (m, i) from scratch and score it — the
     // cache seeding path (setup and the polish reseed).
     const auto rebuildSlot = [&](std::size_t m, std::size_t i,
                                  std::uint64_t row) {
-        RowCache &rc = cache[m * nt + i];
-        planes_[m]->combineRow(row, rc.plane.data(), rc.ones.data());
+        Row &rc = cache[m * nt + i];
+        planes_[m]->seedRow(row, opts.window, opts.metric, rc);
         ++stats.planeRebuilds;
-        return planes_[m]->entropyFromOnes(rc.ones.data(),
-                                           opts.window, opts.metric);
+        return rc.entropy();
     };
 
     const auto finishChain = [&](Chain &c) {
@@ -416,27 +409,25 @@ BimSearch::runChain(unsigned restart, bool greedy) const
                         (new_taps > 1 ? new_taps - 1 : 0);
             for (std::size_t m = 0; m < nm; ++m) {
                 if (use_cache) {
-                    // Derive the candidate plane from cached state:
-                    // a tap toggle XORs in exactly one input plane,
-                    // a row XOR combines two cached output planes.
+                    // Derive the candidate from cached state: a tap
+                    // toggle XORs in one input strip, a row XOR
+                    // combines two cached rows, each only in the
+                    // kernels it changes.
                     ++stats.evaluations;
-                    RowCache &base = cache[m * nt + i];
-                    RowCache &cand = scratch[m];
+                    const Row &base = cache[m * nt + i];
+                    Proposal &cand = scratch[m];
                     if (kind <= 1) {
-                        planes_[m]->toggleRow(base.plane.data(),
-                                              toggle_bit,
-                                              cand.plane.data(),
-                                              cand.ones.data());
+                        new_ent[m] = planes_[m]->proposeToggle(
+                            base, toggle_bit, cand);
                         ++stats.planeToggles;
                     } else {
-                        planes_[m]->xorRows(
-                            base.plane.data(),
-                            cache[m * nt + j].plane.data(),
-                            cand.plane.data(), cand.ones.data());
+                        new_ent[m] = planes_[m]->proposeXor(
+                            base, cache[m * nt + j], cand);
                         ++stats.planeXors;
                     }
-                    new_ent[m] = planes_[m]->entropyFromOnes(
-                        cand.ones.data(), opts.window, opts.metric);
+                    stats.kernelsRescored += cand.kernelsRescored();
+                    stats.kernelsReused += planes_[m]->numKernels() -
+                                           cand.kernelsRescored();
                 } else {
                     new_ent[m] = evalRow(m, new_row);
                 }
@@ -476,12 +467,8 @@ BimSearch::runChain(unsigned restart, bool greedy) const
             cur.rows[i] = new_row;
             cur.gates = new_gates;
             if (use_cache)
-                for (std::size_t m = 0; m < nm; ++m) {
-                    std::swap(cache[m * nt + i].plane,
-                              scratch[m].plane);
-                    std::swap(cache[m * nt + i].ones,
-                              scratch[m].ones);
-                }
+                for (std::size_t m = 0; m < nm; ++m)
+                    planes_[m]->commit(scratch[m], cache[m * nt + i]);
         }
         cur.memberCost = mc_scratch;
         cur.cost = new_cost;
@@ -540,7 +527,7 @@ BimSearch::runChain(unsigned restart, bool greedy) const
                             "search");
     if (!greedy) {
         // Jumping back to the best state invalidates the plane cache
-        // (it tracks the pre-jump cur). Recombine every slot — these
+        // (it tracks the pre-jump cur). Reseed every slot — these
         // re-derive entropy values already counted during the walk,
         // so they are rebuilds, not evaluations.
         const bool cache_stale = use_cache && cur.rows != best.rows;
@@ -642,6 +629,8 @@ BimSearch::anneal() const
         total.planeToggles += s.stats.planeToggles;
         total.planeXors += s.stats.planeXors;
         total.planeRebuilds += s.stats.planeRebuilds;
+        total.kernelsRescored += s.stats.kernelsRescored;
+        total.kernelsReused += s.stats.kernelsReused;
     }
     out.stats = total;
     out.identityCost = identityCost();

@@ -149,18 +149,22 @@ struct SearchOptions
     unsigned threads = 0;
 
     /**
-     * Incremental output-plane caching (the PR 10 fast path): each
-     * chain keeps, per (member, target slot), the XOR-combined output
-     * plane and its per-TB one-counts, so a tap-toggle proposal XORs
-     * in exactly one input plane and a row-XOR proposal XORs two
-     * cached planes — O(one plane) instead of O(taps planes) per
-     * evaluation. One-counts are exact integers, so the cached path
-     * is bit-identical to the from-scratch `rowEntropy` oracle:
-     * trajectories, results and `SearchStats::evaluations` are
-     * unchanged with the cache on or off (asserted in
-     * `tests/bim_search_test.cc`), which is why toggling this knob
-     * does NOT bump `kSearchVersion`. Off = score every proposal via
-     * the oracle (the slow reference leg for tests and benches).
+     * Incremental row caching: each chain keeps, per (member, target
+     * slot), a `TracePlanes::Row` — the XOR-combined output plane,
+     * its per-TB one-counts and each kernel's entropy. A tap-toggle
+     * proposal XORs in one input strip and a row-XOR proposal XORs
+     * two cached rows, and either rescores only the kernels whose
+     * one-counts the move changes: a kernel whose toggled strip, or
+     * whose other row, is all zero keeps its cached entropy
+     * (`SearchStats::kernelsReused`). One-counts are exact integers
+     * and the row entropy is the same kernel-order weighted sum, so
+     * the cached path is bit-identical to the from-scratch
+     * `rowEntropy` oracle: trajectories, results and
+     * `SearchStats::evaluations` are unchanged with the cache on or
+     * off (asserted in `tests/bim_search_test.cc`), which is why
+     * toggling this knob does NOT bump `kSearchVersion`. Off = score
+     * every proposal via the oracle (the slow reference leg for tests
+     * and benches).
      */
     bool planeCache = true;
 
@@ -230,6 +234,15 @@ struct SearchStats
     std::uint64_t planeToggles = 0;
     std::uint64_t planeXors = 0;
     std::uint64_t planeRebuilds = 0;
+
+    /**
+     * Per-kernel split of the toggle and XOR proposals: each kernel
+     * of each member counts once, as rescored (the move changed its
+     * one-counts) or reused (it kept the cached entropy). They sum to
+     * `(planeToggles + planeXors)` times the member's kernel count.
+     */
+    std::uint64_t kernelsRescored = 0;
+    std::uint64_t kernelsReused = 0;
 };
 
 /** Outcome of `BimSearch::anneal` or `BimSearch::greedy`. */

@@ -98,10 +98,13 @@ struct SetPipeline
                 double scale)
         : workloads(set.build(scale))
     {
+        // The search's token also stops plane extraction: one large
+        // member's planes can take longer than a whole cell budget.
+        workloads::PlaneOptions po{layout.addrBits, opts.threads};
+        po.cancel = opts.cancel;
         planes.reserve(workloads.size());
         for (const auto &wl : workloads)
-            planes.emplace_back(*wl, workloads::PlaneOptions{
-                                         layout.addrBits, opts.threads});
+            planes.emplace_back(*wl, po);
         std::vector<const workloads::TracePlanes *> ptrs;
         ptrs.reserve(planes.size());
         for (const workloads::TracePlanes &p : planes)

@@ -19,6 +19,7 @@ struct TbStage
 {
     std::uint64_t requests = 0;
     std::uint32_t words = 0;
+    std::uint64_t addrOr = 0; ///< OR of every address: nonzero strips
     std::vector<std::uint64_t> bits;
 };
 
@@ -42,6 +43,7 @@ extractTb(const Kernel &kernel, TbId tb, unsigned nbits,
     std::uint64_t block[64];
     unsigned fill = 0;
     std::uint32_t word = 0;
+    std::uint64_t addr_or = 0;
     const auto flush = [&] {
         std::fill(block + fill, block + 64, 0);
         ops.transpose64(block);
@@ -56,6 +58,7 @@ extractTb(const Kernel &kernel, TbId tb, unsigned nbits,
     for (const WarpTrace &w : trace.warps)
         for (const MemInstr &instr : w.instrs)
             for (Addr a : instr.lines) {
+                addr_or |= a;
                 block[fill] = a;
                 if (++fill == 64)
                     flush();
@@ -65,6 +68,7 @@ extractTb(const Kernel &kernel, TbId tb, unsigned nbits,
     assert(word == words);
     out.requests = requests;
     out.words = words;
+    out.addrOr = addr_or;
 }
 
 /** TB-range task granularity for splitting large kernels. */
@@ -97,12 +101,18 @@ TracePlanes::TracePlanes(std::span<const Kernel> ks,
             extractTb(ks[ki], tb, nbits, *ops, staged[ki][tb]);
     };
 
+    const auto throwIfCancelled = [&opts] {
+        if (opts.cancel != nullptr && opts.cancel->cancelled())
+            throw Cancelled("TracePlanes: plane extraction cancelled");
+    };
     const unsigned threads = opts.threads == 0
                                  ? ThreadPool::defaultThreads()
                                  : opts.threads;
     if (threads <= 1 || tb_tasks <= 1) {
-        for (std::size_t ki = 0; ki < ks.size(); ++ki)
+        for (std::size_t ki = 0; ki < ks.size(); ++ki) {
+            throwIfCancelled();
             extractRange(ki, 0, ks[ki].numTbs());
+        }
     } else {
         ThreadPool pool(static_cast<unsigned>(
             std::min<std::size_t>(threads, tb_tasks)));
@@ -113,7 +123,10 @@ TracePlanes::TracePlanes(std::span<const Kernel> ks,
                                  std::min<TbId>(lo + kTbsPerTask,
                                                 ks[ki].numTbs()));
                 });
-        pool.run();
+        // A fired token retires the unstarted tasks; the staging is
+        // then incomplete, so nothing below may pack it.
+        pool.run(opts.cancel);
+        throwIfCancelled();
     }
 
     // Stage 2 (serial): pack each kernel's staged planes into one
@@ -127,8 +140,10 @@ TracePlanes::TracePlanes(std::span<const Kernel> ks,
         k.rowBase = plane_words;
         k.tbs.resize(staged[ki].size());
         k.uniform = !k.tbs.empty();
+        std::uint64_t addr_or = 0;
         for (std::size_t t = 0; t < staged[ki].size(); ++t) {
             const TbStage &s = staged[ki][t];
+            addr_or |= s.addrOr;
             TbView &v = k.tbs[t];
             v.requests = s.requests;
             v.words = s.words;
@@ -138,6 +153,9 @@ TracePlanes::TracePlanes(std::span<const Kernel> ks,
             plane_words += s.words;
             k.requests += s.requests;
         }
+        // Strip b is all zero iff no address of the kernel sets bit b
+        // (pad lanes are zero).
+        k.zeroMask = bits::mask(nbits) & ~addr_or;
         k.arena.resize(static_cast<std::size_t>(nbits) * k.kwords);
         for (std::size_t t = 0; t < staged[ki].size(); ++t) {
             TbStage &s = staged[ki][t];
@@ -159,6 +177,12 @@ TracePlanes::TracePlanes(std::span<const Kernel> ks,
         tb_count += k.tbs.size();
         requests_ += k.requests;
     }
+    // Each kernel's weight in the row entropy: its share of the
+    // requests, the weight EntropyProfile::combine applies.
+    if (requests_ != 0)
+        for (KernelPlanes &k : kernels)
+            k.weight = static_cast<double>(k.requests) /
+                       static_cast<double>(requests_);
 
     metrics::gauge("search.plane_bytes")
         .add(static_cast<std::int64_t>(planeBytes()));
@@ -289,61 +313,160 @@ TracePlanes::combineRow(std::uint64_t row_mask, std::uint64_t *plane,
 }
 
 void
-TracePlanes::toggleRow(const std::uint64_t *base, unsigned bit,
-                       std::uint64_t *dst, std::uint64_t *ones) const
+TracePlanes::xorKernel(const KernelPlanes &k, const std::uint64_t *a,
+                       const std::uint64_t *b, std::uint64_t *dst,
+                       std::uint64_t *ones) const
 {
-    assert(bit < nbits && "toggled tap must be a tracked bit");
-    for (const KernelPlanes &k : kernels) {
-        const std::uint64_t *strip =
-            k.arena.data() + static_cast<std::size_t>(bit) * k.kwords;
-        if (k.uniform) {
-            // One-word TBs: XOR the whole strip and drop the per-word
-            // popcounts straight into the per-TB ones array.
-            ops->xorPopcountEach(base + k.rowBase, strip,
-                                 dst + k.rowBase, ones + k.tbBase,
-                                 k.kwords);
+    if (k.uniform) {
+        // One-word TBs: XOR the whole kernel and drop the per-word
+        // popcounts straight into the per-TB ones array.
+        ops->xorPopcountEach(a, b, dst, ones, k.kwords);
+        return;
+    }
+    for (std::size_t t = 0; t < k.tbs.size(); ++t) {
+        const TbView &v = k.tbs[t];
+        const std::size_t lo = v.rowOff - k.rowBase;
+        if (v.words == 1) {
+            const std::uint64_t x = a[lo] ^ b[lo];
+            dst[lo] = x;
+            ones[t] = static_cast<std::uint64_t>(std::popcount(x));
             continue;
         }
-        for (std::size_t t = 0; t < k.tbs.size(); ++t) {
-            const TbView &v = k.tbs[t];
-            const std::uint64_t *in = strip + (v.rowOff - k.rowBase);
-            if (v.words == 1) {
-                const std::uint64_t x = base[v.rowOff] ^ in[0];
-                dst[v.rowOff] = x;
-                ones[k.tbBase + t] =
-                    static_cast<std::uint64_t>(std::popcount(x));
-                continue;
-            }
-            ones[k.tbBase + t] = ops->xorPopcount2(
-                base + v.rowOff, in, dst + v.rowOff, v.words);
-        }
+        ones[t] = ops->xorPopcount2(a + lo, b + lo, dst + lo, v.words);
     }
 }
 
-void
-TracePlanes::xorRows(const std::uint64_t *a, const std::uint64_t *b,
-                     std::uint64_t *dst, std::uint64_t *ones) const
+TracePlanes::KernelScore
+TracePlanes::scoreKernel(const KernelPlanes &k, const std::uint64_t *ones,
+                         unsigned window, EntropyMetric metric) const
 {
-    for (const KernelPlanes &k : kernels) {
-        if (k.uniform) {
-            ops->xorPopcountEach(a + k.rowBase, b + k.rowBase,
-                                 dst + k.rowBase, ones + k.tbBase,
-                                 k.kwords);
-            continue;
-        }
-        for (std::size_t t = 0; t < k.tbs.size(); ++t) {
-            const TbView &v = k.tbs[t];
-            if (v.words == 1) {
-                const std::uint64_t x = a[v.rowOff] ^ b[v.rowOff];
-                dst[v.rowOff] = x;
-                ones[k.tbBase + t] =
-                    static_cast<std::uint64_t>(std::popcount(x));
-                continue;
-            }
-            ones[k.tbBase + t] = ops->xorPopcount2(
-                a + v.rowOff, b + v.rowOff, dst + v.rowOff, v.words);
-        }
+    // Mirror the scalar oracle: kernelProfile's per-kernel window
+    // entropy of the BVR series, the same operations in the same
+    // order. Thread-local scratch: this runs for every rescored
+    // kernel, where a heap allocation would rival the entropy math.
+    static thread_local std::vector<double> series;
+    series.resize(k.tbs.size());
+    std::uint64_t any = 0;
+    for (std::size_t t = 0; t < k.tbs.size(); ++t) {
+        const TbView &v = k.tbs[t];
+        any |= ones[t];
+        series[t] = v.requests == 0
+                        ? 0.0
+                        : static_cast<double>(ones[t]) /
+                              static_cast<double>(v.requests);
     }
+    const double e = metric == EntropyMetric::BvrDistribution
+                         ? windowEntropy(series, window)
+                         : windowBitEntropy(series, window);
+    return KernelScore{e, any == 0};
+}
+
+TracePlanes::Row::Row(const TracePlanes &planes)
+    : plane_(planes.plane_words), ones_(planes.tb_count),
+      kernels_(planes.kernels.size())
+{
+}
+
+void
+TracePlanes::seedRow(std::uint64_t row_mask, unsigned window,
+                     EntropyMetric metric, Row &row) const
+{
+    assert(row.kernels_.size() == kernels.size() &&
+           "row sized for these planes");
+    row.window_ = window;
+    row.metric_ = metric;
+    combineRow(row_mask, row.plane_.data(), row.ones_.data());
+    double combined = 0.0;
+    for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
+        const KernelPlanes &k = kernels[ki];
+        row.kernels_[ki] =
+            scoreKernel(k, row.ones_.data() + k.tbBase, window, metric);
+        combined += k.weight * row.kernels_[ki].entropy;
+    }
+    row.entropy_ = requests_ == 0 ? 0.0 : combined;
+}
+
+template <typename Rescore>
+double
+TracePlanes::propose(const Row &base, Proposal &out,
+                     Rescore rescore) const
+{
+    assert(base.kernels_.size() == kernels.size() &&
+           out.row_.kernels_.size() == kernels.size() &&
+           "rows sized for these planes");
+    Row &cand = out.row_;
+    out.rescored_.clear();
+    out.base_ = &base;
+    // The same kernel-order weighted sum as seedRow and
+    // entropyFromOnes; a skipped kernel contributes base's entropy,
+    // which is exactly what rescoring its unchanged one-counts gives.
+    double combined = 0.0;
+    for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
+        const KernelPlanes &k = kernels[ki];
+        double e = base.kernels_[ki].entropy;
+        if (rescore(ki, k)) {
+            cand.kernels_[ki] =
+                scoreKernel(k, cand.ones_.data() + k.tbBase,
+                            base.window_, base.metric_);
+            e = cand.kernels_[ki].entropy;
+            out.rescored_.push_back(static_cast<std::uint32_t>(ki));
+        }
+        combined += k.weight * e;
+    }
+    cand.entropy_ = requests_ == 0 ? 0.0 : combined;
+    return cand.entropy_;
+}
+
+double
+TracePlanes::proposeToggle(const Row &base, unsigned bit,
+                           Proposal &out) const
+{
+    assert(bit < nbits && "toggled tap must be a tracked bit");
+    Row &cand = out.row_;
+    return propose(base, out, [&](std::size_t, const KernelPlanes &k) {
+        if ((k.zeroMask >> bit) & 1)
+            return false;
+        xorKernel(k, base.plane_.data() + k.rowBase,
+                  k.arena.data() + static_cast<std::size_t>(bit) * k.kwords,
+                  cand.plane_.data() + k.rowBase,
+                  cand.ones_.data() + k.tbBase);
+        return true;
+    });
+}
+
+double
+TracePlanes::proposeXor(const Row &base, const Row &other,
+                        Proposal &out) const
+{
+    assert(base.window_ == other.window_ &&
+           base.metric_ == other.metric_ &&
+           "XORed rows must be scored alike");
+    Row &cand = out.row_;
+    return propose(base, out, [&](std::size_t ki, const KernelPlanes &k) {
+        if (other.kernels_[ki].zero)
+            return false;
+        xorKernel(k, base.plane_.data() + k.rowBase,
+                  other.plane_.data() + k.rowBase,
+                  cand.plane_.data() + k.rowBase,
+                  cand.ones_.data() + k.tbBase);
+        return true;
+    });
+}
+
+void
+TracePlanes::commit(const Proposal &p, Row &row) const
+{
+    assert(p.base_ == &row && "commit into the proposal's base row");
+    const Row &cand = p.row_;
+    for (const std::uint32_t ki : p.rescored_) {
+        const KernelPlanes &k = kernels[ki];
+        std::copy_n(cand.plane_.data() + k.rowBase, k.kwords,
+                    row.plane_.data() + k.rowBase);
+        std::copy_n(cand.ones_.data() + k.tbBase, k.tbs.size(),
+                    row.ones_.data() + k.tbBase);
+        row.kernels_[ki] = cand.kernels_[ki];
+    }
+    row.entropy_ = cand.entropy_;
 }
 
 double
@@ -351,34 +474,15 @@ TracePlanes::entropyFromOnes(const std::uint64_t *ones,
                              unsigned window,
                              EntropyMetric metric) const
 {
-    // Mirror the scalar oracle: kernelProfile's per-kernel window
-    // entropy of the BVR series, then EntropyProfile::combine's
-    // weighted average — same operations in the same order, so the
-    // result is bit-identical to it for this output bit.
-    const std::uint64_t total = requests_;
-    if (total == 0)
+    // Each kernel's window entropy, then EntropyProfile::combine's
+    // request-weighted average over kernels, in kernel order —
+    // bit-identical to the scalar oracle for this output bit.
+    if (requests_ == 0)
         return 0.0;
-
     double combined = 0.0;
-    // Thread-local scratch: this runs once per candidate evaluation,
-    // where a heap allocation would rival the entropy math itself.
-    static thread_local std::vector<double> series;
-    for (const KernelPlanes &k : kernels) {
-        series.resize(k.tbs.size());
-        for (std::size_t t = 0; t < k.tbs.size(); ++t) {
-            const TbView &v = k.tbs[t];
-            series[t] = v.requests == 0
-                            ? 0.0
-                            : static_cast<double>(ones[k.tbBase + t]) /
-                                  static_cast<double>(v.requests);
-        }
-        const double e = metric == EntropyMetric::BvrDistribution
-                             ? windowEntropy(series, window)
-                             : windowBitEntropy(series, window);
-        const double w = static_cast<double>(k.requests) /
-                         static_cast<double>(total);
-        combined += w * e;
-    }
+    for (const KernelPlanes &k : kernels)
+        combined += k.weight *
+                    scoreKernel(k, ones + k.tbBase, window, metric).entropy;
     return combined;
 }
 

@@ -42,15 +42,26 @@
  * ## Incremental scoring
  *
  * A full candidate row is `combineRow` (XOR of all tapped planes +
- * per-TB one-counts); search move kinds then update a cached row in
- * O(one plane): `toggleRow` XORs in exactly one input plane (a
- * tap-toggle move), `xorRows` combines two cached rows (a row-XOR
- * move). One-counts are exact integers, so a cached row's
- * `entropyFromOnes` is bit-identical to `rowEntropy` recomputed from
- * scratch — the oracle path, which stays as-is. `rowEntropyBatch`
- * scores N masks over one shared one-count scratch while the strips
- * stay cache-hot — no per-candidate allocation, which is what a loop
- * of `rowEntropy` calls pays.
+ * per-TB one-counts). The search keeps its current rows as `Row`s:
+ * the combined plane, the one-counts and each kernel's window
+ * entropy. `proposeToggle` (a tap-toggle move, XOR one input strip)
+ * and `proposeXor` (a row-XOR move, XOR two cached rows) score a
+ * candidate by rescoring only the kernels whose one-counts the move
+ * changes, and `commit` copies just those kernels back into the row.
+ *
+ * The skip rule rests on two facts. A kernel's entropy depends only
+ * on its own one-counts. An XOR operand that is zero across a kernel
+ * leaves those one-counts as they were. So a toggle of bit `b` skips
+ * every kernel whose strip `b` is all zero (each kernel records these
+ * bits as its zero mask while its arena is packed), and a row XOR
+ * skips every kernel in which the other row has no one-bits. A
+ * skipped kernel keeps the base row's entropy; the row entropy is
+ * still the request-weighted sum over every kernel in kernel order,
+ * so it is bit-identical to `rowEntropy` recomputed from scratch —
+ * the oracle path, which stays as-is. `rowEntropyBatch` scores N
+ * masks over one shared one-count scratch while the strips stay
+ * cache-hot — no per-candidate allocation, which is what a loop of
+ * `rowEntropy` calls pays.
  *
  * The per-TB one-counts are exact integers and each BVR is one
  * division, so `profileFor` equals the scalar path — a
@@ -68,6 +79,7 @@
 
 #include "bim/bit_matrix.hh"
 #include "common/bitops.hh"
+#include "common/cancellation.hh"
 #include "entropy/window_entropy.hh"
 #include "workloads/workload.hh"
 
@@ -91,6 +103,14 @@ struct PlaneOptions
      * exists so one process can time both paths.)
      */
     bool forceScalar = false;
+    /**
+     * Optional cancellation token (non-owning; must outlive the
+     * constructor). Serial extraction polls it before each kernel,
+     * threaded extraction hands it to the pool; a fired token makes
+     * the constructor throw `Cancelled` — half-extracted planes have
+     * no partial answer.
+     */
+    const CancelToken *cancel = nullptr;
 };
 
 /**
@@ -99,12 +119,73 @@ struct PlaneOptions
  *
  * Immutable after construction; the scoring entry points are const
  * and touch no shared mutable state, so one instance can be shared by
- * concurrent search restarts. Callers owning incremental row caches
- * pass their own plane/one-count storage in.
+ * concurrent search restarts. Callers own their incremental `Row`s
+ * and `Proposal`s.
  */
 class TracePlanes
 {
+    /** One kernel's entropy and whether its one-counts are all 0. */
+    struct KernelScore
+    {
+        double entropy = 0.0;
+        bool zero = true;
+    };
+
   public:
+    /**
+     * A cached candidate row: its combined output plane, exact per-TB
+     * one-counts and each kernel's window entropy, under the window
+     * and metric it was seeded with. Filled only by `seedRow` and
+     * `commit`; see "Incremental scoring" above.
+     */
+    class Row
+    {
+      public:
+        /** An unseeded row sized for the layout of `planes`. */
+        explicit Row(const TracePlanes &planes);
+
+        /** Bit-identical to `rowEntropy` of the row's mask. */
+        double entropy() const { return entropy_; }
+
+        /** The combined output plane, `planeWords()` words. */
+        std::span<const std::uint64_t> plane() const { return plane_; }
+
+        /** Exact per-TB one-counts, `tbCount()` entries. */
+        std::span<const std::uint64_t> ones() const { return ones_; }
+
+      private:
+        friend class TracePlanes;
+
+        std::vector<std::uint64_t> plane_;
+        std::vector<std::uint64_t> ones_;
+        std::vector<KernelScore> kernels_; ///< one per kernel
+        double entropy_ = 0.0;
+        unsigned window_ = 0;
+        EntropyMetric metric_ = EntropyMetric::BitProbability;
+    };
+
+    /**
+     * A scored move derived from a base `Row`. Only the kernels it
+     * rescored hold valid plane words, one-counts and entropies;
+     * `commit` copies exactly those into the base row.
+     */
+    class Proposal
+    {
+      public:
+        /** Scratch sized for the layout of `planes`. */
+        explicit Proposal(const TracePlanes &planes) : row_(planes) {}
+
+        /** Kernels whose one-counts the move changed (rescored). */
+        std::size_t kernelsRescored() const { return rescored_.size(); }
+
+      private:
+        friend class TracePlanes;
+
+        Row row_;
+        std::vector<std::uint32_t> rescored_; ///< kernel order
+        const Row *base_ = nullptr;
+    };
+
     /** Generate and transpose every TB trace of `kernels`. */
     TracePlanes(std::span<const Kernel> kernels,
                 const PlaneOptions &opts);
@@ -135,8 +216,8 @@ class TracePlanes
 
     /**
      * 64-request words in one combined row plane — the concatenation
-     * of every TB's lane, in (kernel, TB) order (`plane` buffers
-     * passed to the incremental entry points have this length).
+     * of every TB's lane, in (kernel, TB) order (the length of
+     * `combineRow`'s `plane` buffer).
      */
     std::size_t planeWords() const { return plane_words; }
 
@@ -179,29 +260,36 @@ class TracePlanes
                     std::uint64_t *ones) const;
 
     /**
-     * `dst = base ^ inputPlane(bit)` with per-TB one-counts of the
-     * result — a tap-toggle move in O(one plane). `dst` may alias
-     * `base`.
+     * Seed `row` from `row_mask`: `combineRow` plus every kernel's
+     * entropy under `window` and `metric`, which the row keeps for
+     * the proposals derived from it.
      */
-    void toggleRow(const std::uint64_t *base, unsigned bit,
-                   std::uint64_t *dst, std::uint64_t *ones) const;
+    void seedRow(std::uint64_t row_mask, unsigned window,
+                 EntropyMetric metric, Row &row) const;
 
     /**
-     * `dst = a ^ b` with per-TB one-counts of the result — a row-XOR
-     * move on two cached rows. `dst` may alias either input.
+     * Score a tap-toggle move, `base ^ inputPlane(bit)`, into `out`
+     * and return its entropy. Kernels whose strip `bit` is all zero
+     * keep `base`'s entropy and are not touched.
      */
-    void xorRows(const std::uint64_t *a, const std::uint64_t *b,
-                 std::uint64_t *dst, std::uint64_t *ones) const;
+    double proposeToggle(const Row &base, unsigned bit,
+                         Proposal &out) const;
 
     /**
-     * The entropy value of a row whose per-TB one-counts are `ones`
-     * (as produced by `combineRow`/`toggleRow`/`xorRows`).
-     * Bit-identical to `rowEntropy` of the same row: one-counts are
-     * exact integers, and the BVR division, window metric and kernel
-     * combination are the same operations in the same order.
+     * Score a row-XOR move, `base ^ other`, into `out` and return its
+     * entropy. Kernels in which `other` has no one-bits keep `base`'s
+     * entropy and are not touched. Both rows must share a window and
+     * metric.
      */
-    double entropyFromOnes(const std::uint64_t *ones, unsigned window,
-                           EntropyMetric metric) const;
+    double proposeXor(const Row &base, const Row &other,
+                      Proposal &out) const;
+
+    /**
+     * Make `row` the row `p` proposed: copy the rescored kernels'
+     * plane words, one-counts and entropies. `row` must be the base
+     * `p` was derived from, unchanged since.
+     */
+    void commit(const Proposal &p, Row &row) const;
 
     /**
      * Full workload profile under matrix `m`: per output bit `r`,
@@ -231,6 +319,9 @@ class TracePlanes
         std::vector<TbView> tbs;
         std::vector<std::uint64_t> arena;
         std::uint64_t requests = 0; ///< combine() weight
+        double weight = 0.0;        ///< requests / totalRequests()
+        /** Input bits whose strip is all zero in this kernel. */
+        std::uint64_t zeroMask = 0;
         std::size_t tbBase = 0;     ///< first global TB index
         std::size_t rowBase = 0;    ///< first word in a row plane
         std::size_t kwords = 0;     ///< words per strip (sum of TBs)
@@ -239,6 +330,42 @@ class TracePlanes
 
     /** Exact per-TB one-counts of `row_mask`'s combined output plane. */
     void rowOnes(std::uint64_t row_mask, std::uint64_t *ones) const;
+
+    /**
+     * The entropy of a row whose per-TB one-counts are `ones` — the
+     * tail of `rowEntropy` and `rowEntropyBatch`: every kernel's
+     * `scoreKernel`, request-weighted in kernel order, the same sum
+     * `seedRow` and the proposals make.
+     */
+    double entropyFromOnes(const std::uint64_t *ones, unsigned window,
+                           EntropyMetric metric) const;
+
+    /**
+     * Window entropy of kernel `k`'s BVR series from its per-TB
+     * one-counts `ones` (the kernel's first TB at `ones[0]`) — the
+     * one per-kernel function every scoring path shares.
+     */
+    KernelScore scoreKernel(const KernelPlanes &k,
+                            const std::uint64_t *ones, unsigned window,
+                            EntropyMetric metric) const;
+
+    /**
+     * `dst = a ^ b` over kernel `k`'s words with its per-TB
+     * one-counts; every pointer is kernel-local (word 0 / TB 0 of
+     * `k`). `dst` may alias `a` or `b`.
+     */
+    void xorKernel(const KernelPlanes &k, const std::uint64_t *a,
+                   const std::uint64_t *b, std::uint64_t *dst,
+                   std::uint64_t *ones) const;
+
+    /**
+     * The proposal loop both move kinds share: for each kernel in
+     * order, `rescore(k)` XORs the move into `out` and returns true,
+     * or returns false to keep `base`'s entropy.
+     */
+    template <typename Rescore>
+    double propose(const Row &base, Proposal &out,
+                   Rescore rescore) const;
 
     void releaseGauge() noexcept;
 

@@ -8,16 +8,20 @@
  * rows, results must be deterministic for a fixed seed and
  * bit-identical between serial and parallel restarts, and the search
  * must strictly lower the entropy-flatness objective against the
- * identity mapping on valley workloads.
+ * identity mapping on valley workloads. Plane extraction stops on a
+ * fired cancellation token and is unchanged by an unfired one.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <optional>
 
 #include "bim/bim_builder.hh"
 #include "common/cancellation.hh"
+#include "common/metrics.hh"
 #include "common/rng.hh"
 #include "mapping/mapper_registry.hh"
 #include "search/searched_bim.hh"
@@ -87,49 +91,155 @@ TEST(TracePlanes, RowEntropyBatchMatchesRowEntropy)
     }
 }
 
+namespace {
+
+using Row = workloads::TracePlanes::Row;
+using Proposal = workloads::TracePlanes::Proposal;
+
+/**
+ * `row` must be exactly what seeding `mask` from scratch builds: the
+ * plane and one-counts `combineRow` makes, and `rowEntropy`.
+ */
+void
+expectRowIs(const workloads::TracePlanes &p, const Row &row,
+            std::uint64_t mask, EntropyMetric metric,
+            const std::string &what)
+{
+    std::vector<std::uint64_t> plane(p.planeWords());
+    std::vector<std::uint64_t> ones(p.tbCount());
+    p.combineRow(mask, plane.data(), ones.data());
+    EXPECT_TRUE(std::ranges::equal(row.plane(), plane)) << what;
+    EXPECT_TRUE(std::ranges::equal(row.ones(), ones)) << what;
+    EXPECT_EQ(row.entropy(), p.rowEntropy(mask, 12, metric)) << what;
+}
+
+/**
+ * How many kernels hold a non-zero strip for input bit `bit`: the
+ * kernels a toggle of `bit` on the all-zero row rescores.
+ */
+std::size_t
+kernelsTapping(const workloads::TracePlanes &p, unsigned bit)
+{
+    Row zero(p);
+    Proposal prop(p);
+    p.seedRow(0, 12, EntropyMetric::BitProbability, zero);
+    p.proposeToggle(zero, bit, prop);
+    return prop.kernelsRescored();
+}
+
+} // namespace
+
 TEST(TracePlanes, IncrementalMovesMatchOracle)
 {
-    // Walk a row through the search's move kinds on cached planes:
-    // every intermediate entropyFromOnes value must equal the
-    // from-scratch rowEntropy of the mask the cache represents.
-    PlanesFixture s("MT");
-    const workloads::TracePlanes &p = *s.planes;
-    XorShiftRng rng(23);
-    std::vector<std::uint64_t> plane(p.planeWords());
-    std::vector<std::uint64_t> other(p.planeWords());
-    std::vector<std::uint64_t> ones(p.tbCount());
-    std::vector<std::uint64_t> ones2(p.tbCount());
+    // Walk rows through the search's move kinds — propose, then
+    // commit — on MT and on LU (254 kernels at this scale, most with
+    // some all-zero strips), under both metrics. Every proposal's
+    // entropy must equal the from-scratch rowEntropy of the mask it
+    // stands for, and after each commit the row must be exactly what
+    // seeding that mask builds.
+    for (const char *abbrev : {"MT", "LU"}) {
+        PlanesFixture s(abbrev);
+        const workloads::TracePlanes &p = *s.planes;
+        const std::size_t nk = p.numKernels();
 
-    std::uint64_t mask = rng.next() & bits::mask(30);
-    p.combineRow(mask, plane.data(), ones.data());
-    EXPECT_EQ(p.entropyFromOnes(ones.data(), 12,
-                                EntropyMetric::BitProbability),
-              p.rowEntropy(mask, 12, EntropyMetric::BitProbability));
+        // Bits by how many kernels their strip touches: one in none
+        // (coalesced line addresses have clear offset bits), one in
+        // every kernel, and, where the workload has one, one in some
+        // but not all.
+        std::optional<unsigned> none, every, some;
+        for (unsigned b = 0; b < 30; ++b) {
+            const std::size_t n = kernelsTapping(p, b);
+            if (n == 0 && !none)
+                none = b;
+            else if (n == nk && !every)
+                every = b;
+            else if (n != 0 && n != nk && !some)
+                some = b;
+        }
+        ASSERT_TRUE(none && every) << abbrev;
+        if (std::string(abbrev) == "LU")
+            ASSERT_TRUE(some) << "LU has kernels with zero strips";
+        const unsigned zb = some.value_or(*every);
+        const std::uint64_t zbit = std::uint64_t{1} << zb;
 
-    // Tap toggles, including toggling the same bit back.
-    for (const unsigned bit : {3u, 17u, 29u, 17u, 0u}) {
-        p.toggleRow(plane.data(), bit, plane.data(), ones.data());
-        mask ^= std::uint64_t{1} << bit;
-        EXPECT_EQ(
-            p.entropyFromOnes(ones.data(), 12,
-                              EntropyMetric::BitProbability),
-            p.rowEntropy(mask, 12, EntropyMetric::BitProbability))
-            << "bit " << bit;
-        // The cached plane must be exactly what combineRow builds.
-        std::vector<std::uint64_t> fresh(p.planeWords());
-        p.combineRow(mask, fresh.data(), ones2.data());
-        EXPECT_EQ(plane, fresh) << "bit " << bit;
-        EXPECT_EQ(ones, ones2) << "bit " << bit;
+        for (const EntropyMetric metric :
+             {EntropyMetric::BitProbability,
+              EntropyMetric::BvrDistribution}) {
+            const std::string tag =
+                std::string(abbrev) + " metric " +
+                std::to_string(static_cast<int>(metric));
+            XorShiftRng rng(23);
+            Row row(p);
+            Proposal prop(p);
+            std::uint64_t mask = rng.next() & bits::mask(30);
+            p.seedRow(mask, 12, metric, row);
+            expectRowIs(p, row, mask, metric, tag + " seed");
+
+            // Tap toggles, including toggling bits back and a bit
+            // whose strip is zero in some kernels.
+            for (const unsigned bit :
+                 {3u, 17u, zb, 29u, 17u, *none, zb, 0u}) {
+                const std::uint64_t next = mask ^ (std::uint64_t{1} << bit);
+                const double e = p.proposeToggle(row, bit, prop);
+                EXPECT_EQ(e, p.rowEntropy(next, 12, metric))
+                    << tag << " toggle " << bit;
+                EXPECT_EQ(prop.kernelsRescored(), kernelsTapping(p, bit))
+                    << tag << " toggle " << bit;
+                p.commit(prop, row);
+                mask = next;
+                expectRowIs(p, row, mask, metric,
+                            tag + " after toggle " + std::to_string(bit));
+            }
+
+            // A toggle on a strip that is zero everywhere changes
+            // nothing and rescores nothing.
+            EXPECT_EQ(p.proposeToggle(row, *none, prop), row.entropy());
+            EXPECT_EQ(prop.kernelsRescored(), 0u) << tag;
+
+            // An uncommitted proposal leaves the row as it was.
+            p.proposeToggle(row, *every, prop);
+            expectRowIs(p, row, mask, metric, tag + " uncommitted");
+
+            // Row XOR against a row that is zero in some kernels,
+            // then a row that is zero there XORed with one that is
+            // not: the skip follows the other row's zeros, never the
+            // base row's.
+            Row sparse(p);
+            p.seedRow(zbit, 12, metric, sparse);
+            EXPECT_EQ(p.proposeXor(row, sparse, prop),
+                      p.rowEntropy(mask ^ zbit, 12, metric))
+                << tag;
+            EXPECT_EQ(prop.kernelsRescored(), kernelsTapping(p, zb))
+                << tag;
+            p.commit(prop, row);
+            mask ^= zbit;
+            expectRowIs(p, row, mask, metric, tag + " after xor");
+
+            const std::uint64_t dense_mask = std::uint64_t{1} << *every;
+            Row dense(p);
+            p.seedRow(dense_mask, 12, metric, dense);
+            EXPECT_EQ(p.proposeXor(sparse, dense, prop),
+                      p.rowEntropy(zbit ^ dense_mask, 12, metric))
+                << tag;
+            EXPECT_EQ(prop.kernelsRescored(), nk) << tag;
+            p.commit(prop, sparse);
+            expectRowIs(p, sparse, zbit ^ dense_mask, metric,
+                        tag + " after xor into the sparse row");
+
+            // A random run of XORs with independently seeded rows.
+            for (int k = 0; k < 4; ++k) {
+                const std::uint64_t omask = rng.next() & bits::mask(30);
+                Row other(p);
+                p.seedRow(omask, 12, metric, other);
+                EXPECT_EQ(p.proposeXor(row, other, prop),
+                          p.rowEntropy(mask ^ omask, 12, metric))
+                    << tag << " xor " << k;
+                p.commit(prop, row);
+                mask ^= omask;
+            }
+            expectRowIs(p, row, mask, metric, tag + " after xor run");
+        }
     }
-
-    // Row XOR against an independently combined row.
-    const std::uint64_t omask = rng.next() & bits::mask(30);
-    p.combineRow(omask, other.data(), ones2.data());
-    p.xorRows(plane.data(), other.data(), plane.data(), ones.data());
-    mask ^= omask;
-    EXPECT_EQ(p.entropyFromOnes(ones.data(), 12,
-                                EntropyMetric::BitProbability),
-              p.rowEntropy(mask, 12, EntropyMetric::BitProbability));
 }
 
 TEST(TracePlanes, ForceScalarBitIdenticalToDispatched)
@@ -148,6 +258,47 @@ TEST(TracePlanes, ForceScalarBitIdenticalToDispatched)
         for (std::size_t bit = 0; bit < pa.perBit.size(); ++bit)
             EXPECT_EQ(pa.perBit[bit], pb.perBit[bit])
                 << "bit " << bit;
+    }
+}
+
+TEST(TracePlanes, FiredTokenStopsExtraction)
+{
+    // Half-extracted planes have no partial answer: a fired token
+    // makes the constructor throw, serial or threaded, and leaves
+    // the resident-bytes gauge where it was.
+    const auto wl = workloads::make("LU", kScale);
+    CancelToken token;
+    token.cancel();
+    metrics::Gauge &bytes = metrics::gauge("search.plane_bytes");
+    const std::int64_t before = bytes.value();
+    for (const unsigned threads : {1u, 3u}) {
+        workloads::PlaneOptions po{30, threads};
+        po.cancel = &token;
+        EXPECT_THROW(workloads::TracePlanes(*wl, po), Cancelled)
+            << threads << " threads";
+    }
+    EXPECT_EQ(bytes.value(), before);
+}
+
+TEST(TracePlanes, UnfiredTokenLeavesPlanesBitIdentical)
+{
+    const auto wl = workloads::make("LU", kScale);
+    const workloads::TracePlanes plain(*wl,
+                                       workloads::PlaneOptions{30, 1});
+    const CancelToken token; // present but never fired
+    const BitMatrix id = BitMatrix::identity(30);
+    for (const unsigned threads : {1u, 3u}) {
+        workloads::PlaneOptions po{30, threads};
+        po.cancel = &token;
+        const workloads::TracePlanes polled(*wl, po);
+        for (const EntropyMetric metric :
+             {EntropyMetric::BitProbability,
+              EntropyMetric::BvrDistribution}) {
+            const EntropyProfile a = plain.profileFor(id, 12, metric);
+            const EntropyProfile b = polled.profileFor(id, 12, metric);
+            EXPECT_EQ(a.weight, b.weight);
+            EXPECT_EQ(a.perBit, b.perBit) << threads << " threads";
+        }
     }
 }
 
@@ -369,45 +520,88 @@ TEST(BimSearch, PlaneCacheOffBitIdenticalToOn)
     // The incremental row cache is a pure speedup: with it disabled
     // every proposal is scored from scratch through the oracle, and
     // the whole trajectory — matrix, cost, evaluation and acceptance
-    // counts — must not move, under either entropy metric.
+    // counts — must not move, under either entropy metric, on MT and
+    // on LU, whose zero strips make most proposals reuse kernels.
     const AddressLayout layout = gddr5();
-    for (const EntropyMetric metric :
-         {EntropyMetric::BitProbability,
-          EntropyMetric::BvrDistribution}) {
-        PlanesFixture s("MT");
-        SearchOptions cached = defaultOptions(layout);
-        cached.threads = 1;
-        cached.restarts = 2;
-        cached.iterations = 300;
-        cached.metric = metric;
-        SearchOptions oracle = cached;
-        oracle.planeCache = false;
-        const BimSearch sc(layout, *s.planes,
-                           defaultObjective(layout), cached);
-        const BimSearch so(layout, *s.planes,
-                           defaultObjective(layout), oracle);
+    for (const char *abbrev : {"MT", "LU"}) {
+        PlanesFixture s(abbrev);
+        for (const EntropyMetric metric :
+             {EntropyMetric::BitProbability,
+              EntropyMetric::BvrDistribution}) {
+            SCOPED_TRACE(std::string(abbrev) + " metric " +
+                         std::to_string(static_cast<int>(metric)));
+            SearchOptions cached = defaultOptions(layout);
+            cached.threads = 1;
+            cached.restarts = 2;
+            cached.iterations = 300;
+            cached.metric = metric;
+            SearchOptions oracle = cached;
+            oracle.planeCache = false;
+            const BimSearch sc(layout, *s.planes,
+                               defaultObjective(layout), cached);
+            const BimSearch so(layout, *s.planes,
+                               defaultObjective(layout), oracle);
 
-        const SearchResult a = sc.anneal();
-        const SearchResult b = so.anneal();
-        EXPECT_TRUE(a.bim == b.bim);
-        EXPECT_EQ(a.cost, b.cost);
-        EXPECT_EQ(a.identityCost, b.identityCost);
-        EXPECT_EQ(a.stats.evaluations, b.stats.evaluations);
-        EXPECT_EQ(a.stats.accepted, b.stats.accepted);
-        // The cached run works through plane moves; the oracle run
-        // must not touch the incremental machinery at all.
-        EXPECT_GT(a.stats.planeToggles + a.stats.planeXors, 0u);
-        EXPECT_GT(a.stats.planeRebuilds, 0u);
-        EXPECT_EQ(b.stats.planeToggles, 0u);
-        EXPECT_EQ(b.stats.planeXors, 0u);
-        EXPECT_EQ(b.stats.planeRebuilds, 0u);
+            const SearchResult a = sc.anneal();
+            const SearchResult b = so.anneal();
+            EXPECT_TRUE(a.bim == b.bim);
+            EXPECT_EQ(a.cost, b.cost);
+            EXPECT_EQ(a.identityCost, b.identityCost);
+            EXPECT_EQ(a.stats.evaluations, b.stats.evaluations);
+            EXPECT_EQ(a.stats.accepted, b.stats.accepted);
+            // The cached run works through plane moves; the oracle run
+            // must not touch the incremental machinery at all.
+            EXPECT_GT(a.stats.planeToggles + a.stats.planeXors, 0u);
+            EXPECT_GT(a.stats.planeRebuilds, 0u);
+            EXPECT_EQ(b.stats.planeToggles, 0u);
+            EXPECT_EQ(b.stats.planeXors, 0u);
+            EXPECT_EQ(b.stats.planeRebuilds, 0u);
 
-        const SearchResult ga = sc.greedy();
-        const SearchResult gb = so.greedy();
-        EXPECT_TRUE(ga.bim == gb.bim);
-        EXPECT_EQ(ga.cost, gb.cost);
-        EXPECT_EQ(ga.stats.evaluations, gb.stats.evaluations);
+            const SearchResult ga = sc.greedy();
+            const SearchResult gb = so.greedy();
+            EXPECT_TRUE(ga.bim == gb.bim);
+            EXPECT_EQ(ga.cost, gb.cost);
+            EXPECT_EQ(ga.stats.evaluations, gb.stats.evaluations);
+        }
     }
+}
+
+TEST(BimSearch, KernelCountsSplitEveryProposal)
+{
+    // Each kernel of each toggle or XOR proposal is either rescored
+    // or reused, never both; on LU most strips are zero in some
+    // kernels, so reuse must happen. The oracle path counts neither.
+    PlanesFixture s("LU");
+    const AddressLayout layout = gddr5();
+    SearchOptions opts = defaultOptions(layout);
+    opts.threads = 1;
+    opts.restarts = 2;
+    opts.iterations = 200;
+    const std::uint64_t rescored_before =
+        metrics::counter("search.kernels_rescored").value();
+    const std::uint64_t reused_before =
+        metrics::counter("search.kernels_reused").value();
+    const SearchResult a =
+        BimSearch(layout, *s.planes, defaultObjective(layout), opts)
+            .anneal();
+    EXPECT_EQ(a.stats.kernelsRescored + a.stats.kernelsReused,
+              (a.stats.planeToggles + a.stats.planeXors) *
+                  s.planes->numKernels());
+    EXPECT_GT(a.stats.kernelsReused, 0u);
+    EXPECT_GT(a.stats.kernelsRescored, 0u);
+    EXPECT_EQ(metrics::counter("search.kernels_rescored").value() -
+                  rescored_before,
+              a.stats.kernelsRescored);
+    EXPECT_EQ(metrics::counter("search.kernels_reused").value() -
+                  reused_before,
+              a.stats.kernelsReused);
+
+    opts.planeCache = false;
+    const SearchResult b =
+        BimSearch(layout, *s.planes, defaultObjective(layout), opts)
+            .anneal();
+    EXPECT_EQ(b.stats.kernelsRescored, 0u);
+    EXPECT_EQ(b.stats.kernelsReused, 0u);
 }
 
 TEST(BimSearch, UnfiredTokenLeavesTheSearchBitIdentical)

@@ -135,31 +135,38 @@ TEST(JointSearch, PlaneCacheOffBitIdenticalToOnOnSet)
     // The incremental plane cache must be invisible to a multi-member
     // joint search too: same trajectory, same matrix, same counters
     // story (cached run toggles/xors planes, oracle run never does).
+    // The second set adds LU, whose zero strips make most proposals
+    // reuse cached kernel entropies.
     const AddressLayout layout = gddr5();
-    const WorkloadSet set({"MT", "synth:stencil3d"});
-    const SetPlanes sp(set);
+    for (const WorkloadSet &set :
+         {WorkloadSet({"MT", "synth:stencil3d"}),
+          WorkloadSet({"LU", "MT", "synth:stencil3d"})}) {
+        SCOPED_TRACE(set.key());
+        const SetPlanes sp(set);
 
-    SearchOptions cached = smallOptions(layout);
-    SearchOptions oracle = cached;
-    oracle.planeCache = false;
+        SearchOptions cached = smallOptions(layout);
+        SearchOptions oracle = cached;
+        oracle.planeCache = false;
 
-    const JointObjective obj = defaultJointObjective(
-        layout, cached.targets, JointCombiner::Mean);
-    const BimSearch cs(layout, sp.ptrs(), obj, cached);
-    const BimSearch os(layout, sp.ptrs(), obj, oracle);
-    const SearchResult a = cs.anneal();
-    const SearchResult b = os.anneal();
-    EXPECT_TRUE(a.bim == b.bim);
-    EXPECT_EQ(a.cost, b.cost);
-    EXPECT_EQ(a.identityCost, b.identityCost);
-    EXPECT_EQ(a.stats.evaluations, b.stats.evaluations);
-    EXPECT_EQ(a.stats.accepted, b.stats.accepted);
-    EXPECT_EQ(a.memberCosts, b.memberCosts);
-    EXPECT_GT(a.stats.planeToggles + a.stats.planeXors, 0u);
-    EXPECT_GT(a.stats.planeRebuilds, 0u);
-    EXPECT_EQ(b.stats.planeToggles, 0u);
-    EXPECT_EQ(b.stats.planeXors, 0u);
-    EXPECT_EQ(b.stats.planeRebuilds, 0u);
+        const JointObjective obj = defaultJointObjective(
+            layout, cached.targets, JointCombiner::Mean);
+        const BimSearch cs(layout, sp.ptrs(), obj, cached);
+        const BimSearch os(layout, sp.ptrs(), obj, oracle);
+        const SearchResult a = cs.anneal();
+        const SearchResult b = os.anneal();
+        EXPECT_TRUE(a.bim == b.bim);
+        EXPECT_EQ(a.cost, b.cost);
+        EXPECT_EQ(a.identityCost, b.identityCost);
+        EXPECT_EQ(a.stats.evaluations, b.stats.evaluations);
+        EXPECT_EQ(a.stats.accepted, b.stats.accepted);
+        EXPECT_EQ(a.memberCosts, b.memberCosts);
+        EXPECT_EQ(a.memberTargetEntropy, b.memberTargetEntropy);
+        EXPECT_GT(a.stats.planeToggles + a.stats.planeXors, 0u);
+        EXPECT_GT(a.stats.planeRebuilds, 0u);
+        EXPECT_EQ(b.stats.planeToggles, 0u);
+        EXPECT_EQ(b.stats.planeXors, 0u);
+        EXPECT_EQ(b.stats.planeRebuilds, 0u);
+    }
 }
 
 TEST(JointSearch, JointMatrixImprovesEveryMemberHere)

@@ -4,8 +4,9 @@
  * workloads and `map:` mappers share: parsing in written order,
  * malformed-spec rejection under both prefixes, diagnostics that name
  * the offending spec for grammar and schema errors from both
- * registries, and the comma-list splitter of the CLIs and
- * `WorkloadSet::parse`.
+ * registries, the comma-list splitter of the CLIs and
+ * `WorkloadSet::parse`, and the number rules (`parseU64`, `parseF64`)
+ * that spec values and the CLIs' numeric flags share.
  */
 
 #include <gtest/gtest.h>
@@ -160,4 +161,33 @@ TEST(Spec, ValidKeyIsLowercaseDigitsAndUnderscore)
     EXPECT_TRUE(spec::validKey("gddr5_1gb"));
     for (const char *bad : {"", "Stream", "a-b", "a b", "a:b", "a=b"})
         EXPECT_FALSE(spec::validKey(bad)) << bad;
+}
+
+TEST(Spec, ParseU64TakesOnlyDigitsThatFitIn64Bits)
+{
+    EXPECT_EQ(spec::parseU64("0"), 0u);
+    EXPECT_EQ(spec::parseU64("3"), 3u);
+    EXPECT_EQ(spec::parseU64("007"), 7u);
+    EXPECT_EQ(spec::parseU64("18446744073709551615"),
+              std::uint64_t{18446744073709551615ull});
+    for (const char *bad :
+         {"10ms", "x", "", "-1", "+3", " 3", "3 ", "18446744073709551616",
+          "nan", "inf", "1e309", "1.5", "0x10"})
+        EXPECT_FALSE(spec::parseU64(bad)) << "'" << bad << "'";
+}
+
+TEST(Spec, ParseF64TakesOnlyOneWholeFiniteReal)
+{
+    EXPECT_EQ(spec::parseF64("0.25"), 0.25);
+    EXPECT_EQ(spec::parseF64("-1"), -1.0);
+    EXPECT_EQ(spec::parseF64("1e3"), 1000.0);
+    EXPECT_EQ(spec::parseF64("18446744073709551616"),
+              18446744073709551616.0);
+    // strtod's own lexing: a sign and leading whitespace are part of
+    // a number; anything left over after it is not.
+    EXPECT_EQ(spec::parseF64("+3"), 3.0);
+    EXPECT_EQ(spec::parseF64(" 3"), 3.0);
+    for (const char *bad :
+         {"10ms", "x", "", "3 ", "nan", "inf", "-inf", "1e309", "0.5x"})
+        EXPECT_FALSE(spec::parseF64(bad)) << "'" << bad << "'";
 }

@@ -19,10 +19,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/spec.hh"
 #include "common/table.hh"
 #include "synth/registry.hh"
 #include "workloads/profiler.hh"
@@ -84,6 +87,35 @@ usageError(const std::string &msg)
     std::exit(1);
 }
 
+/**
+ * An integer flag's value (`spec::parseU64`) that fits in `max`, the
+ * range of the field it sets; usage error otherwise.
+ */
+std::uint64_t
+intArg(const char *flag, const std::string &value,
+       std::uint64_t max = std::numeric_limits<unsigned>::max())
+{
+    const std::optional<std::uint64_t> v = spec::parseU64(value);
+    if (!v)
+        usageError(std::string(flag) + ": '" + value +
+                   "' is not a non-negative integer");
+    if (*v > max)
+        usageError(std::string(flag) + ": " + value + " is above " +
+                   std::to_string(max));
+    return *v;
+}
+
+/** A real flag's value (`spec::parseF64`); usage error if malformed. */
+double
+realArg(const char *flag, const std::string &value)
+{
+    const std::optional<double> v = spec::parseF64(value);
+    if (!v)
+        usageError(std::string(flag) + ": '" + value +
+                   "' is not a finite number");
+    return *v;
+}
+
 CliOptions
 parseArgs(int argc, char **argv)
 {
@@ -103,19 +135,19 @@ parseArgs(int argc, char **argv)
         } else if (a == "--spec") {
             o.spec = need(i, "--spec");
         } else if (a == "--scale") {
-            o.scale = std::atof(need(i, "--scale").c_str());
+            o.scale = realArg("--scale", need(i, "--scale"));
             if (o.scale <= 0.0 || o.scale > 1.0)
                 usageError("--scale must be in (0, 1]");
         } else if (a == "--entropy") {
             o.entropy = true;
         } else if (a == "--window") {
             o.window = static_cast<unsigned>(
-                std::atoi(need(i, "--window").c_str()));
+                intArg("--window", need(i, "--window")));
             if (o.window == 0)
                 usageError("--window must be >= 1");
         } else if (a == "--kernels") {
             o.maxKernels = static_cast<unsigned>(
-                std::atoi(need(i, "--kernels").c_str()));
+                intArg("--kernels", need(i, "--kernels")));
         } else if (a == "--json") {
             o.json = need(i, "--json");
         } else {

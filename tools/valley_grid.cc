@@ -16,10 +16,13 @@
  */
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -131,6 +134,35 @@ listArg(const char *flag, const char *value)
     } catch (const std::exception &e) {
         usageError(std::string(flag) + ": " + e.what());
     }
+}
+
+/**
+ * An integer flag's value (`spec::parseU64`) that fits in `max`, the
+ * range of the field it sets; usage error otherwise.
+ */
+std::uint64_t
+intArg(const char *flag, const char *value,
+       std::uint64_t max = std::numeric_limits<unsigned>::max())
+{
+    const std::optional<std::uint64_t> v = spec::parseU64(value);
+    if (!v)
+        usageError(std::string(flag) + ": '" + value +
+                   "' is not a non-negative integer");
+    if (*v > max)
+        usageError(std::string(flag) + ": " + value + " is above " +
+                   std::to_string(max));
+    return *v;
+}
+
+/** A real flag's value (`spec::parseF64`); usage error if malformed. */
+double
+realArg(const char *flag, const char *value)
+{
+    const std::optional<double> v = spec::parseF64(value);
+    if (!v)
+        usageError(std::string(flag) + ": '" + value +
+                   "' is not a finite number");
+    return *v;
 }
 
 /**
@@ -275,18 +307,18 @@ main(int argc, char **argv)
                 }
             }
         } else if (arg == "--scale") {
-            cli.grid.scale = std::atof(need(i, "--scale"));
+            cli.grid.scale = realArg("--scale", need(i, "--scale"));
         } else if (arg == "--seed") {
-            cli.grid.bimSeed = std::strtoull(need(i, "--seed"),
-                                             nullptr, 10);
+            cli.grid.bimSeed = intArg("--seed", need(i, "--seed"),
+                                      UINT64_MAX);
         } else if (arg == "--threads") {
             cli.grid.threads = static_cast<unsigned>(
-                std::strtoul(need(i, "--threads"), nullptr, 10));
+                intArg("--threads", need(i, "--threads")));
         } else if (arg == "--poison") {
             cli.grid.poison = true;
         } else if (arg == "--deadline-ms") {
-            cli.grid.deadlineMs = std::strtoull(
-                need(i, "--deadline-ms"), nullptr, 10);
+            cli.grid.deadlineMs = intArg(
+                "--deadline-ms", need(i, "--deadline-ms"), UINT64_MAX);
         } else if (arg == "--report") {
             cli.grid.report = true;
         } else if (arg == "--cache") {

@@ -27,11 +27,14 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -150,6 +153,35 @@ usageError(const std::string &msg)
     std::exit(1);
 }
 
+/**
+ * An integer flag's value (`spec::parseU64`) that fits in `max`, the
+ * range of the field it sets; usage error otherwise.
+ */
+std::uint64_t
+intArg(const char *flag, const std::string &value,
+       std::uint64_t max = std::numeric_limits<unsigned>::max())
+{
+    const std::optional<std::uint64_t> v = spec::parseU64(value);
+    if (!v)
+        usageError(std::string(flag) + ": '" + value +
+                   "' is not a non-negative integer");
+    if (*v > max)
+        usageError(std::string(flag) + ": " + value + " is above " +
+                   std::to_string(max));
+    return *v;
+}
+
+/** A real flag's value (`spec::parseF64`); usage error if malformed. */
+double
+realArg(const char *flag, const std::string &value)
+{
+    const std::optional<double> v = spec::parseF64(value);
+    if (!v)
+        usageError(std::string(flag) + ": '" + value +
+                   "' is not a finite number");
+    return *v;
+}
+
 /** Resolve --layout: a registry key/spec, or a legacy alias. */
 AddressLayout
 resolveLayout(const std::string &l)
@@ -227,26 +259,26 @@ parseArgs(int argc, char **argv)
             else
                 usageError("--combine must be mean or worst");
         } else if (a == "--scale") {
-            o.scale = std::atof(need(i, "--scale").c_str());
+            o.scale = realArg("--scale", need(i, "--scale"));
             if (o.scale <= 0.0 || o.scale > 1.0)
                 usageError("--scale must be in (0, 1]");
         } else if (a == "--layout") {
             o.layout = need(i, "--layout");
         } else if (a == "--seed") {
-            o.search.seed = std::strtoull(
-                need(i, "--seed").c_str(), nullptr, 10);
+            o.search.seed =
+                intArg("--seed", need(i, "--seed"), UINT64_MAX);
         } else if (a == "--restarts") {
             o.search.restarts = static_cast<unsigned>(
-                std::atoi(need(i, "--restarts").c_str()));
+                intArg("--restarts", need(i, "--restarts")));
         } else if (a == "--iters") {
             o.search.iterations = static_cast<unsigned>(
-                std::atoi(need(i, "--iters").c_str()));
+                intArg("--iters", need(i, "--iters")));
         } else if (a == "--max-evals") {
-            o.search.maxEvaluations = std::strtoull(
-                need(i, "--max-evals").c_str(), nullptr, 10);
+            o.search.maxEvaluations = intArg(
+                "--max-evals", need(i, "--max-evals"), UINT64_MAX);
         } else if (a == "--window") {
             o.search.window = static_cast<unsigned>(
-                std::atoi(need(i, "--window").c_str()));
+                intArg("--window", need(i, "--window")));
             if (o.search.window == 0)
                 usageError("--window must be >= 1");
         } else if (a == "--metric") {
@@ -259,7 +291,7 @@ parseArgs(int argc, char **argv)
                 usageError("--metric must be bitprob or bvrdist");
         } else if (a == "--threads") {
             o.search.threads = static_cast<unsigned>(
-                std::atoi(need(i, "--threads").c_str()));
+                intArg("--threads", need(i, "--threads")));
         } else if (a == "--out") {
             o.out = need(i, "--out");
         } else if (a == "--trace") {
@@ -417,14 +449,21 @@ printSearchStats(const search::SearchResult &r)
                 r.stats.setupEvaluations, r.stats.annealEvaluations,
                 r.stats.polishEvaluations);
     const double secs = r.stats.totalSeconds;
+    const std::uint64_t kernels =
+        r.stats.kernelsRescored + r.stats.kernelsReused;
     std::printf("throughput: %.0f evals/s (simd %s); plane cache: %"
                 PRIu64 " toggles, %" PRIu64 " xors, %" PRIu64
-                " rebuilds\n",
+                " rebuilds, %.1f%% of kernels reused\n",
                 secs > 0.0
                     ? static_cast<double>(r.stats.evaluations) / secs
                     : 0.0,
                 bits::simdOps().name, r.stats.planeToggles,
-                r.stats.planeXors, r.stats.planeRebuilds);
+                r.stats.planeXors, r.stats.planeRebuilds,
+                kernels > 0 ? 100.0 *
+                                  static_cast<double>(
+                                      r.stats.kernelsReused) /
+                                  static_cast<double>(kernels)
+                            : 0.0);
 }
 
 /** Mean of `p.meanOver(targets)` across member profiles. */
@@ -486,12 +525,11 @@ main(int argc, char **argv)
                                             : comma;
                 const std::string f =
                     o.weights.substr(start, end - start);
-                std::size_t used = 0;
-                const double w = f.empty() ? 0.0 : std::stod(f, &used);
-                if (f.empty() || used != f.size())
+                const std::optional<double> w = spec::parseF64(f);
+                if (!w)
                     throw std::invalid_argument(
                         "--weights: \"" + f + "\" is not a number");
-                raw_weights.push_back(w);
+                raw_weights.push_back(*w);
                 if (comma == std::string::npos)
                     break;
                 start = comma + 1;
