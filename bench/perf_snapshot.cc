@@ -17,8 +17,8 @@
  *    cycles per host second over the serial leg.
  *
  * Single-core hosts force the parallel legs onto 2 worker threads so
- * the recorded speedups exercise the thread-pool path instead of
- * degenerating into a second serial run.
+ * the recorded speedups exercise the multi-worker `parallelFor` path
+ * instead of degenerating into a second serial run.
  *
  * BENCH_search.json (evals/sec across the scalar/SIMD and
  * oracle/cached scoring legs, plus the joint-vs-independent set
@@ -31,8 +31,8 @@
 #include "bench_util.hh"
 #include "common/bitops.hh"
 #include "common/metrics.hh"
+#include "common/parallel_for.hh"
 #include "common/rng.hh"
-#include "common/thread_pool.hh"
 #include "search/searched_bim.hh"
 #include "workloads/workload_set.hh"
 
@@ -91,10 +91,10 @@ main()
         "Perf snapshot",
         "compiled BIM + trace-plane profiler + parallel grid");
 
-    const unsigned hw_threads = ThreadPool::defaultThreads();
+    const unsigned hw_threads = hardwareThreads();
     // On a 1-core host a "parallel" run at the default thread count
     // is just the serial path again; 2 workers keep the measurement
-    // meaningful as a thread-pool exercise.
+    // meaningful as a multi-worker exercise.
     const unsigned parallel_threads = hw_threads == 1 ? 2 : 0;
     std::printf("hardware threads: %u (parallel runs use %s)\n\n",
                 hw_threads,
@@ -320,8 +320,8 @@ main()
     grid_json.field("sim_cycles", sim_cycles);
     grid_json.field("sim_cycles_per_second", cycles_per_sec);
     // Internal attribution for the perf trajectory: the process-wide
-    // metrics snapshot (cache hit/miss, per-phase search evals,
-    // steal/submit counts) accumulated across every section above.
+    // metrics snapshot (cache hit/miss, per-phase search evals, grid
+    // cell times) accumulated across every section above.
     grid_json.rawField("metrics", metrics::snapshotJson(1));
 
     std::printf("grid: %zu cells, serial %.2fs, parallel %.2fs "

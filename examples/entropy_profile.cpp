@@ -9,9 +9,9 @@
  *
  * Profiling runs on the trace planes: each TB's addresses are
  * transposed 64 at a time into one bit plane per address bit, a
- * plane's popcount gives the bit's BVR, and TB ranges fan out over a
- * thread pool (threads: 0 = one per hardware thread, 1 = serial; the
- * result is bit-identical either way).
+ * plane's popcount gives the bit's BVR, and TB ranges fan out over
+ * worker threads (threads: 0 = one per hardware thread, 1 = serial;
+ * the result is bit-identical either way).
  */
 
 #include <cstdio>

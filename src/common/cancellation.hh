@@ -4,11 +4,11 @@
  * searches.
  *
  * Long-running work cannot be preempted safely — a simulation owns
- * its machine state, a grid cell its result slot and pool worker —
+ * its machine state, a grid cell its result slot and worker thread —
  * so cancellation here is *cooperative*: the worker polls a
- * `CancelToken` at its natural checkpoint boundaries (one grid cell,
- * one pool task, one search move, every 4096 simulated SM cycles)
- * and winds down. Two things make a token fire:
+ * `CancelToken` at its natural checkpoint boundaries (one
+ * `parallelFor` task, one search move, every 4096 simulated SM
+ * cycles) and winds down. Two things make a token fire:
  *
  *  - an explicit `cancel()` — e.g. the SIGINT/SIGTERM handler of
  *    `tools/valley_grid`, which is why `cancel()` is a single atomic

@@ -12,66 +12,23 @@
 namespace valley {
 namespace metrics {
 
-namespace detail {
-
-unsigned
-threadSlot()
-{
-    static std::atomic<unsigned> next{0};
-    thread_local const unsigned slot =
-        next.fetch_add(1, std::memory_order_relaxed);
-    return slot;
-}
-
-} // namespace detail
-
 void
 Histogram::record(std::uint64_t micros) noexcept
 {
     const std::size_t idx =
         std::min<std::size_t>(std::bit_width(micros), kBuckets - 1);
-    Shard &s = shards[detail::threadSlot() % kShards];
-    s.count.fetch_add(1, std::memory_order_relaxed);
-    s.sum.fetch_add(micros, std::memory_order_relaxed);
-    s.buckets[idx].fetch_add(1, std::memory_order_relaxed);
-}
-
-std::uint64_t
-Histogram::count() const noexcept
-{
-    std::uint64_t total = 0;
-    for (const Shard &s : shards)
-        total += s.count.load(std::memory_order_relaxed);
-    return total;
-}
-
-std::uint64_t
-Histogram::sum() const noexcept
-{
-    std::uint64_t total = 0;
-    for (const Shard &s : shards)
-        total += s.sum.load(std::memory_order_relaxed);
-    return total;
-}
-
-std::uint64_t
-Histogram::bucket(std::size_t i) const noexcept
-{
-    std::uint64_t total = 0;
-    for (const Shard &s : shards)
-        total += s.buckets[i].load(std::memory_order_relaxed);
-    return total;
+    count_.fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(micros, std::memory_order_relaxed);
+    buckets_[idx].fetch_add(1, std::memory_order_relaxed);
 }
 
 void
 Histogram::reset() noexcept
 {
-    for (Shard &s : shards) {
-        s.count.store(0, std::memory_order_relaxed);
-        s.sum.store(0, std::memory_order_relaxed);
-        for (auto &b : s.buckets)
-            b.store(0, std::memory_order_relaxed);
-    }
+    count_.store(0, std::memory_order_relaxed);
+    sum_.store(0, std::memory_order_relaxed);
+    for (auto &b : buckets_)
+        b.store(0, std::memory_order_relaxed);
 }
 
 namespace {

@@ -2,23 +2,19 @@
  * @file
  * Process-wide metrics registry: named counters, gauges, and
  * fixed-bucket latency histograms shared by every subsystem
- * (grid harness, caches, search, thread pool).
+ * (grid harness, caches, search, profiler).
  *
- * ## Sharding model
+ * ## Concurrency
  *
- * The write path must be safe from any worker thread of the
- * work-stealing pool without serializing them. Counters and
- * histograms are therefore *thread-sharded*: each instrument owns a
- * small array of cache-line-aligned atomic shards, and each thread
- * hashes to a shard via a process-wide round-robin slot assigned on
- * first use. A bump is one relaxed `fetch_add` on the calling
- * thread's shard — no locks, no shared cache line between threads in
- * the common case. Shards are merged only when a snapshot is taken.
+ * Any thread may bump an instrument. Every field is one atomic, and a
+ * bump is one relaxed `fetch_add`: no locks and no per-thread shards.
+ * Bumps are rare — once per grid cell, cache lookup or store, search
+ * run or profile — so threads almost never contend for a line.
  *
  * Relaxed ordering is sufficient: metrics never feed back into
  * computation (the bit-identity contract of the grid), and snapshots
  * are taken at quiescent points (end of a grid / tool run), so the
- * merged totals are exact there.
+ * totals are exact there.
  *
  * ## Registration and lifetime
  *
@@ -52,32 +48,14 @@
 namespace valley {
 namespace metrics {
 
-namespace detail {
-
-/**
- * Process-wide round-robin shard slot for the calling thread,
- * assigned on first use. Instruments index `slot % kShards`; threads
- * outnumbering the shard count share shards (still correct — the
- * shards are atomic — just with occasional contention).
- */
-unsigned threadSlot();
-
-} // namespace detail
-
-/**
- * Monotonic event counter. `add` is lock-free and wait-free on the
- * calling thread's shard; `value` merges all shards.
- */
+/** Monotonic event counter; `add` is one lock-free relaxed add. */
 class Counter
 {
   public:
-    static constexpr std::size_t kShards = 16;
-
     void
     add(std::uint64_t n = 1) noexcept
     {
-        shards[detail::threadSlot() % kShards].v.fetch_add(
-            n, std::memory_order_relaxed);
+        v.fetch_add(n, std::memory_order_relaxed);
     }
 
     void
@@ -89,26 +67,18 @@ class Counter
     std::uint64_t
     value() const noexcept
     {
-        std::uint64_t total = 0;
-        for (const Shard &s : shards)
-            total += s.v.load(std::memory_order_relaxed);
-        return total;
+        return v.load(std::memory_order_relaxed);
     }
 
-    /** Zero every shard (testing only — see resetForTesting). */
+    /** Zero the count (testing only — see resetForTesting). */
     void
     reset() noexcept
     {
-        for (Shard &s : shards)
-            s.v.store(0, std::memory_order_relaxed);
+        v.store(0, std::memory_order_relaxed);
     }
 
   private:
-    struct alignas(64) Shard
-    {
-        std::atomic<std::uint64_t> v{0};
-    };
-    std::array<Shard, kShards> shards{};
+    std::atomic<std::uint64_t> v{0};
 };
 
 /**
@@ -178,24 +148,33 @@ class Histogram
 {
   public:
     static constexpr std::size_t kBuckets = 28;
-    static constexpr std::size_t kShards = 8;
 
     void record(std::uint64_t micros) noexcept;
 
-    std::uint64_t count() const noexcept;
-    std::uint64_t sum() const noexcept;
-    std::uint64_t bucket(std::size_t i) const noexcept;
+    std::uint64_t
+    count() const noexcept
+    {
+        return count_.load(std::memory_order_relaxed);
+    }
+
+    std::uint64_t
+    sum() const noexcept
+    {
+        return sum_.load(std::memory_order_relaxed);
+    }
+
+    std::uint64_t
+    bucket(std::size_t i) const noexcept
+    {
+        return buckets_[i].load(std::memory_order_relaxed);
+    }
 
     void reset() noexcept;
 
   private:
-    struct alignas(64) Shard
-    {
-        std::atomic<std::uint64_t> count{0};
-        std::atomic<std::uint64_t> sum{0};
-        std::array<std::atomic<std::uint64_t>, kBuckets> buckets{};
-    };
-    std::array<Shard, kShards> shards{};
+    std::atomic<std::uint64_t> count_{0};
+    std::atomic<std::uint64_t> sum_{0};
+    std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
 };
 
 /**

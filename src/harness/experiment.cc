@@ -9,8 +9,8 @@
 #include <stdexcept>
 
 #include "common/metrics.hh"
+#include "common/parallel_for.hh"
 #include "common/stats.hh"
-#include "common/thread_pool.hh"
 #include "common/trace_span.hh"
 #include "harness/atomic_io.hh"
 #include "harness/result_cache.hh"
@@ -35,8 +35,8 @@ search::SearchOptions
 cellSearchOptions(const SimConfig &config, std::uint64_t bim_seed,
                   const CancelToken *cancel)
 {
-    // Restarts stay serial here — grid cells already fan out over the
-    // harness thread pool — and the search is deterministic in
+    // Restarts stay serial here — the grid already runs its cells in
+    // parallel (`parallelFor`) — and the search is deterministic in
     // (workload set, scale, layout, window, seed), so cells remain
     // bit-reproducible.
     search::SearchOptions so = search::defaultOptions(config.layout);
@@ -454,15 +454,15 @@ runGrid(GridOptions opts)
         return r;
     };
 
-    const auto runCell = [&](std::size_t wi, std::size_t si) {
-        // A cell the token stopped, before it started or while it
-        // ran, stays NotRun (reported deadline-missed) and is never
-        // cached: a cell is either fully simulated or not run.
-        if (token.cancelled())
-            return;
+    // Cell idx = wi * axis.size() + si, in grid order. A cell the
+    // token stopped, before it started or while it ran, stays NotRun
+    // (reported deadline-missed) and is never cached: a cell is either
+    // fully simulated or not run.
+    const auto runCell = [&](std::size_t idx) {
+        const std::size_t wi = idx / axis.size();
+        const std::size_t si = idx % axis.size();
         const std::string &w = opts.workloads[wi];
         const MapperAxisEntry &m = axis[si];
-        const std::size_t idx = wi * axis.size() + si;
         trace::Span cell_span(
             trace::enabled() ? "cell " + w + "/" + m.label
                              : std::string(),
@@ -488,7 +488,7 @@ runGrid(GridOptions opts)
             return;
         } catch (const std::exception &e) {
             if (!opts.poison)
-                throw; // the figure drivers abort on the first failure
+                throw; // parallelFor rethrows it once every cell ran
             status[idx] = CellStatus::Poisoned;
             m_poisoned.inc();
             fail_reason[idx] = e.what();
@@ -503,31 +503,12 @@ runGrid(GridOptions opts)
                          cells);
     };
 
-    const unsigned threads = opts.threads == 0
-                                 ? ThreadPool::defaultThreads()
-                                 : opts.threads;
-    std::uint64_t steals = 0;
-    if (threads <= 1 || cells <= 1) {
-        for (std::size_t wi = 0; wi < opts.workloads.size(); ++wi)
-            for (std::size_t si = 0; si < axis.size(); ++si)
-                runCell(wi, si);
-    } else {
-        ThreadPool pool(
-            static_cast<unsigned>(std::min<std::size_t>(threads,
-                                                        cells)));
-        for (std::size_t wi = 0; wi < opts.workloads.size(); ++wi)
-            for (std::size_t si = 0; si < axis.size(); ++si)
-                pool.submit([&runCell, wi, si] { runCell(wi, si); });
-        // The token lets the pool skip (claim-and-retire) cells that
-        // have not started when it fires; they stay NotRun.
-        pool.run(&token);
-        steals = pool.stealCount();
-    }
+    // The token stops cells that have not started when it fires.
+    parallelFor(cells, opts.threads, runCell, &token);
 
     // Classify cells the token stopped.
     GridReport report;
     report.gridId = gridIdHex(gridIdentity(opts, joint.get()));
-    report.steals = steals;
     report.quarantinedLines = quarantinedLineCount();
     report.deadlineHit = token.cancelled();
     report.cells.reserve(cells);
@@ -556,11 +537,10 @@ runGrid(GridOptions opts)
     if (opts.progress)
         std::fprintf(stderr,
                      "[grid] done: %zu/%zu cells (%zu poisoned, "
-                     "%zu deadline-missed, %llu stolen, "
+                     "%zu deadline-missed, "
                      "%llu cache lines quarantined)\n",
                      cells_done.load(), cells, report.poisoned,
                      report.deadlineMissed,
-                     static_cast<unsigned long long>(steals),
                      static_cast<unsigned long long>(
                          quarantinedLineCount()));
     return Grid(std::move(opts), std::move(results),

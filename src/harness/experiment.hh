@@ -51,8 +51,8 @@ struct GridOptions
 
     /**
      * Log progress to stderr: one line per launched cell, a running
-     * cells-done / total counter, and a final summary including
-     * work-steal and cache-quarantine counters.
+     * cells-done / total counter, and a final summary including the
+     * cache-quarantine counter.
      */
     bool progress = false;
 
@@ -86,8 +86,10 @@ struct GridOptions
      * recorded in the grid report as poisoned with the exception
      * text, and the grid *continues* — completing with
      * success-with-degradation (`GridReport::degraded()`) rather than
-     * throwing. Off by default: the figure drivers must abort on the
-     * first failure.
+     * throwing. Off by default: the figure drivers must fail on a
+     * failed cell. Without it the grid still runs every other cell
+     * (a `useCache` grid stores the ones that succeed), then rethrows
+     * the first failure, at any thread count.
      */
     bool poison = false;
 

@@ -106,7 +106,6 @@ GridReport::toJson() const
     out << "  \"ok\": " << ok << ",\n";
     out << "  \"poisoned\": " << poisoned << ",\n";
     out << "  \"deadline_missed\": " << deadlineMissed << ",\n";
-    out << "  \"steals\": " << steals << ",\n";
     out << "  \"quarantined_lines\": " << quarantinedLines << ",\n";
     out << "  \"cells\": [\n";
     for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -121,7 +120,7 @@ GridReport::toJson() const
     }
     out << "  ],\n";
     // Registry snapshot at report time: correlates the per-cell
-    // outcomes above with process-wide cache/pool/search counters.
+    // outcomes above with process-wide grid/cache/search counters.
     out << "  \"metrics\": " << metrics::snapshotJson(1) << "\n";
     out << "}\n";
     return out.str();

@@ -6,10 +6,10 @@
  *
  * `runGrid` classifies every (workload, scheme) cell as it retires —
  * ok / poisoned / deadline-missed — and folds the classification,
- * plus the run's quarantine and work-steal counters, into a
- * `GridReport`. The report always exists in memory (the `Grid`
- * carries it, so tests and `tools/valley_grid` can branch on
- * `degraded()`); with `GridOptions::report` it is also written as
+ * plus the run's cache-quarantine counter, into a `GridReport`. The
+ * report always exists in memory (the `Grid` carries it, so tests
+ * and `tools/valley_grid` can branch on `degraded()`); with
+ * `GridOptions::report` it is also written as
  * `cache/grid_report_<grid id>.json` (atomic replace), the artifact
  * CI uploads so a degraded run names its casualties without anyone
  * re-running the sweep.
@@ -67,7 +67,6 @@ struct GridReport
     std::size_t poisoned = 0;
     std::size_t deadlineMissed = 0;
 
-    std::uint64_t steals = 0;           ///< pool work-steal count
     std::uint64_t quarantinedLines = 0; ///< cache lines quarantined
     bool deadlineHit = false; ///< the grid's deadline/cancel fired
 

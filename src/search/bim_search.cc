@@ -9,8 +9,8 @@
 
 #include "common/bitops.hh"
 #include "common/metrics.hh"
+#include "common/parallel_for.hh"
 #include "common/rng.hh"
-#include "common/thread_pool.hh"
 #include "common/trace_span.hh"
 
 namespace valley {
@@ -20,19 +20,22 @@ namespace {
 
 /**
  * Rank check of the full candidate matrix: identity everywhere except
- * the target rows. This is the invertibility invariant's enforcement
- * point — every move calls it before the move can be accepted, so no
- * singular matrix ever enters the chain (see bim_search.hh).
+ * the target rows, with target row `slot` replaced by `new_row`. This
+ * is the invertibility invariant's enforcement point — every tap
+ * toggle and every random start draw calls it before it can enter the
+ * chain, so no singular matrix ever does (see bim_search.hh).
  */
 bool
 invertibleWithTargets(unsigned n, const std::vector<unsigned> &targets,
-                      const std::vector<std::uint64_t> &target_rows)
+                      const std::vector<std::uint64_t> &target_rows,
+                      std::size_t slot, std::uint64_t new_row)
 {
     std::uint64_t rows[64];
     for (unsigned r = 0; r < n; ++r)
         rows[r] = std::uint64_t{1} << r;
     for (std::size_t i = 0; i < targets.size(); ++i)
         rows[targets[i]] = target_rows[i];
+    rows[targets[slot]] = new_row;
 
     unsigned rank = 0;
     for (unsigned c = 0; c < n && rank < n; ++c) {
@@ -318,7 +321,9 @@ BimSearch::runChain(unsigned restart, bool greedy) const
                          opts.minTaps);
                 draw[i] = row;
             }
-            if (invertibleWithTargets(nbits, targets_, draw)) {
+            // Slot 0 "replaced" by its own drawn row: the draw as is.
+            if (invertibleWithTargets(nbits, targets_, draw, 0,
+                                      draw[0])) {
                 cur.rows = draw;
                 break;
             }
@@ -395,12 +400,16 @@ BimSearch::runChain(unsigned restart, bool greedy) const
                 static_cast<unsigned>(std::popcount(new_row)) <
                     opts.minTaps)
                 return;
-            std::vector<std::uint64_t> cand_rows = cur.rows;
-            cand_rows[i] = new_row;
-            if (!invertibleWithTargets(nbits, targets_, cand_rows)) {
+            // A row XOR is an elementary row operation and keeps the
+            // rank, so only a tap toggle can make the matrix singular.
+            if (kind <= 1 &&
+                !invertibleWithTargets(nbits, targets_, cur.rows, i,
+                                       new_row)) {
                 ++stats.rejectedSingular;
                 return;
             }
+            assert(kind <= 1 || invertibleWithTargets(nbits, targets_,
+                                                      cur.rows, i, new_row));
             const unsigned old_taps = static_cast<unsigned>(
                 std::popcount(cur.rows[i]));
             const unsigned new_taps =
@@ -588,22 +597,11 @@ BimSearch::anneal() const
     const auto wall_start = Clock::now();
     const unsigned restarts = opts.restarts;
     std::vector<SearchResult> slots(restarts);
-    const auto runOne = [&](unsigned r) {
-        slots[r] = runChain(r, /*greedy=*/false);
-    };
-
-    const unsigned threads = opts.threads == 0
-                                 ? ThreadPool::defaultThreads()
-                                 : opts.threads;
-    if (threads <= 1 || restarts <= 1) {
-        for (unsigned r = 0; r < restarts; ++r)
-            runOne(r);
-    } else {
-        ThreadPool pool(std::min(threads, restarts));
-        for (unsigned r = 0; r < restarts; ++r)
-            pool.submit([&runOne, r] { runOne(r); });
-        pool.run();
-    }
+    // No token: a cancelled chain still returns its scored incumbent,
+    // so every slot is filled.
+    parallelFor(restarts, opts.threads, [&](std::size_t r) {
+        slots[r] = runChain(static_cast<unsigned>(r), /*greedy=*/false);
+    });
 
     // Best cost wins; ties break toward the lowest restart index, so
     // the choice is deterministic under any scheduling order.

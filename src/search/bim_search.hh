@@ -25,8 +25,8 @@
  *  - **row XOR** replaces target row i by `row_i ^ row_j` (j another
  *    target). This is an elementary row operation — left-multiplying
  *    by an invertible elementary matrix — so it cannot change the
- *    rank; the rank check still runs as a guard (and to keep the
- *    invariant auditable);
+ *    rank and carries no per-move check; an `assert` re-checks it in
+ *    builds without `NDEBUG`, and the final verification covers it;
  *  - **row swap** exchanges two target rows — a permutation of the
  *    output bits, under which rank is invariant, so it carries no
  *    per-move check; the final verification still covers it.
@@ -43,8 +43,8 @@
  * All randomness flows through `XorShiftRng` generators seeded from
  * `SearchOptions::seed`; each restart derives its own seed from
  * (seed, restart index), owns all of its mutable state and writes its
- * result into a preallocated slot, so running restarts across a
- * `ThreadPool` is bit-identical to running them serially
+ * result into a preallocated slot, so running restarts in parallel
+ * (`parallelFor`) is bit-identical to running them serially
  * (`SearchOptions::threads = 1`; asserted in
  * `tests/bim_search_test.cc` and, for joint sets, in
  * `tests/joint_search_test.cc`). The evaluation budget

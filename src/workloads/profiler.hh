@@ -12,9 +12,10 @@
  * engine that turns addresses into BVRs (`workloads/trace_planes.hh`):
  * build the planes of the kernels, then `profileFor` the mapper's
  * matrix (the identity when there is no mapper). Extraction fans TB
- * ranges over a `ThreadPool` and every TB writes only its own plane
- * slot, so the profile is bit-identical at any thread count and to
- * the scalar `BvrAccumulator` path (see `tests/profiler_test.cc`).
+ * ranges out with `parallelFor` and every TB writes only its own
+ * plane slot, so the profile is bit-identical at any thread count
+ * and to the scalar `BvrAccumulator` path (see
+ * `tests/profiler_test.cc`).
  */
 
 #ifndef VALLEY_WORKLOADS_PROFILER_HH

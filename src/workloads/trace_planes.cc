@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "common/metrics.hh"
-#include "common/thread_pool.hh"
+#include "common/parallel_for.hh"
 
 namespace valley {
 namespace workloads {
@@ -87,47 +87,30 @@ TracePlanes::TracePlanes(std::span<const Kernel> ks,
     kernels.resize(ks.size());
 
     // Stage 1: generate + transpose every TB trace into per-TB
-    // staging buffers. Traces are expensive to generate, so they are
-    // produced exactly once; the arena pass below only copies words.
+    // staging buffers, one task per range of kTbsPerTask TBs of a
+    // kernel. Traces are expensive to generate, so they are produced
+    // exactly once; the arena pass below only copies words.
     std::vector<std::vector<TbStage>> staged(ks.size());
-    std::size_t tb_tasks = 0;
+    std::vector<std::pair<std::size_t, TbId>> ranges; // (kernel, first TB)
     for (std::size_t ki = 0; ki < ks.size(); ++ki) {
         staged[ki].resize(ks[ki].numTbs());
-        tb_tasks += (ks[ki].numTbs() + kTbsPerTask - 1) / kTbsPerTask;
+        for (TbId lo = 0; lo < ks[ki].numTbs(); lo += kTbsPerTask)
+            ranges.emplace_back(ki, lo);
     }
-
-    const auto extractRange = [&](std::size_t ki, TbId lo, TbId hi) {
-        for (TbId tb = lo; tb < hi; ++tb)
-            extractTb(ks[ki], tb, nbits, *ops, staged[ki][tb]);
-    };
-
-    const auto throwIfCancelled = [&opts] {
-        if (opts.cancel != nullptr && opts.cancel->cancelled())
-            throw Cancelled("TracePlanes: plane extraction cancelled");
-    };
-    const unsigned threads = opts.threads == 0
-                                 ? ThreadPool::defaultThreads()
-                                 : opts.threads;
-    if (threads <= 1 || tb_tasks <= 1) {
-        for (std::size_t ki = 0; ki < ks.size(); ++ki) {
-            throwIfCancelled();
-            extractRange(ki, 0, ks[ki].numTbs());
-        }
-    } else {
-        ThreadPool pool(static_cast<unsigned>(
-            std::min<std::size_t>(threads, tb_tasks)));
-        for (std::size_t ki = 0; ki < ks.size(); ++ki)
-            for (TbId lo = 0; lo < ks[ki].numTbs(); lo += kTbsPerTask)
-                pool.submit([&extractRange, &ks, ki, lo] {
-                    extractRange(ki, lo,
-                                 std::min<TbId>(lo + kTbsPerTask,
-                                                ks[ki].numTbs()));
-                });
-        // A fired token retires the unstarted tasks; the staging is
-        // then incomplete, so nothing below may pack it.
-        pool.run(opts.cancel);
-        throwIfCancelled();
-    }
+    parallelFor(
+        ranges.size(), opts.threads,
+        [&](std::size_t r) {
+            const auto [ki, lo] = ranges[r];
+            const TbId hi =
+                std::min<TbId>(lo + kTbsPerTask, ks[ki].numTbs());
+            for (TbId tb = lo; tb < hi; ++tb)
+                extractTb(ks[ki], tb, nbits, *ops, staged[ki][tb]);
+        },
+        opts.cancel);
+    // A fired token leaves ranges unextracted, so nothing below may
+    // pack the staging.
+    if (opts.cancel != nullptr && opts.cancel->cancelled())
+        throw Cancelled("TracePlanes: plane extraction cancelled");
 
     // Stage 2 (serial): pack each kernel's staged planes into one
     // contiguous plane-major arena — bit b's strip holds every TB's

@@ -105,10 +105,9 @@ struct PlaneOptions
     bool forceScalar = false;
     /**
      * Optional cancellation token (non-owning; must outlive the
-     * constructor). Serial extraction polls it before each kernel,
-     * threaded extraction hands it to the pool; a fired token makes
-     * the constructor throw `Cancelled` — half-extracted planes have
-     * no partial answer.
+     * constructor), polled before each range of 256 TBs is
+     * extracted; a fired token makes the constructor throw
+     * `Cancelled` — half-extracted planes have no partial answer.
      */
     const CancelToken *cancel = nullptr;
 };

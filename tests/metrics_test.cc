@@ -1,14 +1,14 @@
 /**
  * @file
  * Tests for the process-wide metrics registry
- * (`src/common/metrics.hh`): counters and histograms must count
- * exactly under the work-stealing thread pool, sharded merges must
- * equal serial totals, snapshots must be byte-deterministic with
+ * (`src/common/metrics.hh`): counters and histograms bumped from
+ * concurrent `parallelFor` workers must count exactly and equal the
+ * serial totals, snapshots must be byte-deterministic with
  * name-sorted keys, and reset must zero values while keeping every
  * outstanding reference valid.
  *
- * The registry is process-wide and other subsystems (thread pool,
- * caches) also bump it, so every assertion here is delta-based
+ * The registry is process-wide and other subsystems (grid, caches,
+ * search) also bump it, so every assertion here is delta-based
  * against instrument names only this file uses.
  */
 
@@ -22,7 +22,7 @@
 #include <string>
 
 #include "common/metrics.hh"
-#include "common/thread_pool.hh"
+#include "common/parallel_for.hh"
 
 using namespace valley;
 
@@ -59,37 +59,23 @@ TEST(Metrics, SameNameReturnsSameInstrument)
     EXPECT_EQ(b.value(), 1u);
 }
 
-TEST(Metrics, CounterExactUnderWorkStealingPool)
+TEST(Metrics, CounterExactUnderParallelFor)
 {
-    // Shards merge to the exact total no matter how tasks land on
-    // threads: 64 tasks x 1000 bumps across 8 stealing workers.
-    metrics::Counter &c = metrics::counter(uniq("pool"));
-    ThreadPool pool(8);
-    constexpr int kTasks = 64;
-    constexpr int kBumps = 1000;
-    for (int t = 0; t < kTasks; ++t)
-        pool.submit([&c] {
-            for (int i = 0; i < kBumps; ++i)
-                c.inc();
-        });
-    pool.run();
-    EXPECT_EQ(c.value(),
-              static_cast<std::uint64_t>(kTasks) * kBumps);
-}
-
-TEST(Metrics, ShardedMergeEqualsSerialTotal)
-{
+    // 64 tasks x 1000 bumps from 8 concurrent workers count exactly,
+    // and equal the same bumps made serially.
     metrics::Counter &serial = metrics::counter(uniq("serial"));
-    metrics::Counter &sharded = metrics::counter(uniq("sharded"));
-    constexpr int kTasks = 32;
-    constexpr std::uint64_t kDelta = 7;
-    for (int t = 0; t < kTasks; ++t)
-        serial.add(kDelta);
-    ThreadPool pool(4);
-    for (int t = 0; t < kTasks; ++t)
-        pool.submit([&sharded] { sharded.add(kDelta); });
-    pool.run();
-    EXPECT_EQ(sharded.value(), serial.value());
+    metrics::Counter &parallel = metrics::counter(uniq("parallel"));
+    constexpr std::size_t kTasks = 64;
+    constexpr int kBumps = 1000;
+    const auto bump = [](metrics::Counter &c) {
+        for (int i = 0; i < kBumps; ++i)
+            c.inc();
+    };
+    for (std::size_t t = 0; t < kTasks; ++t)
+        bump(serial);
+    parallelFor(kTasks, 8, [&](std::size_t) { bump(parallel); });
+    EXPECT_EQ(parallel.value(), kTasks * kBumps);
+    EXPECT_EQ(parallel.value(), serial.value());
 }
 
 TEST(Metrics, GaugeSetAndAdd)
@@ -147,18 +133,15 @@ TEST(Metrics, HistogramBucketPlacement)
     EXPECT_EQ(h.sum(), 0u);
 }
 
-TEST(Metrics, HistogramExactUnderWorkStealingPool)
+TEST(Metrics, HistogramExactUnderParallelFor)
 {
-    metrics::Histogram &h = metrics::histogram(uniq("pool_hist"));
-    ThreadPool pool(8);
+    metrics::Histogram &h = metrics::histogram(uniq("parallel_hist"));
     constexpr int kTasks = 48;
     constexpr std::uint64_t kSamples = 100;
-    for (int t = 0; t < kTasks; ++t)
-        pool.submit([&h] {
-            for (std::uint64_t v = 1; v <= kSamples; ++v)
-                h.record(v);
-        });
-    pool.run();
+    parallelFor(kTasks, 8, [&h](std::size_t) {
+        for (std::uint64_t v = 1; v <= kSamples; ++v)
+            h.record(v);
+    });
     EXPECT_EQ(h.count(),
               static_cast<std::uint64_t>(kTasks) * kSamples);
     EXPECT_EQ(h.sum(), static_cast<std::uint64_t>(kTasks) *

@@ -2,18 +2,17 @@
  * @file
  * Tests for how a grid degrades and resumes: cooperative
  * cancellation tokens (parent/child composition, deadlines,
- * `VALLEY_DEADLINE_MS`), pool-level task skipping, deadlines that
- * stop running cells, failure capture with `GridOptions::poison`,
- * resuming a killed `useCache` grid from the result cache, and the
- * ranked grid report. The end-to-end kill-and-rerun drill runs in CI
- * through `tools/valley_grid`.
+ * `VALLEY_DEADLINE_MS`), deadlines that stop running cells, one
+ * failure contract at any thread count, failure capture with
+ * `GridOptions::poison`, resuming a killed `useCache` grid from the
+ * result cache, and the ranked grid report. The end-to-end
+ * kill-and-rerun drill runs in CI through `tools/valley_grid`.
  */
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -24,7 +23,6 @@
 
 #include "common/cancellation.hh"
 #include "common/metrics.hh"
-#include "common/thread_pool.hh"
 #include "harness/experiment.hh"
 #include "harness/grid_report.hh"
 #include "harness/result_cache.hh"
@@ -175,31 +173,6 @@ TEST(CancelToken, EnvDeadlineParsesPositiveIntegersOnly)
     unsetenv("VALLEY_DEADLINE_MS");
 }
 
-TEST(ThreadPool, FiredTokenDrainsTheRoundWithoutRunningTasks)
-{
-    ThreadPool pool(2);
-    std::atomic<int> ran{0};
-
-    CancelToken token;
-    token.cancel();
-    for (int i = 0; i < 16; ++i)
-        pool.submit([&ran] { ran.fetch_add(1); });
-    pool.run(&token); // must return promptly, tasks retired unrun
-    EXPECT_EQ(ran.load(), 0);
-
-    // The pool is unharmed: the next round (unfired token) runs.
-    CancelToken calm;
-    for (int i = 0; i < 16; ++i)
-        pool.submit([&ran] { ran.fetch_add(1); });
-    pool.run(&calm);
-    EXPECT_EQ(ran.load(), 16);
-
-    // And a token-free round still works after a cancelled one.
-    pool.submit([&ran] { ran.fetch_add(1); });
-    pool.run();
-    EXPECT_EQ(ran.load(), 17);
-}
-
 // ---------------------------------------------------------------
 // Grid degradation: failures, deadlines
 // ---------------------------------------------------------------
@@ -251,6 +224,51 @@ TEST_F(SelfHealingTest, FailedCellsAbortTheGridUnlessPoisonCapturesThem)
     // --report wrote the ranked JSON artifact.
     EXPECT_TRUE(std::filesystem::exists(
         GridReport::pathFor(rep.gridId)));
+}
+
+TEST_F(SelfHealingTest, FailedCellsStopNoOtherCellAtAnyThreadCount)
+{
+    // Without poison a failed cell fails the grid only after every
+    // other cell ran: serial and parallel `useCache` grids whose first
+    // workload fails both store the second workload's two cells.
+    const Grid &ref = reference();
+    const std::uint64_t budget =
+        std::max(ref.at("synth:strided", mapping::kBase).cycles,
+                 ref.at("synth:strided", mapping::kPm).cycles) +
+        1;
+    for (const unsigned threads : {1u, 4u}) {
+        std::filesystem::remove_all(dir);
+        resultCache().resetForTesting();
+        GridOptions o = gridOptions(threads);
+        o.workloads = {"synth:stencil3d", "synth:strided"};
+        o.useCache = true;
+        o.config.maxCycles = budget;
+        const std::uint64_t stores = count("cache.result.stores");
+        try {
+            runGrid(o);
+            ADD_FAILURE() << "threads " << threads
+                          << ": a failed cell must fail the grid";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("cycle budget exceeded"),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_EQ(count("cache.result.stores") - stores, 2u)
+            << "threads " << threads;
+
+        // The stored cells are synth:strided's: a grid over that
+        // workload alone is served from the cache, bit-identically.
+        resultCache().resetForTesting();
+        o.workloads = {"synth:strided"};
+        const std::uint64_t hits = count("cache.result.hits");
+        const Grid g = runGrid(o);
+        EXPECT_EQ(count("cache.result.hits") - hits, 2u)
+            << "threads " << threads;
+        for (const std::string &s : o.mappers)
+            EXPECT_EQ(serializeResult(g.at("synth:strided", s)),
+                      serializeResult(ref.at("synth:strided", s)))
+                << "threads " << threads << ", " << s;
+    }
 }
 
 TEST_F(SelfHealingTest, PreCancelledGridDegradesToDeadlineMissed)

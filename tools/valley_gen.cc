@@ -19,18 +19,26 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <limits>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "cli_args.hh"
 #include "common/spec.hh"
 #include "common/table.hh"
 #include "synth/registry.hh"
 #include "workloads/profiler.hh"
 
 using namespace valley;
+using namespace valley::cli;
+
+void
+cli::usageError(const std::string &msg)
+{
+    std::fprintf(stderr, "valley_gen: %s\n(try --help)\n",
+                 msg.c_str());
+    std::exit(1);
+}
 
 namespace {
 
@@ -78,43 +86,6 @@ struct CliOptions
     bool list = false;
     bool entropy = false;
 };
-
-[[noreturn]] void
-usageError(const std::string &msg)
-{
-    std::fprintf(stderr, "valley_gen: %s\n(try --help)\n",
-                 msg.c_str());
-    std::exit(1);
-}
-
-/**
- * An integer flag's value (`spec::parseU64`) that fits in `max`, the
- * range of the field it sets; usage error otherwise.
- */
-std::uint64_t
-intArg(const char *flag, const std::string &value,
-       std::uint64_t max = std::numeric_limits<unsigned>::max())
-{
-    const std::optional<std::uint64_t> v = spec::parseU64(value);
-    if (!v)
-        usageError(std::string(flag) + ": '" + value +
-                   "' is not a non-negative integer");
-    if (*v > max)
-        usageError(std::string(flag) + ": " + value + " is above " +
-                   std::to_string(max));
-    return *v;
-}
-
-/** A real flag's value (`spec::parseF64`); usage error if malformed. */
-double
-realArg(const char *flag, const std::string &value)
-{
-    const std::optional<double> v = spec::parseF64(value);
-    if (!v)
-        usageError(std::string(flag) + ": '" + value +
-                   "' is not a finite number");
-    return *v;
-}
 
 CliOptions
 parseArgs(int argc, char **argv)

@@ -21,11 +21,10 @@
 #include <cstdlib>
 #include <exception>
 #include <fstream>
-#include <limits>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "cli_args.hh"
 #include "common/cancellation.hh"
 #include "common/metrics.hh"
 #include "common/spec.hh"
@@ -36,6 +35,15 @@
 #include "mapping/mapper_registry.hh"
 
 using namespace valley;
+using namespace valley::cli;
+
+void
+cli::usageError(const std::string &msg)
+{
+    std::fprintf(stderr, "valley_grid: %s\n(see valley_grid --help)\n",
+                 msg.c_str());
+    std::exit(1);
+}
 
 namespace {
 
@@ -117,14 +125,6 @@ struct CliOptions
     std::string metricsPath;
 };
 
-[[noreturn]] void
-usageError(const std::string &msg)
-{
-    std::fprintf(stderr, "valley_grid: %s\n(see valley_grid --help)\n",
-                 msg.c_str());
-    std::exit(1);
-}
-
 /** A comma list flag's members (`spec::splitList`); usage error if bad. */
 std::vector<std::string>
 listArg(const char *flag, const char *value)
@@ -134,35 +134,6 @@ listArg(const char *flag, const char *value)
     } catch (const std::exception &e) {
         usageError(std::string(flag) + ": " + e.what());
     }
-}
-
-/**
- * An integer flag's value (`spec::parseU64`) that fits in `max`, the
- * range of the field it sets; usage error otherwise.
- */
-std::uint64_t
-intArg(const char *flag, const char *value,
-       std::uint64_t max = std::numeric_limits<unsigned>::max())
-{
-    const std::optional<std::uint64_t> v = spec::parseU64(value);
-    if (!v)
-        usageError(std::string(flag) + ": '" + value +
-                   "' is not a non-negative integer");
-    if (*v > max)
-        usageError(std::string(flag) + ": " + value + " is above " +
-                   std::to_string(max));
-    return *v;
-}
-
-/** A real flag's value (`spec::parseF64`); usage error if malformed. */
-double
-realArg(const char *flag, const char *value)
-{
-    const std::optional<double> v = spec::parseF64(value);
-    if (!v)
-        usageError(std::string(flag) + ": '" + value +
-                   "' is not a finite number");
-    return *v;
 }
 
 /**

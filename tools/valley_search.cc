@@ -32,7 +32,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -40,6 +39,7 @@
 #include <vector>
 
 #include "bim/compiled_transform.hh"
+#include "cli_args.hh"
 #include "common/bitops.hh"
 #include "common/metrics.hh"
 #include "common/spec.hh"
@@ -53,6 +53,15 @@
 #include "workloads/workload_set.hh"
 
 using namespace valley;
+using namespace valley::cli;
+
+void
+cli::usageError(const std::string &msg)
+{
+    std::fprintf(stderr, "valley_search: %s\n(try --help)\n",
+                 msg.c_str());
+    std::exit(1);
+}
 
 namespace {
 
@@ -144,43 +153,6 @@ struct CliOptions
     bool listLayouts = false;
     search::SearchOptions search;
 };
-
-[[noreturn]] void
-usageError(const std::string &msg)
-{
-    std::fprintf(stderr, "valley_search: %s\n(try --help)\n",
-                 msg.c_str());
-    std::exit(1);
-}
-
-/**
- * An integer flag's value (`spec::parseU64`) that fits in `max`, the
- * range of the field it sets; usage error otherwise.
- */
-std::uint64_t
-intArg(const char *flag, const std::string &value,
-       std::uint64_t max = std::numeric_limits<unsigned>::max())
-{
-    const std::optional<std::uint64_t> v = spec::parseU64(value);
-    if (!v)
-        usageError(std::string(flag) + ": '" + value +
-                   "' is not a non-negative integer");
-    if (*v > max)
-        usageError(std::string(flag) + ": " + value + " is above " +
-                   std::to_string(max));
-    return *v;
-}
-
-/** A real flag's value (`spec::parseF64`); usage error if malformed. */
-double
-realArg(const char *flag, const std::string &value)
-{
-    const std::optional<double> v = spec::parseF64(value);
-    if (!v)
-        usageError(std::string(flag) + ": '" + value +
-                   "' is not a finite number");
-    return *v;
-}
 
 /** Resolve --layout: a registry key/spec, or a legacy alias. */
 AddressLayout
