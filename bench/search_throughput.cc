@@ -11,7 +11,8 @@
  *    from-scratch scoring (`SearchOptions::planeCache = false`);
  *  - **simd oracle**: dispatched SIMD kernels, from-scratch scoring;
  *  - **cached** (headline `evaluations_per_second`): SIMD kernels
- *    plus the incremental plane cache.
+ *    plus the incremental plane cache and each chain's mask memo
+ *    (`memo_hits` counts the evaluations the memo answered).
  *
  * `speedup_vs_baseline` is cached over scalar oracle: both run the
  * same trajectory in the same process, so the ratio measures the
@@ -207,6 +208,8 @@ main()
                    cached.result.stats.planeXors);
         json.field(std::string(tag) + "plane_rebuilds",
                    cached.result.stats.planeRebuilds);
+        json.field(std::string(tag) + "memo_hits",
+                   cached.result.stats.memoHits);
 
         std::printf(
             "scale %.2f (%.1f MiB planes): scalar-oracle %.0f evals/s, "

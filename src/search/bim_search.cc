@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "common/bitops.hh"
 #include "common/metrics.hh"
@@ -109,6 +110,7 @@ exportStatsToRegistry(const SearchStats &s)
     metrics::counter("search.plane_rebuilds").add(s.planeRebuilds);
     metrics::counter("search.kernels_rescored").add(s.kernelsRescored);
     metrics::counter("search.kernels_reused").add(s.kernelsReused);
+    metrics::counter("search.memo_hits").add(s.memoHits);
     // Throughput of the finished run (last-writer-wins gauge): the
     // headline evaluations/sec the throughput bench tracks.
     if (s.totalSeconds > 0.0)
@@ -332,16 +334,40 @@ BimSearch::runChain(unsigned restart, bool greedy) const
     }
     finishChain(cur);
     Chain best = cur;
+
+    // The mask memo (plane cache only): every row mask the chain has
+    // scored, mapped to the offset of its `nm` member entropies in
+    // `memo_ents`. A row's entropy is a pure function of its mask (the
+    // window and metric are fixed per chain), so a hit is exactly what
+    // rescoring would give. Seeded with the start rows; a step adds at
+    // most one mask, so the start rows plus one per anneal and polish
+    // step bound its size.
+    const unsigned iters = opts.iterations;
+    std::vector<double> new_ent(nm);
+    std::unordered_map<std::uint64_t, std::size_t> memo;
+    std::vector<double> memo_ents;
+    const auto remember = [&](std::uint64_t mask, const double *ent) {
+        memo.emplace(mask, memo_ents.size());
+        memo_ents.insert(memo_ents.end(), ent, ent + nm);
+    };
+    if (use_cache) {
+        const std::size_t max_masks = nt + iters + iters / 3 + 1;
+        memo.reserve(max_masks);
+        memo_ents.reserve(max_masks * nm);
+        for (std::size_t i = 0; i < nt; ++i) {
+            for (std::size_t m = 0; m < nm; ++m)
+                new_ent[m] = cur.ent[m * nt + i];
+            remember(cur.rows[i], new_ent.data());
+        }
+    }
     setup_span.end();
     stats.setupSeconds = secondsSince(phase_start);
     stats.setupEvaluations = stats.evaluations;
 
-    const unsigned iters = opts.iterations;
     const double t0 = std::max(opts.initialTemp, 1e-12);
     const double tf =
         std::min(std::max(opts.finalTemp, 1e-12), t0);
     std::vector<double> mc_scratch(nm);
-    std::vector<double> new_ent(nm);
     std::vector<double> old_ent(nm);
 
     // One Metropolis step at `temp` (0 = strict-improvement only).
@@ -378,8 +404,31 @@ BimSearch::runChain(unsigned restart, bool greedy) const
             swap_move = true;
         }
 
+        // Score the move for member m from cached state into
+        // scratch[m]: a tap toggle XORs in one input strip, a row XOR
+        // combines two cached rows, each only in the kernels it
+        // changes.
+        const auto propose = [&](std::size_t m) {
+            const Row &base = cache[m * nt + i];
+            Proposal &cand = scratch[m];
+            double e;
+            if (kind <= 1) {
+                e = planes_[m]->proposeToggle(base, toggle_bit, cand);
+                ++stats.planeToggles;
+            } else {
+                e = planes_[m]->proposeXor(base, cache[m * nt + j],
+                                           cand);
+                ++stats.planeXors;
+            }
+            stats.kernelsRescored += cand.kernelsRescored();
+            stats.kernelsReused +=
+                planes_[m]->numKernels() - cand.kernelsRescored();
+            return e;
+        };
+
         double new_cost;
         unsigned new_gates = cur.gates;
+        const double *memo_ent = nullptr;
         if (swap_move) {
             // Swapping two rows only permutes the output bits; rank
             // is invariant under row permutation, so no rank check is
@@ -416,27 +465,16 @@ BimSearch::runChain(unsigned restart, bool greedy) const
                 static_cast<unsigned>(std::popcount(new_row));
             new_gates = cur.gates - (old_taps > 1 ? old_taps - 1 : 0) +
                         (new_taps > 1 ? new_taps - 1 : 0);
+            // A mask the chain scored before costs no plane work.
+            if (const auto hit = memo.find(new_row); hit != memo.end())
+                memo_ent = memo_ents.data() + hit->second;
             for (std::size_t m = 0; m < nm; ++m) {
-                if (use_cache) {
-                    // Derive the candidate from cached state: a tap
-                    // toggle XORs in one input strip, a row XOR
-                    // combines two cached rows, each only in the
-                    // kernels it changes.
+                if (memo_ent != nullptr) {
                     ++stats.evaluations;
-                    const Row &base = cache[m * nt + i];
-                    Proposal &cand = scratch[m];
-                    if (kind <= 1) {
-                        new_ent[m] = planes_[m]->proposeToggle(
-                            base, toggle_bit, cand);
-                        ++stats.planeToggles;
-                    } else {
-                        new_ent[m] = planes_[m]->proposeXor(
-                            base, cache[m * nt + j], cand);
-                        ++stats.planeXors;
-                    }
-                    stats.kernelsRescored += cand.kernelsRescored();
-                    stats.kernelsReused += planes_[m]->numKernels() -
-                                           cand.kernelsRescored();
+                    new_ent[m] = memo_ent[m];
+                } else if (use_cache) {
+                    ++stats.evaluations;
+                    new_ent[m] = propose(m);
                 } else {
                     new_ent[m] = evalRow(m, new_row);
                 }
@@ -447,6 +485,10 @@ BimSearch::runChain(unsigned restart, bool greedy) const
                         cur.ent.data() + m * nt, nt),
                     new_gates);
             }
+            if (memo_ent != nullptr)
+                stats.memoHits += nm;
+            else if (use_cache)
+                remember(new_row, new_ent.data());
             new_cost = objective.combine(mc_scratch);
         }
 
@@ -475,9 +517,16 @@ BimSearch::runChain(unsigned restart, bool greedy) const
         } else {
             cur.rows[i] = new_row;
             cur.gates = new_gates;
+            // A memo hit did no plane work, so it derives the
+            // proposal it commits; a rejected hit never pays for it.
             if (use_cache)
-                for (std::size_t m = 0; m < nm; ++m)
+                for (std::size_t m = 0; m < nm; ++m) {
+                    if (memo_ent != nullptr) {
+                        [[maybe_unused]] const double e = propose(m);
+                        assert(e == new_ent[m] && "memo equals rescoring");
+                    }
                     planes_[m]->commit(scratch[m], cache[m * nt + i]);
+                }
         }
         cur.memberCost = mc_scratch;
         cur.cost = new_cost;
@@ -629,6 +678,7 @@ BimSearch::anneal() const
         total.planeRebuilds += s.stats.planeRebuilds;
         total.kernelsRescored += s.stats.kernelsRescored;
         total.kernelsReused += s.stats.kernelsReused;
+        total.memoHits += s.stats.memoHits;
     }
     out.stats = total;
     out.identityCost = identityCost();

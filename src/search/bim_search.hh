@@ -156,15 +156,18 @@ struct SearchOptions
      * two cached rows, and either rescores only the kernels whose
      * one-counts the move changes: a kernel whose toggled strip, or
      * whose other row, is all zero keeps its cached entropy
-     * (`SearchStats::kernelsReused`). One-counts are exact integers
-     * and the row entropy is the same kernel-order weighted sum, so
-     * the cached path is bit-identical to the from-scratch
-     * `rowEntropy` oracle: trajectories, results and
+     * (`SearchStats::kernelsReused`). Each chain also memoizes every
+     * row mask it scores: a row's entropy is a pure function of its
+     * mask, so a proposal of a mask seen before reads its entropies
+     * back with no plane work (`SearchStats::memoHits`). One-counts
+     * are exact integers and the row entropy is the same kernel-order
+     * weighted sum, so the cached path is bit-identical to the
+     * from-scratch `rowEntropy` oracle: trajectories, results and
      * `SearchStats::evaluations` are unchanged with the cache on or
      * off (asserted in `tests/bim_search_test.cc`), which is why
      * toggling this knob does NOT bump `kSearchVersion`. Off = score
-     * every proposal via the oracle (the slow reference leg for tests
-     * and benches).
+     * every proposal via the oracle, with no memo (the slow reference
+     * leg for tests and benches).
      */
     bool planeCache = true;
 
@@ -193,7 +196,7 @@ struct SearchOptions
  */
 struct SearchStats
 {
-    std::uint64_t evaluations = 0;      ///< rowEntropy calls
+    std::uint64_t evaluations = 0;      ///< row scorings, memo hits too
     std::uint64_t accepted = 0;         ///< accepted moves
     std::uint64_t rejectedSingular = 0; ///< moves failing the rank check
     bool capped = false;   ///< a chain hit its maxEvaluations share
@@ -243,6 +246,17 @@ struct SearchStats
      */
     std::uint64_t kernelsRescored = 0;
     std::uint64_t kernelsReused = 0;
+
+    /**
+     * Evaluations answered from the chain's mask memo with no plane
+     * work (zero when `planeCache` is off). Each chain remembers
+     * every row mask it has scored; a proposal of a remembered mask
+     * counts its `nm` evaluations here as well as in `evaluations`,
+     * so `memoHits / (annealEvaluations + polishEvaluations)` is the
+     * share of scored proposals the memo answered. An accepted hit
+     * re-derives its proposal, counted as a toggle or an XOR above.
+     */
+    std::uint64_t memoHits = 0;
 };
 
 /** Outcome of `BimSearch::anneal` or `BimSearch::greedy`. */

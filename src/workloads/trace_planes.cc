@@ -1,6 +1,7 @@
 #include "workloads/trace_planes.hh"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
@@ -74,7 +75,41 @@ extractTb(const Kernel &kernel, TbId tb, unsigned nbits,
 /** TB-range task granularity for splitting large kernels. */
 constexpr unsigned kTbsPerTask = 256;
 
+/** Largest request count `bitValueRatio` reads from its table. */
+constexpr std::uint64_t kRatioMaxRequests = 64;
+
+/** First table entry of request count `r` (row r holds c = 0..r). */
+constexpr std::size_t
+ratioRow(std::uint64_t r)
+{
+    return static_cast<std::size_t>((r - 1) * (r + 2) / 2);
+}
+
+/**
+ * `c / R` for R in [1, kRatioMaxRequests] and c in [0, R]. IEEE
+ * division is correctly rounded whether the compiler or the CPU
+ * performs it, so each entry is the double a run-time division gives.
+ */
+constexpr auto kRatios = [] {
+    std::array<double, ratioRow(kRatioMaxRequests + 1)> t{};
+    for (std::uint64_t r = 1; r <= kRatioMaxRequests; ++r)
+        for (std::uint64_t c = 0; c <= r; ++c)
+            t[ratioRow(r) + c] =
+                static_cast<double>(c) / static_cast<double>(r);
+    return t;
+}();
+
 } // namespace
+
+double
+bitValueRatio(std::uint64_t ones, std::uint64_t requests)
+{
+    assert(ones <= requests && "one-count above the request count");
+    if (requests > kRatioMaxRequests)
+        return static_cast<double>(ones) /
+               static_cast<double>(requests);
+    return requests == 0 ? 0.0 : kRatios[ratioRow(requests) + ones];
+}
 
 TracePlanes::TracePlanes(std::span<const Kernel> ks,
                          const PlaneOptions &opts)
@@ -331,12 +366,8 @@ TracePlanes::scoreKernel(const KernelPlanes &k, const std::uint64_t *ones,
     series.resize(k.tbs.size());
     std::uint64_t any = 0;
     for (std::size_t t = 0; t < k.tbs.size(); ++t) {
-        const TbView &v = k.tbs[t];
         any |= ones[t];
-        series[t] = v.requests == 0
-                        ? 0.0
-                        : static_cast<double>(ones[t]) /
-                              static_cast<double>(v.requests);
+        series[t] = bitValueRatio(ones[t], k.tbs[t].requests);
     }
     const double e = metric == EntropyMetric::BvrDistribution
                          ? windowEntropy(series, window)

@@ -63,8 +63,10 @@
  * cache-hot — no per-candidate allocation, which is what a loop of
  * `rowEntropy` calls pays.
  *
- * The per-TB one-counts are exact integers and each BVR is one
- * division, so `profileFor` equals the scalar path — a
+ * The per-TB one-counts are exact integers and each BVR is the
+ * quotient of one division (`bitValueRatio`, which reads it from a
+ * table for TBs of at most 64 requests), so `profileFor` equals the
+ * scalar path — a
  * `BvrAccumulator` per TB fed `AddressMapper::map` of every address,
  * then `kernelProfile` and `EntropyProfile::combine` — bit for bit
  * (the oracle kept in `tests/profiler_test.cc`).
@@ -111,6 +113,16 @@ struct PlaneOptions
      */
     const CancelToken *cancel = nullptr;
 };
+
+/**
+ * A TB's Bit Value Ratio from its exact counts: `ones / requests`,
+ * and 0 for a TB without requests. Every scoring path reads its BVRs
+ * through this. For `requests <= 64` the quotient comes from a static
+ * table of every `c / R` (2,144 doubles, filled by the same division),
+ * so most TBs pay no division; the table is bit-identical to dividing.
+ * Requires `ones <= requests`.
+ */
+double bitValueRatio(std::uint64_t ones, std::uint64_t requests);
 
 /**
  * Transposed per-TB request planes of a run of kernels: a whole

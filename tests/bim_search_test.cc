@@ -242,6 +242,20 @@ TEST(TracePlanes, IncrementalMovesMatchOracle)
     }
 }
 
+TEST(TracePlanes, BitValueRatioMatchesDivision)
+{
+    // Small TBs read their BVR from a table, larger ones divide; both
+    // must give the quotient a division gives, bit for bit, on each
+    // side of the table's edge.
+    for (std::uint64_t requests = 1; requests <= 130; ++requests)
+        for (std::uint64_t ones = 0; ones <= requests; ++ones)
+            ASSERT_EQ(workloads::bitValueRatio(ones, requests),
+                      static_cast<double>(ones) /
+                          static_cast<double>(requests))
+                << ones << " / " << requests;
+    EXPECT_EQ(workloads::bitValueRatio(0, 0), 0.0);
+}
+
 TEST(TracePlanes, ForceScalarBitIdenticalToDispatched)
 {
     const auto wl = workloads::make("LU", kScale);
@@ -517,11 +531,13 @@ TEST(BimSearch, CancelledSearchDegradesToScoredInvertibleIncumbent)
 
 TEST(BimSearch, PlaneCacheOffBitIdenticalToOn)
 {
-    // The incremental row cache is a pure speedup: with it disabled
-    // every proposal is scored from scratch through the oracle, and
-    // the whole trajectory — matrix, cost, evaluation and acceptance
-    // counts — must not move, under either entropy metric, on MT and
-    // on LU, whose zero strips make most proposals reuse kernels.
+    // The incremental row cache and the chain's mask memo are a pure
+    // speedup: with the cache disabled every proposal is scored from
+    // scratch through the oracle, and the whole trajectory — matrix,
+    // cost, evaluation and acceptance counts — must not move, under
+    // either entropy metric, on MT and on LU, whose zero strips make
+    // most proposals reuse kernels. The same holds for a run whose
+    // evaluation cap stops each chain halfway through its anneal.
     const AddressLayout layout = gddr5();
     for (const char *abbrev : {"MT", "LU"}) {
         PlanesFixture s(abbrev);
@@ -556,12 +572,38 @@ TEST(BimSearch, PlaneCacheOffBitIdenticalToOn)
             EXPECT_EQ(b.stats.planeToggles, 0u);
             EXPECT_EQ(b.stats.planeXors, 0u);
             EXPECT_EQ(b.stats.planeRebuilds, 0u);
+            // Chains revisit masks, and only the cached run memoizes.
+            EXPECT_GT(a.stats.memoHits, 0u);
+            EXPECT_EQ(b.stats.memoHits, 0u);
 
             const SearchResult ga = sc.greedy();
             const SearchResult gb = so.greedy();
             EXPECT_TRUE(ga.bim == gb.bim);
             EXPECT_EQ(ga.cost, gb.cost);
             EXPECT_EQ(ga.stats.evaluations, gb.stats.evaluations);
+            EXPECT_GT(ga.stats.memoHits, 0u);
+            EXPECT_EQ(gb.stats.memoHits, 0u);
+
+            // Each chain's share of this cap runs out mid-anneal.
+            cached.maxEvaluations = a.stats.setupEvaluations +
+                                    a.stats.annealEvaluations / 2;
+            oracle.maxEvaluations = cached.maxEvaluations;
+            const SearchResult ca =
+                BimSearch(layout, *s.planes, defaultObjective(layout),
+                          cached)
+                    .anneal();
+            const SearchResult cb =
+                BimSearch(layout, *s.planes, defaultObjective(layout),
+                          oracle)
+                    .anneal();
+            EXPECT_TRUE(ca.stats.capped);
+            EXPECT_GT(ca.stats.annealEvaluations, 0u);
+            EXPECT_EQ(ca.stats.polishEvaluations, 0u);
+            EXPECT_TRUE(ca.bim == cb.bim);
+            EXPECT_EQ(ca.cost, cb.cost);
+            EXPECT_EQ(ca.stats.evaluations, cb.stats.evaluations);
+            EXPECT_EQ(ca.stats.accepted, cb.stats.accepted);
+            EXPECT_EQ(ca.targetEntropy, cb.targetEntropy);
         }
     }
 }
@@ -570,7 +612,10 @@ TEST(BimSearch, KernelCountsSplitEveryProposal)
 {
     // Each kernel of each toggle or XOR proposal is either rescored
     // or reused, never both; on LU most strips are zero in some
-    // kernels, so reuse must happen. The oracle path counts neither.
+    // kernels, so reuse must happen. A proposal the mask memo answers
+    // touches no kernel, unless it is accepted: then it is derived
+    // once more, as a toggle or an XOR, to be committed. The oracle
+    // path counts none of these.
     PlanesFixture s("LU");
     const AddressLayout layout = gddr5();
     SearchOptions opts = defaultOptions(layout);
@@ -581,6 +626,8 @@ TEST(BimSearch, KernelCountsSplitEveryProposal)
         metrics::counter("search.kernels_rescored").value();
     const std::uint64_t reused_before =
         metrics::counter("search.kernels_reused").value();
+    const std::uint64_t memo_before =
+        metrics::counter("search.memo_hits").value();
     const SearchResult a =
         BimSearch(layout, *s.planes, defaultObjective(layout), opts)
             .anneal();
@@ -595,6 +642,9 @@ TEST(BimSearch, KernelCountsSplitEveryProposal)
     EXPECT_EQ(metrics::counter("search.kernels_reused").value() -
                   reused_before,
               a.stats.kernelsReused);
+    EXPECT_GT(a.stats.memoHits, 0u);
+    EXPECT_EQ(metrics::counter("search.memo_hits").value() - memo_before,
+              a.stats.memoHits);
 
     opts.planeCache = false;
     const SearchResult b =
@@ -602,6 +652,7 @@ TEST(BimSearch, KernelCountsSplitEveryProposal)
             .anneal();
     EXPECT_EQ(b.stats.kernelsRescored, 0u);
     EXPECT_EQ(b.stats.kernelsReused, 0u);
+    EXPECT_EQ(b.stats.memoHits, 0u);
 }
 
 TEST(BimSearch, UnfiredTokenLeavesTheSearchBitIdentical)

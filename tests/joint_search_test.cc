@@ -132,11 +132,13 @@ TEST(JointSearch, ParallelRestartsBitIdenticalToSerialOnSet)
 
 TEST(JointSearch, PlaneCacheOffBitIdenticalToOnOnSet)
 {
-    // The incremental plane cache must be invisible to a multi-member
-    // joint search too: same trajectory, same matrix, same counters
-    // story (cached run toggles/xors planes, oracle run never does).
-    // The second set adds LU, whose zero strips make most proposals
-    // reuse cached kernel entropies.
+    // The incremental plane cache and the chain's mask memo must be
+    // invisible to a multi-member joint search too: same trajectory,
+    // same matrix, same counters story (cached run toggles/xors planes
+    // and answers revisited masks from its memo, oracle run never
+    // does), also when the evaluation cap stops each chain halfway
+    // through its anneal. The second set adds LU, whose zero strips
+    // make most proposals reuse cached kernel entropies.
     const AddressLayout layout = gddr5();
     for (const WorkloadSet &set :
          {WorkloadSet({"MT", "synth:stencil3d"}),
@@ -166,6 +168,25 @@ TEST(JointSearch, PlaneCacheOffBitIdenticalToOnOnSet)
         EXPECT_EQ(b.stats.planeToggles, 0u);
         EXPECT_EQ(b.stats.planeXors, 0u);
         EXPECT_EQ(b.stats.planeRebuilds, 0u);
+        EXPECT_GT(a.stats.memoHits, 0u);
+        EXPECT_EQ(b.stats.memoHits, 0u);
+
+        cached.maxEvaluations =
+            a.stats.setupEvaluations + a.stats.annealEvaluations / 2;
+        oracle.maxEvaluations = cached.maxEvaluations;
+        const SearchResult ca =
+            BimSearch(layout, sp.ptrs(), obj, cached).anneal();
+        const SearchResult cb =
+            BimSearch(layout, sp.ptrs(), obj, oracle).anneal();
+        EXPECT_TRUE(ca.stats.capped);
+        EXPECT_GT(ca.stats.annealEvaluations, 0u);
+        EXPECT_EQ(ca.stats.polishEvaluations, 0u);
+        EXPECT_TRUE(ca.bim == cb.bim);
+        EXPECT_EQ(ca.cost, cb.cost);
+        EXPECT_EQ(ca.stats.evaluations, cb.stats.evaluations);
+        EXPECT_EQ(ca.stats.accepted, cb.stats.accepted);
+        EXPECT_EQ(ca.memberCosts, cb.memberCosts);
+        EXPECT_EQ(ca.memberTargetEntropy, cb.memberTargetEntropy);
     }
 }
 

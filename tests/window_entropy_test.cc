@@ -242,8 +242,9 @@ namespace {
  * The pre-memoization windowBitEntropy: sliding BVR sum with the
  * heap-allocating `shannonEntropyBaseV({p, 1 - p})` tail. The
  * memoized production path must reproduce it bit for bit — the memo
- * caches results keyed on the exact bit pattern of p, so a hit
- * returns the very double a prior identical input produced.
+ * caches each window's term keyed on the exact bit pattern of the
+ * window's BVR sum and on the window width, so a hit returns the very
+ * double a prior identical input produced.
  */
 double
 windowBitEntropyReference(const std::vector<double> &bvr_per_tb,
@@ -313,6 +314,24 @@ TEST(WindowBitEntropy, MemoizedTailHandlesDenormals)
         ASSERT_TRUE(std::isfinite(got));
         // Second call must hit the memo and return the same double.
         ASSERT_EQ(windowBitEntropy(series, window), got);
+    }
+}
+
+TEST(WindowBitEntropy, TermMemoKeysOnWindowWidth)
+{
+    // A series of n copies of 1/w sums to exactly 1.0 in every window
+    // of width w, so widths 2, 4 and 8 share one BVR sum but not one
+    // window mean. Calling them alternately in one thread makes each
+    // width find the sum the previous width memoized; only the width
+    // in the key keeps p = 1/w apart.
+    for (int round = 0; round < 3; ++round) {
+        for (const unsigned window : {2u, 4u, 8u}) {
+            const std::vector<double> series(
+                16, 1.0 / static_cast<double>(window));
+            ASSERT_EQ(windowBitEntropy(series, window),
+                      windowBitEntropyReference(series, window))
+                << "window=" << window << " round=" << round;
+        }
     }
 }
 

@@ -78,9 +78,9 @@ Options:
   --seed N          BIM seed (the "BIM-N" of Fig. 19); default 1
   --threads N       worker threads (0 = all cores, 1 = serial);
                     default 0; results are identical at any count
-  --poison          report a cell that fails (with its error) and
-                    finish the other cells instead of aborting the
-                    grid
+  --poison          report each cell that fails (with its error)
+                    and exit 4 (degraded) instead of 3 (failed);
+                    every other cell runs either way
   --deadline-ms N   wall-clock budget for the whole grid; on expiry
                     running and unstarted cells stop and are reported
                     as deadline-missed (VALLEY_DEADLINE_MS does the

@@ -423,19 +423,26 @@ printSearchStats(const search::SearchResult &r)
     const double secs = r.stats.totalSeconds;
     const std::uint64_t kernels =
         r.stats.kernelsRescored + r.stats.kernelsReused;
+    // Walk evaluations and memo hits both count every member of each
+    // scored proposal, so their ratio is the share of proposals.
+    const std::uint64_t walk_evals =
+        r.stats.annealEvaluations + r.stats.polishEvaluations;
+    const auto percent = [](std::uint64_t part, std::uint64_t whole) {
+        return whole > 0 ? 100.0 * static_cast<double>(part) /
+                               static_cast<double>(whole)
+                         : 0.0;
+    };
     std::printf("throughput: %.0f evals/s (simd %s); plane cache: %"
                 PRIu64 " toggles, %" PRIu64 " xors, %" PRIu64
-                " rebuilds, %.1f%% of kernels reused\n",
+                " rebuilds, %.1f%% of kernels reused, %.1f%% of "
+                "proposals answered from the memo\n",
                 secs > 0.0
                     ? static_cast<double>(r.stats.evaluations) / secs
                     : 0.0,
                 bits::simdOps().name, r.stats.planeToggles,
                 r.stats.planeXors, r.stats.planeRebuilds,
-                kernels > 0 ? 100.0 *
-                                  static_cast<double>(
-                                      r.stats.kernelsReused) /
-                                  static_cast<double>(kernels)
-                            : 0.0);
+                percent(r.stats.kernelsReused, kernels),
+                percent(r.stats.memoHits, walk_evals));
 }
 
 /** Mean of `p.meanOver(targets)` across member profiles. */
