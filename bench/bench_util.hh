@@ -7,7 +7,7 @@
  * VALLEY_CACHE_DIR to relocate) so the benches that share the
  * Fig. 11-17 grid only simulate it once (VALLEY_CACHE=0 disables).
  * VALLEY_SCALE (0 < s <= 1) scales the workload problem sizes for
- * quick runs.
+ * quick runs; any other value is an error (`envScale`).
  */
 
 #ifndef VALLEY_BENCH_BENCH_UTIL_HH
@@ -17,12 +17,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/bitops.hh"
 #include "common/json.hh"
+#include "common/spec.hh"
 #include "common/table.hh"
 #include "harness/experiment.hh"
 #include "mapping/layout_registry.hh"
@@ -131,15 +133,27 @@ class JsonEmitter
     std::vector<std::pair<std::string, std::string>> fields;
 };
 
+/**
+ * Problem-size scale from VALLEY_SCALE; unset or empty keeps
+ * `fallback`. A value that is not a number in (0, 1] ends the process
+ * with exit status 1: a silent fallback would run a typo like `0,05`
+ * at full scale.
+ */
 inline double
 envScale(double fallback = 1.0)
 {
-    if (const char *s = std::getenv("VALLEY_SCALE")) {
-        const double v = std::atof(s);
-        if (v > 0.0 && v <= 1.0)
-            return v;
+    const char *s = std::getenv("VALLEY_SCALE");
+    if (!s || !*s)
+        return fallback;
+    const std::optional<double> v = spec::parseF64(s);
+    if (!v || !(*v > 0.0 && *v <= 1.0)) {
+        std::fprintf(stderr,
+                     "VALLEY_SCALE must be a number in (0, 1], got "
+                     "\"%s\"\n",
+                     s);
+        std::exit(1);
     }
-    return fallback;
+    return *v;
 }
 
 /**

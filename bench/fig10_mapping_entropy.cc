@@ -50,8 +50,9 @@ main()
             // stored in the profile cache under the matrix hash).
             search::SearchOptions so = search::defaultOptions(layout);
             so.seed = bim_seed;
-            p = search::searchWorkload(*wl, layout, so, scale)
-                    .searchedProfile;
+            p = search::searchSet(workloads::WorkloadSet({which}),
+                                  layout, so, scale)
+                    .searchedProfiles[0];
         } else {
             const auto mapper =
                 mapping::makeMapper(s, layout, bim_seed);

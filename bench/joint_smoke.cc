@@ -84,17 +84,16 @@ main()
     bool all_members_non_regressing = true;
     for (std::size_t m = 0; m < set.size(); ++m) {
         const std::string &w = set.members()[m];
-        const auto wl = workloads::make(w, scale);
         // The member's own specialized mapping, for the
         // one-BIM-for-all vs one-BIM-each comparison (served from the
         // caches the SBIM grid column already filled).
-        const search::WorkloadSearchResult own =
-            search::searchWorkload(*wl, layout, so, scale);
+        const search::SetSearchResult own = search::searchSet(
+            workloads::WorkloadSet({w}), layout, so, scale);
 
         const double base_h = joint.identityProfiles[m].meanOver(targets);
         const double joint_h =
             joint.searchedProfiles[m].meanOver(targets);
-        const double own_h = own.searchedProfile.meanOver(targets);
+        const double own_h = own.searchedProfiles[0].meanOver(targets);
         id_mean += base_h;
         joint_mean += joint_h;
         // Tolerance: an already-flat member (H* ~ 1.0) may measure a

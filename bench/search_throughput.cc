@@ -18,11 +18,10 @@
  * same trajectory in the same process, so the ratio measures the
  * SIMD kernels plus the plane cache and nothing else.
  *
- * A fourth leg times `rowEntropyBatch` against a per-row loop over
- * the same masks, and the joint-vs-independent comparison that used
- * to live in perf_snapshot is carried over with its `joint_*` fields,
- * including the `joint_deterministic` re-run check CI asserts on.
- * Exit code is non-zero on any identity failure.
+ * The joint-vs-independent comparison that used to live in
+ * perf_snapshot is carried over with its `joint_*` fields, including
+ * the `joint_deterministic` re-run check CI asserts on. Exit code is
+ * non-zero on any identity failure.
  */
 
 #include <chrono>
@@ -33,7 +32,6 @@
 #include "bench_util.hh"
 #include "common/bitops.hh"
 #include "common/metrics.hh"
-#include "common/rng.hh"
 #include "search/searched_bim.hh"
 #include "workloads/workload_set.hh"
 
@@ -67,7 +65,7 @@ struct Leg
     }
 };
 
-/** Non-owning member pointers for the joint constructor. */
+/** Non-owning member pointers for the search constructor. */
 std::vector<const workloads::TracePlanes *>
 ptrsOf(const std::vector<workloads::TracePlanes> &planes)
 {
@@ -92,11 +90,7 @@ runLeg(const AddressLayout &layout,
        const std::vector<workloads::TracePlanes> &planes,
        const search::SearchOptions &so)
 {
-    const search::BimSearch s(
-        layout, ptrsOf(planes),
-        search::defaultJointObjective(layout, so.targets,
-                                      search::JointCombiner::Mean),
-        so);
+    const search::BimSearch s(layout, ptrsOf(planes), so);
     Leg leg;
     const auto start = Clock::now();
     leg.result = s.anneal();
@@ -125,18 +119,6 @@ main()
     json.field("simd_level", bits::simdOps().name);
 
     bool ok = true;
-
-    // Fixed candidate-row mask set of the batch leg (nonzero masks
-    // under the PAE candidate restriction).
-    const std::uint64_t cmask =
-        layout.pageMask() & bits::mask(layout.addrBits);
-    XorShiftRng mask_rng(7);
-    constexpr std::size_t kMasks = 64;
-    std::vector<std::uint64_t> masks(kMasks);
-    for (std::uint64_t &m : masks)
-        do {
-            m = mask_rng.next() & cmask;
-        } while (m == 0);
 
     // ---- evals/sec at small and large scale -------------------------------
     const double small_scale = 0.25;
@@ -222,45 +204,6 @@ main()
             simd_identical && cached_identical ? "yes" : "NO");
     }
 
-    // ---- batched scoring vs a per-row rowEntropy loop ---------------------
-    {
-        const auto wls = jset.build(small_scale);
-        const workloads::TracePlanes planes(
-            *wls.front(),
-            workloads::PlaneOptions{layout.addrBits, 1, false});
-        const search::SearchOptions so =
-            search::defaultOptions(layout);
-
-        constexpr int kReps = 8;
-        auto start = Clock::now();
-        std::vector<double> per_row(kMasks);
-        for (int r = 0; r < kReps; ++r)
-            for (std::size_t i = 0; i < kMasks; ++i)
-                per_row[i] = planes.rowEntropy(masks[i], so.window,
-                                               so.metric);
-        const double row_sec = secondsSince(start);
-
-        start = Clock::now();
-        std::vector<double> batched;
-        for (int r = 0; r < kReps; ++r)
-            batched = planes.rowEntropyBatch(masks, so.window,
-                                             so.metric);
-        const double batch_sec = secondsSince(start);
-
-        const bool batch_identical = batched == per_row;
-        ok = ok && batch_identical;
-        const double batch_speedup =
-            batch_sec > 0.0 ? row_sec / batch_sec : 0.0;
-        json.field("batch_masks",
-                   static_cast<std::uint64_t>(kMasks));
-        json.field("batch_speedup", batch_speedup);
-        json.field("batch_identical", batch_identical);
-        std::printf("rowEntropyBatch: %zu masks, per-row %.3fs, "
-                    "batched %.3fs (%.1fx), identical=%s\n\n",
-                    kMasks, row_sec, batch_sec, batch_speedup,
-                    batch_identical ? "yes" : "NO");
-    }
-
     // ---- joint search vs N independent searches ---------------------------
     bool joint_ok = true;
     {
@@ -286,18 +229,12 @@ main()
         auto start = Clock::now();
         double independent_cost = 0.0;
         for (const workloads::TracePlanes &p : planes) {
-            const search::BimSearch s(
-                layout, p,
-                search::defaultObjective(layout, so.targets), so);
+            const search::BimSearch s(layout, {&p}, so);
             independent_cost += s.anneal().cost;
         }
         const double independent_sec = secondsSince(start);
 
-        const search::BimSearch js(
-            layout, ptrsOf(planes),
-            search::defaultJointObjective(layout, so.targets,
-                                          search::JointCombiner::Mean),
-            so);
+        const search::BimSearch js(layout, ptrsOf(planes), so);
         start = Clock::now();
         const search::SearchResult jr = js.anneal();
         const double joint_sec = secondsSince(start);

@@ -66,11 +66,12 @@ main()
         search::SearchOptions so =
             search::defaultOptions(layout);
         so.threads = 1;
-        const search::WorkloadSearchResult r =
-            search::searchWorkload(*wl, layout, so, scale);
+        const search::SetSearchResult r = search::searchSet(
+            workloads::WorkloadSet({wl->info().abbrev}), layout, so,
+            scale);
 
-        const double base_h = r.identityProfile.meanOver(targets);
-        const double sbim_h = r.searchedProfile.meanOver(targets);
+        const double base_h = r.identityProfiles[0].meanOver(targets);
+        const double sbim_h = r.searchedProfiles[0].meanOver(targets);
         const double speedup = g.speedup(spec, mapping::kSbim);
         const double gain = r.annealed.gain();
 

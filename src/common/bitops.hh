@@ -164,10 +164,6 @@ struct SimdOps
     /** In-place 64x64 bit transpose (see `transpose64Scalar`). */
     void (*transpose64)(std::uint64_t rows[64]);
 
-    /** Total popcount of `p[0..n)`. */
-    std::uint64_t (*popcountWords)(const std::uint64_t *p,
-                                   std::size_t n);
-
     /**
      * dst[i] = a[i] ^ b[i] for i in [0, n); returns the popcount of
      * the combined words. `dst` may alias `a` or `b`. The fused

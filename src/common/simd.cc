@@ -47,15 +47,6 @@ namespace {
 // ---- scalar kernels --------------------------------------------------------
 
 std::uint64_t
-popcountWordsScalar(const std::uint64_t *p, std::size_t n)
-{
-    std::uint64_t ones = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        ones += static_cast<std::uint64_t>(std::popcount(p[i]));
-    return ones;
-}
-
-std::uint64_t
 xorPopcount2Scalar(const std::uint64_t *a, const std::uint64_t *b,
                    std::uint64_t *dst, std::size_t n)
 {
@@ -97,9 +88,8 @@ xorPopcountEachScalar(const std::uint64_t *a, const std::uint64_t *b,
 }
 
 constexpr SimdOps kScalarOps = {
-    SimdLevel::Scalar, "scalar",    transpose64Scalar,
-    popcountWordsScalar, xorPopcount2Scalar, xorPopcountNScalar,
-    xorPopcountEachScalar,
+    SimdLevel::Scalar,  "scalar",           transpose64Scalar,
+    xorPopcount2Scalar, xorPopcountNScalar, xorPopcountEachScalar,
 };
 
 #ifdef VALLEY_X86
@@ -216,23 +206,6 @@ hsum256(__m256i acc)
 }
 
 __attribute__((target("avx2"))) std::uint64_t
-popcountWordsAvx2(const std::uint64_t *p, std::size_t n)
-{
-    VALLEY_POPCNT256_DECLS;
-    __m256i acc = _mm256_setzero_si256();
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i x = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(p + i));
-        VALLEY_POPCNT256(acc, x);
-    }
-    std::uint64_t ones = hsum256(acc);
-    for (; i < n; ++i)
-        ones += static_cast<std::uint64_t>(std::popcount(p[i]));
-    return ones;
-}
-
-__attribute__((target("avx2"))) std::uint64_t
 xorPopcount2Avx2(const std::uint64_t *a, const std::uint64_t *b,
                  std::uint64_t *dst, std::size_t n)
 {
@@ -321,9 +294,8 @@ xorPopcountEachAvx2(const std::uint64_t *a, const std::uint64_t *b,
 }
 
 constexpr SimdOps kAvx2Ops = {
-    SimdLevel::Avx2,   "avx2",           transpose64Avx2,
-    popcountWordsAvx2, xorPopcount2Avx2, xorPopcountNAvx2,
-    xorPopcountEachAvx2,
+    SimdLevel::Avx2,  "avx2",           transpose64Avx2,
+    xorPopcount2Avx2, xorPopcountNAvx2, xorPopcountEachAvx2,
 };
 
 // ---- AVX-512 kernels -------------------------------------------------------
@@ -389,20 +361,6 @@ transpose64Avx512(std::uint64_t rows[64])
 
     for (int i = 0; i < 8; ++i)
         _mm512_storeu_si512(rows + 8 * i, v[i]);
-}
-
-__attribute__((VALLEY_TARGET512)) std::uint64_t
-popcountWordsAvx512(const std::uint64_t *p, std::size_t n)
-{
-    __m512i acc = _mm512_setzero_si512();
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8)
-        acc = _mm512_add_epi64(
-            acc, _mm512_popcnt_epi64(_mm512_loadu_si512(p + i)));
-    std::uint64_t ones = _mm512_reduce_add_epi64(acc);
-    for (; i < n; ++i)
-        ones += static_cast<std::uint64_t>(std::popcount(p[i]));
-    return ones;
 }
 
 __attribute__((VALLEY_TARGET512)) std::uint64_t
@@ -472,9 +430,8 @@ xorPopcountEachAvx512(const std::uint64_t *a, const std::uint64_t *b,
 }
 
 constexpr SimdOps kAvx512Ops = {
-    SimdLevel::Avx512,   "avx512",           transpose64Avx512,
-    popcountWordsAvx512, xorPopcount2Avx512, xorPopcountNAvx512,
-    xorPopcountEachAvx512,
+    SimdLevel::Avx512,  "avx512",           transpose64Avx512,
+    xorPopcount2Avx512, xorPopcountNAvx512, xorPopcountEachAvx512,
 };
 
 bool

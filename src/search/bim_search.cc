@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "common/bitops.hh"
@@ -18,6 +19,15 @@ namespace valley {
 namespace search {
 
 namespace {
+
+/**
+ * The anneal's Metropolis temperature schedule: geometric cooling
+ * from the start to the end temperature over each chain's
+ * `iterations`. Both shape every searched matrix, so changing one
+ * bumps `kSearchVersion`.
+ */
+constexpr double kInitialTemp = 0.08;
+constexpr double kFinalTemp = 2e-5;
 
 /**
  * Rank check of the full candidate matrix: identity everywhere except
@@ -125,11 +135,22 @@ exportStatsToRegistry(const SearchStats &s)
 
 } // namespace
 
+void
+checkMemberWeights(const SearchOptions &opts, std::size_t members)
+{
+    if (!opts.memberWeights.empty() &&
+        opts.memberWeights.size() != members)
+        throw std::invalid_argument(
+            "memberWeights size " +
+            std::to_string(opts.memberWeights.size()) +
+            " != workload set size " + std::to_string(members));
+}
+
 BimSearch::BimSearch(const AddressLayout &layout,
                      std::vector<const workloads::TracePlanes *> planes,
-                     JointObjective objective_, SearchOptions opts_)
+                     SearchOptions opts_)
     : nbits(layout.addrBits), planes_(std::move(planes)),
-      objective(std::move(objective_)), opts(std::move(opts_))
+      opts(std::move(opts_))
 {
     if (planes_.empty())
         throw std::invalid_argument("BimSearch: empty plane set");
@@ -137,19 +158,12 @@ BimSearch::BimSearch(const AddressLayout &layout,
         if (p == nullptr || p->numBits() != nbits)
             throw std::invalid_argument(
                 "BimSearch: planes bit width != layout address bits");
-    if (!objective.memberWeights.empty() &&
-        objective.memberWeights.size() != planes_.size())
-        throw std::invalid_argument(
-            "BimSearch: memberWeights size != set members");
+    checkMemberWeights(opts, planes_.size());
 
-    targets_ = opts.targets.empty() ? layout.randomizeTargets()
-                                    : opts.targets;
-    mask_ = (opts.candidateMask ? opts.candidateMask
-                                : layout.pageMask()) &
-            bits::mask(nbits);
-    if (targets_.empty())
+    mask_ = opts.candidateMask & bits::mask(nbits);
+    if (opts.targets.empty())
         throw std::invalid_argument("BimSearch: no target bits");
-    for (unsigned t : targets_) {
+    for (unsigned t : opts.targets) {
         if (t >= nbits)
             throw std::invalid_argument(
                 "BimSearch: target out of range");
@@ -160,27 +174,22 @@ BimSearch::BimSearch(const AddressLayout &layout,
             throw std::invalid_argument(
                 "BimSearch: targets must be candidates");
     }
-    if (!objective.flatness.targetWeights.empty() &&
-        objective.flatness.targetWeights.size() != targets_.size())
-        throw std::invalid_argument(
-            "BimSearch: targetWeights size != targets");
     for (unsigned b = 0; b < nbits; ++b)
         if ((mask_ >> b) & 1)
             candidateBits.push_back(b);
     if (opts.restarts == 0)
         opts.restarts = 1;
-    if (opts.minTaps == 0)
-        opts.minTaps = 1;
-}
 
-BimSearch::BimSearch(const AddressLayout &layout,
-                     const workloads::TracePlanes &planes,
-                     FlatnessObjective obj, SearchOptions opts_)
-    : BimSearch(layout,
-                std::vector<const workloads::TracePlanes *>{&planes},
-                JointObjective{std::move(obj), JointCombiner::Mean, {}},
-                std::move(opts_))
-{
+    // Channel parallelism gates both the NoC and the DRAM bus
+    // (Figs. 13-14), so the channel (and vault) bits weigh double.
+    std::uint64_t channel_mask = 0;
+    for (unsigned b : layout.channelBits())
+        channel_mask |= std::uint64_t{1} << b;
+    for (unsigned t : opts.targets)
+        objective.flatness.targetWeights.push_back(
+            ((channel_mask >> t) & 1) ? 2.0 : 1.0);
+    objective.combiner = opts.combiner;
+    objective.memberWeights = opts.memberWeights;
 }
 
 std::uint64_t
@@ -199,17 +208,14 @@ BimSearch::chainBudget(bool greedy) const
 double
 BimSearch::identityCost() const
 {
-    const std::size_t nt = targets_.size();
-    std::vector<std::uint64_t> masks(nt);
-    for (std::size_t i = 0; i < nt; ++i)
-        masks[i] = std::uint64_t{1} << targets_[i];
+    const std::size_t nt = opts.targets.size();
     std::vector<double> ent(nt);
     std::vector<double> member_costs(planes_.size());
     for (std::size_t m = 0; m < planes_.size(); ++m) {
-        // One fused sweep per member (bit-identical to per-row
-        // rowEntropy — see trace_planes.hh).
-        planes_[m]->rowEntropyBatch(masks, opts.window, opts.metric,
-                                    ent.data());
+        for (std::size_t i = 0; i < nt; ++i)
+            ent[i] = planes_[m]->rowEntropy(
+                std::uint64_t{1} << opts.targets[i], opts.window,
+                opts.metric);
         member_costs[m] = objective.memberCost(ent, 0);
     }
     return objective.combine(member_costs);
@@ -228,7 +234,7 @@ struct BimSearch::Chain
 SearchResult
 BimSearch::runChain(unsigned restart, bool greedy) const
 {
-    const std::size_t nt = targets_.size();
+    const std::size_t nt = opts.targets.size();
     const std::size_t nm = planes_.size();
     XorShiftRng rng(chainSeed(opts.seed, restart));
     SearchStats stats;
@@ -310,7 +316,7 @@ BimSearch::runChain(unsigned restart, bool greedy) const
     Chain cur;
     cur.rows.resize(nt);
     for (std::size_t i = 0; i < nt; ++i)
-        cur.rows[i] = std::uint64_t{1} << targets_[i];
+        cur.rows[i] = std::uint64_t{1} << opts.targets[i];
     if (restart != 0 && !greedy) {
         constexpr unsigned kDrawAttempts = 10000;
         std::vector<std::uint64_t> draw(nt);
@@ -319,12 +325,11 @@ BimSearch::runChain(unsigned restart, bool greedy) const
                 std::uint64_t row = 0;
                 do {
                     row = rng.next() & mask_;
-                } while (static_cast<unsigned>(std::popcount(row)) <
-                         opts.minTaps);
+                } while (row == 0);
                 draw[i] = row;
             }
             // Slot 0 "replaced" by its own drawn row: the draw as is.
-            if (invertibleWithTargets(nbits, targets_, draw, 0,
+            if (invertibleWithTargets(nbits, opts.targets, draw, 0,
                                       draw[0])) {
                 cur.rows = draw;
                 break;
@@ -364,9 +369,6 @@ BimSearch::runChain(unsigned restart, bool greedy) const
     stats.setupSeconds = secondsSince(phase_start);
     stats.setupEvaluations = stats.evaluations;
 
-    const double t0 = std::max(opts.initialTemp, 1e-12);
-    const double tf =
-        std::min(std::max(opts.finalTemp, 1e-12), t0);
     std::vector<double> mc_scratch(nm);
     std::vector<double> old_ent(nm);
 
@@ -445,20 +447,19 @@ BimSearch::runChain(unsigned restart, bool greedy) const
             }
             new_cost = objective.combine(mc_scratch);
         } else {
-            if (new_row == 0 ||
-                static_cast<unsigned>(std::popcount(new_row)) <
-                    opts.minTaps)
+            if (new_row == 0)
                 return;
             // A row XOR is an elementary row operation and keeps the
             // rank, so only a tap toggle can make the matrix singular.
             if (kind <= 1 &&
-                !invertibleWithTargets(nbits, targets_, cur.rows, i,
+                !invertibleWithTargets(nbits, opts.targets, cur.rows, i,
                                        new_row)) {
                 ++stats.rejectedSingular;
                 return;
             }
-            assert(kind <= 1 || invertibleWithTargets(nbits, targets_,
-                                                      cur.rows, i, new_row));
+            assert(kind <= 1 ||
+                   invertibleWithTargets(nbits, opts.targets, cur.rows,
+                                         i, new_row));
             const unsigned old_taps = static_cast<unsigned>(
                 std::popcount(cur.rows[i]));
             const unsigned new_taps =
@@ -551,8 +552,9 @@ BimSearch::runChain(unsigned restart, bool greedy) const
         return false;
     };
 
-    // Annealing phase: geometric cooling from t0 to tf (the greedy
-    // baseline runs the same steps at temperature 0 throughout).
+    // Annealing phase: geometric cooling from kInitialTemp to
+    // kFinalTemp (the greedy baseline runs the same steps at
+    // temperature 0 throughout).
     phase_start = Clock::now();
     trace::Span anneal_span(trace::enabled() ? "anneal" + span_tag
                                              : std::string(),
@@ -562,11 +564,12 @@ BimSearch::runChain(unsigned restart, bool greedy) const
             break;
         const double temp =
             greedy ? 0.0
-                   : t0 * std::pow(tf / t0,
-                                   iters > 1
-                                       ? static_cast<double>(k) /
-                                             (iters - 1)
-                                       : 0.0);
+                   : kInitialTemp *
+                         std::pow(kFinalTemp / kInitialTemp,
+                                  iters > 1
+                                      ? static_cast<double>(k) /
+                                            (iters - 1)
+                                      : 0.0);
         step(temp);
     }
     anneal_span.end();
@@ -609,7 +612,7 @@ BimSearch::runChain(unsigned restart, bool greedy) const
     SearchResult result;
     BitMatrix m = BitMatrix::identity(nbits);
     for (std::size_t i = 0; i < nt; ++i)
-        m.setRow(targets_[i], best.rows[i]);
+        m.setRow(opts.targets[i], best.rows[i]);
     // The invariant's final audit: a singular matrix here would mean
     // a move slipped past its rank check.
     if (!m.invertible())

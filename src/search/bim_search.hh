@@ -5,11 +5,20 @@
  * Closes the loop of the paper's Section IV-B design-time
  * methodology: instead of hand-deriving a BIM from an entropy chart,
  * `BimSearch` *searches* the space of invertible GF(2) matrices for
- * one that flattens the entropy valley of a workload — or, jointly,
- * of a whole workload set. Candidates are scored with a
- * `JointObjective` over one `TracePlanes` per set member (one
- * XOR+popcount pass per candidate row per member — no re-profiling);
- * the classic single-workload search is exactly the size-1 set.
+ * one that flattens the entropy valley of a workload set; a single
+ * workload is the size-1 set.
+ *
+ * ## One constructor, one configuration
+ *
+ * `BimSearch(layout, planes, opts)` is the only way in. `opts` is
+ * the whole configuration: `defaultOptions(layout)` (searched_bim.hh)
+ * fills its targets and candidate mask, and callers adjust the rest.
+ * The search builds its own `JointObjective` from it — per-target
+ * weights from the layout (2.0 on `channelBits()`, 1.0 elsewhere),
+ * combiner and member weights from `opts` — so no setting can live
+ * in two places. Candidates are scored against one `TracePlanes` per
+ * member (one XOR+popcount pass per candidate row per member — no
+ * re-profiling).
  *
  * ## Search space and the invertibility invariant
  *
@@ -57,6 +66,7 @@
 #define VALLEY_SEARCH_BIM_SEARCH_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/cancellation.hh"
@@ -72,32 +82,37 @@ namespace search {
 /**
  * Search behavior version. Folded into the harness result-cache key
  * for SBIM/GBIM cells and into the SBIM cache key: the searched
- * matrix depends on every default in `SearchOptions`/`JointObjective`
- * and on the move set, none of which appear in the (workload, scheme,
- * seed, scale) key. Bump this whenever a change alters which matrix a
+ * matrix depends on the `SearchOptions` defaults, the anneal schedule
+ * (bim_search.cc), the objective's weights (objective.hh) and the
+ * move set, none of which appear in the (workload, scheme, seed,
+ * scale) key. Bump this whenever a change alters which matrix a
  * given seed produces, or cached grid cells go stale silently.
  * s2: workload-set refactor — joint scoring, per-chain evaluation
  * budgets, escaped order-canonical cache keys.
  */
 inline constexpr const char *kSearchVersion = "s2";
 
-/** Search budget and space knobs. */
+/**
+ * The whole configuration of a search. Start from
+ * `defaultOptions(layout)`, the one place that fills `targets` and
+ * `candidateMask`; the constructor rejects options left without them.
+ */
 struct SearchOptions
 {
     /**
      * Output rows the search may rewrite (all other rows stay
-     * identity). Empty = the layout's channel/vault/bank positions
-     * (`AddressLayout::randomizeTargets`).
+     * identity); `defaultOptions` sets the layout's channel/vault/bank
+     * positions (`AddressLayout::randomizeTargets`).
      */
     std::vector<unsigned> targets;
 
     /**
-     * Input bits the target rows may tap. 0 = the layout's DRAM page
-     * address bits (`AddressLayout::pageMask`), i.e. the PAE input
-     * restriction that keeps the remap power-efficient. Every target
-     * bit must be a candidate, or no invertible matrix with identity
-     * non-target rows exists (same precondition as
-     * `bim::randomBroad`).
+     * Input bits the target rows may tap; `defaultOptions` sets the
+     * layout's DRAM page address bits (`AddressLayout::pageMask`),
+     * i.e. the PAE input restriction that keeps the remap
+     * power-efficient. Every target bit must be a candidate, or no
+     * invertible matrix with identity non-target rows exists (same
+     * precondition as `bim::randomBroad`).
      */
     std::uint64_t candidateMask = 0;
 
@@ -105,29 +120,22 @@ struct SearchOptions
     EntropyMetric metric = EntropyMetric::BitProbability;
 
     /**
-     * Joint-search member-cost combiner. The `searchSet` pipeline
-     * copies it into the `JointObjective` it builds (and the SBIM
-     * cache key records it); a directly constructed `BimSearch` uses
-     * whatever combiner its `JointObjective` carries. Size-1 sets:
-     * both combiners reduce to the member cost.
+     * How the objective folds member costs (and a field of the SBIM
+     * cache key). Size-1 sets: both combiners reduce to the member
+     * cost.
      */
     JointCombiner combiner = JointCombiner::Mean;
 
     std::uint64_t seed = 1;      ///< master seed; see class comment
     unsigned restarts = 4;       ///< independent annealing chains
     unsigned iterations = 1200;  ///< moves per chain
-    double initialTemp = 0.08;   ///< Metropolis start temperature
-    double finalTemp = 2e-5;     ///< geometric cooling endpoint
-    unsigned minTaps = 1;        ///< minimum taps per target row
 
     /**
-     * Per-member weights for the joint objective's Mean combiner,
-     * matched to the workload set's canonical `members()` order.
-     * Empty = uniform (bit-identical to the pre-weights behavior, so
-     * `kSearchVersion` stays put). `searchSet` copies them into the
-     * `JointObjective::memberWeights` it builds; the WorstCase
-     * combiner ignores them (see objective.hh). Size must equal the
-     * set size when non-empty. Folded into the SBIM cache key.
+     * Per-member weights for the objective's Mean combiner, matched
+     * to the workload set's canonical `members()` order. Empty =
+     * uniform; the WorstCase combiner ignores them (see
+     * objective.hh). Size must equal the member count when non-empty
+     * (`checkMemberWeights`). Folded into the SBIM cache key.
      */
     std::vector<double> memberWeights;
 
@@ -285,6 +293,16 @@ struct SearchResult
 };
 
 /**
+ * Throw `std::invalid_argument` unless `opts.memberWeights` is empty
+ * or holds one weight per member: a vector that does not line up
+ * with the set would silently weight the wrong members (the set
+ * canonicalizes member order). The constructor checks through this,
+ * and so do the cache-hit paths of `searchSet`/`setMapper`, which
+ * never build a search.
+ */
+void checkMemberWeights(const SearchOptions &opts, std::size_t members);
+
+/**
  * Simulated-annealing BIM search over the trace planes of a workload
  * set (one `TracePlanes` per member, all the same bit width).
  *
@@ -295,27 +313,18 @@ class BimSearch
 {
   public:
     /**
-     * Joint search over a set.
-     *
-     * @param layout DRAM layout providing default targets/candidates
+     * @param layout DRAM layout: address width and the channel bits
+     *               the objective weights double
      * @param planes one bit-plane representation per set member
      *               (non-owning; members() order of the set)
-     * @param objective joint entropy-flatness cost (see objective.hh)
-     * @param opts   budget/space knobs; empty targets and zero mask
-     *               default from `layout` as documented above
+     * @param opts   the configuration; see `SearchOptions`
+     * @throws std::invalid_argument on empty or mis-sized planes,
+     *         mis-sized member weights, no targets, or a target that
+     *         is out of range or not a candidate
      */
     BimSearch(const AddressLayout &layout,
               std::vector<const workloads::TracePlanes *> planes,
-              JointObjective objective, SearchOptions opts);
-
-    /**
-     * Single-workload search: the size-1 special case. Wraps
-     * `objective` in a `JointObjective` whose Mean combiner over one
-     * member reproduces the per-workload cost exactly.
-     */
-    BimSearch(const AddressLayout &layout,
-              const workloads::TracePlanes &planes,
-              FlatnessObjective objective, SearchOptions opts);
+              SearchOptions opts);
 
     /** Annealed search: best of `restarts` parallel chains. */
     SearchResult anneal() const;
@@ -330,14 +339,16 @@ class BimSearch
     /** Joint objective of the identity mapping on these planes. */
     double identityCost() const;
 
-    /** Number of set members being searched jointly. */
-    std::size_t numMembers() const { return planes_.size(); }
-
-    /** Resolved target output bits (after layout defaulting). */
-    const std::vector<unsigned> &targets() const { return targets_; }
-
-    /** Resolved candidate tap mask (after layout defaulting). */
-    std::uint64_t candidateMask() const { return mask_; }
+    /**
+     * One member's flatness cost for its target entropies (in
+     * `targets` order) under a matrix with `xor_gates` gates — the
+     * term the objective combines across members.
+     */
+    double memberCost(std::span<const double> target_entropy,
+                      unsigned xor_gates) const
+    {
+        return objective.memberCost(target_entropy, xor_gates);
+    }
 
   private:
     struct Chain;
@@ -353,7 +364,6 @@ class BimSearch
     std::uint64_t chainBudget(bool greedy) const;
 
     unsigned nbits;
-    std::vector<unsigned> targets_;
     std::vector<unsigned> candidateBits; ///< set bits of mask_
     std::uint64_t mask_ = 0;
     std::vector<const workloads::TracePlanes *> planes_;

@@ -11,7 +11,7 @@ FlatnessObjective::cost(std::span<const double> target_entropy,
                         unsigned xor_gates) const
 {
     if (target_entropy.empty())
-        return gateWeight * xor_gates;
+        return kGateWeight * xor_gates;
     assert(targetWeights.empty() ||
            targetWeights.size() == target_entropy.size());
 
@@ -27,8 +27,8 @@ FlatnessObjective::cost(std::span<const double> target_entropy,
     }
     if (wsum > 0.0)
         mean /= wsum;
-    return meanWeight * (1.0 - mean) + minWeight * (1.0 - mn) +
-           gateWeight * xor_gates;
+    return kMeanWeight * (1.0 - mean) + kMinWeight * (1.0 - mn) +
+           kGateWeight * xor_gates;
 }
 
 const char *

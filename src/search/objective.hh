@@ -25,31 +25,36 @@
 namespace valley {
 namespace search {
 
+/** Weight of the mean entropy deficit in `FlatnessObjective`. */
+inline constexpr double kMeanWeight = 1.0;
+/** Weight of the worst-bit entropy deficit in `FlatnessObjective`. */
+inline constexpr double kMinWeight = 0.5;
+/** Per-XOR-gate hardware regularizer of `FlatnessObjective`. */
+inline constexpr double kGateWeight = 1e-4;
+
 /**
  * Weighted entropy-deficit cost of one candidate BIM.
  *
- * cost = meanWeight * (1 - weighted mean target entropy)
- *      + minWeight  * (1 - minimum target entropy)
- *      + gateWeight * xorGates
+ * cost = kMeanWeight * (1 - weighted mean target entropy)
+ *      + kMinWeight  * (1 - minimum target entropy)
+ *      + kGateWeight * xorGates
  *
  * Lower is better; a perfect mapping (entropy 1.0 on every target
  * bit) costs only its gate term. The min term punishes leaving any
  * single valley bit behind — a flat mean can hide one dead channel
  * bit, which is exactly the failure mode Fig. 10 shows for RMP.
+ * The three weights shape every searched matrix, so changing one
+ * bumps `kSearchVersion`.
  */
 struct FlatnessObjective
 {
     /**
      * Per-target weights for the mean term, aligned with the search's
-     * target bit list; empty = uniform. `defaultObjective` weights
-     * channel bits above bank bits because channel parallelism gates
-     * both the NoC and the DRAM bus (Figs. 13-14).
+     * target bit list; empty = uniform. `BimSearch` weights channel
+     * bits above bank bits because channel parallelism gates both the
+     * NoC and the DRAM bus (Figs. 13-14).
      */
     std::vector<double> targetWeights;
-
-    double meanWeight = 1.0;   ///< weight of the mean entropy deficit
-    double minWeight = 0.5;    ///< weight of the worst-bit deficit
-    double gateWeight = 1e-4;  ///< per-XOR-gate hardware regularizer
 
     /**
      * Cost of a candidate whose target output bits measure
@@ -76,7 +81,7 @@ enum class JointCombiner
 
     /**
      * Maximum member cost — optimize the worst-served workload. The
-     * set-level analogue of `FlatnessObjective::minWeight`: a joint
+     * set-level analogue of `FlatnessObjective`'s min term: a joint
      * BIM with a great average can still starve one member, which is
      * the failure mode the paper shows for one-size-fits-all RMP.
      */

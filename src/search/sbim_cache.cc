@@ -3,6 +3,8 @@
 #include <cinttypes>
 #include <sstream>
 
+#include "mapping/layout_registry.hh"
+
 namespace valley {
 namespace search {
 
@@ -62,56 +64,33 @@ sbimCache()
     return cache;
 }
 
-namespace {
-
-/** Shared tail of both key forms: every outcome-shaping knob. */
 std::string
-keyFromField(const std::string &escaped_workload_field, double scale,
-             const std::string &layout_name, const SearchOptions &opts)
+sbimCacheKey(const workloads::WorkloadSet &set, double scale,
+             const AddressLayout &layout, const SearchOptions &opts)
 {
+    // set.key() is already member-wise escaped and ','-joined, and
+    // layoutIdentity escapes a free-form layout name.
     std::ostringstream out;
     out.precision(17);
     out << kSbimCacheVersion << ';' << kSearchVersion << ';'
-        << escaped_workload_field << ';' << scale << ';'
-        << workloads::escapeSpecField(layout_name) << ';';
+        << set.key() << ';' << scale << ';'
+        << mapping::layoutIdentity(layout) << ';';
     out << 't';
     for (unsigned t : opts.targets)
         out << '.' << t;
     out << ";c" << std::hex << opts.candidateMask << std::dec << ';'
         << opts.window << ';' << static_cast<int>(opts.metric) << ';'
         << combinerName(opts.combiner) << ';' << opts.seed << ';'
-        << opts.restarts << ';' << opts.iterations << ';'
-        << opts.initialTemp << ';' << opts.finalTemp << ';'
-        << opts.minTaps << ";e" << opts.maxEvaluations;
+        << opts.restarts << ';' << opts.iterations << ";e"
+        << opts.maxEvaluations;
     // Weights shape the joint objective and hence the searched
-    // matrix; empty (uniform) adds no field, so unweighted searches
-    // key identically whether or not the build knows about weights.
+    // matrix; empty (uniform) adds no field.
     if (!opts.memberWeights.empty()) {
         out << ";w";
         for (double w : opts.memberWeights)
             out << ',' << w;
     }
     return out.str();
-}
-
-} // namespace
-
-std::string
-sbimCacheKey(const std::string &workload_key, double scale,
-             const std::string &layout_name, const SearchOptions &opts)
-{
-    return keyFromField(workloads::escapeSpecField(workload_key),
-                        scale, layout_name, opts);
-}
-
-std::string
-sbimCacheKey(const workloads::WorkloadSet &set, double scale,
-             const std::string &layout_name, const SearchOptions &opts)
-{
-    // set.key() is already member-wise escaped and ','-joined; a
-    // size-1 set's key is exactly escapeSpecField(member), making the
-    // two overloads agree on singletons.
-    return keyFromField(set.key(), scale, layout_name, opts);
 }
 
 } // namespace search

@@ -12,11 +12,11 @@
  * entirely on a hit.
  *
  * The key embeds `kSearchVersion` (bumped whenever the search would
- * produce a different matrix for the same seed), the workload key
- * (Table II abbreviation or canonical `synth:` spec) and every
+ * produce a different matrix for the same seed), the workload set's
+ * key (Table II abbreviations and canonical `synth:` specs) and every
  * `SearchOptions` field that shapes the outcome. The cache policy
  * lives in `harness/record_cache.hh`; this file holds the key
- * builders and the codec.
+ * builder and the codec.
  */
 
 #ifndef VALLEY_SEARCH_SBIM_CACHE_HH
@@ -38,36 +38,32 @@ namespace search {
  * key — pre-checksum epochs are skipped as stale on load.
  * m3: mapper-registry epoch (layout presets become first-class cache
  * identities); pre-registry lines load as stale.
+ * m4: the layout keys by `mapping::layoutIdentity` instead of its
+ * display name, and the anneal temperatures and minimum taps, now
+ * constants, leave the key; m3 lines load as stale.
  */
-inline constexpr const char *kSbimCacheVersion = "m3";
+inline constexpr const char *kSbimCacheVersion = "m4";
 
 /**
- * Unique key of one search: workload key (abbreviation or canonical
- * synth spec), problem scale, layout name, and the full search
- * configuration (targets, candidate mask, window, metric, combiner,
- * seed, budget caps, temperatures, min taps) plus `kSearchVersion`.
- *
- * The workload key and layout name are percent-escaped
- * (`workloads::escapeSpecField`) before entering the key: synth specs
- * contain commas, and a raw separator or newline inside a field would
- * make the one-line-per-entry CSV ambiguous. The cache's `store`
- * additionally *rejects* keys still containing a newline or the '|'
- * payload separator — escaping at the source plus rejection at the
- * sink, so no spec string can corrupt the file.
- */
-std::string sbimCacheKey(const std::string &workload_key, double scale,
-                         const std::string &layout_name,
-                         const SearchOptions &opts);
-
-/**
- * Key of a joint search over a workload set. Uses the set's
- * order-canonical escaped `key()`, so any spelling of the same set —
+ * Unique key of one search over a workload set: the set's
+ * order-canonical escaped `key()` (so any spelling of the same set —
  * reordered members, reordered synth parameters, duplicates — hits
- * the same cache line. A size-1 set keys identically to the
- * single-workload overload with that member.
+ * the same cache line), problem scale, the layout's
+ * `mapping::layoutIdentity`, and every `SearchOptions` field that
+ * shapes the outcome (targets, candidate mask, window, metric,
+ * combiner, seed, restarts, iterations, evaluation cap, member
+ * weights) plus `kSearchVersion`.
+ *
+ * Free-form fields are percent-escaped (`workloads::escapeSpecField`)
+ * before entering the key: synth specs contain commas, and a raw
+ * separator or newline inside a field would make the
+ * one-line-per-entry CSV ambiguous. The cache's `store` additionally
+ * *rejects* keys still containing a newline or the '|' payload
+ * separator — escaping at the source plus rejection at the sink, so
+ * no spec string can corrupt the file.
  */
 std::string sbimCacheKey(const workloads::WorkloadSet &set,
-                         double scale, const std::string &layout_name,
+                         double scale, const AddressLayout &layout,
                          const SearchOptions &opts);
 
 /**

@@ -1,7 +1,6 @@
 #include "search/searched_bim.hh"
 
 #include <cstdio>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -11,38 +10,6 @@
 
 namespace valley {
 namespace search {
-
-FlatnessObjective
-defaultObjective(const AddressLayout &layout,
-                 const std::vector<unsigned> &targets)
-{
-    FlatnessObjective obj;
-    std::uint64_t channel_mask = 0;
-    for (unsigned b : layout.channelBits())
-        channel_mask |= std::uint64_t{1} << b;
-    obj.targetWeights.reserve(targets.size());
-    for (unsigned t : targets)
-        obj.targetWeights.push_back(((channel_mask >> t) & 1) ? 2.0
-                                                              : 1.0);
-    return obj;
-}
-
-FlatnessObjective
-defaultObjective(const AddressLayout &layout)
-{
-    return defaultObjective(layout, layout.randomizeTargets());
-}
-
-JointObjective
-defaultJointObjective(const AddressLayout &layout,
-                      const std::vector<unsigned> &targets,
-                      JointCombiner combiner)
-{
-    JointObjective obj;
-    obj.flatness = defaultObjective(layout, targets);
-    obj.combiner = combiner;
-    return obj;
-}
 
 std::string
 sbimMapperId(const BitMatrix &bim, std::uint64_t seed)
@@ -77,11 +44,10 @@ jointMapperName(const workloads::WorkloadSet &set)
 namespace {
 
 /**
- * The one shared joint-search pipeline. Every public entry point —
- * set or single-workload — goes through this, so the matrix the
- * harness gets from `setMapper` and the profiles `searchSet` stores
- * under that matrix's hash can never come from diverging copies of
- * the setup code.
+ * The one shared joint-search pipeline. Both entry points go through
+ * this, so the matrix the harness gets from `setMapper` and the
+ * profiles `searchSet` stores under that matrix's hash can never come
+ * from diverging copies of the setup code.
  *
  * Member workloads are rebuilt from their canonical names and their
  * planes extracted in `set.members()` order; the planes then feed
@@ -109,56 +75,23 @@ struct SetPipeline
         ptrs.reserve(planes.size());
         for (const workloads::TracePlanes &p : planes)
             ptrs.push_back(&p);
-        JointObjective obj =
-            defaultJointObjective(layout, opts.targets, opts.combiner);
-        obj.memberWeights = opts.memberWeights;
-        searcher = std::make_unique<BimSearch>(
-            layout, std::move(ptrs), std::move(obj), opts);
+        searcher =
+            std::make_unique<BimSearch>(layout, std::move(ptrs), opts);
     }
 };
-
-/** Fill empty targets / zero mask from the layout. */
-void
-defaultFromLayout(SearchOptions &opts, const AddressLayout &layout)
-{
-    if (opts.targets.empty())
-        opts.targets = layout.randomizeTargets();
-    if (opts.candidateMask == 0)
-        opts.candidateMask = layout.pageMask();
-}
-
-/**
- * A weight vector that does not line up with the set would silently
- * weight the wrong members (the set canonicalizes member order), so
- * mismatches fail loudly at every entry point — including cache-hit
- * paths that never build the objective.
- */
-void
-validateWeights(const workloads::WorkloadSet &set,
-                const SearchOptions &opts)
-{
-    if (!opts.memberWeights.empty() &&
-        opts.memberWeights.size() != set.size())
-        throw std::invalid_argument(
-            "searchSet: memberWeights size " +
-            std::to_string(opts.memberWeights.size()) +
-            " != workload set size " + std::to_string(set.size()));
-}
 
 } // namespace
 
 SetSearchResult
 searchSet(const workloads::WorkloadSet &set,
-          const AddressLayout &layout, SearchOptions opts,
+          const AddressLayout &layout, const SearchOptions &opts,
           double scale)
 {
-    defaultFromLayout(opts, layout);
-    validateWeights(set, opts);
+    checkMemberWeights(opts, set.size());
 
     SetSearchResult out;
 
-    const std::string cache_key =
-        sbimCacheKey(set, scale, layout.name, opts);
+    const std::string cache_key = sbimCacheKey(set, scale, layout, opts);
     const auto cached = sbimCache().lookup(cache_key);
 
     const SetPipeline pipe(set, layout, opts, scale);
@@ -210,12 +143,10 @@ searchSet(const workloads::WorkloadSet &set,
 
     // A cache hit deserializes only (bim, costs, aggregate entropy);
     // rebuild the per-member breakdown from the searched profiles —
-    // the same rowEntropy arithmetic the live search used, so hit and
-    // miss report identical numbers.
+    // the same rowEntropy arithmetic and the same objective the live
+    // search used, so hit and miss report identical numbers.
     if (out.annealed.memberTargetEntropy.empty()) {
         const unsigned gates = out.annealed.bim.xorGateCount();
-        const FlatnessObjective flat =
-            defaultObjective(layout, opts.targets);
         out.annealed.memberTargetEntropy.resize(set.size());
         out.annealed.memberCosts.resize(set.size());
         for (std::size_t m = 0; m < set.size(); ++m) {
@@ -224,7 +155,8 @@ searchSet(const workloads::WorkloadSet &set,
             for (std::size_t i = 0; i < opts.targets.size(); ++i)
                 ent[i] =
                     out.searchedProfiles[m].perBit[opts.targets[i]];
-            out.annealed.memberCosts[m] = flat.cost(ent, gates);
+            out.annealed.memberCosts[m] =
+                pipe.searcher->memberCost(ent, gates);
         }
     }
     return out;
@@ -233,16 +165,13 @@ searchSet(const workloads::WorkloadSet &set,
 std::unique_ptr<AddressMapper>
 setMapper(const AddressLayout &layout,
           const workloads::WorkloadSet &set,
-          const SearchOptions &opts_in, double scale, std::string name)
+          const SearchOptions &opts, double scale, std::string name)
 {
-    SearchOptions opts = opts_in;
-    defaultFromLayout(opts, layout);
-    validateWeights(set, opts);
+    checkMemberWeights(opts, set.size());
     // A cache hit skips the whole pipeline — including trace-plane
     // extraction for every member — so repeated SBIM/GBIM grid cells
     // pay only the lookup.
-    const std::string cache_key =
-        sbimCacheKey(set, scale, layout.name, opts);
+    const std::string cache_key = sbimCacheKey(set, scale, layout, opts);
     if (name.empty())
         name = jointMapperName(set);
     if (auto cached = sbimCache().lookup(cache_key))
@@ -256,20 +185,6 @@ setMapper(const AddressLayout &layout,
         sbimCache().store(cache_key, best);
     return std::make_unique<AddressMapper>(std::move(name), layout,
                                            std::move(best.bim));
-}
-
-WorkloadSearchResult
-searchWorkload(const Workload &workload, const AddressLayout &layout,
-               SearchOptions opts, double scale)
-{
-    const workloads::WorkloadSet set({workload.info().abbrev});
-    SetSearchResult r = searchSet(set, layout, std::move(opts), scale);
-    WorkloadSearchResult out;
-    out.annealed = std::move(r.annealed);
-    out.greedyBaseline = std::move(r.greedyBaseline);
-    out.identityProfile = std::move(r.identityProfiles[0]);
-    out.searchedProfile = std::move(r.searchedProfiles[0]);
-    return out;
 }
 
 } // namespace search

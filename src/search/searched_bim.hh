@@ -1,15 +1,18 @@
 /**
  * @file
- * Front-end glue of the mapping service: one-call joint search over a
+ * Front-end of the mapping service: the joint search over a
  * `workloads::WorkloadSet`, profile-cache integration, and the
  * `AddressMapper` wrapping used by the harness' `map:sbim`/`map:gbim`
  * cells and `tools/valley_search`.
  *
- * The set is the first-class unit: `searchSet`/`setMapper` anneal one
- * invertible BIM against every member at once. A per-workload (SBIM)
- * search is the size-1 set; `searchWorkload` is a thin wrapper over
- * it, bit-identical to the joint path by construction (asserted in
- * `tests/joint_search_test.cc`).
+ * The set is the unit of search, and there are two ways in:
+ * `searchSet` (the matrix plus everything a report shows — greedy
+ * baseline, member profiles) and `setMapper` (the matrix as a
+ * mapper). A per-workload (SBIM) search is the size-1 set,
+ * `WorkloadSet({name})`. Both take one `SearchOptions` (start from
+ * `defaultOptions(layout)`) and run the one `BimSearch` constructor,
+ * so the matrix the harness simulates and the profiles `searchSet`
+ * reports come from the same search.
  */
 
 #ifndef VALLEY_SEARCH_SEARCHED_BIM_HH
@@ -25,27 +28,6 @@ namespace valley {
 namespace search {
 
 /**
- * Default entropy-flatness objective for the given target bits:
- * uniform weights over the bank bits, 2x weight on the channel (and
- * vault) bits — channel parallelism feeds both the NoC and the DRAM
- * buses (Figs. 13-14), so a searched BIM should fill those bits
- * first. The weights align index-for-index with `targets`.
- */
-FlatnessObjective defaultObjective(const AddressLayout &layout,
-                                   const std::vector<unsigned> &targets);
-
-/** Overload defaulting to `layout.randomizeTargets()`. */
-FlatnessObjective defaultObjective(const AddressLayout &layout);
-
-/**
- * Default joint objective: `defaultObjective` per member, uniform
- * member weights, member costs folded by `combiner`.
- */
-JointObjective defaultJointObjective(const AddressLayout &layout,
-                                     const std::vector<unsigned> &targets,
-                                     JointCombiner combiner);
-
-/**
  * Profile-cache mapper id of a searched BIM: "SBIM-<seed>-<hash of
  * the matrix rows>". The hash makes the id unique per *matrix*, as
  * `profileCacheKey` requires — two searches with the same seed but
@@ -55,9 +37,10 @@ JointObjective defaultJointObjective(const AddressLayout &layout,
 std::string sbimMapperId(const BitMatrix &bim, std::uint64_t seed);
 
 /**
- * Default search options for a layout: targets =
- * `randomizeTargets()`, candidates = `pageMask()` (the PAE input
- * restriction), window/seed/budget left at `SearchOptions` defaults.
+ * Default search options for a layout, the one place the targets and
+ * the candidate mask are filled: targets = `randomizeTargets()`,
+ * candidates = `pageMask()` (the PAE input restriction),
+ * window/seed/budget left at `SearchOptions` defaults.
  */
 SearchOptions defaultOptions(const AddressLayout &layout);
 
@@ -68,15 +51,6 @@ SearchOptions defaultOptions(const AddressLayout &layout);
  * the paper's one-size-fits-all RMP.
  */
 std::string jointMapperName(const workloads::WorkloadSet &set);
-
-/** Everything the CLI reports about one workload search. */
-struct WorkloadSearchResult
-{
-    SearchResult annealed;          ///< best annealed matrix
-    SearchResult greedyBaseline;    ///< hill-climbing baseline
-    EntropyProfile identityProfile; ///< workload profile under BASE
-    EntropyProfile searchedProfile; ///< profile under `annealed.bim`
-};
 
 /** Everything the CLI reports about one joint set search. */
 struct SetSearchResult
@@ -97,20 +71,19 @@ struct SetSearchResult
  * the cache entries), anneal a single BIM against all of them (plus
  * the greedy baseline), and store each member's searched profile
  * back into the profile cache under `sbimMapperId(...)` so figure
- * benches reuse them. Empty `opts.targets` and a zero
- * `opts.candidateMask` default from the layout; the objective is
- * `defaultJointObjective(layout, opts.targets, opts.combiner)`.
+ * benches reuse them.
  *
  * The annealed matrix is memoized in the on-disk SBIM cache under the
  * set's order-canonical key (`sbim_cache.hh`): a hit skips the
  * annealing restarts (the greedy baseline and profiles still run —
  * they are what the caller asked to see) and reports zero search
  * statistics; its member cost breakdown is reconstructed from the
- * searched profiles, so hit and miss report the same numbers.
+ * searched profiles with the search's own objective, so hit and miss
+ * report the same numbers.
  */
 SetSearchResult searchSet(const workloads::WorkloadSet &set,
                           const AddressLayout &layout,
-                          SearchOptions opts, double scale);
+                          const SearchOptions &opts, double scale);
 
 /**
  * Search a set and wrap the best matrix as an `AddressMapper` named
@@ -125,17 +98,6 @@ SetSearchResult searchSet(const workloads::WorkloadSet &set,
 std::unique_ptr<AddressMapper> setMapper(
     const AddressLayout &layout, const workloads::WorkloadSet &set,
     const SearchOptions &opts, double scale, std::string name = "");
-
-/**
- * Single-workload search: `searchSet` over the size-1 set
- * `{workload.info().abbrev}`. The workload must be identified by its
- * abbreviation (or canonical synth spec) together with `scale` —
- * true for anything built by `workloads::make` — because the set
- * pipeline rebuilds members from their names.
- */
-WorkloadSearchResult searchWorkload(const Workload &workload,
-                                    const AddressLayout &layout,
-                                    SearchOptions opts, double scale);
 
 } // namespace search
 } // namespace valley

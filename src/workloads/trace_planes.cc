@@ -536,35 +536,6 @@ TracePlanes::rowEntropy(std::uint64_t row_mask, unsigned window,
     return entropyFromOnes(ones.data(), window, metric);
 }
 
-void
-TracePlanes::rowEntropyBatch(std::span<const std::uint64_t> masks,
-                             unsigned window, EntropyMetric metric,
-                             double *out) const
-{
-    const std::size_t n = masks.size();
-    if (n == 0)
-        return;
-    // One shared one-count scratch for the whole batch: each mask
-    // sweeps the plane-major strips (sequential reads that stay hot
-    // across masks) and scores immediately — no per-candidate
-    // allocation, unlike a rowEntropy loop.
-    std::vector<std::uint64_t> ones(tb_count);
-    for (std::size_t mi = 0; mi < n; ++mi) {
-        rowOnes(masks[mi], ones.data());
-        out[mi] = entropyFromOnes(ones.data(), window, metric);
-    }
-}
-
-std::vector<double>
-TracePlanes::rowEntropyBatch(std::span<const std::uint64_t> masks,
-                             unsigned window,
-                             EntropyMetric metric) const
-{
-    std::vector<double> out(masks.size());
-    rowEntropyBatch(masks, window, metric, out.data());
-    return out;
-}
-
 EntropyProfile
 TracePlanes::profileFor(const BitMatrix &m, unsigned window,
                         EntropyMetric metric) const
@@ -575,10 +546,8 @@ TracePlanes::profileFor(const BitMatrix &m, unsigned window,
     EntropyProfile out;
     out.weight = requests_;
     out.perBit.resize(nbits);
-    std::vector<std::uint64_t> masks(nbits);
     for (unsigned r = 0; r < nbits; ++r)
-        masks[r] = m.row(r);
-    rowEntropyBatch(masks, window, metric, out.perBit.data());
+        out.perBit[r] = rowEntropy(m.row(r), window, metric);
     return out;
 }
 

@@ -39,15 +39,20 @@
  * registry gauge `search.plane_bytes` (added on construction,
  * subtracted on destruction).
  *
- * ## Incremental scoring
+ * ## Scoring
  *
- * A full candidate row is `combineRow` (XOR of all tapped planes +
- * per-TB one-counts). The search keeps its current rows as `Row`s:
- * the combined plane, the one-counts and each kernel's window
- * entropy. `proposeToggle` (a tap-toggle move, XOR one input strip)
- * and `proposeXor` (a row-XOR move, XOR two cached rows) score a
- * candidate by rescoring only the kernels whose one-counts the move
- * changes, and `commit` copies just those kernels back into the row.
+ * `rowEntropy` is the one from-scratch scoring entry point: the
+ * window entropy of one candidate row (XOR of its tapped planes,
+ * per-TB one-counts, then each kernel's entropy, request-weighted).
+ * `profileFor` is `rowEntropy` of every row of a matrix.
+ *
+ * The search scores its moves incrementally instead. It keeps its
+ * current rows as `Row`s: the combined plane (`combineRow`), the
+ * one-counts and each kernel's window entropy. `proposeToggle` (a
+ * tap-toggle move, XOR one input strip) and `proposeXor` (a row-XOR
+ * move, XOR two cached rows) score a candidate by rescoring only the
+ * kernels whose one-counts the move changes, and `commit` copies just
+ * those kernels back into the row.
  *
  * The skip rule rests on two facts. A kernel's entropy depends only
  * on its own one-counts. An XOR operand that is zero across a kernel
@@ -57,11 +62,7 @@
  * skips every kernel in which the other row has no one-bits. A
  * skipped kernel keeps the base row's entropy; the row entropy is
  * still the request-weighted sum over every kernel in kernel order,
- * so it is bit-identical to `rowEntropy` recomputed from scratch —
- * the oracle path, which stays as-is. `rowEntropyBatch` scores N
- * masks over one shared one-count scratch while the strips stay
- * cache-hot — no per-candidate allocation, which is what a loop of
- * `rowEntropy` calls pays.
+ * so it is bit-identical to `rowEntropy` recomputed from scratch.
  *
  * The per-TB one-counts are exact integers and each BVR is the
  * quotient of one division (`bitValueRatio`, which reads it from a
@@ -241,26 +242,12 @@ class TracePlanes
      * across kernels weighted by request count — the value a profile
      * under a matrix containing this row reports for that output bit.
      * Bits of `row_mask` at or above `numBits()` must be clear. The
-     * from-scratch oracle the incremental and batched paths are
-     * tested against.
+     * one from-scratch scoring entry point: `profileFor` and the
+     * search's identity cost loop over it, and the incremental moves
+     * are tested against it.
      */
     double rowEntropy(std::uint64_t row_mask, unsigned window,
                       EntropyMetric metric) const;
-
-    /**
-     * Score `masks.size()` candidate row masks in one sweep over one
-     * shared one-count scratch (a `rowEntropy` loop allocates per
-     * call). `out[i]` is bit-identical to
-     * `rowEntropy(masks[i], window, metric)`.
-     */
-    void rowEntropyBatch(std::span<const std::uint64_t> masks,
-                         unsigned window, EntropyMetric metric,
-                         double *out) const;
-
-    /** Convenience overload returning a fresh vector. */
-    std::vector<double>
-    rowEntropyBatch(std::span<const std::uint64_t> masks,
-                    unsigned window, EntropyMetric metric) const;
 
     /**
      * Build the combined output plane of `row_mask` into
@@ -344,9 +331,9 @@ class TracePlanes
 
     /**
      * The entropy of a row whose per-TB one-counts are `ones` — the
-     * tail of `rowEntropy` and `rowEntropyBatch`: every kernel's
-     * `scoreKernel`, request-weighted in kernel order, the same sum
-     * `seedRow` and the proposals make.
+     * tail of `rowEntropy`: every kernel's `scoreKernel`,
+     * request-weighted in kernel order, the same sum `seedRow` and the
+     * proposals make.
      */
     double entropyFromOnes(const std::uint64_t *ones, unsigned window,
                            EntropyMetric metric) const;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the profile-driven BIM search (`src/search/`): the
- * bit-plane evaluator's batched, incremental, parallel and SIMD paths
+ * bit-plane evaluator's incremental, parallel and SIMD paths
  * must be bit-identical to its from-scratch oracle (the planes
  * themselves are pinned to the scalar profiler in profiler_test),
  * every searched matrix must be invertible with identity non-target
@@ -68,27 +68,6 @@ TEST(TracePlanes, ParallelExtractionBitIdenticalToSerial)
                                            EntropyMetric::BitProbability);
     for (std::size_t bit = 0; bit < pa.perBit.size(); ++bit)
         EXPECT_EQ(pa.perBit[bit], pb.perBit[bit]);
-}
-
-TEST(TracePlanes, RowEntropyBatchMatchesRowEntropy)
-{
-    PlanesFixture s("MT");
-    XorShiftRng rng(17);
-    std::vector<std::uint64_t> masks;
-    for (int i = 0; i < 40; ++i)
-        masks.push_back(rng.next() & bits::mask(30));
-    masks.push_back(0); // degenerate all-zero row
-    for (const EntropyMetric metric :
-         {EntropyMetric::BitProbability,
-          EntropyMetric::BvrDistribution}) {
-        const std::vector<double> batched =
-            s.planes->rowEntropyBatch(masks, 12, metric);
-        ASSERT_EQ(batched.size(), masks.size());
-        for (std::size_t i = 0; i < masks.size(); ++i)
-            EXPECT_EQ(batched[i],
-                      s.planes->rowEntropy(masks[i], 12, metric))
-                << "mask " << i;
-    }
 }
 
 namespace {
@@ -328,7 +307,7 @@ TEST(FlatnessObjective, RewardsFlatHighEntropy)
     // Identity (entropy-free targets, no gates) is the worst case.
     const std::vector<double> dead(6, 0.0);
     EXPECT_NEAR(obj.cost(dead, 0),
-                obj.meanWeight + obj.minWeight, 1e-12);
+                kMeanWeight + kMinWeight, 1e-12);
 }
 
 TEST(BimSearch, SearchedMatrixInvertibleWithIdentityNonTargetRows)
@@ -339,8 +318,7 @@ TEST(BimSearch, SearchedMatrixInvertibleWithIdentityNonTargetRows)
     opts.threads = 1;
     opts.restarts = 2;
     opts.iterations = 300;
-    const BimSearch searcher(layout, *s.planes,
-                             defaultObjective(layout), opts);
+    const BimSearch searcher(layout, {s.planes.get()}, opts);
     const SearchResult r = searcher.anneal();
 
     EXPECT_TRUE(r.bim.invertible());
@@ -348,14 +326,14 @@ TEST(BimSearch, SearchedMatrixInvertibleWithIdentityNonTargetRows)
     // everything else stays identity (the invariant documented in
     // bim_search.hh).
     std::vector<bool> is_target(layout.addrBits, false);
-    for (unsigned t : searcher.targets())
+    for (unsigned t : opts.targets)
         is_target[t] = true;
     for (unsigned row = 0; row < layout.addrBits; ++row)
         if (!is_target[row])
             EXPECT_TRUE(r.bim.rowIsIdentity(row)) << "row " << row;
     // Target rows only tap candidate (page-mask) bits.
-    for (unsigned t : searcher.targets())
-        EXPECT_EQ(r.bim.row(t) & ~searcher.candidateMask(), 0u);
+    for (unsigned t : opts.targets)
+        EXPECT_EQ(r.bim.row(t) & ~opts.candidateMask, 0u);
 }
 
 TEST(BimSearch, DeterministicForFixedSeed)
@@ -366,8 +344,7 @@ TEST(BimSearch, DeterministicForFixedSeed)
     opts.threads = 1;
     opts.restarts = 2;
     opts.iterations = 300;
-    const BimSearch searcher(layout, *s.planes,
-                             defaultObjective(layout), opts);
+    const BimSearch searcher(layout, {s.planes.get()}, opts);
     const SearchResult a = searcher.anneal();
     const SearchResult b = searcher.anneal();
     EXPECT_TRUE(a.bim == b.bim);
@@ -376,8 +353,7 @@ TEST(BimSearch, DeterministicForFixedSeed)
 
     SearchOptions other = opts;
     other.seed = 7;
-    const BimSearch searcher7(layout, *s.planes,
-                              defaultObjective(layout), other);
+    const BimSearch searcher7(layout, {s.planes.get()}, other);
     const SearchResult c = searcher7.anneal();
     // Different seeds explore different chains (costs may tie, the
     // accept/reject trajectory must not).
@@ -394,10 +370,8 @@ TEST(BimSearch, ParallelRestartsBitIdenticalToSerial)
     serial.threads = 1;
     SearchOptions parallel = serial;
     parallel.threads = 3;
-    const BimSearch ss(layout, *s.planes, defaultObjective(layout),
-                       serial);
-    const BimSearch sp(layout, *s.planes, defaultObjective(layout),
-                       parallel);
+    const BimSearch ss(layout, {s.planes.get()}, serial);
+    const BimSearch sp(layout, {s.planes.get()}, parallel);
     const SearchResult a = ss.anneal();
     const SearchResult b = sp.anneal();
     EXPECT_TRUE(a.bim == b.bim);
@@ -419,8 +393,7 @@ TEST(BimSearch, PhaseEvaluationCountsSumToTotal)
     opts.threads = 1;
     opts.restarts = 2;
     opts.iterations = 300;
-    const BimSearch searcher(layout, *s.planes,
-                             defaultObjective(layout), opts);
+    const BimSearch searcher(layout, {s.planes.get()}, opts);
 
     const SearchResult annealed = searcher.anneal();
     EXPECT_EQ(annealed.stats.setupEvaluations +
@@ -449,8 +422,7 @@ TEST(BimSearch, StrictlyBeatsIdentityOnValleyWorkloads)
         opts.threads = 1;
         opts.restarts = 2;
         opts.iterations = 400;
-        const BimSearch searcher(layout, *s.planes,
-                                 defaultObjective(layout), opts);
+        const BimSearch searcher(layout, {s.planes.get()}, opts);
         const SearchResult annealed = searcher.anneal();
         const SearchResult greedy = searcher.greedy();
         EXPECT_LT(annealed.cost, annealed.identityCost) << abbrev;
@@ -465,8 +437,11 @@ TEST(BimSearch, RejectsTargetsOutsideCandidateMask)
     const AddressLayout layout = gddr5();
     SearchOptions opts = defaultOptions(layout);
     opts.candidateMask = 1ull << 20; // excludes the channel bits
-    EXPECT_THROW(BimSearch(layout, *s.planes,
-                           defaultObjective(layout), opts),
+    EXPECT_THROW(BimSearch(layout, {s.planes.get()}, opts),
+                 std::invalid_argument);
+    // Options that never went through defaultOptions are rejected,
+    // not filled in from the layout.
+    EXPECT_THROW(BimSearch(layout, {s.planes.get()}, SearchOptions{}),
                  std::invalid_argument);
 }
 
@@ -512,8 +487,7 @@ TEST(BimSearch, CancelledSearchDegradesToScoredInvertibleIncumbent)
     CancelToken token;
     token.cancel();
     opts.cancel = &token;
-    const BimSearch searcher(layout, *s.planes,
-                             defaultObjective(layout), opts);
+    const BimSearch searcher(layout, {s.planes.get()}, opts);
     const SearchResult r = searcher.anneal();
 
     EXPECT_TRUE(r.stats.deadlineHit);
@@ -522,7 +496,7 @@ TEST(BimSearch, CancelledSearchDegradesToScoredInvertibleIncumbent)
     EXPECT_TRUE(std::isfinite(r.cost));
     // The incumbent still honors the structural invariants.
     std::vector<bool> is_target(layout.addrBits, false);
-    for (unsigned t : searcher.targets())
+    for (unsigned t : opts.targets)
         is_target[t] = true;
     for (unsigned row = 0; row < layout.addrBits; ++row)
         if (!is_target[row])
@@ -553,10 +527,8 @@ TEST(BimSearch, PlaneCacheOffBitIdenticalToOn)
             cached.metric = metric;
             SearchOptions oracle = cached;
             oracle.planeCache = false;
-            const BimSearch sc(layout, *s.planes,
-                               defaultObjective(layout), cached);
-            const BimSearch so(layout, *s.planes,
-                               defaultObjective(layout), oracle);
+            const BimSearch sc(layout, {s.planes.get()}, cached);
+            const BimSearch so(layout, {s.planes.get()}, oracle);
 
             const SearchResult a = sc.anneal();
             const SearchResult b = so.anneal();
@@ -589,12 +561,10 @@ TEST(BimSearch, PlaneCacheOffBitIdenticalToOn)
                                     a.stats.annealEvaluations / 2;
             oracle.maxEvaluations = cached.maxEvaluations;
             const SearchResult ca =
-                BimSearch(layout, *s.planes, defaultObjective(layout),
-                          cached)
+                BimSearch(layout, {s.planes.get()}, cached)
                     .anneal();
             const SearchResult cb =
-                BimSearch(layout, *s.planes, defaultObjective(layout),
-                          oracle)
+                BimSearch(layout, {s.planes.get()}, oracle)
                     .anneal();
             EXPECT_TRUE(ca.stats.capped);
             EXPECT_GT(ca.stats.annealEvaluations, 0u);
@@ -629,7 +599,7 @@ TEST(BimSearch, KernelCountsSplitEveryProposal)
     const std::uint64_t memo_before =
         metrics::counter("search.memo_hits").value();
     const SearchResult a =
-        BimSearch(layout, *s.planes, defaultObjective(layout), opts)
+        BimSearch(layout, {s.planes.get()}, opts)
             .anneal();
     EXPECT_EQ(a.stats.kernelsRescored + a.stats.kernelsReused,
               (a.stats.planeToggles + a.stats.planeXors) *
@@ -648,7 +618,7 @@ TEST(BimSearch, KernelCountsSplitEveryProposal)
 
     opts.planeCache = false;
     const SearchResult b =
-        BimSearch(layout, *s.planes, defaultObjective(layout), opts)
+        BimSearch(layout, {s.planes.get()}, opts)
             .anneal();
     EXPECT_EQ(b.stats.kernelsRescored, 0u);
     EXPECT_EQ(b.stats.kernelsReused, 0u);
@@ -663,15 +633,13 @@ TEST(BimSearch, UnfiredTokenLeavesTheSearchBitIdentical)
     opts.threads = 1;
     opts.restarts = 2;
     opts.iterations = 300;
-    const BimSearch plain(layout, *s.planes,
-                          defaultObjective(layout), opts);
+    const BimSearch plain(layout, {s.planes.get()}, opts);
     const SearchResult a = plain.anneal();
 
     CancelToken token; // present but never fired
     SearchOptions watched = opts;
     watched.cancel = &token;
-    const BimSearch observed(layout, *s.planes,
-                             defaultObjective(layout), watched);
+    const BimSearch observed(layout, {s.planes.get()}, watched);
     const SearchResult b = observed.anneal();
 
     EXPECT_FALSE(b.stats.deadlineHit);

@@ -223,19 +223,6 @@ TEST(SimdDispatch, Transpose64MatchesScalar)
     }
 }
 
-TEST(SimdDispatch, PopcountWordsMatchesScalar)
-{
-    XorShiftRng rng(78);
-    const bits::SimdOps &oracle = bits::scalarSimdOps();
-    for (const bits::SimdOps *ops : availableLevels())
-        for (const std::size_t n : kLens) {
-            const auto v = randomWords(n, rng);
-            ASSERT_EQ(ops->popcountWords(v.data(), n),
-                      oracle.popcountWords(v.data(), n))
-                << ops->name << " n=" << n;
-        }
-}
-
 TEST(SimdDispatch, XorPopcount2MatchesScalarAndSupportsAliasing)
 {
     XorShiftRng rng(79);

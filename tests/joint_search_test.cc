@@ -3,10 +3,10 @@
  * Tests for the joint ("global") BIM search over workload sets:
  * the `JointObjective` combiners, bit-identical serial/parallel
  * restarts on a multi-member set, set-order invariance of both the
- * search result and the cache key, the size-1 set reducing exactly
- * to the single-workload search, the `maxEvaluations` budget cap,
- * and `map:gbim` end-to-end through `harness::runGrid` with
- * cache hits on repeat runs.
+ * search result and the cache key, size-1 sets named SBIM, member
+ * weights and combiners taken from the options, the
+ * `maxEvaluations` budget cap, and `map:gbim` end-to-end through
+ * `harness::runGrid` with cache hits on repeat runs.
  */
 
 #include <gtest/gtest.h>
@@ -114,10 +114,8 @@ TEST(JointSearch, ParallelRestartsBitIdenticalToSerialOnSet)
     SearchOptions parallel = serial;
     parallel.threads = 3;
 
-    const JointObjective obj = defaultJointObjective(
-        layout, serial.targets, JointCombiner::Mean);
-    const BimSearch ss(layout, sp.ptrs(), obj, serial);
-    const BimSearch ps(layout, sp.ptrs(), obj, parallel);
+    const BimSearch ss(layout, sp.ptrs(), serial);
+    const BimSearch ps(layout, sp.ptrs(), parallel);
     const SearchResult a = ss.anneal();
     const SearchResult b = ps.anneal();
     EXPECT_TRUE(a.bim == b.bim);
@@ -150,10 +148,8 @@ TEST(JointSearch, PlaneCacheOffBitIdenticalToOnOnSet)
         SearchOptions oracle = cached;
         oracle.planeCache = false;
 
-        const JointObjective obj = defaultJointObjective(
-            layout, cached.targets, JointCombiner::Mean);
-        const BimSearch cs(layout, sp.ptrs(), obj, cached);
-        const BimSearch os(layout, sp.ptrs(), obj, oracle);
+        const BimSearch cs(layout, sp.ptrs(), cached);
+        const BimSearch os(layout, sp.ptrs(), oracle);
         const SearchResult a = cs.anneal();
         const SearchResult b = os.anneal();
         EXPECT_TRUE(a.bim == b.bim);
@@ -175,9 +171,9 @@ TEST(JointSearch, PlaneCacheOffBitIdenticalToOnOnSet)
             a.stats.setupEvaluations + a.stats.annealEvaluations / 2;
         oracle.maxEvaluations = cached.maxEvaluations;
         const SearchResult ca =
-            BimSearch(layout, sp.ptrs(), obj, cached).anneal();
+            BimSearch(layout, sp.ptrs(), cached).anneal();
         const SearchResult cb =
-            BimSearch(layout, sp.ptrs(), obj, oracle).anneal();
+            BimSearch(layout, sp.ptrs(), oracle).anneal();
         EXPECT_TRUE(ca.stats.capped);
         EXPECT_GT(ca.stats.annealEvaluations, 0u);
         EXPECT_EQ(ca.stats.polishEvaluations, 0u);
@@ -201,10 +197,7 @@ TEST(JointSearch, JointMatrixImprovesEveryMemberHere)
     const SetPlanes sp(set);
     SearchOptions opts = smallOptions(layout);
     opts.iterations = 400;
-    const BimSearch s(layout, sp.ptrs(),
-                      defaultJointObjective(layout, opts.targets,
-                                            JointCombiner::Mean),
-                      opts);
+    const BimSearch s(layout, sp.ptrs(), opts);
     const SearchResult r = s.anneal();
     EXPECT_TRUE(r.bim.invertible());
     EXPECT_LT(r.cost, r.identityCost);
@@ -231,8 +224,8 @@ TEST(JointSearch, SetOrderInvarianceOfResultAndCacheKey)
     const WorkloadSet rev({"synth:strided", "LU", "MT"});
     const SearchOptions opts = smallOptions(layout);
 
-    EXPECT_EQ(sbimCacheKey(fwd, kScale, layout.name, opts),
-              sbimCacheKey(rev, kScale, layout.name, opts));
+    EXPECT_EQ(sbimCacheKey(fwd, kScale, layout, opts),
+              sbimCacheKey(rev, kScale, layout, opts));
 
     const SetSearchResult a = searchSet(fwd, layout, opts, kScale);
     const SetSearchResult b = searchSet(rev, layout, opts, kScale);
@@ -245,36 +238,20 @@ TEST(JointSearch, SetOrderInvarianceOfResultAndCacheKey)
                   b.searchedProfiles[m].perBit);
 }
 
-TEST(JointSearch, SizeOneSetBitIdenticalToSearchWorkload)
+TEST(JointSearch, SizeOneSetIsNamedSbim)
 {
     const CacheOff off;
     const AddressLayout layout = gddr5();
     const SearchOptions opts = smallOptions(layout);
 
-    const WorkloadSet set({"MT"});
-    const SetSearchResult joint =
-        searchSet(set, layout, opts, kScale);
-    const auto wl = workloads::make("MT", kScale);
-    const WorkloadSearchResult single =
-        searchWorkload(*wl, layout, opts, kScale);
-
-    EXPECT_TRUE(joint.annealed.bim == single.annealed.bim);
-    EXPECT_EQ(joint.annealed.cost, single.annealed.cost);
-    EXPECT_EQ(joint.annealed.identityCost,
-              single.annealed.identityCost);
-    EXPECT_EQ(joint.annealed.targetEntropy,
-              single.annealed.targetEntropy);
-    EXPECT_EQ(joint.searchedProfiles[0].perBit,
-              single.searchedProfile.perBit);
-    EXPECT_EQ(joint.identityProfiles[0].perBit,
-              single.identityProfile.perBit);
-
     // Mapper naming: size-1 sets stay "SBIM", real sets are "GBIM".
+    const WorkloadSet set({"MT"});
     EXPECT_EQ(jointMapperName(set), "SBIM");
     EXPECT_EQ(jointMapperName(WorkloadSet({"MT", "LU"})), "GBIM");
     const auto m1 = setMapper(layout, set, opts, kScale);
     EXPECT_EQ(m1->name(), "SBIM");
-    EXPECT_TRUE(m1->matrix() == single.annealed.bim);
+    EXPECT_TRUE(m1->matrix() ==
+                searchSet(set, layout, opts, kScale).annealed.bim);
 }
 
 TEST(JointSearch, WeightedSizeOneEqualsUnweighted)
@@ -324,12 +301,10 @@ TEST(JointSearch, WeightsShapeTheSbimCacheKey)
     SearchOptions reweighted = plain;
     reweighted.memberWeights = {2.0, 1.0};
 
-    const std::string k0 =
-        sbimCacheKey(set, kScale, layout.name, plain);
-    const std::string k1 =
-        sbimCacheKey(set, kScale, layout.name, weighted);
+    const std::string k0 = sbimCacheKey(set, kScale, layout, plain);
+    const std::string k1 = sbimCacheKey(set, kScale, layout, weighted);
     const std::string k2 =
-        sbimCacheKey(set, kScale, layout.name, reweighted);
+        sbimCacheKey(set, kScale, layout, reweighted);
     EXPECT_NE(k0, k1);
     EXPECT_NE(k0, k2);
     EXPECT_NE(k1, k2);
@@ -340,17 +315,15 @@ TEST(JointSearch, MaxEvaluationsIsAHardDeterministicCap)
     const AddressLayout layout = gddr5();
     const WorkloadSet set({"MT", "LU"});
     const SetPlanes sp(set);
-    const JointObjective obj = defaultJointObjective(
-        layout, defaultOptions(layout).targets, JointCombiner::Mean);
 
     SearchOptions uncapped = smallOptions(layout);
-    const BimSearch su(layout, sp.ptrs(), obj, uncapped);
+    const BimSearch su(layout, sp.ptrs(), uncapped);
     const SearchResult ru = su.anneal();
     EXPECT_FALSE(ru.stats.capped);
 
     SearchOptions capped = uncapped;
     capped.maxEvaluations = 300;
-    const BimSearch sc(layout, sp.ptrs(), obj, capped);
+    const BimSearch sc(layout, sp.ptrs(), capped);
     const SearchResult rc = sc.anneal();
     EXPECT_TRUE(rc.stats.capped);
     EXPECT_LT(rc.stats.evaluations, ru.stats.evaluations);
@@ -365,7 +338,7 @@ TEST(JointSearch, MaxEvaluationsIsAHardDeterministicCap)
     // moves mean it needs a tighter cap than the anneal to bind).
     SearchOptions gcap = uncapped;
     gcap.maxEvaluations = 100;
-    const BimSearch sg(layout, sp.ptrs(), obj, gcap);
+    const BimSearch sg(layout, sp.ptrs(), gcap);
     const SearchResult rg = sg.greedy();
     EXPECT_TRUE(rg.stats.capped);
     EXPECT_LE(rg.stats.evaluations,
@@ -376,19 +349,19 @@ TEST(JointSearch, MaxEvaluationsIsAHardDeterministicCap)
     // Capped runs stay bit-identical at any thread count.
     SearchOptions capped_par = capped;
     capped_par.threads = 3;
-    const BimSearch scp(layout, sp.ptrs(), obj, capped_par);
+    const BimSearch scp(layout, sp.ptrs(), capped_par);
     const SearchResult rcp = scp.anneal();
     EXPECT_TRUE(rc.bim == rcp.bim);
     EXPECT_EQ(rc.stats.evaluations, rcp.stats.evaluations);
 
     // The cap shapes the outcome, so it must shape the cache key.
-    EXPECT_NE(sbimCacheKey(set, kScale, layout.name, capped),
-              sbimCacheKey(set, kScale, layout.name, uncapped));
+    EXPECT_NE(sbimCacheKey(set, kScale, layout, capped),
+              sbimCacheKey(set, kScale, layout, uncapped));
     // So does the combiner.
     SearchOptions worst = uncapped;
     worst.combiner = JointCombiner::WorstCase;
-    EXPECT_NE(sbimCacheKey(set, kScale, layout.name, worst),
-              sbimCacheKey(set, kScale, layout.name, uncapped));
+    EXPECT_NE(sbimCacheKey(set, kScale, layout, worst),
+              sbimCacheKey(set, kScale, layout, uncapped));
 }
 
 TEST(JointSearch, WorstCaseCombinerLiftsTheWorstMember)
@@ -398,16 +371,29 @@ TEST(JointSearch, WorstCaseCombinerLiftsTheWorstMember)
     const SetPlanes sp(set);
     SearchOptions opts = smallOptions(layout);
     opts.combiner = JointCombiner::WorstCase;
-    const BimSearch s(layout, sp.ptrs(),
-                      defaultJointObjective(layout, opts.targets,
-                                            JointCombiner::WorstCase),
-                      opts);
+    const BimSearch s(layout, sp.ptrs(), opts);
     const SearchResult r = s.anneal();
     // The joint cost IS the worst member cost under this combiner.
     ASSERT_EQ(r.memberCosts.size(), 2u);
     EXPECT_EQ(r.cost,
               std::max(r.memberCosts[0], r.memberCosts[1]));
     EXPECT_LT(r.cost, r.identityCost);
+}
+
+TEST(JointSearch, MemberWeightsFromOptionsWeightTheMean)
+{
+    // The search builds its objective from the options alone, member
+    // weights included: the joint cost is their weighted mean of the
+    // member costs it reports.
+    const AddressLayout layout = gddr5();
+    const WorkloadSet set({"MT", "LU"});
+    const SetPlanes sp(set);
+    SearchOptions opts = smallOptions(layout);
+    opts.memberWeights = {1.0, 3.0};
+    const SearchResult r = BimSearch(layout, sp.ptrs(), opts).anneal();
+    ASSERT_EQ(r.memberCosts.size(), 2u);
+    EXPECT_NE(r.memberCosts[0], r.memberCosts[1]);
+    EXPECT_EQ(r.cost, (r.memberCosts[0] + 3.0 * r.memberCosts[1]) / 4.0);
 }
 
 namespace {

@@ -154,13 +154,13 @@ const char *const kProfileFile =
     "0.91829583405448945 4.9406564584124654e-324|c9ca35714260c2a8a\n";
 
 const char *const kSbimFile =
-    "m3;s2;MT;0.25;Hynix GDDR5 1GB;t.8.9.10.11.12.13;c3ffc3f00;12;1;"
-    "mean;1;4;1200;0.080000000000000002;2.0000000000000002e-05;1;e0|30 "
+    "m4;s2;MT;0.25;layout:gddr5_1gb;t.8.9.10.11.12.13;c3ffc3f00;12;1;"
+    "mean;1;4;1200;e0|30 "
     "20000001 2 4 20008 10 20 40 80 100100 200 400 800 1000 2000 4000 "
     "8000 10000 20000 40000 80000 100000 200000 400000 800000 1000000 "
     "2000000 4000000 8000000 10000000 20000000 0.14285714285714285 "
     "0.75 3 0.5 0.33333333333333331 0.99999999999999989"
-    "|c89e857df443ddca2\n";
+    "|c1ad0db1c947cd80d\n";
 
 } // namespace
 
@@ -212,8 +212,9 @@ TEST_F(RecordCacheTest, SbimCacheWritesGoldenBytesAndReadsThemBack)
     const AddressLayout layout = AddressLayout::hynixGddr5();
     const search::SearchResult s = sampleSearch();
     ASSERT_TRUE(s.bim.invertible());
-    const std::string key = search::sbimCacheKey(
-        "MT", 0.25, layout.name, search::defaultOptions(layout));
+    const std::string key =
+        search::sbimCacheKey(workloads::WorkloadSet({"MT"}), 0.25, layout,
+                             search::defaultOptions(layout));
     search::sbimCache().store(key, s);
     const std::string path = search::sbimCache().path();
     EXPECT_EQ(std::filesystem::path(path).filename(),

@@ -51,6 +51,15 @@ class SbimCacheTest : public ::testing::Test
     std::filesystem::path dir;
 };
 
+/** Key of a search over the one-member set `{member}`. */
+std::string
+keyOf(const std::string &member, double scale,
+      const AddressLayout &layout, const search::SearchOptions &opts)
+{
+    return search::sbimCacheKey(workloads::WorkloadSet({member}), scale,
+                                layout, opts);
+}
+
 search::SearchResult
 sampleResult()
 {
@@ -69,42 +78,46 @@ TEST_F(SbimCacheTest, KeyCoversEverySearchKnob)
 {
     const AddressLayout layout = AddressLayout::hynixGddr5();
     search::SearchOptions base = search::defaultOptions(layout);
-    const std::string k0 =
-        search::sbimCacheKey("MT", 0.25, layout.name, base);
+    const std::string k0 = keyOf("MT", 0.25, layout, base);
 
-    // Same inputs: same key.
-    EXPECT_EQ(search::sbimCacheKey("MT", 0.25, layout.name, base), k0);
+    // Same inputs: same key. The layout keys by its identity (the
+    // preset spec), not by its display name.
+    EXPECT_EQ(keyOf("MT", 0.25, layout, base), k0);
+    AddressLayout renamed = layout;
+    renamed.name = "renamed";
+    EXPECT_EQ(keyOf("MT", 0.25, renamed, base), k0);
 
     // Any outcome-shaping change: different key.
-    EXPECT_NE(search::sbimCacheKey("LU", 0.25, layout.name, base), k0);
-    EXPECT_NE(search::sbimCacheKey("MT", 0.5, layout.name, base), k0);
-    EXPECT_NE(search::sbimCacheKey("MT", 0.25, "other", base), k0);
+    EXPECT_NE(keyOf("LU", 0.25, layout, base), k0);
+    EXPECT_NE(keyOf("MT", 0.5, layout, base), k0);
+    AddressLayout other = layout;
+    other.spec.clear();
+    other.name = "other";
+    EXPECT_NE(keyOf("MT", 0.25, other, base), k0);
     auto opt = base;
     opt.seed = 2;
-    EXPECT_NE(search::sbimCacheKey("MT", 0.25, layout.name, opt), k0);
+    EXPECT_NE(keyOf("MT", 0.25, layout, opt), k0);
     opt = base;
     opt.iterations += 1;
-    EXPECT_NE(search::sbimCacheKey("MT", 0.25, layout.name, opt), k0);
+    EXPECT_NE(keyOf("MT", 0.25, layout, opt), k0);
     opt = base;
     opt.restarts += 1;
-    EXPECT_NE(search::sbimCacheKey("MT", 0.25, layout.name, opt), k0);
+    EXPECT_NE(keyOf("MT", 0.25, layout, opt), k0);
     opt = base;
     opt.window += 1;
-    EXPECT_NE(search::sbimCacheKey("MT", 0.25, layout.name, opt), k0);
+    EXPECT_NE(keyOf("MT", 0.25, layout, opt), k0);
     opt = base;
     opt.metric = EntropyMetric::BvrDistribution;
-    EXPECT_NE(search::sbimCacheKey("MT", 0.25, layout.name, opt), k0);
+    EXPECT_NE(keyOf("MT", 0.25, layout, opt), k0);
     opt = base;
     opt.targets.pop_back();
-    EXPECT_NE(search::sbimCacheKey("MT", 0.25, layout.name, opt), k0);
+    EXPECT_NE(keyOf("MT", 0.25, layout, opt), k0);
     opt = base;
     opt.candidateMask ^= 1ull << 20;
-    EXPECT_NE(search::sbimCacheKey("MT", 0.25, layout.name, opt), k0);
+    EXPECT_NE(keyOf("MT", 0.25, layout, opt), k0);
 
     // Synth canonical specs key like any other workload identity.
-    EXPECT_NE(search::sbimCacheKey("synth:stencil3d", 0.25,
-                                   layout.name, base),
-              k0);
+    EXPECT_NE(keyOf("synth:stencil3d", 0.25, layout, base), k0);
 }
 
 TEST_F(SbimCacheTest, StoreLookupRoundTripsAtFullPrecision)
@@ -143,18 +156,12 @@ TEST_F(SbimCacheTest, CommaSpecKeysAreEscapedAndRejectedAtTheSink)
     const search::SearchOptions base = search::defaultOptions(layout);
     const std::string spec = "synth:hash_shuffle,fmb=64,tbs=32";
 
-    const std::string k =
-        search::sbimCacheKey(spec, 0.25, layout.name, base);
+    const std::string k = keyOf(spec, 0.25, layout, base);
     EXPECT_EQ(k.find(",fmb"), std::string::npos)
         << "spec commas must be escaped, got: " << k;
     EXPECT_NE(k.find("%2C"), std::string::npos);
     EXPECT_EQ(k.find('\n'), std::string::npos);
     EXPECT_EQ(k.find('|'), std::string::npos);
-
-    // The single-workload overload and a size-1 set agree, so the
-    // delegating single-workload API hits the same cache lines.
-    EXPECT_EQ(k, search::sbimCacheKey(workloads::WorkloadSet({spec}),
-                                      0.25, layout.name, base));
 
     // Store/lookup round-trips through the escaped key.
     search::sbimCache().store(k, sampleResult());
@@ -191,24 +198,23 @@ TEST_F(SbimCacheTest, CommaSpecSearchHitsItsOwnCacheLine)
     EXPECT_EQ(lines, 1) << "warm call must hit, not append";
 }
 
-TEST_F(SbimCacheTest, PreRegistryEpochLinesLoadAsStaleNotCorrupt)
+TEST_F(SbimCacheTest, PreviousEpochLinesLoadAsStaleNotCorrupt)
 {
-    // The mapper-registry PR bumped the schema to m3: an m2-era line
-    // must be skipped as *stale* on load — never returned as a hit,
-    // never quarantined as corrupt (older binaries may still read
-    // it) — while current m3 lines load normally.
-    ASSERT_STREQ(search::kSbimCacheVersion, "m3");
+    // Keying the layout by its identity bumped the schema to m4: an
+    // m3-era line must be skipped as *stale* on load — never returned
+    // as a hit, never quarantined as corrupt (older binaries may
+    // still read it) — while current m4 lines load normally.
+    ASSERT_STREQ(search::kSbimCacheVersion, "m4");
     const AddressLayout layout = AddressLayout::hynixGddr5();
     const search::SearchOptions base = search::defaultOptions(layout);
-    const std::string cur =
-        search::sbimCacheKey("MT", 0.25, layout.name, base);
-    ASSERT_EQ(cur.rfind("m3;", 0), 0u) << cur;
+    const std::string cur = keyOf("MT", 0.25, layout, base);
+    ASSERT_EQ(cur.rfind("m4;", 0), 0u) << cur;
 
     search::sbimCache().store(cur, sampleResult());
-    const std::string old = "m2" + cur.substr(2);
+    const std::string old = "m3" + cur.substr(2);
     ASSERT_TRUE(harness::atomicAppend(
         search::sbimCache().path(),
-        harness::checksummedRecord(old, "pre-registry payload")));
+        harness::checksummedRecord(old, "previous-epoch payload")));
 
     search::sbimCache().resetForTesting();
     const std::uint64_t quarantined_before =
@@ -221,7 +227,7 @@ TEST_F(SbimCacheTest, PreRegistryEpochLinesLoadAsStaleNotCorrupt)
     std::ifstream in(search::sbimCache().path());
     const std::string contents(std::istreambuf_iterator<char>(in),
                                std::istreambuf_iterator<char>{});
-    EXPECT_NE(contents.find("m2;"), std::string::npos);
+    EXPECT_NE(contents.find("m3;"), std::string::npos);
 }
 
 TEST_F(SbimCacheTest, LayoutPresetsKeyDistinctSearches)
@@ -235,8 +241,7 @@ TEST_F(SbimCacheTest, LayoutPresetsKeyDistinctSearches)
          {"gddr5_1gb", "stacked3d_4gb", "hbm2_4gb", "ddr4_4gb",
           "gddr6_2gb"}) {
         const AddressLayout l = mapping::makeLayout(preset);
-        keys.insert(
-            search::sbimCacheKey("MT", 0.25, l.name, base));
+        keys.insert(keyOf("MT", 0.25, l, base));
     }
     EXPECT_EQ(keys.size(), 5u);
 }

@@ -354,14 +354,14 @@ TEST(SynthSearch, SbimBeatsBaseOnSynthValley)
     so.restarts = 2;
     so.iterations = 400;
     so.threads = 1;
-    const search::WorkloadSearchResult r =
-        search::searchWorkload(*wl, layout, so, 0.25);
+    const search::SetSearchResult r = search::searchSet(
+        workloads::WorkloadSet({wl->info().abbrev}), layout, so, 0.25);
     unsetenv("VALLEY_CACHE");
 
     EXPECT_GT(r.annealed.gain(), 0.0);
     const std::vector<unsigned> targets = layout.randomizeTargets();
-    EXPECT_GT(r.searchedProfile.meanOver(targets),
-              r.identityProfile.meanOver(targets));
+    EXPECT_GT(r.searchedProfiles[0].meanOver(targets),
+              r.identityProfiles[0].meanOver(targets));
     EXPECT_TRUE(r.annealed.bim.invertible());
 }
 

@@ -524,8 +524,9 @@ main(int argc, char **argv)
         trace::enable(o.tracePath);
 
     search::SearchOptions so = o.search;
-    so.targets = layout.randomizeTargets();
-    so.candidateMask = layout.pageMask();
+    const search::SearchOptions defaults = search::defaultOptions(layout);
+    so.targets = defaults.targets;
+    so.candidateMask = defaults.candidateMask;
     so.memberWeights = weights;
 
     const bool joint = set->size() > 1;
@@ -545,8 +546,8 @@ main(int argc, char **argv)
     const search::SetSearchResult r =
         search::searchSet(*set, layout, so, o.scale);
 
-    const std::vector<unsigned> targets = so.targets;
-    const std::string searched_name = joint ? "GBIM" : "SBIM";
+    const std::vector<unsigned> &targets = so.targets;
+    const std::string searched_name = search::jointMapperName(*set);
 
     if (!joint) {
         const unsigned hi = layout.addrBits - 1;
