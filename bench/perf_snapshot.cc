@@ -100,6 +100,11 @@ main()
                 hw_threads,
                 parallel_threads == 0 ? "all of them" : "2, forced");
 
+    // VALLEY_SCALE sets the profiler and grid legs' scales; read it
+    // now, so that a malformed value exits before any timed work.
+    const double profile_scale = bench::envScale(1.0);
+    const double grid_scale = bench::envScale(0.25);
+
     // ---- mapper throughput ------------------------------------------------
     const AddressLayout layout = AddressLayout::hynixGddr5();
     XorShiftRng rng(42);
@@ -185,7 +190,6 @@ main()
                     sink / wpasses);
 
         // Serial vs parallel workload profiling, bit-identity checked.
-        const double pscale = bench::envScale(1.0);
         const std::vector<std::string> pworkloads = {"MT", "GS",
                                                      "DWT2D"};
         workloads::ProfileOptions serial_po;
@@ -196,7 +200,7 @@ main()
         double serial_sec = 0.0, par_sec = 0.0;
         bool profiles_identical = true;
         for (const std::string &w : pworkloads) {
-            const auto wl = workloads::make(w, pscale);
+            const auto wl = workloads::make(w, profile_scale);
             // Best of 3 per leg: on short runs scheduler noise would
             // otherwise dominate the recorded ratio.
             EntropyProfile ps, pp;
@@ -258,7 +262,7 @@ main()
                                       ? hw_threads
                                       : parallel_po.threads;
         prof_json.field("profile_workloads", "MT+GS+DWT2D");
-        prof_json.field("profile_scale", pscale);
+        prof_json.field("profile_scale", profile_scale);
         prof_json.field("profile_serial_seconds", serial_sec);
         prof_json.field("profile_parallel_seconds", par_sec);
         prof_json.field("profile_parallel_threads", par_used);
@@ -276,7 +280,7 @@ main()
     harness::GridOptions opts;
     opts.workloads = {"SC", "GS"};
     opts.mappers = {mapping::kBase, mapping::kPm, mapping::kFae};
-    opts.scale = bench::envScale(0.25);
+    opts.scale = grid_scale;
     opts.useCache = false;
 
     harness::GridOptions serial = opts;

@@ -16,18 +16,54 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <optional>
 
+#include "common/spec.hh"
 #include "workloads/profiler.hh"
 
 using namespace valley;
+
+namespace {
+
+/** Print why a positional argument is malformed and exit 1. */
+[[noreturn]] void
+badArg(const char *what, const char *text)
+{
+    std::fprintf(stderr, "entropy_profile: %s, got \"%s\"\n", what, text);
+    std::exit(1);
+}
+
+/** Positional argument `i` as an unsigned in [lo, UINT_MAX]. */
+unsigned
+unsignedArg(int argc, char **argv, int i, unsigned fallback, unsigned lo,
+            const char *what)
+{
+    if (argc <= i)
+        return fallback;
+    const std::optional<std::uint64_t> v = spec::parseU64(argv[i]);
+    if (!v || *v < lo || *v > std::numeric_limits<unsigned>::max())
+        badArg(what, argv[i]);
+    return static_cast<unsigned>(*v);
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
 {
     const std::string workload = argc > 1 ? argv[1] : "LU";
-    const unsigned window = argc > 2 ? std::atoi(argv[2]) : 12;
-    const double scale = argc > 3 ? std::atof(argv[3]) : 1.0;
-    const unsigned threads = argc > 4 ? std::atoi(argv[4]) : 0;
+    const unsigned window =
+        unsignedArg(argc, argv, 2, 12, 1, "window must be an integer >= 1");
+    double scale = 1.0;
+    if (argc > 3) {
+        const std::optional<double> v = spec::parseF64(argv[3]);
+        if (!v || !(*v > 0.0 && *v <= 1.0))
+            badArg("scale must be a number in (0, 1]", argv[3]);
+        scale = *v;
+    }
+    const unsigned threads =
+        unsignedArg(argc, argv, 4, 0, 0, "threads must be an integer >= 0");
 
     const auto wl = workloads::make(workload, scale);
     const AddressLayout layout = AddressLayout::hynixGddr5();

@@ -8,7 +8,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
+#include "common/spec.hh"
 #include "harness/experiment.hh"
 
 using namespace valley;
@@ -17,7 +19,18 @@ int
 main(int argc, char **argv)
 {
     const std::string workload = argc > 1 ? argv[1] : "MT";
-    const double scale = argc > 2 ? std::atof(argv[2]) : 1.0;
+    double scale = 1.0;
+    if (argc > 2) {
+        const std::optional<double> v = spec::parseF64(argv[2]);
+        if (!v || !(*v > 0.0 && *v <= 1.0)) {
+            std::fprintf(stderr,
+                         "quickstart: scale must be a number in (0, 1], "
+                         "got \"%s\"\n",
+                         argv[2]);
+            return 1;
+        }
+        scale = *v;
+    }
 
     // 1. The machine: Table I of the paper (12 SMs, 4-channel GDDR5).
     const SimConfig cfg = SimConfig::paperBaseline();

@@ -48,10 +48,8 @@ GpuSystem::premapTrace(TbTrace &trace) const
     const CompiledTransform &bim = mapper.compiled();
     if (bim.isIdentity())
         return;
-    for (WarpTrace &warp : trace.warps)
-        for (MemInstr &instr : warp.instrs)
-            for (Addr &line : instr.lines)
-                line = bim.apply(line);
+    for (Addr &line : trace.lines)
+        line = bim.apply(line);
 }
 
 unsigned
@@ -456,7 +454,10 @@ RunResult
 GpuSystem::run(const Workload &workload, const CancelToken *cancel)
 {
     // ---- reset all run state ------------------------------------------
-    sms.assign(cfg.numSms, Sm{});
+    // TbTrace is move-only, so the SMs and their TB slots are
+    // cleared and default-constructed rather than assigned.
+    sms.clear();
+    sms.resize(cfg.numSms);
     for (Sm &sm : sms) {
         sm.warps.assign(cfg.maxWarpsPerSm, WarpRt{});
         sm.lastIssued.assign(cfg.schedulersPerSm, UINT32_MAX);
@@ -505,7 +506,8 @@ GpuSystem::run(const Workload &workload, const CancelToken *cancel)
 
         const unsigned slots = tbSlotsFor(k);
         for (Sm &sm : sms) {
-            sm.tbSlots.assign(slots, TbSlot{});
+            sm.tbSlots.clear();
+            sm.tbSlots.resize(slots);
             sm.activeTbs = 0;
             sm.lastIssued.assign(cfg.schedulersPerSm, UINT32_MAX);
             sm.issueIdleUntil = 0;

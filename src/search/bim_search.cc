@@ -136,8 +136,10 @@ exportStatsToRegistry(const SearchStats &s)
 } // namespace
 
 void
-checkMemberWeights(const SearchOptions &opts, std::size_t members)
+checkOptions(const SearchOptions &opts, std::size_t members)
 {
+    if (opts.restarts == 0)
+        throw std::invalid_argument("BimSearch: restarts must be >= 1");
     if (!opts.memberWeights.empty() &&
         opts.memberWeights.size() != members)
         throw std::invalid_argument(
@@ -158,7 +160,7 @@ BimSearch::BimSearch(const AddressLayout &layout,
         if (p == nullptr || p->numBits() != nbits)
             throw std::invalid_argument(
                 "BimSearch: planes bit width != layout address bits");
-    checkMemberWeights(opts, planes_.size());
+    checkOptions(opts, planes_.size());
 
     mask_ = opts.candidateMask & bits::mask(nbits);
     if (opts.targets.empty())
@@ -177,8 +179,6 @@ BimSearch::BimSearch(const AddressLayout &layout,
     for (unsigned b = 0; b < nbits; ++b)
         if ((mask_ >> b) & 1)
             candidateBits.push_back(b);
-    if (opts.restarts == 0)
-        opts.restarts = 1;
 
     // Channel parallelism gates both the NoC and the DRAM bus
     // (Figs. 13-14), so the channel (and vault) bits weigh double.

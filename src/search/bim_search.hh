@@ -127,7 +127,7 @@ struct SearchOptions
     JointCombiner combiner = JointCombiner::Mean;
 
     std::uint64_t seed = 1;      ///< master seed; see class comment
-    unsigned restarts = 4;       ///< independent annealing chains
+    unsigned restarts = 4;       ///< independent annealing chains, >= 1
     unsigned iterations = 1200;  ///< moves per chain
 
     /**
@@ -135,7 +135,7 @@ struct SearchOptions
      * to the workload set's canonical `members()` order. Empty =
      * uniform; the WorstCase combiner ignores them (see
      * objective.hh). Size must equal the member count when non-empty
-     * (`checkMemberWeights`). Folded into the SBIM cache key.
+     * (`checkOptions`). Folded into the SBIM cache key.
      */
     std::vector<double> memberWeights;
 
@@ -293,14 +293,16 @@ struct SearchResult
 };
 
 /**
- * Throw `std::invalid_argument` unless `opts.memberWeights` is empty
- * or holds one weight per member: a vector that does not line up
- * with the set would silently weight the wrong members (the set
- * canonicalizes member order). The constructor checks through this,
- * and so do the cache-hit paths of `searchSet`/`setMapper`, which
- * never build a search.
+ * Throw `std::invalid_argument` on options no search runs with:
+ * - `restarts` of 0: a search runs at least one chain, and the SBIM
+ *   cache key would file that run under a second key;
+ * - `memberWeights` that is neither empty nor one weight per member:
+ *   a vector that does not line up with the set would silently
+ *   weight the wrong members (the set canonicalizes member order).
+ * The constructor checks through this, and so do the cache-hit paths
+ * of `searchSet`/`setMapper`, which never build a search.
  */
-void checkMemberWeights(const SearchOptions &opts, std::size_t members);
+void checkOptions(const SearchOptions &opts, std::size_t members);
 
 /**
  * Simulated-annealing BIM search over the trace planes of a workload

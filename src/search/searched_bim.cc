@@ -87,7 +87,7 @@ searchSet(const workloads::WorkloadSet &set,
           const AddressLayout &layout, const SearchOptions &opts,
           double scale)
 {
-    checkMemberWeights(opts, set.size());
+    checkOptions(opts, set.size());
 
     SetSearchResult out;
 
@@ -167,7 +167,7 @@ setMapper(const AddressLayout &layout,
           const workloads::WorkloadSet &set,
           const SearchOptions &opts, double scale, std::string name)
 {
-    checkMemberWeights(opts, set.size());
+    checkOptions(opts, set.size());
     // A cache hit skips the whole pipeline — including trace-plane
     // extraction for every member — so repeated SBIM/GBIM grid cells
     // pay only the lookup.

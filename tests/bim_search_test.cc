@@ -445,6 +445,25 @@ TEST(BimSearch, RejectsTargetsOutsideCandidateMask)
                  std::invalid_argument);
 }
 
+TEST(BimSearch, RejectsZeroRestartsOnEveryEntry)
+{
+    // A search runs at least one chain; a 0 that ran as 1 would file
+    // one search under two SBIM cache keys.
+    PlanesFixture s("MT");
+    const AddressLayout layout = gddr5();
+    SearchOptions opts = defaultOptions(layout);
+    opts.restarts = 0;
+    EXPECT_THROW(BimSearch(layout, {s.planes.get()}, opts),
+                 std::invalid_argument);
+    setenv("VALLEY_CACHE", "0", 1);
+    const workloads::WorkloadSet set({"MT"});
+    EXPECT_THROW(search::searchSet(set, layout, opts, kScale),
+                 std::invalid_argument);
+    EXPECT_THROW(search::setMapper(layout, set, opts, kScale),
+                 std::invalid_argument);
+    unsetenv("VALLEY_CACHE");
+}
+
 TEST(SearchedMapper, WrapsInvertibleBimNamedSbim)
 {
     PlanesFixture s("MT");

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 
@@ -234,8 +235,9 @@ TEST_P(EverySynthFamily, SameSpecSameTraceAcrossRuns)
                           b.warps[w].instrs.size());
                 for (std::size_t i = 0; i < a.warps[w].instrs.size();
                      ++i) {
-                    EXPECT_EQ(a.warps[w].instrs[i].lines,
-                              b.warps[w].instrs[i].lines);
+                    EXPECT_TRUE(
+                        std::ranges::equal(a.warps[w].instrs[i].lines,
+                                           b.warps[w].instrs[i].lines));
                     EXPECT_EQ(a.warps[w].instrs[i].write,
                               b.warps[w].instrs[i].write);
                 }

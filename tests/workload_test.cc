@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/bitops.hh"
 #include "workloads/profiler.hh"
 #include "workloads/workload.hh"
@@ -104,8 +106,8 @@ TEST_P(EveryWorkload, TracesAreDeterministic)
     for (std::size_t i = 0; i < a.warps.size(); ++i) {
         ASSERT_EQ(a.warps[i].instrs.size(), b.warps[i].instrs.size());
         for (std::size_t j = 0; j < a.warps[i].instrs.size(); ++j)
-            EXPECT_EQ(a.warps[i].instrs[j].lines,
-                      b.warps[i].instrs[j].lines);
+            EXPECT_TRUE(std::ranges::equal(a.warps[i].instrs[j].lines,
+                                           b.warps[i].instrs[j].lines));
     }
 }
 

@@ -242,6 +242,8 @@ parseArgs(int argc, char **argv)
         } else if (a == "--restarts") {
             o.search.restarts = static_cast<unsigned>(
                 intArg("--restarts", need(i, "--restarts")));
+            if (o.search.restarts == 0)
+                usageError("--restarts must be >= 1");
         } else if (a == "--iters") {
             o.search.iterations = static_cast<unsigned>(
                 intArg("--iters", need(i, "--iters")));
