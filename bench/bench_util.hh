@@ -19,6 +19,7 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,7 @@
 #include "harness/experiment.hh"
 #include "mapping/layout_registry.hh"
 #include "workloads/profiler.hh"
+#include "workloads/workload_set.hh"
 
 // Set by CMake for every bench binary: the BENCH_*.json provenance.
 #ifndef VALLEY_BENCH_BUILD_TYPE
@@ -163,6 +165,9 @@ envScale(double fallback = 1.0)
  * grid bench can be pointed at a synthetic set without recompiling:
  *
  *   VALLEY_WORKLOADS='synth:stencil3d;synth:strided' ./build/fig12_speedup
+ *
+ * The entries keep their order. One that names no workload ends the
+ * process with exit status 1 before anything runs, as in `envScale`.
  */
 inline std::vector<std::string>
 envWorkloads(std::vector<std::string> fallback)
@@ -176,7 +181,15 @@ envWorkloads(std::vector<std::string> fallback)
     while (std::getline(in, item, ';'))
         if (!item.empty())
             out.push_back(item);
-    return out.empty() ? fallback : out;
+    if (out.empty())
+        return fallback;
+    try {
+        workloads::WorkloadSet{out}; // checks each name, builds no trace
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "VALLEY_WORKLOADS: %s\n", e.what());
+        std::exit(1);
+    }
+    return out;
 }
 
 /**
@@ -187,6 +200,8 @@ envWorkloads(std::vector<std::string> fallback)
  * be rerun on another organization without recompiling:
  *
  *   VALLEY_LAYOUT=hbm2_4gb ./build/fig12_speedup
+ *
+ * An unknown preset ends the process with exit status 1.
  */
 inline AddressLayout
 envLayout(AddressLayout fallback)
@@ -194,7 +209,12 @@ envLayout(AddressLayout fallback)
     const char *s = std::getenv("VALLEY_LAYOUT");
     if (!s || !*s)
         return fallback;
-    return mapping::makeLayout(s); // throws on unknown presets
+    try {
+        return mapping::makeLayout(s);
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "VALLEY_LAYOUT: %s\n", e.what());
+        std::exit(1);
+    }
 }
 
 inline void
@@ -203,8 +223,7 @@ printHeader(const std::string &experiment, const std::string &what)
     std::printf("==================================================="
                 "=========================\n");
     std::printf("%s — %s\n", experiment.c_str(), what.c_str());
-    std::printf("Get Out of the Valley (ISCA'18) reproduction; see "
-                "EXPERIMENTS.md\n");
+    std::printf("Get Out of the Valley (ISCA'18) reproduction\n");
     std::printf("==================================================="
                 "=========================\n\n");
 }

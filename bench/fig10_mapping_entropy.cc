@@ -5,13 +5,12 @@
  * remove the valley in the channel/bank bits; ALL removes all
  * valleys; SBIM should match the Broad schemes on its target bits.
  *
- * Profiles are memoized in the profile cache, keyed by scheme name
- * plus BIM seed (a miss profiles MT's trace planes under the scheme's
- * matrix; SBIM keys on the searched matrix's hash).
+ * Every profile is computed on each run from the workload's trace
+ * planes under the scheme's matrix. Only the searched matrix is
+ * memoized, in the SBIM cache.
  */
 
 #include "bench_util.hh"
-#include "harness/profile_cache.hh"
 #include "search/searched_bim.hh"
 
 using namespace valley;
@@ -46,8 +45,7 @@ main()
             // The searched mapping depends on the workload's own
             // profile, so it comes from the search front-end, whose
             // result carries the profile of the searched matrix
-            // (computed from the already-extracted bit planes and
-            // stored in the profile cache under the matrix hash).
+            // (computed from the already-extracted bit planes).
             search::SearchOptions so = search::defaultOptions(layout);
             so.seed = bim_seed;
             p = search::searchSet(workloads::WorkloadSet({which}),
@@ -58,11 +56,7 @@ main()
                 mapping::makeMapper(s, layout, bim_seed);
             workloads::ProfileOptions po;
             po.mapper = s == mapping::kBase ? nullptr : mapper.get();
-            p = harness::profileWorkloadCached(
-                *wl, po, scale,
-                s == mapping::kBase
-                    ? ""
-                    : name + "-" + std::to_string(bim_seed));
+            p = workloads::profileWorkload(*wl, po);
         }
 
         std::printf("--- %s\n%s", name.c_str(),

@@ -3,14 +3,11 @@
  * Fig. 5 — window-entropy distribution of all 16 benchmarks plus the
  * two individually-plotted kernels (SRAD2-K1, DWT2D-K1). Bits used
  * for channel/bank selection (8-13 under the Hynix map) are marked.
- *
- * Workload profiles go through the on-disk profile cache (first run
- * computes them from the workload's trace planes, later runs reuse;
- * VALLEY_CACHE=0 disables).
+ * Each profile is one popcount pass over the workload's trace planes,
+ * computed fresh on every run.
  */
 
 #include "bench_util.hh"
-#include "harness/profile_cache.hh"
 
 using namespace valley;
 
@@ -50,7 +47,7 @@ main()
         printProfile(a + (wl->info().entropyValley
                               ? "  [entropy valley]"
                               : "  [non-valley]"),
-                     harness::profileWorkloadCached(*wl, po, scale));
+                     workloads::profileWorkload(*wl, po));
     }
 
     // The two kernel-level profiles of Fig. 5h / 5j.

@@ -61,7 +61,7 @@ main()
         "so absolute\ninstruction counts are smaller than the paper's "
         "(scale factor VALLEY_SCALE=%.2f).\nAPKI/MPKI differ where the "
         "scaled working sets change cache behavior; the\nrelative "
-        "intensity ordering follows Table II. See EXPERIMENTS.md.\n",
+        "intensity ordering follows Table II. See src/workloads/suite.cc.\n",
         scale);
     return 0;
 }

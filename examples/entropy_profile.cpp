@@ -17,7 +17,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <memory>
 #include <optional>
+#include <stdexcept>
 
 #include "common/spec.hh"
 #include "workloads/profiler.hh"
@@ -65,7 +67,13 @@ main(int argc, char **argv)
     const unsigned threads =
         unsignedArg(argc, argv, 4, 0, 0, "threads must be an integer >= 0");
 
-    const auto wl = workloads::make(workload, scale);
+    std::unique_ptr<Workload> wl;
+    try {
+        wl = workloads::make(workload, scale);
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "entropy_profile: %s\n", e.what());
+        return 1;
+    }
     const AddressLayout layout = AddressLayout::hynixGddr5();
 
     workloads::ProfileOptions po;

@@ -8,7 +8,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <optional>
+#include <stdexcept>
 
 #include "common/spec.hh"
 #include "harness/experiment.hh"
@@ -37,7 +39,13 @@ main(int argc, char **argv)
     std::printf("machine : %s\n", cfg.layout.describe().c_str());
 
     // 2. The workload: a Table II benchmark reproduction.
-    const auto wl = workloads::make(workload, scale);
+    std::unique_ptr<Workload> wl;
+    try {
+        wl = workloads::make(workload, scale);
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "quickstart: %s\n", e.what());
+        return 1;
+    }
     std::printf("workload: %s (%s), %u kernels\n",
                 wl->info().name.c_str(), wl->info().abbrev.c_str(),
                 wl->numKernels());

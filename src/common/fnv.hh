@@ -4,9 +4,9 @@
  *
  * One definition instead of per-module copies: synth spec hashes
  * (`ResolvedSpec::hash`), workload-set identities
- * (`WorkloadSet::hash`) and searched-matrix ids
- * (`search::sbimMapperId`) all key on-disk caches, so their hash
- * loops must stay byte-for-byte in sync forever. The helpers here
+ * (`WorkloadSet::hash`) and the cache records' checksums
+ * (`harness::checksummedRecord`) all reach on-disk caches, so their
+ * hash loops must stay byte-for-byte in sync forever. The helpers here
  * reproduce the classic 64-bit FNV-1a exactly (offset basis
  * 0xCBF29CE484222325, prime 0x100000001B3), stable across runs and
  * platforms.

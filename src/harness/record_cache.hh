@@ -1,11 +1,11 @@
 /**
  * @file
- * The one cache policy behind the result, profile and searched-BIM
- * caches: the VALLEY_CACHE=0 escape hatch, the lazy skip-and-
- * quarantine load (`loadChecksummedRecords`), the in-memory map and
- * its lock, the `cache.<name>.*` metrics and `<name>_cache.lookup`
- * span, the atomic append of a checksummed record, and the test reset
- * hook. A cache supplies only its codec:
+ * The one cache policy behind the result and searched-BIM caches:
+ * the VALLEY_CACHE=0 escape hatch, the lazy skip-and-quarantine load
+ * (`loadChecksummedRecords`), the in-memory map and its lock, the
+ * `cache.<name>.*` metrics and `<name>_cache.lookup` span, the atomic
+ * append of a checksummed record, and the test reset hook. A cache
+ * supplies only its codec:
  *
  *     struct Codec
  *     {

@@ -1,7 +1,7 @@
 /**
  * @file
- * On-disk memoization of searched BIM matrices, mirroring the
- * result/profile caches.
+ * On-disk memoization of searched BIM matrices, mirroring the result
+ * cache.
  *
  * A `BimSearch` run is by far the most expensive step of an SBIM grid
  * cell (annealing restarts x iterations, each scoring bit planes), and

@@ -1,30 +1,12 @@
 #include "search/searched_bim.hh"
 
-#include <cstdio>
 #include <string>
 #include <utility>
 
-#include "common/fnv.hh"
-#include "harness/profile_cache.hh"
 #include "search/sbim_cache.hh"
 
 namespace valley {
 namespace search {
-
-std::string
-sbimMapperId(const BitMatrix &bim, std::uint64_t seed)
-{
-    // FNV-1a over the row masks: cheap, stable, and sensitive to any
-    // row change, so distinct matrices get distinct cache ids.
-    std::uint64_t h = bits::kFnvOffsetBasis;
-    for (unsigned r = 0; r < bim.size(); ++r)
-        h = bits::fnv1aU64(h, bim.row(r));
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "SBIM-%llu-%016llx",
-                  static_cast<unsigned long long>(seed),
-                  static_cast<unsigned long long>(h));
-    return buf;
-}
 
 SearchOptions
 defaultOptions(const AddressLayout &layout)
@@ -46,8 +28,8 @@ namespace {
 /**
  * The one shared joint-search pipeline. Both entry points go through
  * this, so the matrix the harness gets from `setMapper` and the
- * profiles `searchSet` stores under that matrix's hash can never come
- * from diverging copies of the setup code.
+ * profiles `searchSet` reports for it can never come from diverging
+ * copies of the setup code.
  *
  * Member workloads are rebuilt from their canonical names and their
  * planes extracted in `set.members()` order; the planes then feed
@@ -55,21 +37,19 @@ namespace {
  */
 struct SetPipeline
 {
-    std::vector<std::unique_ptr<Workload>> workloads;
     std::vector<workloads::TracePlanes> planes;
     std::unique_ptr<BimSearch> searcher;
 
     SetPipeline(const workloads::WorkloadSet &set,
                 const AddressLayout &layout, const SearchOptions &opts,
                 double scale)
-        : workloads(set.build(scale))
     {
         // The search's token also stops plane extraction: one large
         // member's planes can take longer than a whole cell budget.
         workloads::PlaneOptions po{layout.addrBits, opts.threads};
         po.cancel = opts.cancel;
-        planes.reserve(workloads.size());
-        for (const auto &wl : workloads)
+        planes.reserve(set.size());
+        for (const auto &wl : set.build(scale))
             planes.emplace_back(*wl, po);
         std::vector<const workloads::TracePlanes *> ptrs;
         ptrs.reserve(planes.size());
@@ -96,24 +76,13 @@ searchSet(const workloads::WorkloadSet &set,
 
     const SetPipeline pipe(set, layout, opts, scale);
 
-    // Identity profiles through the on-disk cache: repeated service
-    // invocations (and the Fig. 5/10 benches) share the computation.
-    // A miss profiles the member's planes, already extracted for the
-    // search, instead of walking its trace a second time.
+    // Identity profiles from the member planes already extracted for
+    // the search: no second walk of any trace.
     const BitMatrix identity = BitMatrix::identity(layout.addrBits);
     out.identityProfiles.reserve(set.size());
-    for (std::size_t m = 0; m < pipe.planes.size(); ++m) {
-        const std::string key = harness::profileCacheKey(
-            pipe.workloads[m]->info().abbrev, "", opts.window,
-            layout.addrBits, opts.metric, scale);
-        auto p = harness::profileCache().lookup(key);
-        if (!p) {
-            p = pipe.planes[m].profileFor(identity, opts.window,
-                                          opts.metric);
-            harness::profileCache().store(key, *p);
-        }
-        out.identityProfiles.push_back(std::move(*p));
-    }
+    for (const workloads::TracePlanes &planes : pipe.planes)
+        out.identityProfiles.push_back(
+            planes.profileFor(identity, opts.window, opts.metric));
 
     out.annealed = cached ? *cached : pipe.searcher->anneal();
     out.greedyBaseline = pipe.searcher->greedy();
@@ -123,23 +92,10 @@ searchSet(const workloads::WorkloadSet &set,
     if (!cached && !out.annealed.stats.deadlineHit)
         sbimCache().store(cache_key, out.annealed);
 
-    // Per-member searched profiles, persisted under the matrix-hashed
-    // SBIM mapper id so Fig. 10-style benches can chart this exact
-    // searched mapping without re-profiling (and never collide with a
-    // different-budget or different-set run).
-    const std::string mapper_id =
-        sbimMapperId(out.annealed.bim, opts.seed);
     out.searchedProfiles.reserve(set.size());
-    for (std::size_t m = 0; m < pipe.planes.size(); ++m) {
-        EntropyProfile p = pipe.planes[m].profileFor(
-            out.annealed.bim, opts.window, opts.metric);
-        harness::profileCache().store(
-            harness::profileCacheKey(set.members()[m], mapper_id,
-                                     opts.window, layout.addrBits,
-                                     opts.metric, scale),
-            p);
-        out.searchedProfiles.push_back(std::move(p));
-    }
+    for (const workloads::TracePlanes &planes : pipe.planes)
+        out.searchedProfiles.push_back(planes.profileFor(
+            out.annealed.bim, opts.window, opts.metric));
 
     // A cache hit deserializes only (bim, costs, aggregate entropy);
     // rebuild the per-member breakdown from the searched profiles —

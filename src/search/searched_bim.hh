@@ -1,7 +1,7 @@
 /**
  * @file
  * Front-end of the mapping service: the joint search over a
- * `workloads::WorkloadSet`, profile-cache integration, and the
+ * `workloads::WorkloadSet`, the profiles it reports, and the
  * `AddressMapper` wrapping used by the harness' `map:sbim`/`map:gbim`
  * cells and `tools/valley_search`.
  *
@@ -26,15 +26,6 @@
 
 namespace valley {
 namespace search {
-
-/**
- * Profile-cache mapper id of a searched BIM: "SBIM-<seed>-<hash of
- * the matrix rows>". The hash makes the id unique per *matrix*, as
- * `profileCacheKey` requires — two searches with the same seed but
- * different budgets (or target sets, or workload sets) produce
- * different ids.
- */
-std::string sbimMapperId(const BitMatrix &bim, std::uint64_t seed);
 
 /**
  * Default search options for a layout, the one place the targets and
@@ -66,12 +57,10 @@ struct SetSearchResult
 /**
  * Run the full joint search pipeline over a workload set: build one
  * `workloads::TracePlanes` per member, profile every member under
- * the identity mapping from its planes through the on-disk profile
- * cache (the key `harness::profileWorkloadCached` uses; `scale` keys
- * the cache entries), anneal a single BIM against all of them (plus
- * the greedy baseline), and store each member's searched profile
- * back into the profile cache under `sbimMapperId(...)` so figure
- * benches reuse them.
+ * the identity mapping from its planes, anneal a single BIM against
+ * all of them (plus the greedy baseline), and profile every member
+ * under that BIM from the same planes. Both profiles equal
+ * `workloads::profileWorkload` bit for bit.
  *
  * The annealed matrix is memoized in the on-disk SBIM cache under the
  * set's order-canonical key (`sbim_cache.hh`): a hit skips the

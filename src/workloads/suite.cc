@@ -1,7 +1,7 @@
 /**
  * @file
  * The 16 GPU-compute benchmarks of Table II, reproduced as synthetic
- * trace generators (see DESIGN.md, "Substitutions").
+ * trace generators (see DESIGN.md, "Simulation pipeline").
  *
  * Valley benchmarks (MT, LU, GS, NW, LPS, SC, SRAD2, DWT2D, HS, SP)
  * share a structural property with their CUDA namesakes: the warp and
@@ -200,7 +200,7 @@ makeLU(double scale)
 // ---------------------------------------------------------------------
 // GS — Gaussian Elimination (Rodinia). 510 kernels... 254 here
 // (two kernels per iteration of a 128x128 system; the paper's input
-// launches 510 — see EXPERIMENTS.md). 128x128 floats, pitch 512 B:
+// launches 510). 128x128 floats, pitch 512 B:
 // the 64 KB matrix fits a single LLC slice, so DRAM traffic nearly
 // vanishes after warmup (Table II MPKI 0.01) and speedups stay small.
 // The per-kernel pivot column pins bits 7-8 (the entropy valley);

@@ -1,9 +1,9 @@
 /**
  * @file
- * Fault-tolerance tests for the three on-disk caches (results,
- * profiles, searched BIMs) and the shared atomic-IO layer beneath
- * them: corrupt lines — truncated tails, flipped checksums, wrong
- * field counts, stray NULs — must never abort a run. They are
+ * Fault-tolerance tests for the two on-disk caches (results and
+ * searched BIMs) and the shared atomic-IO layer beneath them: corrupt
+ * lines — truncated tails, flipped checksums, wrong field counts,
+ * stray NULs — must never abort a run. They are
  * skipped-and-quarantined (moved to `cache/quarantine/`, counted,
  * logged), the good entries still load, and the affected keys
  * degrade to cache misses that repopulate on the next store.
@@ -25,7 +25,6 @@
 
 #include "bim/bit_matrix.hh"
 #include "harness/atomic_io.hh"
-#include "harness/profile_cache.hh"
 #include "harness/result_cache.hh"
 #include "search/sbim_cache.hh"
 
@@ -37,7 +36,6 @@ void
 resetAllCaches()
 {
     harness::resultCache().resetForTesting();
-    harness::profileCache().resetForTesting();
     search::sbimCache().resetForTesting();
 }
 
@@ -214,35 +212,6 @@ TEST_F(CacheRobustnessTest, ResultCacheQuarantinesCorruptLines)
     harness::resultCache().store(k3, sampleResult("HS"));
     resetAllCaches();
     EXPECT_TRUE(harness::resultCache().lookup(k3).has_value());
-}
-
-TEST_F(CacheRobustnessTest, ProfileCacheQuarantinesCorruptLines)
-{
-    const std::string key = harness::profileCacheKey(
-        "MT", "", 12, 32, EntropyMetric::BitProbability, 1.0);
-    EntropyProfile p;
-    p.weight = 7;
-    p.perBit = {0.25, 1.0 / 3.0, 1.0};
-    harness::profileCache().store(key, p);
-    resetAllCaches();
-
-    const std::string path = harness::profileCache().path();
-    const std::string v = harness::kProfileCacheVersion;
-    // Valid checksum, impossible payload (2 bits declared, 1 given).
-    appendRaw(path, harness::checksummedRecord(v + ";LU;identity",
-                                               "7 2 0.5"));
-    // Torn record.
-    const std::string torn =
-        harness::checksummedRecord(v + ";GS;identity", "7 1 0.5");
-    appendRaw(path, torn.substr(0, torn.size() - 6) + "\n");
-
-    const std::uint64_t before = harness::quarantinedLineCount();
-    const auto hit = harness::profileCache().lookup(key);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(hit->weight, p.weight);
-    EXPECT_EQ(hit->perBit, p.perBit);
-    EXPECT_EQ(harness::quarantinedLineCount(), before + 2);
-    EXPECT_TRUE(std::filesystem::exists(quarantinePath(path)));
 }
 
 TEST_F(CacheRobustnessTest, SbimCacheQuarantinesCorruptLines)

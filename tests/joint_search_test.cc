@@ -3,10 +3,11 @@
  * Tests for the joint ("global") BIM search over workload sets:
  * the `JointObjective` combiners, bit-identical serial/parallel
  * restarts on a multi-member set, set-order invariance of both the
- * search result and the cache key, size-1 sets named SBIM, member
- * weights and combiners taken from the options, the
- * `maxEvaluations` budget cap, and `map:gbim` end-to-end through
- * `harness::runGrid` with cache hits on repeat runs.
+ * search result and the cache key, member profiles equal to the
+ * profiler's, size-1 sets named SBIM, member weights and combiners
+ * taken from the options, the `maxEvaluations` budget cap, and
+ * `map:gbim` end-to-end through `harness::runGrid` with cache hits on
+ * repeat runs.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "harness/experiment.hh"
 #include "search/sbim_cache.hh"
 #include "search/searched_bim.hh"
+#include "workloads/profiler.hh"
 #include "workloads/workload_set.hh"
 
 using namespace valley;
@@ -236,6 +238,40 @@ TEST(JointSearch, SetOrderInvarianceOfResultAndCacheKey)
     for (std::size_t m = 0; m < a.searchedProfiles.size(); ++m)
         EXPECT_EQ(a.searchedProfiles[m].perBit,
                   b.searchedProfiles[m].perBit);
+}
+
+TEST(JointSearch, SetProfilesEqualTheProfilersBitForBit)
+{
+    // searchSet profiles each member from the planes it extracted for
+    // the search; both profiles must be exactly the profiler's own.
+    const CacheOff off;
+    const AddressLayout layout = gddr5();
+    const WorkloadSet set({"MT", "LU"});
+    const SearchOptions opts = smallOptions(layout);
+    const SetSearchResult r = searchSet(set, layout, opts, kScale);
+    // Under the identity the second comparison would repeat the first.
+    ASSERT_FALSE(r.annealed.bim == BitMatrix::identity(layout.addrBits));
+    const AddressMapper searched("SBIM", layout, r.annealed.bim);
+
+    const auto wls = set.build(kScale);
+    ASSERT_EQ(r.identityProfiles.size(), wls.size());
+    ASSERT_EQ(r.searchedProfiles.size(), wls.size());
+    for (std::size_t m = 0; m < wls.size(); ++m) {
+        const std::string &member = set.members()[m];
+        workloads::ProfileOptions po;
+        po.window = opts.window;
+        po.numBits = layout.addrBits;
+        po.metric = opts.metric;
+        po.threads = 1;
+        const EntropyProfile identity =
+            workloads::profileWorkload(*wls[m], po);
+        EXPECT_EQ(r.identityProfiles[m].weight, identity.weight) << member;
+        EXPECT_EQ(r.identityProfiles[m].perBit, identity.perBit) << member;
+        po.mapper = &searched;
+        const EntropyProfile mapped = workloads::profileWorkload(*wls[m], po);
+        EXPECT_EQ(r.searchedProfiles[m].weight, mapped.weight) << member;
+        EXPECT_EQ(r.searchedProfiles[m].perBit, mapped.perBit) << member;
+    }
 }
 
 TEST(JointSearch, SizeOneSetIsNamedSbim)

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <iterator>
@@ -17,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fnv.hh"
 #include "common/metrics.hh"
 #include "harness/experiment.hh"
 #include "harness/result_cache.hh"
@@ -62,7 +64,7 @@ class MapperOracle : public ::testing::Test
 /** The small scale every oracle simulation runs at. */
 constexpr double kScale = 0.05;
 
-/** One pinned matrix: FNV-1a over its rows, as `sbimMapperId` hashes. */
+/** One pinned matrix: FNV-1a over its rows (`rowHash`). */
 struct GoldenBim
 {
     const char *layout;
@@ -72,8 +74,8 @@ struct GoldenBim
 };
 
 /**
- * Every built-in BIM family on every layout preset. Result, profile
- * and searched-BIM cache keys depend on these draws (through each
+ * Every built-in BIM family on every layout preset. Result and
+ * searched-BIM cache keys depend on these draws (through each
  * family's seed tag and draw order), so a mismatch here breaks every
  * cache on disk.
  */
@@ -145,11 +147,17 @@ const GoldenBim kGoldenBims[] = {
     {"gddr6_2gb", "map:mop", 0, "9fe2ad828dcea965"},
 };
 
+/** FNV-1a folded over the row masks, as 16 hex digits. */
 std::string
 rowHash(const BitMatrix &bim)
 {
-    const std::string id = search::sbimMapperId(bim, 0);
-    return id.substr(id.rfind('-') + 1);
+    std::uint64_t h = bits::kFnvOffsetBasis;
+    for (unsigned r = 0; r < bim.size(); ++r)
+        h = bits::fnv1aU64(h, bim.row(r));
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(h));
+    return buf;
 }
 
 } // namespace

@@ -1,21 +1,15 @@
 /**
  * @file
  * Tests for the entropy profiler: its trace-plane profile must
- * reproduce the scalar reference profile exactly, the parallel run
- * must be bit-identical to the serial one for every suite workload,
- * and the profile cache must round-trip profiles at full precision.
+ * reproduce the scalar reference profile exactly, and the parallel
+ * run must be bit-identical to the serial one for every suite
+ * workload.
  */
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
-#include "harness/atomic_io.hh"
-#include "harness/profile_cache.hh"
-#include "harness/result_cache.hh"
 #include "mapping/mapper_registry.hh"
 #include "workloads/profiler.hh"
 
@@ -176,84 +170,4 @@ TEST(Profiler, BvrDistributionMetricAlsoIdentical)
     expectIdentical(workloads::profileWorkload(*wl, serial),
                     workloads::profileWorkload(*wl, parallel),
                     "LU bvr-distribution");
-}
-
-TEST(ProfileCache, KeyDistinguishesAllInputs)
-{
-    const auto base = harness::profileCacheKey(
-        "MT", "PAE-1", 12, 30, EntropyMetric::BitProbability, 1.0);
-    EXPECT_NE(base, harness::profileCacheKey(
-                        "LU", "PAE-1", 12, 30,
-                        EntropyMetric::BitProbability, 1.0));
-    EXPECT_NE(base, harness::profileCacheKey(
-                        "MT", "FAE-1", 12, 30,
-                        EntropyMetric::BitProbability, 1.0));
-    EXPECT_NE(base, harness::profileCacheKey(
-                        "MT", "PAE-1", 16, 30,
-                        EntropyMetric::BitProbability, 1.0));
-    EXPECT_NE(base, harness::profileCacheKey(
-                        "MT", "PAE-1", 12, 24,
-                        EntropyMetric::BitProbability, 1.0));
-    EXPECT_NE(base, harness::profileCacheKey(
-                        "MT", "PAE-1", 12, 30,
-                        EntropyMetric::BvrDistribution, 1.0));
-    EXPECT_NE(base, harness::profileCacheKey(
-                        "MT", "PAE-1", 12, 30,
-                        EntropyMetric::BitProbability, 0.5));
-}
-
-TEST(ProfileCache, DiskFormatParsesAtFullPrecision)
-{
-    // Append a line in the on-disk format *before* the cache loads
-    // its file, so the first lookup must come from the deserializer
-    // rather than the in-memory shard. This is the only test that
-    // exercises the parse path a fresh process depends on, so it
-    // deliberately pins the CSV format.
-    const std::string key = harness::profileCacheKey(
-        "DISKTEST", "X", 12, 3, EntropyMetric::BitProbability, 1.0);
-    {
-        std::ostringstream payload;
-        payload.precision(17);
-        payload << 123456789 << " 3 " << 1.0 / 3.0 << ' '
-                << 0.91829583405448945 << " 5e-324";
-        harness::atomicAppend(
-            harness::profileCache().path(),
-            harness::checksummedRecord(key, payload.str()));
-    }
-    const auto hit = harness::profileCache().lookup(key);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(hit->weight, 123456789u);
-    ASSERT_EQ(hit->perBit.size(), 3u);
-    EXPECT_EQ(hit->perBit[0], 1.0 / 3.0);
-    EXPECT_EQ(hit->perBit[1], 0.91829583405448945);
-    EXPECT_EQ(hit->perBit[2], 5e-324);
-}
-
-TEST(ProfileCache, StoreLookupRoundTripsAtFullPrecision)
-{
-    EntropyProfile p;
-    p.perBit = {1.0 / 3.0, 0.0, 1.0, 0.91829583405448945, 5e-324};
-    p.weight = 123456789;
-    const std::string key = harness::profileCacheKey(
-        "TESTONLY", "X", 12, 5, EntropyMetric::BitProbability, 1.0);
-    harness::profileCache().store(key, p);
-    const auto hit = harness::profileCache().lookup(key);
-    ASSERT_TRUE(hit.has_value());
-    expectIdentical(p, *hit, "cache round trip");
-}
-
-TEST(ProfileCache, CachedWorkloadProfileMatchesDirect)
-{
-    const auto wl = workloads::make("NN", 0.25);
-    workloads::ProfileOptions po;
-    const EntropyProfile direct =
-        workloads::profileWorkload(*wl, po);
-    // First call may miss or hit a previous run's entry; either way
-    // the deterministic profile must come back bit-identical.
-    expectIdentical(
-        direct, harness::profileWorkloadCached(*wl, po, 0.25),
-        "cached vs direct");
-    expectIdentical(
-        direct, harness::profileWorkloadCached(*wl, po, 0.25),
-        "cached second hit");
 }

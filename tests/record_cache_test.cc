@@ -1,11 +1,11 @@
 /**
  * @file
- * Golden-bytes tests for the three on-disk record caches (results,
- * profiles, searched BIMs): one fixed store into an empty cache
- * directory must write exactly the bytes pinned below — file name,
- * version tag, key string, payload and checksum — and read back, from
- * disk, as an equal value. Also pins the result-cache key's scale
- * field and the sink-side key rejection every cache applies.
+ * Golden-bytes tests for the two on-disk record caches (results and
+ * searched BIMs): one fixed store into an empty cache directory must
+ * write exactly the bytes pinned below — file name, version tag, key
+ * string, payload and checksum — and read back, from disk, as an
+ * equal value. Also pins the result-cache key's scale field and the
+ * sink-side key rejection every cache applies.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include <string>
 #include <unistd.h>
 
-#include "harness/profile_cache.hh"
 #include "harness/result_cache.hh"
 #include "search/sbim_cache.hh"
 #include "search/searched_bim.hh"
@@ -54,7 +53,6 @@ class RecordCacheTest : public ::testing::Test
     resetAll()
     {
         harness::resultCache().resetForTesting();
-        harness::profileCache().resetForTesting();
         search::sbimCache().resetForTesting();
     }
 
@@ -108,15 +106,6 @@ sampleResult()
     return r;
 }
 
-EntropyProfile
-sampleProfile()
-{
-    EntropyProfile p;
-    p.weight = 7;
-    p.perBit = {1.0 / 3.0, 0.91829583405448945, 5e-324};
-    return p;
-}
-
 /** An invertible 30x30 BIM: identity plus three upper taps. */
 search::SearchResult
 sampleSearch()
@@ -148,10 +137,6 @@ const char *const kResultFile =
     "0.91829583405448945 1.5 4.9406564584124654e-324 "
     "12.345678901234567 1.0000000000000001e+300 40 123.456 "
     "0.30000000000000004|ce9ef3f3989fab4ad\n";
-
-const char *const kProfileFile =
-    "p3;MT;identity;12;3;1;0.25|7 3 0.33333333333333331 "
-    "0.91829583405448945 4.9406564584124654e-324|c9ca35714260c2a8a\n";
 
 const char *const kSbimFile =
     "m4;s2;MT;0.25;layout:gddr5_1gb;t.8.9.10.11.12.13;c3ffc3f00;12;1;"
@@ -187,24 +172,6 @@ TEST_F(RecordCacheTest, ResultCacheWritesGoldenBytesAndReadsThemBack)
         "v5;paper;MT;map:fae;1;0.25;layout:gddr5_1gb");
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(*hit, r);
-}
-
-TEST_F(RecordCacheTest, ProfileCacheWritesGoldenBytesAndReadsThemBack)
-{
-    const EntropyProfile p = sampleProfile();
-    const std::string key = harness::profileCacheKey(
-        "MT", "", 12, 3, EntropyMetric::BitProbability, 0.25);
-    harness::profileCache().store(key, p);
-    const std::string path = harness::profileCache().path();
-    EXPECT_EQ(std::filesystem::path(path).filename(),
-              "valley_profiles_cache.csv");
-    EXPECT_EQ(readAll(path), kProfileFile);
-
-    harness::profileCache().resetForTesting();
-    const auto hit = harness::profileCache().lookup(key);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(hit->weight, p.weight);
-    EXPECT_EQ(hit->perBit, p.perBit);
 }
 
 TEST_F(RecordCacheTest, SbimCacheWritesGoldenBytesAndReadsThemBack)
@@ -251,10 +218,10 @@ TEST_F(RecordCacheTest, EveryCacheRejectsSeparatorsInKeysAtTheSink)
     EXPECT_THROW(harness::resultCache().store("v5;bad|key",
                                               sampleResult()),
                  std::invalid_argument);
-    EXPECT_THROW(harness::profileCache().store("p3;bad\nkey",
-                                               sampleProfile()),
-                 std::invalid_argument);
     EXPECT_THROW(search::sbimCache().store("m3;bad\rkey",
+                                           sampleSearch()),
+                 std::invalid_argument);
+    EXPECT_THROW(search::sbimCache().store("m3;bad\nkey",
                                            sampleSearch()),
                  std::invalid_argument);
     EXPECT_FALSE(std::filesystem::exists(dir));

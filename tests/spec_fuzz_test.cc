@@ -2,11 +2,11 @@
  * @file
  * Seeded mutation fuzz tests of the one spec grammar
  * (`common/spec.hh`), the registries and workload sets built on it,
- * and the three cache-record codecs.
+ * and the two cache-record codecs.
  *
  * A fixed-seed `XorShiftRng` mutates a corpus of valid inputs: every
  * `synth:` and `map:` family with all of its parameters written out,
- * the layout keys, mixed comma lists, and encoded result, profile and
+ * the layout keys, mixed comma lists, and encoded result and
  * searched-BIM records. Mutations insert, delete or replace a byte
  * drawn from the grammar's separators, digits and letters, or replace
  * a whole value with one sitting on an integer or float bound. Every
@@ -32,7 +32,6 @@
 
 #include "common/rng.hh"
 #include "common/spec.hh"
-#include "harness/profile_cache.hh"
 #include "harness/result_cache.hh"
 #include "mapping/layout_registry.hh"
 #include "mapping/mapper_registry.hh"
@@ -277,11 +276,6 @@ TEST(SpecFuzz, MutatedCacheRecordsAndWorkloadSetsDecodeOrReject)
     const std::string results[] = {harness::serializeResult(zero),
                                    harness::serializeResult(r)};
 
-    EntropyProfile p;
-    p.weight = 123456;
-    p.perBit = {0.0, 0.5, 1.0 / 3.0, 1.0};
-    const std::string profile = harness::ProfileCodec::encode(p);
-
     search::SearchResult narrow;
     narrow.bim = BitMatrix::identity(8);
     narrow.bim.setRow(0, 0x83);
@@ -301,22 +295,20 @@ TEST(SpecFuzz, MutatedCacheRecordsAndWorkloadSetsDecodeOrReject)
     };
 
     XorShiftRng rng(0xC0DEC5ull);
-    unsigned decoded[3] = {0, 0, 0}, parsed = 0;
+    unsigned decoded[2] = {0, 0}, parsed = 0;
     for (unsigned i = 0; i < kMutants / 4; ++i) {
         const auto mutant = [&](const std::string &seed) {
             return mutate(seed, rng, kPayloadAlphabet, swapPayloadField);
         };
         const std::string rt = mutant(results[rng.below(2)]);
-        const std::string pt = mutant(profile);
         const std::string bt = mutant(bims[rng.below(2)]);
         const std::string lt = mutate(lists[rng.below(std::size(lists))], rng);
         try {
             decoded[0] += decodesToFixedPoint<harness::ResultCodec>(rt);
-            decoded[1] += decodesToFixedPoint<harness::ProfileCodec>(pt);
-            decoded[2] += decodesToFixedPoint<search::SbimCodec>(bt);
+            decoded[1] += decodesToFixedPoint<search::SbimCodec>(bt);
         } catch (const std::exception &e) {
             ADD_FAILURE() << "a decode threw " << e.what() << ": \"" << rt
-                          << "\" \"" << pt << "\" \"" << bt << "\"";
+                          << "\" \"" << bt << "\"";
         }
         try {
             const workloads::WorkloadSet set =

@@ -40,7 +40,8 @@ TEST(WorkloadRegistry, InfoMatchesGroup)
 
 TEST(WorkloadRegistry, KernelCountsMatchTableIIWhereFeasible)
 {
-    // Exact matches (see EXPERIMENTS.md for documented deviations).
+    // Exact matches. GS is left out: it launches 254 kernels, not 510
+    // (see its generator comment in src/workloads/suite.cc).
     EXPECT_EQ(workloads::make("MT", 0.25)->numKernels(), 4u);
     EXPECT_EQ(workloads::make("LU", 1.0)->numKernels(), 1022u);
     EXPECT_EQ(workloads::make("NW", 1.0)->numKernels(), 255u);

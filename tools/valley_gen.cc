@@ -68,10 +68,6 @@ Options:
                   (with --entropy) the per-bit profile as JSON
   --help          print this help and exit
 
-Environment:
-  VALLEY_CACHE=0       disable the on-disk profile cache
-  VALLEY_CACHE_DIR=D   cache directory (default: ./cache)
-
 Exit status: 0 on success, 1 on usage errors (unknown family or
 parameter, value out of range, malformed spec).
 )";

@@ -106,7 +106,7 @@ Options:
   --help            print this help and exit
 
 Environment:
-  VALLEY_CACHE=0        disable the on-disk result/profile caches
+  VALLEY_CACHE=0        disable the on-disk result/searched-BIM caches
   VALLEY_CACHE_DIR=D    cache directory (default: ./cache)
   VALLEY_DEADLINE_MS=N  same as --deadline-ms N
   VALLEY_TRACE=FILE     same as --trace FILE

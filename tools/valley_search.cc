@@ -126,7 +126,7 @@ Options:
   --help          print this help and exit
 
 Environment:
-  VALLEY_CACHE=0       disable the on-disk profile/result caches
+  VALLEY_CACHE=0       disable the on-disk searched-BIM cache
   VALLEY_CACHE_DIR=D   cache directory (default: ./cache)
   VALLEY_TRACE=FILE    same as --trace FILE
   VALLEY_NO_SIMD=1     pin the scalar kernels (bit-identical; for
