@@ -6,8 +6,8 @@
  * valleys; SBIM should match the Broad schemes on its target bits.
  *
  * Every profile is computed on each run from the workload's trace
- * planes under the scheme's matrix. Only the searched matrix is
- * memoized, in the SBIM cache.
+ * planes under the scheme's matrix, and the searched matrix by a
+ * search on each run: nothing here is cached.
  */
 
 #include "bench_util.hh"

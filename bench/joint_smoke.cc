@@ -6,8 +6,8 @@
  *  1. a 3-member synth set runs through the full harness grid under
  *     {BASE, SBIM, GBIM} — i.e. set canonicalization → per-cell
  *     simulation where SBIM searches per workload and GBIM anneals
- *     ONE matrix jointly against the whole set (shared via the
- *     searched-BIM cache across cells);
+ *     ONE matrix jointly against the whole set (built once and
+ *     shared in memory across cells);
  *  2. the joint matrix's entropy on the target bits is compared per
  *     member against BASE and against that member's own SBIM — the
  *     specialization price of serving the whole set with one BIM;
@@ -57,8 +57,8 @@ main()
     const AddressLayout layout = AddressLayout::hynixGddr5();
     const std::vector<unsigned> targets = layout.randomizeTargets();
 
-    // The joint search itself (hits the searched-BIM cache the grid
-    // just warmed) for the entropy view of the one shared matrix.
+    // The joint search again, for the entropy view of the one shared
+    // matrix.
     search::SearchOptions so = search::defaultOptions(layout);
     so.threads = 1;
     const search::SetSearchResult joint =
@@ -85,8 +85,8 @@ main()
     for (std::size_t m = 0; m < set.size(); ++m) {
         const std::string &w = set.members()[m];
         // The member's own specialized mapping, for the
-        // one-BIM-for-all vs one-BIM-each comparison (served from the
-        // caches the SBIM grid column already filled).
+        // one-BIM-for-all vs one-BIM-each comparison (searched again,
+        // like the joint one).
         const search::SetSearchResult own = search::searchSet(
             workloads::WorkloadSet({w}), layout, so, scale);
 

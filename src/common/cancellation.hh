@@ -67,27 +67,7 @@ class Deadline
         return out;
     }
 
-    static Deadline never() { return Deadline(); }
-
     bool armed() const { return has_; }
-
-    bool
-    expired() const
-    {
-        return has_ && Clock::now() >= at_;
-    }
-
-    /** Time left; zero when expired, nullopt when never-expiring. */
-    std::optional<std::chrono::milliseconds>
-    remaining() const
-    {
-        if (!has_)
-            return std::nullopt;
-        const auto left =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                at_ - Clock::now());
-        return left.count() > 0 ? left : std::chrono::milliseconds(0);
-    }
 
     Clock::time_point at() const { return at_; }
 

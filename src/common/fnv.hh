@@ -5,7 +5,7 @@
  * One definition instead of per-module copies: synth spec hashes
  * (`ResolvedSpec::hash`), workload-set identities
  * (`WorkloadSet::hash`) and the cache records' checksums
- * (`harness::checksummedRecord`) all reach on-disk caches, so their
+ * (`harness::checksummedRecord`) all reach the on-disk cache, so their
  * hash loops must stay byte-for-byte in sync forever. The helpers here
  * reproduce the classic 64-bit FNV-1a exactly (offset basis
  * 0xCBF29CE484222325, prime 0x100000001B3), stable across runs and

@@ -305,13 +305,12 @@ parseChecksummedRecord(std::string_view line)
                           std::string(body.substr(key_sep + 1)));
 }
 
-LoadStats
+void
 loadChecksummedRecords(
     const std::string &path, std::string_view version_prefix,
     const std::function<bool(const std::string &key,
                              const std::string &payload)> &accept)
 {
-    LoadStats stats;
     // Cache-open is the natural sweep point for sidecars orphaned by
     // a killed writer: probe-and-remove before (re)creating our own.
     cleanStaleLock(path);
@@ -322,10 +321,11 @@ loadChecksummedRecords(
     FileLock lock(path);
     std::ifstream in(path);
     if (!in)
-        return stats;
+        return;
 
     std::vector<std::string> kept; // good + stale lines, verbatim
     std::vector<std::string> bad;
+    std::size_t stale = 0;
     std::string line;
     while (std::getline(in, line)) {
         if (line.empty())
@@ -341,18 +341,15 @@ loadChecksummedRecords(
                 : std::string_view(line).substr(0, key_sep);
         if (key_view.substr(0, version_prefix.size()) !=
             version_prefix) {
-            ++stats.staleVersion;
+            ++stale;
             kept.push_back(line);
             continue;
         }
         const auto rec = parseChecksummedRecord(line);
-        if (rec && accept(rec->first, rec->second)) {
-            ++stats.accepted;
+        if (rec && accept(rec->first, rec->second))
             kept.push_back(line);
-        } else {
-            ++stats.quarantined;
+        else
             bad.push_back(line);
-        }
     }
     in.close();
 
@@ -378,9 +375,8 @@ loadChecksummedRecords(
                      "-> %s (recomputed on next use)\n",
                      base.c_str(), bad.size(), qpath.c_str());
     }
-    if (stats.staleVersion != 0)
-        metrics::counter("cache.stale_lines").add(stats.staleVersion);
-    return stats;
+    if (stale != 0)
+        metrics::counter("cache.stale_lines").add(stale);
 }
 
 std::uint64_t

@@ -1,6 +1,6 @@
 /**
  * @file
- * Crash-consistent file primitives shared by every on-disk cache.
+ * Crash-consistent file primitives beneath the on-disk result cache.
  * They are what lets a killed `--cache` grid resume: every finished
  * cell is already one whole, checksummed record on disk.
  *
@@ -82,14 +82,6 @@ std::string checksummedRecord(std::string_view key,
 std::optional<std::pair<std::string, std::string>>
 parseChecksummedRecord(std::string_view line);
 
-/** Outcome counters of one `loadChecksummedRecords` pass. */
-struct LoadStats
-{
-    std::size_t accepted = 0;     ///< records handed to the sink
-    std::size_t quarantined = 0;  ///< corrupt lines moved aside
-    std::size_t staleVersion = 0; ///< other-schema lines (kept, unused)
-};
-
 /**
  * Load every record of `path`, tolerating corruption.
  *
@@ -106,9 +98,10 @@ struct LoadStats
  * whole read+rewrite runs under the sidecar flock shared with
  * `atomicAppend`, so records appended by concurrent processes or
  * threads are never lost to the rewrite. A missing file is simply
- * zero records.
+ * zero records. Stale and quarantined lines are counted in the
+ * `cache.stale_lines` and `cache.quarantined_lines` metrics.
  */
-LoadStats loadChecksummedRecords(
+void loadChecksummedRecords(
     const std::string &path, std::string_view version_prefix,
     const std::function<bool(const std::string &key,
                              const std::string &payload)> &accept);

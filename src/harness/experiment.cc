@@ -27,9 +27,9 @@ namespace {
 
 /**
  * Search options every searched-scheme grid cell uses. A search the
- * token cuts short is never cached, and the simulation after it
- * throws `Cancelled` at its first poll, so no result comes from a
- * truncated matrix.
+ * token cuts short is followed by a simulation that throws
+ * `Cancelled` at its first poll, so no result, cached or not, comes
+ * from a truncated matrix.
  */
 search::SearchOptions
 cellSearchOptions(const SimConfig &config, std::uint64_t bim_seed,
@@ -133,6 +133,30 @@ simulateCell(const SimConfig &config, const AddressMapper &mapper,
     return sim.run(*wl, cancel);
 }
 
+/**
+ * The one cached path of a cell: a result-cache hit, restamped with
+ * the active config's name (`RunResult::config` is not persisted), or
+ * `compute()` stored under the cell's key. A hit never builds a
+ * mapper, so a searched-BIM cell that hits runs no search. A
+ * `compute` that throws (`Cancelled` included) stores nothing.
+ */
+RunResult
+cachedCell(const SimConfig &config, const std::string &mapper_spec,
+           const std::string &workload, double scale,
+           std::uint64_t bim_seed, const workloads::WorkloadSet *joint_set,
+           const std::function<RunResult()> &compute)
+{
+    const std::string key = cellCacheKey(config, mapper_spec, workload,
+                                         bim_seed, scale, joint_set);
+    if (auto hit = resultCache().lookup(key)) {
+        hit->config = config.name;
+        return *hit;
+    }
+    RunResult r = compute();
+    resultCache().store(key, r);
+    return r;
+}
+
 } // namespace
 
 RunResult
@@ -156,10 +180,9 @@ runOne(const SimConfig &config, const std::string &mapper_spec,
         // Global searched mapping: one BIM annealed jointly against
         // the whole set — the deployment story the per-workload SBIM
         // column is compared against. (Grid cells share the matrix
-        // in memory via runGrid; this standalone path rebuilds it,
-        // through the SBIM cache when enabled.) Named after the
-        // *requested family*: a size-1 set would otherwise label the
-        // cell's RunResult "SBIM".
+        // in memory via runGrid; this standalone path searches it
+        // again.) Named after the *requested family*: a size-1 set
+        // would otherwise label the cell's RunResult "SBIM".
         const workloads::WorkloadSet fallback({workload});
         mapper = search::setMapper(
             config.layout, joint_set ? *joint_set : fallback,
@@ -182,16 +205,12 @@ runOneCached(const SimConfig &config, const std::string &mapper_spec,
              const workloads::WorkloadSet *joint_set,
              const CancelToken *cancel)
 {
-    const std::string key = cellCacheKey(config, mapper_spec, workload,
-                                         bim_seed, scale, joint_set);
-    if (auto hit = resultCache().lookup(key)) {
-        hit->config = config.name;
-        return *hit;
-    }
-    RunResult r = runOne(config, mapper_spec, workload, scale, bim_seed,
-                         joint_set, cancel);
-    resultCache().store(key, r);
-    return r;
+    return cachedCell(config, mapper_spec, workload, scale, bim_seed,
+                      joint_set, [&] {
+                          return runOne(config, mapper_spec, workload,
+                                        scale, bim_seed, joint_set,
+                                        cancel);
+                      });
 }
 
 Grid::Grid(GridOptions opts_, std::vector<std::vector<RunResult>> res,
@@ -400,8 +419,8 @@ runGrid(GridOptions opts)
     // single BIM for the workloads being compared". The searched
     // mapper is built lazily, at most once, and shared in memory
     // across cells (AddressMapper is immutable after construction),
-    // so a cold parallel grid never races N identical annealing
-    // searches — with or without the on-disk caches.
+    // so a parallel grid never races N identical annealing searches,
+    // and a grid whose GBIM cells all hit the result cache runs none.
     std::unique_ptr<workloads::WorkloadSet> joint;
     if (std::any_of(axis.begin(), axis.end(),
                     [](const MapperAxisEntry &e) { return e.gbim; }))
@@ -434,26 +453,6 @@ runGrid(GridOptions opts)
     std::vector<CellStatus> status(cells, CellStatus::NotRun);
     std::vector<std::string> fail_reason(cells);
 
-    // GBIM cells simulate under the one shared matrix; the result
-    // cache still short-circuits repeat grids (and, on a full hit,
-    // the search never runs at all).
-    const auto gbimCell = [&](const std::string &w,
-                              const MapperAxisEntry &m) -> RunResult {
-        if (!opts.useCache)
-            return simulateCell(opts.config, sharedGbim(), w,
-                                opts.scale, &token);
-        const std::string key = cellCacheKey(
-            opts.config, m.spec, w, opts.bimSeed, opts.scale, joint.get());
-        if (auto hit = resultCache().lookup(key)) {
-            hit->config = opts.config.name;
-            return *hit;
-        }
-        RunResult r = simulateCell(opts.config, sharedGbim(), w,
-                                   opts.scale, &token);
-        resultCache().store(key, r);
-        return r;
-    };
-
     // Cell idx = wi * axis.size() + si, in grid order. A cell the
     // token stopped, before it started or while it ran, stays NotRun
     // (reported deadline-missed) and is never cached: a cell is either
@@ -472,17 +471,20 @@ runGrid(GridOptions opts)
                          m.label.c_str(),
                          opts.config.name.c_str());
         metrics::ScopedTimer cell_timer(m_cell_us);
-        try {
+        // GBIM cells simulate under the one shared matrix.
+        const auto compute = [&]() -> RunResult {
             if (m.gbim)
-                results[wi][si] = gbimCell(w, m);
-            else if (opts.useCache)
-                results[wi][si] = runOneCached(
-                    opts.config, m.spec, w, opts.scale, opts.bimSeed,
-                    joint.get(), &token);
-            else
-                results[wi][si] =
-                    runOne(opts.config, m.spec, w, opts.scale,
-                           opts.bimSeed, joint.get(), &token);
+                return simulateCell(opts.config, sharedGbim(), w,
+                                    opts.scale, &token);
+            return runOne(opts.config, m.spec, w, opts.scale,
+                          opts.bimSeed, joint.get(), &token);
+        };
+        try {
+            results[wi][si] =
+                opts.useCache
+                    ? cachedCell(opts.config, m.spec, w, opts.scale,
+                                 opts.bimSeed, joint.get(), compute)
+                    : compute();
             status[idx] = CellStatus::Ok;
         } catch (const Cancelled &) {
             return;

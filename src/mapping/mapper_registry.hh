@@ -15,7 +15,7 @@
  * rng) to a BIM. `ResolvedMapperSpec` is a spec validated against its
  * family's schema; its `canonical()` form (non-default parameters
  * only, schema order) and FNV-1a `hash()` are the stable identities
- * the on-disk caches key on. The grammar, schema resolution and
+ * the on-disk result cache keys on. The grammar, schema resolution and
  * canonical form are the one copy `synth:` workloads share
  * (`common/spec.hh`).
  *

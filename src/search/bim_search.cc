@@ -135,19 +135,6 @@ exportStatsToRegistry(const SearchStats &s)
 
 } // namespace
 
-void
-checkOptions(const SearchOptions &opts, std::size_t members)
-{
-    if (opts.restarts == 0)
-        throw std::invalid_argument("BimSearch: restarts must be >= 1");
-    if (!opts.memberWeights.empty() &&
-        opts.memberWeights.size() != members)
-        throw std::invalid_argument(
-            "memberWeights size " +
-            std::to_string(opts.memberWeights.size()) +
-            " != workload set size " + std::to_string(members));
-}
-
 BimSearch::BimSearch(const AddressLayout &layout,
                      std::vector<const workloads::TracePlanes *> planes,
                      SearchOptions opts_)
@@ -160,7 +147,16 @@ BimSearch::BimSearch(const AddressLayout &layout,
         if (p == nullptr || p->numBits() != nbits)
             throw std::invalid_argument(
                 "BimSearch: planes bit width != layout address bits");
-    checkOptions(opts, planes_.size());
+    if (opts.restarts == 0)
+        throw std::invalid_argument("BimSearch: restarts must be >= 1");
+    // Weights that do not line up with the set would silently weight
+    // the wrong members (the set canonicalizes member order).
+    if (!opts.memberWeights.empty() &&
+        opts.memberWeights.size() != planes_.size())
+        throw std::invalid_argument(
+            "memberWeights size " +
+            std::to_string(opts.memberWeights.size()) +
+            " != workload set size " + std::to_string(planes_.size()));
 
     mask_ = opts.candidateMask & bits::mask(nbits);
     if (opts.targets.empty())

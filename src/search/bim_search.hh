@@ -66,7 +66,6 @@
 #define VALLEY_SEARCH_BIM_SEARCH_HH
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/cancellation.hh"
@@ -81,12 +80,12 @@ namespace search {
 
 /**
  * Search behavior version. Folded into the harness result-cache key
- * for SBIM/GBIM cells and into the SBIM cache key: the searched
- * matrix depends on the `SearchOptions` defaults, the anneal schedule
- * (bim_search.cc), the objective's weights (objective.hh) and the
- * move set, none of which appear in the (workload, scheme, seed,
- * scale) key. Bump this whenever a change alters which matrix a
- * given seed produces, or cached grid cells go stale silently.
+ * of SBIM/GBIM cells: the searched matrix depends on the
+ * `SearchOptions` defaults, the anneal schedule (bim_search.cc), the
+ * objective's weights (objective.hh) and the move set, none of which
+ * appear in the (workload, scheme, seed, scale) key. Bump this
+ * whenever a change alters which matrix a given seed produces, or
+ * cached grid cells go stale silently.
  * s2: workload-set refactor — joint scoring, per-chain evaluation
  * budgets, escaped order-canonical cache keys.
  */
@@ -120,9 +119,8 @@ struct SearchOptions
     EntropyMetric metric = EntropyMetric::BitProbability;
 
     /**
-     * How the objective folds member costs (and a field of the SBIM
-     * cache key). Size-1 sets: both combiners reduce to the member
-     * cost.
+     * How the objective folds member costs. Size-1 sets: both
+     * combiners reduce to the member cost.
      */
     JointCombiner combiner = JointCombiner::Mean;
 
@@ -135,7 +133,7 @@ struct SearchOptions
      * to the workload set's canonical `members()` order. Empty =
      * uniform; the WorstCase combiner ignores them (see
      * objective.hh). Size must equal the member count when non-empty
-     * (`checkOptions`). Folded into the SBIM cache key.
+     * (the constructor throws otherwise).
      */
     std::vector<double> memberWeights;
 
@@ -187,8 +185,9 @@ struct SearchOptions
      * fully scored, invertible matrix, because the initial-state
      * evaluation runs unconditionally — with
      * `SearchStats::deadlineHit = true`. Wall-clock deadlines are
-     * inherently nondeterministic, so deadline-truncated results are
-     * never persisted to the SBIM cache (see searched_bim.cc);
+     * inherently nondeterministic, so a truncated matrix must never
+     * stand in for a seed's result: `runGrid` reports a cell whose
+     * search was cut short deadline-missed and caches nothing of it.
      * `maxEvaluations` remains the deterministic budget for
      * bit-identical capped runs.
      */
@@ -293,18 +292,6 @@ struct SearchResult
 };
 
 /**
- * Throw `std::invalid_argument` on options no search runs with:
- * - `restarts` of 0: a search runs at least one chain, and the SBIM
- *   cache key would file that run under a second key;
- * - `memberWeights` that is neither empty nor one weight per member:
- *   a vector that does not line up with the set would silently
- *   weight the wrong members (the set canonicalizes member order).
- * The constructor checks through this, and so do the cache-hit paths
- * of `searchSet`/`setMapper`, which never build a search.
- */
-void checkOptions(const SearchOptions &opts, std::size_t members);
-
-/**
  * Simulated-annealing BIM search over the trace planes of a workload
  * set (one `TracePlanes` per member, all the same bit width).
  *
@@ -321,8 +308,8 @@ class BimSearch
      *               (non-owning; members() order of the set)
      * @param opts   the configuration; see `SearchOptions`
      * @throws std::invalid_argument on empty or mis-sized planes,
-     *         mis-sized member weights, no targets, or a target that
-     *         is out of range or not a candidate
+     *         zero restarts, mis-sized member weights, no targets, or
+     *         a target that is out of range or not a candidate
      */
     BimSearch(const AddressLayout &layout,
               std::vector<const workloads::TracePlanes *> planes,
@@ -340,17 +327,6 @@ class BimSearch
 
     /** Joint objective of the identity mapping on these planes. */
     double identityCost() const;
-
-    /**
-     * One member's flatness cost for its target entropies (in
-     * `targets` order) under a matrix with `xor_gates` gates — the
-     * term the objective combines across members.
-     */
-    double memberCost(std::span<const double> target_entropy,
-                      unsigned xor_gates) const
-    {
-        return objective.memberCost(target_entropy, xor_gates);
-    }
 
   private:
     struct Chain;

@@ -3,8 +3,6 @@
 #include <string>
 #include <utility>
 
-#include "search/sbim_cache.hh"
-
 namespace valley {
 namespace search {
 
@@ -67,15 +65,9 @@ searchSet(const workloads::WorkloadSet &set,
           const AddressLayout &layout, const SearchOptions &opts,
           double scale)
 {
-    checkOptions(opts, set.size());
-
-    SetSearchResult out;
-
-    const std::string cache_key = sbimCacheKey(set, scale, layout, opts);
-    const auto cached = sbimCache().lookup(cache_key);
-
     const SetPipeline pipe(set, layout, opts, scale);
 
+    SetSearchResult out;
     // Identity profiles from the member planes already extracted for
     // the search: no second walk of any trace.
     const BitMatrix identity = BitMatrix::identity(layout.addrBits);
@@ -84,37 +76,13 @@ searchSet(const workloads::WorkloadSet &set,
         out.identityProfiles.push_back(
             planes.profileFor(identity, opts.window, opts.metric));
 
-    out.annealed = cached ? *cached : pipe.searcher->anneal();
+    out.annealed = pipe.searcher->anneal();
     out.greedyBaseline = pipe.searcher->greedy();
-    // A deadline-truncated result is a valid incumbent but
-    // wall-clock-dependent: persisting it would serve a
-    // nondeterministic matrix to every later (uncancelled) run.
-    if (!cached && !out.annealed.stats.deadlineHit)
-        sbimCache().store(cache_key, out.annealed);
 
     out.searchedProfiles.reserve(set.size());
     for (const workloads::TracePlanes &planes : pipe.planes)
         out.searchedProfiles.push_back(planes.profileFor(
             out.annealed.bim, opts.window, opts.metric));
-
-    // A cache hit deserializes only (bim, costs, aggregate entropy);
-    // rebuild the per-member breakdown from the searched profiles —
-    // the same rowEntropy arithmetic and the same objective the live
-    // search used, so hit and miss report identical numbers.
-    if (out.annealed.memberTargetEntropy.empty()) {
-        const unsigned gates = out.annealed.bim.xorGateCount();
-        out.annealed.memberTargetEntropy.resize(set.size());
-        out.annealed.memberCosts.resize(set.size());
-        for (std::size_t m = 0; m < set.size(); ++m) {
-            auto &ent = out.annealed.memberTargetEntropy[m];
-            ent.resize(opts.targets.size());
-            for (std::size_t i = 0; i < opts.targets.size(); ++i)
-                ent[i] =
-                    out.searchedProfiles[m].perBit[opts.targets[i]];
-            out.annealed.memberCosts[m] =
-                pipe.searcher->memberCost(ent, gates);
-        }
-    }
     return out;
 }
 
@@ -123,24 +91,11 @@ setMapper(const AddressLayout &layout,
           const workloads::WorkloadSet &set,
           const SearchOptions &opts, double scale, std::string name)
 {
-    checkOptions(opts, set.size());
-    // A cache hit skips the whole pipeline — including trace-plane
-    // extraction for every member — so repeated SBIM/GBIM grid cells
-    // pay only the lookup.
-    const std::string cache_key = sbimCacheKey(set, scale, layout, opts);
+    const SetPipeline pipe(set, layout, opts, scale);
     if (name.empty())
         name = jointMapperName(set);
-    if (auto cached = sbimCache().lookup(cache_key))
-        return std::make_unique<AddressMapper>(
-            std::move(name), layout, std::move(cached->bim));
-    const SetPipeline pipe(set, layout, opts, scale);
-    SearchResult best = pipe.searcher->anneal();
-    // Same rule as searchSet: never cache a deadline-truncated
-    // (wall-clock-dependent) matrix.
-    if (!best.stats.deadlineHit)
-        sbimCache().store(cache_key, best);
-    return std::make_unique<AddressMapper>(std::move(name), layout,
-                                           std::move(best.bim));
+    return std::make_unique<AddressMapper>(
+        std::move(name), layout, pipe.searcher->anneal().bim);
 }
 
 } // namespace search

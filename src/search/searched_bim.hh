@@ -12,7 +12,10 @@
  * `WorkloadSet({name})`. Both take one `SearchOptions` (start from
  * `defaultOptions(layout)`) and run the one `BimSearch` constructor,
  * so the matrix the harness simulates and the profiles `searchSet`
- * reports come from the same search.
+ * reports come from the same search. Neither caches anything: every
+ * call runs the search. A grid cell that simulates a searched BIM is
+ * memoized whole by the result cache, so a cached cell never reaches
+ * these.
  */
 
 #ifndef VALLEY_SEARCH_SEARCHED_BIM_HH
@@ -61,14 +64,6 @@ struct SetSearchResult
  * all of them (plus the greedy baseline), and profile every member
  * under that BIM from the same planes. Both profiles equal
  * `workloads::profileWorkload` bit for bit.
- *
- * The annealed matrix is memoized in the on-disk SBIM cache under the
- * set's order-canonical key (`sbim_cache.hh`): a hit skips the
- * annealing restarts (the greedy baseline and profiles still run —
- * they are what the caller asked to see) and reports zero search
- * statistics; its member cost breakdown is reconstructed from the
- * searched profiles with the search's own objective, so hit and miss
- * report the same numbers.
  */
 SetSearchResult searchSet(const workloads::WorkloadSet &set,
                           const AddressLayout &layout,
@@ -79,10 +74,8 @@ SetSearchResult searchSet(const workloads::WorkloadSet &set,
  * `name` (empty = `jointMapperName(set)`; the harness passes "GBIM"
  * explicitly so a degenerate size-1 GBIM grid cell still reports the
  * scheme that was requested). Deterministic in (set, layout, opts,
- * scale) — the name is a label, not part of the cache key. `scale`
- * must be the factor the member workloads are built with; it keys
- * the on-disk SBIM cache, which lets repeated grid runs skip both
- * the search *and* the trace-plane extraction.
+ * scale); the name is a label only. `scale` must be the factor the
+ * member workloads are built with.
  */
 std::unique_ptr<AddressMapper> setMapper(
     const AddressLayout &layout, const workloads::WorkloadSet &set,

@@ -10,7 +10,7 @@
  * validated, canonically formatted value, so two spec strings that
  * mean the same workload (reordered keys, redundant defaults,
  * `n=096` vs `n=96`) resolve to the same canonical form and the same
- * stable hash — the property the on-disk result/SBIM caches key on.
+ * stable hash — the property the on-disk result cache keys on.
  *
  * `workloads::make()` falls through to `synth::make()` for any name
  * with the `synth:` prefix, so spec strings run everywhere a Table II

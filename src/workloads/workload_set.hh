@@ -18,9 +18,9 @@
  * `{MT, LU}` and `{LU, MT}` — or a synth spec with reordered
  * parameters — are the *same* set: same `members()` order, same
  * `key()`, same `hash()`. Every downstream consumer (joint search,
- * SBIM cache, result cache, benches) keys on that canonical identity,
- * which is what makes repeat grid runs hit their caches regardless of
- * how the set was spelled.
+ * result cache, benches) keys on that canonical identity, which is
+ * what makes repeat grid runs hit the result cache regardless of how
+ * the set was spelled.
  *
  * `key()` percent-escapes each member with `escapeSpecField` before
  * joining with ',': synth specs legitimately contain commas

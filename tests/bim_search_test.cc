@@ -447,8 +447,8 @@ TEST(BimSearch, RejectsTargetsOutsideCandidateMask)
 
 TEST(BimSearch, RejectsZeroRestartsOnEveryEntry)
 {
-    // A search runs at least one chain; a 0 that ran as 1 would file
-    // one search under two SBIM cache keys.
+    // A search runs at least one chain; a 0 that silently ran as 1
+    // would report options the search did not run with.
     PlanesFixture s("MT");
     const AddressLayout layout = gddr5();
     SearchOptions opts = defaultOptions(layout);

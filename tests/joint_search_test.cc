@@ -3,11 +3,12 @@
  * Tests for the joint ("global") BIM search over workload sets:
  * the `JointObjective` combiners, bit-identical serial/parallel
  * restarts on a multi-member set, set-order invariance of both the
- * search result and the cache key, member profiles equal to the
- * profiler's, size-1 sets named SBIM, member weights and combiners
- * taken from the options, the `maxEvaluations` budget cap, and
- * `map:gbim` end-to-end through `harness::runGrid` with cache hits on
- * repeat runs.
+ * search result and the set id GBIM cells key the result cache on,
+ * member profiles equal to the profiler's, size-1 sets named SBIM,
+ * member weights and combiners taken from the options, the
+ * `maxEvaluations` budget cap, and `map:gbim` end-to-end through
+ * `harness::runGrid`, whose repeat run reads every cell from the
+ * result cache and searches nothing.
  */
 
 #include <gtest/gtest.h>
@@ -18,8 +19,9 @@
 #include <memory>
 #include <unistd.h>
 
+#include "common/metrics.hh"
 #include "harness/experiment.hh"
-#include "search/sbim_cache.hh"
+#include "harness/result_cache.hh"
 #include "search/searched_bim.hh"
 #include "workloads/profiler.hh"
 #include "workloads/workload_set.hh"
@@ -226,8 +228,8 @@ TEST(JointSearch, SetOrderInvarianceOfResultAndCacheKey)
     const WorkloadSet rev({"synth:strided", "LU", "MT"});
     const SearchOptions opts = smallOptions(layout);
 
-    EXPECT_EQ(sbimCacheKey(fwd, kScale, layout, opts),
-              sbimCacheKey(rev, kScale, layout, opts));
+    // GBIM cells key the result cache on the set's short id.
+    EXPECT_EQ(fwd.shortId(), rev.shortId());
 
     const SetSearchResult a = searchSet(fwd, layout, opts, kScale);
     const SetSearchResult b = searchSet(rev, layout, opts, kScale);
@@ -324,28 +326,6 @@ TEST(JointSearch, MismatchedWeightsAreRejected)
                  std::invalid_argument);
 }
 
-TEST(JointSearch, WeightsShapeTheSbimCacheKey)
-{
-    // Weights change the searched matrix, so they must change the
-    // cache key — and empty weights must key exactly like a build
-    // that predates the field.
-    const AddressLayout layout = gddr5();
-    const WorkloadSet set({"MT", "LU"});
-    const SearchOptions plain = smallOptions(layout);
-    SearchOptions weighted = plain;
-    weighted.memberWeights = {1.0, 2.0};
-    SearchOptions reweighted = plain;
-    reweighted.memberWeights = {2.0, 1.0};
-
-    const std::string k0 = sbimCacheKey(set, kScale, layout, plain);
-    const std::string k1 = sbimCacheKey(set, kScale, layout, weighted);
-    const std::string k2 =
-        sbimCacheKey(set, kScale, layout, reweighted);
-    EXPECT_NE(k0, k1);
-    EXPECT_NE(k0, k2);
-    EXPECT_NE(k1, k2);
-}
-
 TEST(JointSearch, MaxEvaluationsIsAHardDeterministicCap)
 {
     const AddressLayout layout = gddr5();
@@ -389,15 +369,6 @@ TEST(JointSearch, MaxEvaluationsIsAHardDeterministicCap)
     const SearchResult rcp = scp.anneal();
     EXPECT_TRUE(rc.bim == rcp.bim);
     EXPECT_EQ(rc.stats.evaluations, rcp.stats.evaluations);
-
-    // The cap shapes the outcome, so it must shape the cache key.
-    EXPECT_NE(sbimCacheKey(set, kScale, layout, capped),
-              sbimCacheKey(set, kScale, layout, uncapped));
-    // So does the combiner.
-    SearchOptions worst = uncapped;
-    worst.combiner = JointCombiner::WorstCase;
-    EXPECT_NE(sbimCacheKey(set, kScale, layout, worst),
-              sbimCacheKey(set, kScale, layout, uncapped));
 }
 
 TEST(JointSearch, WorstCaseCombinerLiftsTheWorstMember)
@@ -434,7 +405,7 @@ TEST(JointSearch, MemberWeightsFromOptionsWeightTheMean)
 
 namespace {
 
-/** Point every cache at a fresh per-test-run directory. */
+/** Point the result cache at a fresh per-test-run directory. */
 class GbimGridTest : public ::testing::Test
 {
   protected:
@@ -446,11 +417,13 @@ class GbimGridTest : public ::testing::Test
         std::filesystem::remove_all(dir);
         setenv("VALLEY_CACHE_DIR", dir.c_str(), 1);
         unsetenv("VALLEY_CACHE");
+        harness::resultCache().resetForTesting();
     }
 
     void
     TearDown() override
     {
+        harness::resultCache().resetForTesting();
         unsetenv("VALLEY_CACHE_DIR");
         std::filesystem::remove_all(dir);
     }
@@ -469,14 +442,22 @@ TEST_F(GbimGridTest, GbimRunsEndToEndWithCacheHitsOnRepeat)
     o.useCache = true;
     o.threads = 1;
 
+    metrics::Counter &hits = metrics::counter("cache.result.hits");
+    metrics::Counter &evals = metrics::counter("search.evaluations");
+    const std::uint64_t cold_evals = evals.value();
     const harness::Grid first = harness::runGrid(o);
+    EXPECT_GT(evals.value(), cold_evals); // the cold grid searched
     for (const std::string &w : o.workloads) {
         EXPECT_GT(first.speedup(w, mapping::kGbim), 0.0) << w;
         EXPECT_GT(first.at(w, mapping::kGbim).seconds, 0.0) << w;
     }
-    // The searched-BIM cache now holds the joint matrix; a repeat
-    // grid must reproduce every cell exactly from the caches.
+    // A repeat grid reads all four cells from the result cache, so
+    // it never builds the shared joint matrix: no search runs.
+    const std::uint64_t warm_hits = hits.value();
+    const std::uint64_t warm_evals = evals.value();
     const harness::Grid second = harness::runGrid(o);
+    EXPECT_EQ(hits.value() - warm_hits, 4u);
+    EXPECT_EQ(evals.value(), warm_evals);
     for (const std::string &w : o.workloads)
         for (const std::string &s : o.mappers)
             EXPECT_TRUE(first.at(w, s) == second.at(w, s))

@@ -74,10 +74,9 @@ struct GoldenBim
 };
 
 /**
- * Every built-in BIM family on every layout preset. Result and
- * searched-BIM cache keys depend on these draws (through each
- * family's seed tag and draw order), so a mismatch here breaks every
- * cache on disk.
+ * Every built-in BIM family on every layout preset. Cached results
+ * depend on these draws (through each family's seed tag and draw
+ * order), so a mismatch here silently invalidates every cached cell.
  */
 const GoldenBim kGoldenBims[] = {
     {"gddr5_1gb", "map:base", 0, "c48e8f84555dc8c1"},

@@ -173,7 +173,7 @@ TEST(MapperRegistry, MalformedFamiliesAreRejected)
 TEST(MapperRegistry, BuiltinFamiliesPinSpecDisplayNameAndSeedTag)
 {
     // The display name is the RunResult::scheme label and the seed
-    // tag seeds every BIM draw; both reach the on-disk caches.
+    // tag seeds every BIM draw; both reach the on-disk result cache.
     struct Pin
     {
         const char *spec;

@@ -40,7 +40,7 @@ smallSpecs()
 TEST(SynthSpec, ResolveCanonicalizesValuesAndOrder)
 {
     // Reordered keys, redundant zero padding: same canonical form,
-    // same hash — the property the on-disk caches key on.
+    // same hash — the property the on-disk result cache keys on.
     const auto a =
         synth::resolve("synth:stencil3d,halo=2,n=096,scale=0.5");
     const auto b =

@@ -90,7 +90,7 @@ Options:
   --cache           memoize finished cells in the on-disk result
                     cache and reuse matching cells from prior runs;
                     rerunning a killed grid resumes it
-                    (VALLEY_CACHE=0 still disables all caches)
+                    (VALLEY_CACHE=0 still disables it)
   --trace FILE      record Chrome trace-event spans (grid cells,
                     search phases, cache lookups) and write them to
                     FILE — loadable in Perfetto / chrome://tracing
@@ -106,7 +106,7 @@ Options:
   --help            print this help and exit
 
 Environment:
-  VALLEY_CACHE=0        disable the on-disk result/searched-BIM caches
+  VALLEY_CACHE=0        disable the on-disk result cache
   VALLEY_CACHE_DIR=D    cache directory (default: ./cache)
   VALLEY_DEADLINE_MS=N  same as --deadline-ms N
   VALLEY_TRACE=FILE     same as --trace FILE

@@ -13,8 +13,11 @@
  *    BIM against every member of a workload set at once, the
  *    profile-driven counterpart of the paper's global RMP. Members
  *    mix Table II abbreviations and `synth:` specs; the set identity
- *    is order-insensitive, so repeat invocations hit the on-disk
- *    caches no matter how the list is spelled.
+ *    is order-insensitive, so every spelling of the list searches
+ *    the same set.
+ *
+ * It opens no cache: every run searches, so the JSON's search
+ * statistics always describe the run that wrote it.
  *
  * Emits the result as JSON: the matrix rows, the cost breakdown
  * against the identity and greedy baselines (per member for sets),
@@ -116,18 +119,16 @@ Options:
   --out FILE      write the searched BIM as JSON (matrix rows, cost
                   breakdown, per-member entropy for sets, and the
                   compiled 8x256 LUT)
-  --trace FILE    record Chrome trace-event spans (search phases,
-                  profiling, cache lookups) and write them to FILE —
-                  loadable in Perfetto / chrome://tracing
-                  (VALLEY_TRACE=FILE does the same)
+  --trace FILE    record Chrome trace-event spans (the search
+                  phases) and write them to FILE — loadable in
+                  Perfetto / chrome://tracing (VALLEY_TRACE=FILE
+                  does the same)
   --metrics FILE  write the metrics-registry snapshot (counters,
-                  per-phase evals/seconds, cache hit/miss, latency
-                  histograms) to FILE as stable, diffable JSON
+                  per-phase evals/seconds, latency histograms) to
+                  FILE as stable, diffable JSON
   --help          print this help and exit
 
 Environment:
-  VALLEY_CACHE=0       disable the on-disk searched-BIM cache
-  VALLEY_CACHE_DIR=D   cache directory (default: ./cache)
   VALLEY_TRACE=FILE    same as --trace FILE
   VALLEY_NO_SIMD=1     pin the scalar kernels (bit-identical; for
                        benchmarking and SIMD triage)
