@@ -13,7 +13,8 @@
  * hash keys every on-disk cache. This module is the single copy of
  * that machinery: `Spec::parse` (grammar only), the `Param` schema
  * entry, `resolveValues` (schema checks and canonicalisation),
- * `Resolved<Family>` (typed access, canonical form, hash), `validKey`,
+ * `Resolved<Family>` (typed access, canonical form, hash), `resolve`
+ * (the lookup of a spec's family in a table of families), `validKey`,
  * `splitList` (comma lists whose members are specs), and `parseU64`
  * and `parseF64`, the number rules spec values and the command-line
  * tools' numeric flags share.
@@ -201,6 +202,29 @@ class Resolved
     const Family *family_;
     Values values_;
 };
+
+/**
+ * Parse `text` and resolve it against the member of `families` its
+ * family name picks (`resolveValues`). `Family` is as for `Resolved`;
+ * the returned value points into `families`, so the table must
+ * outlive it. An unknown family throws with a diagnostic listing
+ * every family of the table, in table order.
+ */
+template <typename Family>
+Resolved<Family>
+resolve(const std::string &text, const std::vector<Family> &families)
+{
+    const Spec parsed = Spec::parse(Family::kPrefix, text);
+    for (const Family &f : families)
+        if (f.name == parsed.family)
+            return Resolved<Family>(
+                &f, resolveValues(text, parsed, f.name, f.params));
+    std::string known;
+    for (const Family &f : families)
+        known += (known.empty() ? "" : ", ") + f.name;
+    error(text, "unknown family '" + parsed.family +
+                    "'; registered families are " + known);
+}
 
 } // namespace spec
 } // namespace valley

@@ -314,6 +314,13 @@ loadChecksummedRecords(
     // Cache-open is the natural sweep point for sidecars orphaned by
     // a killed writer: probe-and-remove before (re)creating our own.
     cleanStaleLock(path);
+    // A missing file holds no records. Returning before the lock keeps
+    // a lookup that finds nothing from creating the cache dir and the
+    // lock sidecar; an append landing just after this check is one
+    // the load would have missed anyway.
+    struct stat st;
+    if (::stat(path.c_str(), &st) != 0)
+        return;
     // Exclusive lock across the whole read (+ possible quarantine
     // rewrite below): a record appended between our read pass and
     // the rename would otherwise be silently discarded by the

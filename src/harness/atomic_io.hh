@@ -98,8 +98,9 @@ parseChecksummedRecord(std::string_view line);
  * whole read+rewrite runs under the sidecar flock shared with
  * `atomicAppend`, so records appended by concurrent processes or
  * threads are never lost to the rewrite. A missing file is simply
- * zero records. Stale and quarantined lines are counted in the
- * `cache.stale_lines` and `cache.quarantined_lines` metrics.
+ * zero records, and its load creates nothing on disk. Stale and
+ * quarantined lines are counted in the `cache.stale_lines` and
+ * `cache.quarantined_lines` metrics.
  */
 void loadChecksummedRecords(
     const std::string &path, std::string_view version_prefix,

@@ -415,17 +415,16 @@ runGrid(GridOptions opts)
             std::chrono::milliseconds(deadline_ms)));
 
     // One canonical joint set for every GBIM cell of this grid: the
-    // explicit override, or the grid's own workload axis — "the best
-    // single BIM for the workloads being compared". The searched
-    // mapper is built lazily, at most once, and shared in memory
-    // across cells (AddressMapper is immutable after construction),
-    // so a parallel grid never races N identical annealing searches,
-    // and a grid whose GBIM cells all hit the result cache runs none.
+    // grid's own workload axis — "the best single BIM for the
+    // workloads being compared". The searched mapper is built lazily,
+    // at most once, and shared in memory across cells (AddressMapper
+    // is immutable after construction), so a parallel grid never
+    // races N identical annealing searches, and a grid whose GBIM
+    // cells all hit the result cache runs none.
     std::unique_ptr<workloads::WorkloadSet> joint;
     if (std::any_of(axis.begin(), axis.end(),
                     [](const MapperAxisEntry &e) { return e.gbim; }))
-        joint = std::make_unique<workloads::WorkloadSet>(
-            opts.jointSet.empty() ? opts.workloads : opts.jointSet);
+        joint = std::make_unique<workloads::WorkloadSet>(opts.workloads);
     std::unique_ptr<AddressMapper> gbim_mapper;
     std::once_flag gbim_once;
     const auto sharedGbim = [&]() -> const AddressMapper & {

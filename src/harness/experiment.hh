@@ -66,14 +66,6 @@ struct GridOptions
     bool useCache = false;
 
     /**
-     * Members of the joint set GBIM cells search against; empty =
-     * `workloads` (one global BIM for the whole grid's workload
-     * axis, the usual figs 10/12/20-style comparison). Ignored by
-     * every other scheme.
-     */
-    std::vector<std::string> jointSet;
-
-    /**
      * Worker threads for the grid: 1 = serial, 0 = one per hardware
      * thread. Every (workload, scheme) cell is an independent
      * simulation with its own GpuSystem and deterministically seeded

@@ -1,8 +1,10 @@
 /**
  * @file
- * Built-in mapper families: the paper's six schemes, the searched
- * SBIM/GBIM placeholders, the minimalist open-page mapping, and the
- * permutation-order family the registry makes nearly free.
+ * The mapper family table (`mapperFamilies`): the paper's six
+ * schemes, the searched SBIM/GBIM placeholders, the minimalist
+ * open-page mapping, and the permutation-order family. Each builder
+ * has the `MapperFamily::build` signature, so a table entry names it
+ * directly.
  *
  * Every cache key depends on the BIMs built here: the golden BIM
  * hashes in tests/mapper_oracle_test.cc pin each family's matrix, so
@@ -19,7 +21,15 @@ namespace mapping {
 namespace {
 
 BitMatrix
-buildPm(const AddressLayout &layout)
+buildBase(const ResolvedMapperSpec &, const AddressLayout &layout,
+          XorShiftRng &)
+{
+    return BitMatrix::identity(layout.addrBits);
+}
+
+BitMatrix
+buildPm(const ResolvedMapperSpec &, const AddressLayout &layout,
+        XorShiftRng &)
 {
     // Each channel/vault/bank bit XORed with a distinct least
     // significant row bit (Fig. 8): the narrow-range gather the Broad
@@ -34,7 +44,8 @@ buildPm(const AddressLayout &layout)
 }
 
 BitMatrix
-buildRmp(const AddressLayout &layout)
+buildRmp(const ResolvedMapperSpec &, const AddressLayout &layout,
+         XorShiftRng &)
 {
     // RMP routes the 6 bits with the highest *average* entropy across
     // all benchmarks into the channel/bank positions (Section IV-B).
@@ -57,7 +68,24 @@ buildRmp(const AddressLayout &layout)
 }
 
 BitMatrix
-buildAll(const AddressLayout &layout, XorShiftRng &rng)
+buildPae(const ResolvedMapperSpec &, const AddressLayout &layout,
+         XorShiftRng &rng)
+{
+    return bim::randomBroad(layout.addrBits, layout.randomizeTargets(),
+                            layout.pageMask(), rng);
+}
+
+BitMatrix
+buildFae(const ResolvedMapperSpec &, const AddressLayout &layout,
+         XorShiftRng &rng)
+{
+    return bim::randomBroad(layout.addrBits, layout.randomizeTargets(),
+                            layout.nonBlockMask(), rng);
+}
+
+BitMatrix
+buildAll(const ResolvedMapperSpec &, const AddressLayout &layout,
+         XorShiftRng &rng)
 {
     // ALL rewrites every non-block bit. Bit 6 stays identity: the
     // memory hierarchy operates on 128 B transactions, so bits [6:0]
@@ -72,22 +100,49 @@ buildAll(const AddressLayout &layout, XorShiftRng &rng)
     return bim::randomBroad(n, targets, mask, rng);
 }
 
-/** Fixed display name + no parameters + seed tag. */
+BitMatrix
+buildMop(const ResolvedMapperSpec &, const AddressLayout &layout,
+         XorShiftRng &)
+{
+    // The minimalist open-page mapping of Kaseridis et al. [7]:
+    // donors are the bits directly above the high column field, i.e.
+    // the lowest row bits — consecutive DRAM pages interleave across
+    // banks and channels (good for CPU streams; the paper shows the
+    // strategy cannot adapt to GPU valleys).
+    const std::vector<unsigned> targets = layout.randomizeTargets();
+    std::vector<unsigned> sources;
+    for (unsigned i = 0; i < targets.size(); ++i)
+        sources.push_back(layout.row.lo + i);
+    return bim::remap(layout.addrBits, targets, sources);
+}
+
+/** A family with a fixed display name. */
 MapperFamily
 paperFamily(std::string name, std::string display, std::string summary,
-            std::uint64_t seed_tag,
-            std::function<BitMatrix(const ResolvedMapperSpec &,
-                                    const AddressLayout &, XorShiftRng &)>
-                build)
+            std::uint64_t seed_tag, std::vector<spec::Param> params,
+            decltype(MapperFamily::build) build)
 {
     MapperFamily f;
     f.name = std::move(name);
     f.summary = std::move(summary);
     f.seedTag = seed_tag;
+    f.params = std::move(params);
     f.displayName = [display](const ResolvedMapperSpec &) {
         return display;
     };
     f.build = std::move(build);
+    return f;
+}
+
+/** needsProfiles placeholder for the searched families. */
+MapperFamily
+searchedFamily(std::string name, std::string display,
+               std::string summary, std::uint64_t seed_tag)
+{
+    MapperFamily f = paperFamily(std::move(name), std::move(display),
+                                 std::move(summary), seed_tag, {},
+                                 nullptr);
+    f.needsProfiles = true;
     return f;
 }
 
@@ -97,22 +152,6 @@ seedParam()
 {
     return {"seed", spec::Kind::U64, "0",
             "BIM instantiation seed; 0 inherits the harness seed", {}};
-}
-
-/** needsProfiles placeholder for the searched families. */
-MapperFamily
-searchedFamily(std::string name, std::string display,
-               std::string summary, std::uint64_t seed_tag)
-{
-    MapperFamily f;
-    f.name = std::move(name);
-    f.summary = std::move(summary);
-    f.needsProfiles = true;
-    f.seedTag = seed_tag;
-    f.displayName = [display](const ResolvedMapperSpec &) {
-        return display;
-    };
-    return f;
 }
 
 // --- the permutation-order family ----------------------------------
@@ -178,8 +217,10 @@ tokenBits(const std::string &tok, const AddressLayout &layout)
  * only when there are column bits) exactly once.
  */
 BitMatrix
-buildPerm(const std::string &order, const AddressLayout &layout)
+buildPerm(const ResolvedMapperSpec &r, const AddressLayout &layout,
+          XorShiftRng &)
 {
+    const std::string &order = r.s("order");
     const std::vector<std::string> tokens = parseOrderTokens(order);
 
     for (const char *t : kPermTokens) {
@@ -225,123 +266,58 @@ permFamily()
     f.displayName = [](const ResolvedMapperSpec &r) {
         return "PERM-" + r.s("order");
     };
-    f.build = [](const ResolvedMapperSpec &r, const AddressLayout &l,
-                 XorShiftRng &) {
-        return buildPerm(r.s("order"), l);
-    };
+    f.build = buildPerm;
     return f;
 }
-
-MapperFamily
-mopFamily()
-{
-    // The minimalist open-page mapping of Kaseridis et al. [7]:
-    // donors are the bits directly above the high column field, i.e.
-    // the lowest row bits — consecutive DRAM pages interleave across
-    // banks and channels (good for CPU streams; the paper shows the
-    // strategy cannot adapt to GPU valleys).
-    return paperFamily(
-        "mop", "MOP",
-        "minimalist open-page: lowest row bits remapped into "
-        "channel/bank",
-        16,
-        [](const ResolvedMapperSpec &, const AddressLayout &layout,
-           XorShiftRng &) {
-            const std::vector<unsigned> targets =
-                layout.randomizeTargets();
-            std::vector<unsigned> sources;
-            for (unsigned i = 0; i < targets.size(); ++i)
-                sources.push_back(layout.row.lo + i);
-            return bim::remap(layout.addrBits, targets, sources);
-        });
-}
-
-// Seed tags 0..7 seed every BIM draw of these families. The golden
-// BIM hashes (tests/mapper_oracle_test.cc) and the seed-tag pin
-// (tests/mapper_registry_test.cc) hold them fixed.
-
-VALLEY_REGISTER_MAPPER(paperFamily(
-    "base", "BASE", "the native layout order (identity BIM)", 0,
-    [](const ResolvedMapperSpec &, const AddressLayout &layout,
-       XorShiftRng &) { return BitMatrix::identity(layout.addrBits); }));
-
-VALLEY_REGISTER_MAPPER(paperFamily(
-    "pm", "PM",
-    "permutation-based mapping: channel/bank bits XOR low row bits",
-    1,
-    [](const ResolvedMapperSpec &, const AddressLayout &layout,
-       XorShiftRng &) { return buildPm(layout); }));
-
-VALLEY_REGISTER_MAPPER(paperFamily(
-    "rmp", "RMP",
-    "remap: globally highest-entropy bits into channel/bank", 2,
-    [](const ResolvedMapperSpec &, const AddressLayout &layout,
-       XorShiftRng &) { return buildRmp(layout); }));
-
-VALLEY_REGISTER_MAPPER([] {
-    MapperFamily f = paperFamily(
-        "pae", "PAE",
-        "Broad over the DRAM page address bits (power-efficient)", 3,
-        [](const ResolvedMapperSpec &, const AddressLayout &layout,
-           XorShiftRng &rng) {
-            return bim::randomBroad(layout.addrBits,
-                                    layout.randomizeTargets(),
-                                    layout.pageMask(), rng);
-        });
-    f.params = {seedParam()};
-    return f;
-}());
-
-VALLEY_REGISTER_MAPPER([] {
-    MapperFamily f = paperFamily(
-        "fae", "FAE", "Broad over the full non-block address", 4,
-        [](const ResolvedMapperSpec &, const AddressLayout &layout,
-           XorShiftRng &rng) {
-            return bim::randomBroad(layout.addrBits,
-                                    layout.randomizeTargets(),
-                                    layout.nonBlockMask(), rng);
-        });
-    f.params = {seedParam()};
-    return f;
-}());
-
-VALLEY_REGISTER_MAPPER([] {
-    MapperFamily f = paperFamily(
-        "all", "ALL",
-        "Broad rewriting every non-block bit (rows and columns too)",
-        5,
-        [](const ResolvedMapperSpec &, const AddressLayout &layout,
-           XorShiftRng &rng) { return buildAll(layout, rng); });
-    f.params = {seedParam()};
-    return f;
-}());
-
-VALLEY_REGISTER_MAPPER(searchedFamily(
-    "sbim", "SBIM",
-    "per-workload searched BIM (built by search::setMapper)", 6));
-
-VALLEY_REGISTER_MAPPER(searchedFamily(
-    "gbim", "GBIM",
-    "joint workload-set searched BIM (built by search::setMapper)",
-    7));
-
-VALLEY_REGISTER_MAPPER(mopFamily());
-
-VALLEY_REGISTER_MAPPER(permFamily());
 
 } // namespace
 
-namespace detail {
-
-// Called by mapper_registry.cc so static-library linking keeps this
-// TU (and with it the registrations above). A data anchor is not
-// enough: the compiler may fold the unused load away, dropping the
-// undefined-symbol reference that pulls this object from the archive.
-void
-linkBuiltinMappers()
+const std::vector<MapperFamily> &
+mapperFamilies()
 {
+    // Seed tags: 0..7 for base..gbim, 16 for mop, 17 for perm. Only
+    // pae, fae and all draw from their RNG, so their tags fix every
+    // BIM they build: the golden BIM hashes of
+    // tests/mapper_oracle_test.cc pin them, and
+    // tests/mapper_registry_test.cc pins the tags of base..gbim.
+    static const std::vector<MapperFamily> table = {
+        paperFamily("base", "BASE",
+                    "the native layout order (identity BIM)", 0, {},
+                    buildBase),
+        paperFamily("pm", "PM",
+                    "permutation-based mapping: channel/bank bits XOR "
+                    "low row bits",
+                    1, {}, buildPm),
+        paperFamily("rmp", "RMP",
+                    "remap: globally highest-entropy bits into "
+                    "channel/bank",
+                    2, {}, buildRmp),
+        paperFamily("pae", "PAE",
+                    "Broad over the DRAM page address bits "
+                    "(power-efficient)",
+                    3, {seedParam()}, buildPae),
+        paperFamily("fae", "FAE", "Broad over the full non-block address",
+                    4, {seedParam()}, buildFae),
+        paperFamily("all", "ALL",
+                    "Broad rewriting every non-block bit (rows and "
+                    "columns too)",
+                    5, {seedParam()}, buildAll),
+        searchedFamily("sbim", "SBIM",
+                       "per-workload searched BIM (built by "
+                       "search::setMapper)",
+                       6),
+        searchedFamily("gbim", "GBIM",
+                       "joint workload-set searched BIM (built by "
+                       "search::setMapper)",
+                       7),
+        paperFamily("mop", "MOP",
+                    "minimalist open-page: lowest row bits remapped "
+                    "into channel/bank",
+                    16, {}, buildMop),
+        permFamily(),
+    };
+    return table;
 }
 
-} // namespace detail
 } // namespace mapping
 } // namespace valley

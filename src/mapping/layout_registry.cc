@@ -1,11 +1,8 @@
 #include "mapping/layout_registry.hh"
 
 #include <cstring>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
 
-#include "common/spec.hh"
 #include "workloads/workload_set.hh"
 
 namespace valley {
@@ -49,83 +46,6 @@ orgError(const DramOrganization &org, const std::string &why)
     throw std::invalid_argument("bad DRAM organization '" + org.key +
                                 "': " + why);
 }
-
-/**
- * The preset table. Bit positions follow from the field order; the
- * first two entries must stay field-for-field identical to the
- * legacy hand-coded constructors (layout_registry_test.cc pins this).
- */
-std::vector<DramOrganization>
-builtinOrganizations()
-{
-    using K = FieldKind;
-    return {
-        // Paper Fig. 4: 4 channels x 16 banks, 30-bit address.
-        {"gddr5_1gb", "Hynix GDDR5 1GB",
-         "paper baseline: 4 channels x 16 banks x 4K rows, 30-bit",
-         {{K::Block, 6}, {K::ColLo, 2}, {K::Channel, 2}, {K::Bank, 4},
-          {K::ColHi, 4}, {K::Row, 12}}},
-        // Section VI-D: stack select above colLo, vault above that.
-        {"stacked3d_4gb", "3D-stacked 4GB (4 stacks x 16 vaults)",
-         "paper Sec. VI-D: 4 stacks x 16 vaults x 16 banks, 32-bit",
-         {{K::Block, 6}, {K::ColLo, 2}, {K::Channel, 2}, {K::Vault, 4},
-          {K::Bank, 4}, {K::ColHi, 4}, {K::Row, 10}}},
-        // HBM2-like: 8 pseudo-channels, wide rows, 32-bit (4 GB).
-        {"hbm2_4gb", "HBM2-like 4GB (8 channels x 16 banks)",
-         "8 pseudo-channels x 16 banks x 8K rows, 32-bit",
-         {{K::Block, 6}, {K::ColLo, 2}, {K::Channel, 3}, {K::Bank, 4},
-          {K::ColHi, 4}, {K::Row, 13}}},
-        // DDR4-like: few channels, deep rows, 32-bit (4 GB).
-        {"ddr4_4gb", "DDR4-like 4GB (2 channels x 16 banks)",
-         "2 channels x 16 banks (4 groups x 4) x 16K rows, 32-bit",
-         {{K::Block, 6}, {K::ColLo, 2}, {K::Channel, 1}, {K::Bank, 4},
-          {K::ColHi, 5}, {K::Row, 14}}},
-        // GDDR6-like: GDDR5 geometry with a doubled row count, 31-bit.
-        {"gddr6_2gb", "GDDR6-like 2GB (4 channels x 16 banks)",
-         "4 channels x 16 banks x 8K rows, 31-bit",
-         {{K::Block, 6}, {K::ColLo, 2}, {K::Channel, 2}, {K::Bank, 4},
-          {K::ColHi, 4}, {K::Row, 13}}},
-    };
-}
-
-struct Registry
-{
-    std::mutex mu;
-    // unique_ptr keeps `const DramOrganization *` handles stable
-    // across later registrations.
-    std::vector<std::unique_ptr<const DramOrganization>> presets;
-
-    Registry()
-    {
-        for (auto &org : builtinOrganizations())
-            add(std::move(org));
-    }
-
-    void
-    add(DramOrganization org)
-    {
-        if (!spec::validKey(org.key))
-            throw std::invalid_argument("bad layout key '" + org.key +
-                                        "': want [a-z0-9_]+");
-        // Validate the field list up front so a broken registration
-        // fails at the registration site, not at first use.
-        layoutFromOrganization(org);
-        std::lock_guard<std::mutex> lock(mu);
-        for (const auto &p : presets)
-            if (p->key == org.key)
-                throw std::invalid_argument(
-                    "duplicate layout key '" + org.key + "'");
-        presets.push_back(
-            std::make_unique<const DramOrganization>(std::move(org)));
-    }
-
-    static Registry &
-    instance()
-    {
-        static Registry r;
-        return r;
-    }
-};
 
 } // namespace
 
@@ -172,32 +92,51 @@ layoutFromOrganization(const DramOrganization &org)
     return l;
 }
 
-void
-registerLayout(DramOrganization org)
-{
-    Registry::instance().add(std::move(org));
-}
-
-std::vector<const DramOrganization *>
+/**
+ * The preset table. Bit positions follow from the field order; the
+ * first two entries must stay field-for-field identical to the
+ * legacy hand-coded constructors (layout_registry_test.cc pins this).
+ */
+const std::vector<DramOrganization> &
 layoutPresets()
 {
-    Registry &r = Registry::instance();
-    std::lock_guard<std::mutex> lock(r.mu);
-    std::vector<const DramOrganization *> out;
-    out.reserve(r.presets.size());
-    for (const auto &p : r.presets)
-        out.push_back(p.get());
-    return out;
+    using K = FieldKind;
+    static const std::vector<DramOrganization> table = {
+        // Paper Fig. 4: 4 channels x 16 banks, 30-bit address.
+        {"gddr5_1gb", "Hynix GDDR5 1GB",
+         "paper baseline: 4 channels x 16 banks x 4K rows, 30-bit",
+         {{K::Block, 6}, {K::ColLo, 2}, {K::Channel, 2}, {K::Bank, 4},
+          {K::ColHi, 4}, {K::Row, 12}}},
+        // Section VI-D: stack select above colLo, vault above that.
+        {"stacked3d_4gb", "3D-stacked 4GB (4 stacks x 16 vaults)",
+         "paper Sec. VI-D: 4 stacks x 16 vaults x 16 banks, 32-bit",
+         {{K::Block, 6}, {K::ColLo, 2}, {K::Channel, 2}, {K::Vault, 4},
+          {K::Bank, 4}, {K::ColHi, 4}, {K::Row, 10}}},
+        // HBM2-like: 8 pseudo-channels, wide rows, 32-bit (4 GB).
+        {"hbm2_4gb", "HBM2-like 4GB (8 channels x 16 banks)",
+         "8 pseudo-channels x 16 banks x 8K rows, 32-bit",
+         {{K::Block, 6}, {K::ColLo, 2}, {K::Channel, 3}, {K::Bank, 4},
+          {K::ColHi, 4}, {K::Row, 13}}},
+        // DDR4-like: few channels, deep rows, 32-bit (4 GB).
+        {"ddr4_4gb", "DDR4-like 4GB (2 channels x 16 banks)",
+         "2 channels x 16 banks (4 groups x 4) x 16K rows, 32-bit",
+         {{K::Block, 6}, {K::ColLo, 2}, {K::Channel, 1}, {K::Bank, 4},
+          {K::ColHi, 5}, {K::Row, 14}}},
+        // GDDR6-like: GDDR5 geometry with a doubled row count, 31-bit.
+        {"gddr6_2gb", "GDDR6-like 2GB (4 channels x 16 banks)",
+         "4 channels x 16 banks x 8K rows, 31-bit",
+         {{K::Block, 6}, {K::ColLo, 2}, {K::Channel, 2}, {K::Bank, 4},
+          {K::ColHi, 4}, {K::Row, 13}}},
+    };
+    return table;
 }
 
 const DramOrganization *
 findLayoutPreset(const std::string &key)
 {
-    Registry &r = Registry::instance();
-    std::lock_guard<std::mutex> lock(r.mu);
-    for (const auto &p : r.presets)
-        if (p->key == key)
-            return p.get();
+    for (const DramOrganization &org : layoutPresets())
+        if (org.key == key)
+            return &org;
     return nullptr;
 }
 
@@ -211,8 +150,8 @@ makeLayout(const std::string &spec)
         return layoutFromOrganization(*org);
 
     std::string known;
-    for (const DramOrganization *org : layoutPresets())
-        known += (known.empty() ? "" : ", ") + org->key;
+    for (const DramOrganization &org : layoutPresets())
+        known += (known.empty() ? "" : ", ") + org.key;
     throw std::invalid_argument("unknown layout '" + spec +
                                 "': registered layouts are " + known);
 }
@@ -220,7 +159,7 @@ makeLayout(const std::string &spec)
 std::string
 canonicalLayoutSpec(const std::string &spec)
 {
-    // Resolve through the registry so unknown keys diagnose here.
+    // Resolve through the presets so unknown keys diagnose here.
     return makeLayout(spec).spec;
 }
 

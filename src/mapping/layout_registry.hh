@@ -8,14 +8,15 @@
  * columns — needs layouts to be data, not code: a `DramOrganization`
  * lists the address fields least-significant-first with their widths,
  * and `layoutFromOrganization` derives the `AddressLayout` bit
- * positions from the running offset. Presets register under a
- * canonical key addressed by spec string:
+ * positions from the running offset. The presets are one fixed
+ * table (`layoutPresets`), each under a canonical key addressed by
+ * spec string:
  *
  *     layout:KEY            e.g. layout:gddr5_1gb, layout:hbm2_4gb
  *
  * `AddressLayout::hynixGddr5()` / `stacked3d()` now delegate to the
  * `gddr5_1gb` / `stacked3d_4gb` presets, so the legacy constructors
- * and the registry can never drift apart (asserted bit-for-bit in
+ * and the presets can never drift apart (asserted bit-for-bit in
  * tests/layout_registry_test.cc).
  *
  * All presets share the GDDR5 timing/power models (`SimConfig::dram`,
@@ -67,7 +68,7 @@ struct OrgField
  */
 struct DramOrganization
 {
-    std::string key;         ///< canonical registry key, [a-z0-9_]+
+    std::string key;         ///< canonical preset key, [a-z0-9_]+
     std::string displayName; ///< `AddressLayout::name`
     std::string summary;     ///< one-line description for --list-layouts
     std::vector<OrgField> fields; ///< LSB -> MSB
@@ -83,18 +84,8 @@ struct DramOrganization
  */
 AddressLayout layoutFromOrganization(const DramOrganization &org);
 
-/**
- * Register an organization under its key. Throws
- * `std::invalid_argument` on a duplicate key, a malformed key, or an
- * organization `layoutFromOrganization` rejects. Built-in presets
- * are registered before any lookup; external code may add more at
- * static-initialization time or later (not thread-safe against
- * concurrent lookups — register before use).
- */
-void registerLayout(DramOrganization org);
-
-/** All registered presets, registration order. */
-std::vector<const DramOrganization *> layoutPresets();
+/** Every preset, in listing order; the table is immutable. */
+const std::vector<DramOrganization> &layoutPresets();
 
 /** Find a preset by key (no `layout:` prefix); nullptr if unknown. */
 const DramOrganization *findLayoutPreset(const std::string &key);
@@ -102,7 +93,7 @@ const DramOrganization *findLayoutPreset(const std::string &key);
 /**
  * Build the layout of a spec string. Accepts `layout:KEY` or a bare
  * preset key. Throws `std::invalid_argument` on an unknown key with
- * a diagnostic listing every registered key.
+ * a diagnostic listing every preset key.
  */
 AddressLayout makeLayout(const std::string &spec);
 

@@ -1,63 +1,10 @@
 #include "mapping/mapper_registry.hh"
 
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 
 namespace valley {
 namespace mapping {
-
-namespace {
-
-struct Registry
-{
-    std::mutex mu;
-    // unique_ptr keeps `const MapperFamily *` handles stable across
-    // later registrations.
-    std::vector<std::unique_ptr<const MapperFamily>> families;
-
-    void
-    add(MapperFamily f)
-    {
-        if (!spec::validKey(f.name))
-            throw std::invalid_argument("bad mapper family name '" +
-                                        f.name + "': want [a-z0-9_]+");
-        if (!f.build && !f.needsProfiles)
-            throw std::invalid_argument("mapper family '" + f.name +
-                                        "' has no build function");
-        if (!f.displayName)
-            throw std::invalid_argument("mapper family '" + f.name +
-                                        "' has no display name");
-        for (const auto &p : f.params)
-            if (!spec::validKey(p.key))
-                throw std::invalid_argument(
-                    "mapper family '" + f.name +
-                    "' has a bad parameter key '" + p.key + "'");
-        std::lock_guard<std::mutex> lock(mu);
-        for (const auto &existing : families)
-            if (existing->name == f.name)
-                throw std::invalid_argument(
-                    "duplicate mapper family '" + f.name + "'");
-        families.push_back(
-            std::make_unique<const MapperFamily>(std::move(f)));
-    }
-
-    static Registry &
-    instance()
-    {
-        static Registry r;
-        return r;
-    }
-};
-
-/** Force builtin_mappers.cc to link before any registry lookup. */
-void
-ensureBuiltins()
-{
-    detail::linkBuiltinMappers();
-}
-
-} // namespace
 
 bool
 isMapperSpec(const std::string &name)
@@ -65,52 +12,10 @@ isMapperSpec(const std::string &name)
     return name.rfind(MapperFamily::kPrefix, 0) == 0;
 }
 
-void
-registerMapper(MapperFamily family)
-{
-    Registry::instance().add(std::move(family));
-}
-
-std::vector<const MapperFamily *>
-mapperFamilies()
-{
-    ensureBuiltins();
-    Registry &r = Registry::instance();
-    std::lock_guard<std::mutex> lock(r.mu);
-    std::vector<const MapperFamily *> out;
-    out.reserve(r.families.size());
-    for (const auto &f : r.families)
-        out.push_back(f.get());
-    return out;
-}
-
-const MapperFamily *
-findMapperFamily(const std::string &name)
-{
-    ensureBuiltins();
-    Registry &r = Registry::instance();
-    std::lock_guard<std::mutex> lock(r.mu);
-    for (const auto &f : r.families)
-        if (f->name == name)
-            return f.get();
-    return nullptr;
-}
-
 ResolvedMapperSpec
 resolveMapperSpec(const std::string &text)
 {
-    const spec::Spec parsed = spec::Spec::parse(MapperFamily::kPrefix, text);
-    const MapperFamily *family = findMapperFamily(parsed.family);
-    if (!family) {
-        std::string known;
-        for (const MapperFamily *f : mapperFamilies())
-            known += (known.empty() ? "" : ", ") + f->name;
-        spec::error(text, "unknown family '" + parsed.family +
-                              "'; registered families are " + known);
-    }
-    return ResolvedMapperSpec(
-        family, spec::resolveValues(text, parsed, family->name,
-                                    family->params));
+    return spec::resolve(text, mapperFamilies());
 }
 
 std::string
@@ -167,15 +72,5 @@ paperMappers()
     return order;
 }
 
-namespace detail {
-
-bool
-registerMapperAtLoad(MapperFamily family)
-{
-    registerMapper(std::move(family));
-    return true;
-}
-
-} // namespace detail
 } // namespace mapping
 } // namespace valley

@@ -1,11 +1,12 @@
 /**
  * @file
- * String-keyed, self-registering address-mapper registry.
+ * The string-keyed address-mapper registry: one fixed table of
+ * mapper families.
  *
- * A mapper *family* registers under a spec-string key (the Ramulator
- * `RAMULATOR_REGISTER_IMPLEMENTATION` idiom), and the spec string is
- * the only name of a mapper — `harness::runOne`/`runGrid`, the cache
- * keys, the CLIs, the benches and the tests all speak specs:
+ * A mapper *family* is keyed by a spec-string name, and the spec
+ * string is the only name of a mapper — `harness::runOne`/`runGrid`,
+ * the cache keys, the CLIs, the benches and the tests all speak
+ * specs:
  *
  *     map:FAMILY[,key=value]...
  *     e.g.  map:base   map:pae,seed=3   map:perm,order=RoCoBaCh
@@ -22,22 +23,12 @@
  * `kBase` ... `kGbim` name the built-in families' canonical specs and
  * `paperMappers()` lists the paper's six in its order.
  *
- * Profile-dependent families (sbim, gbim) register with
- * `needsProfiles`; `makeMapper` cannot build them from a layout alone
- * and the harness routes them through `search::` instead, as before.
+ * Profile-dependent families (sbim, gbim) carry `needsProfiles`;
+ * `makeMapper` cannot build them from a layout alone and the harness
+ * routes them through `search::` instead.
  *
- * Registration idiom for a new out-of-tree family (in any linked TU):
- *
- *     VALLEY_REGISTER_MAPPER([] {
- *         MapperFamily f;
- *         f.name = "myfam";
- *         ...
- *         return f;
- *     }());
- *
- * Built-in families live in builtin_mappers.cc; the registry pins
- * that translation unit via an anchor symbol so static-library
- * linking cannot strip its registrations.
+ * The table (`mapperFamilies`) is defined in builtin_mappers.cc; a
+ * new family is one more entry there.
  */
 
 #ifndef VALLEY_MAPPING_MAPPER_REGISTRY_HH
@@ -69,12 +60,12 @@ struct MapperFamily;
  */
 using ResolvedMapperSpec = spec::Resolved<MapperFamily>;
 
-/** A registered mapper family. */
+/** One mapper family of the table. */
 struct MapperFamily
 {
     static constexpr const char *kPrefix = "map:";
 
-    std::string name;    ///< registry key, [a-z0-9_]+
+    std::string name;    ///< table key, [a-z0-9_]+
     std::string summary; ///< one-liner for --list-mappers
 
     /**
@@ -114,19 +105,8 @@ struct MapperFamily
         build;
 };
 
-/**
- * Register a family. Throws `std::invalid_argument` on a duplicate
- * or malformed name, a malformed parameter schema, or a missing
- * build function (unless `needsProfiles`). Thread-safe; handles
- * returned by `findMapperFamily` stay valid across registrations.
- */
-void registerMapper(MapperFamily family);
-
-/** All registered families, registration order. */
-std::vector<const MapperFamily *> mapperFamilies();
-
-/** Find a family by name; nullptr if unknown. */
-const MapperFamily *findMapperFamily(const std::string &name);
+/** Every family, in listing order; the table is immutable. */
+const std::vector<MapperFamily> &mapperFamilies();
 
 /**
  * Parse + schema-validate a spec string. Throws
@@ -176,30 +156,7 @@ inline constexpr const char *kGbim = "map:gbim";
 /** The paper's six mappers (Section VI), in its presentation order. */
 const std::vector<std::string> &paperMappers();
 
-namespace detail {
-
-/**
- * No-op defined in builtin_mappers.cc; calling it forces that TU
- * into the link so its self-registrations run (static-archive
- * stripping guard — a data anchor would be constant-folded away,
- * an out-of-line call cannot be without LTO).
- */
-void linkBuiltinMappers();
-
-/** Load-time registration helper for VALLEY_REGISTER_MAPPER. */
-bool registerMapperAtLoad(MapperFamily family);
-
-} // namespace detail
 } // namespace mapping
 } // namespace valley
-
-#define VALLEY_MAPPER_CONCAT_INNER(a, b) a##b
-#define VALLEY_MAPPER_CONCAT(a, b) VALLEY_MAPPER_CONCAT_INNER(a, b)
-
-/** Self-register a MapperFamily at program load. */
-#define VALLEY_REGISTER_MAPPER(family_expr)                                \
-    static const bool VALLEY_MAPPER_CONCAT(valley_mapper_registered_,      \
-                                           __COUNTER__) =                  \
-        ::valley::mapping::detail::registerMapperAtLoad((family_expr))
 
 #endif // VALLEY_MAPPING_MAPPER_REGISTRY_HH

@@ -1,6 +1,6 @@
 /**
  * @file
- * Registry of synthetic scenario families.
+ * The table of synthetic scenario families.
  *
  * Each family is a parameterized pattern primitive — `stream`,
  * `strided`, `tiled2d`, `stencil3d`, `csr_gather`, `attention`,
@@ -35,7 +35,12 @@ namespace synth {
 /** True iff `name` is a `synth:` spec string (by prefix). */
 bool isSynthSpec(const std::string &name);
 
-/** One registered scenario family. */
+struct FamilyInfo;
+
+/** A spec validated against its family schema (`common/spec.hh`). */
+using ResolvedSpec = spec::Resolved<FamilyInfo>;
+
+/** One scenario family of the table. */
 struct FamilyInfo
 {
     static constexpr const char *kPrefix = "synth:";
@@ -44,16 +49,13 @@ struct FamilyInfo
     std::string summary;        ///< one-line description
     bool typicallyValley = false; ///< default-parameter entropy shape
     std::vector<spec::Param> params;
+    /** The generator (synth/patterns.hh), given the caller's scale. */
+    std::unique_ptr<Workload> (*make)(const ResolvedSpec &,
+                                      double scale) = nullptr;
 };
 
-/** A spec validated against its family schema (`common/spec.hh`). */
-using ResolvedSpec = spec::Resolved<FamilyInfo>;
-
-/** All registered families, listing order. */
+/** Every family, in listing order; the table is immutable. */
 const std::vector<FamilyInfo> &families();
-
-/** Find a family by name; nullptr when unknown. */
-const FamilyInfo *findFamily(const std::string &name);
 
 /**
  * Parse a spec string and resolve it against its family schema.

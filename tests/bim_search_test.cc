@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <optional>
 
 #include "bim/bim_builder.hh"
@@ -455,13 +454,11 @@ TEST(BimSearch, RejectsZeroRestartsOnEveryEntry)
     opts.restarts = 0;
     EXPECT_THROW(BimSearch(layout, {s.planes.get()}, opts),
                  std::invalid_argument);
-    setenv("VALLEY_CACHE", "0", 1);
     const workloads::WorkloadSet set({"MT"});
     EXPECT_THROW(search::searchSet(set, layout, opts, kScale),
                  std::invalid_argument);
     EXPECT_THROW(search::setMapper(layout, set, opts, kScale),
                  std::invalid_argument);
-    unsetenv("VALLEY_CACHE");
 }
 
 TEST(SearchedMapper, WrapsInvertibleBimNamedSbim)
@@ -472,12 +469,8 @@ TEST(SearchedMapper, WrapsInvertibleBimNamedSbim)
     opts.threads = 1;
     opts.restarts = 2;
     opts.iterations = 300;
-    // VALLEY_CACHE=0: this test must exercise the live search (and
-    // never write a cache entry into the developer's cache dir).
-    setenv("VALLEY_CACHE", "0", 1);
     const auto mapper = search::setMapper(
         layout, workloads::WorkloadSet({"MT"}), opts, kScale);
-    unsetenv("VALLEY_CACHE");
     EXPECT_EQ(mapper->name(), "SBIM");
     EXPECT_TRUE(mapper->matrix().invertible());
     // One-to-one over a sample of addresses via the inverse matrix.

@@ -145,6 +145,18 @@ TEST_F(CacheRobustnessTest, AtomicWriteFileReplacesWholeFile)
     EXPECT_EQ(files, 1u);
 }
 
+TEST_F(CacheRobustnessTest, LookupUnderMissingCacheDirCreatesNothing)
+{
+    // A lookup that finds no file returns nothing and writes nothing:
+    // neither the cache dir nor its lock sidecar appears.
+    ASSERT_FALSE(std::filesystem::exists(dir));
+    EXPECT_FALSE(harness::resultCache()
+                     .lookup(harness::cacheKey("cfg", "MT", "BASE", 1,
+                                               1.0, ""))
+                     .has_value());
+    EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
 TEST_F(CacheRobustnessTest, ResultCacheQuarantinesCorruptLines)
 {
     const std::string k1 =

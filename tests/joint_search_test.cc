@@ -74,13 +74,6 @@ smallOptions(const AddressLayout &layout)
     return o;
 }
 
-/** Scoped VALLEY_CACHE=0 so searches run live, never touch disk. */
-struct CacheOff
-{
-    CacheOff() { setenv("VALLEY_CACHE", "0", 1); }
-    ~CacheOff() { unsetenv("VALLEY_CACHE"); }
-};
-
 } // namespace
 
 TEST(JointObjective, MeanOfOneMemberIsTheMemberCost)
@@ -222,7 +215,6 @@ TEST(JointSearch, JointMatrixImprovesEveryMemberHere)
 
 TEST(JointSearch, SetOrderInvarianceOfResultAndCacheKey)
 {
-    const CacheOff off; // live searches; nothing persisted
     const AddressLayout layout = gddr5();
     const WorkloadSet fwd({"MT", "LU", "synth:strided"});
     const WorkloadSet rev({"synth:strided", "LU", "MT"});
@@ -246,7 +238,6 @@ TEST(JointSearch, SetProfilesEqualTheProfilersBitForBit)
 {
     // searchSet profiles each member from the planes it extracted for
     // the search; both profiles must be exactly the profiler's own.
-    const CacheOff off;
     const AddressLayout layout = gddr5();
     const WorkloadSet set({"MT", "LU"});
     const SearchOptions opts = smallOptions(layout);
@@ -278,7 +269,6 @@ TEST(JointSearch, SetProfilesEqualTheProfilersBitForBit)
 
 TEST(JointSearch, SizeOneSetIsNamedSbim)
 {
-    const CacheOff off;
     const AddressLayout layout = gddr5();
     const SearchOptions opts = smallOptions(layout);
 
@@ -297,7 +287,6 @@ TEST(JointSearch, WeightedSizeOneEqualsUnweighted)
     // With one member, the weighted mean collapses to the member
     // cost no matter the weight, so the searched matrix must be
     // bit-identical to the unweighted search.
-    const CacheOff off;
     const AddressLayout layout = gddr5();
     const WorkloadSet set({"MT"});
 
@@ -314,7 +303,6 @@ TEST(JointSearch, WeightedSizeOneEqualsUnweighted)
 
 TEST(JointSearch, MismatchedWeightsAreRejected)
 {
-    const CacheOff off;
     const AddressLayout layout = gddr5();
     SearchOptions opts = smallOptions(layout);
     opts.memberWeights = {1.0, 2.0, 3.0};

@@ -1,20 +1,22 @@
 /**
  * @file
  * Tests for the string-keyed mapper registry
- * (`mapping/mapper_registry`): canonical forms and hash stability,
- * schema validation diagnostics (unknown family/parameter listing
- * the registered keys), duplicate
- * registration rejection, and the pinned spec, display name and
- * seed tag of every built-in family.
+ * (`mapping/mapper_registry`): the family table's order and
+ * well-formedness, canonical forms and hash stability, schema
+ * validation diagnostics (unknown family/parameter listing the known
+ * keys), and the pinned spec, display name and seed tag of every
+ * built-in family.
  */
 
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/spec.hh"
 #include "mapping/address_layout.hh"
 #include "mapping/mapper_registry.hh"
 
@@ -36,37 +38,40 @@ errorOf(Fn &&fn)
     return "";
 }
 
-/** A minimal valid family for registration-path tests. */
-mapping::MapperFamily
-probeFamily(const std::string &name)
-{
-    mapping::MapperFamily f;
-    f.name = name;
-    f.summary = "test probe";
-    f.seedTag = 900;
-    f.displayName = [](const mapping::ResolvedMapperSpec &) {
-        return std::string("PROBE");
-    };
-    f.build = [](const mapping::ResolvedMapperSpec &,
-                 const AddressLayout &l, XorShiftRng &) {
-        return BitMatrix::identity(l.addrBits);
-    };
-    return f;
-}
-
 } // namespace
 
-TEST(MapperRegistry, BuiltinFamiliesAreRegistered)
+TEST(MapperRegistry, BuiltinTableIsWellFormed)
 {
-    // The builtin TU must survive static-archive linking (the anchor
-    // regression): every family the harness depends on is present.
-    for (const char *name : {"base", "pm", "rmp", "pae", "fae", "all",
-                             "sbim", "gbim", "mop", "perm"}) {
-        const auto *f = mapping::findMapperFamily(name);
-        ASSERT_NE(f, nullptr) << name;
-        EXPECT_EQ(f->name, name);
+    // The table's invariants: pinned order, valid unique names and
+    // parameter keys, a build function unless the search builds the
+    // family, and a display name. Display names land in
+    // space-separated result rows and '|'-separated cache records, so
+    // none may hold a reserved character.
+    const std::vector<std::string> order = {
+        "base", "pm", "rmp", "pae", "fae", "all", "sbim", "gbim", "mop",
+        "perm"};
+    const std::vector<mapping::MapperFamily> &table =
+        mapping::mapperFamilies();
+    ASSERT_EQ(table.size(), order.size());
+    std::set<std::string> names;
+    for (std::size_t i = 0; i < table.size(); ++i) {
+        const mapping::MapperFamily &f = table[i];
+        EXPECT_EQ(f.name, order[i]);
+        EXPECT_TRUE(spec::validKey(f.name)) << f.name;
+        EXPECT_TRUE(names.insert(f.name).second) << f.name;
+        EXPECT_TRUE(f.build || f.needsProfiles) << f.name;
+        for (const spec::Param &p : f.params)
+            EXPECT_TRUE(spec::validKey(p.key)) << f.name << ": " << p.key;
+        ASSERT_TRUE(f.displayName) << f.name;
+        std::string text = "map:" + f.name;
+        if (f.name == "perm")
+            text += ",order=RoCoBaCh";
+        const std::string label =
+            f.displayName(mapping::resolveMapperSpec(text));
+        EXPECT_FALSE(label.empty()) << f.name;
+        EXPECT_EQ(label.find_first_of(" \t,;|%\n\r"), std::string::npos)
+            << f.name << ": " << label;
     }
-    EXPECT_EQ(mapping::findMapperFamily("nosuch"), nullptr);
 }
 
 TEST(MapperRegistry, CanonicalFormOmitsDefaultsAndNormalizesInts)
@@ -101,13 +106,10 @@ TEST(MapperRegistry, HashIsStableAcrossSpellingsAndDistinctAcrossSpecs)
 
 TEST(MapperRegistry, UnknownFamilyDiagnosticListsRegisteredFamilies)
 {
-    const std::string msg = errorOf(
-        [] { mapping::resolveMapperSpec("map:nosuch"); });
-    EXPECT_NE(msg.find("unknown family 'nosuch'"), std::string::npos)
-        << msg;
-    EXPECT_NE(msg.find("registered families are"), std::string::npos);
-    for (const char *name : {"base", "pm", "sbim", "perm"})
-        EXPECT_NE(msg.find(name), std::string::npos) << msg;
+    EXPECT_EQ(errorOf([] { mapping::resolveMapperSpec("map:nosuch"); }),
+              "bad spec 'map:nosuch': unknown family 'nosuch'; "
+              "registered families are base, pm, rmp, pae, fae, all, "
+              "sbim, gbim, mop, perm");
 }
 
 TEST(MapperRegistry, UnknownParameterDiagnosticListsKnownKeys)
@@ -149,27 +151,6 @@ TEST(MapperRegistry, ValueValidationRejectsGarbage)
                  std::invalid_argument);
 }
 
-TEST(MapperRegistry, DuplicateRegistrationIsRejected)
-{
-    mapping::registerMapper(probeFamily("zzdupprobe"));
-    const std::string msg = errorOf(
-        [] { mapping::registerMapper(probeFamily("zzdupprobe")); });
-    EXPECT_NE(msg.find("zzdupprobe"), std::string::npos) << msg;
-    // The first registration stays usable.
-    EXPECT_NE(mapping::findMapperFamily("zzdupprobe"), nullptr);
-}
-
-TEST(MapperRegistry, MalformedFamiliesAreRejected)
-{
-    auto bad_name = probeFamily("ZZ-Bad");
-    EXPECT_THROW(mapping::registerMapper(std::move(bad_name)),
-                 std::invalid_argument);
-    auto no_build = probeFamily("zznobuild");
-    no_build.build = nullptr;
-    EXPECT_THROW(mapping::registerMapper(std::move(no_build)),
-                 std::invalid_argument);
-}
-
 TEST(MapperRegistry, BuiltinFamiliesPinSpecDisplayNameAndSeedTag)
 {
     // The display name is the RunResult::scheme label and the seed
@@ -196,24 +177,6 @@ TEST(MapperRegistry, BuiltinFamiliesPinSpecDisplayNameAndSeedTag)
         EXPECT_EQ(constants[i], p.spec);
         EXPECT_EQ(mapping::displayName(p.spec), p.name);
         EXPECT_EQ(r.family().seedTag, p.seedTag) << p.spec;
-    }
-}
-
-TEST(MapperRegistry, DisplayNamesAreJournalSafe)
-{
-    // Display names land in space-separated result rows and
-    // '|'-separated cache records; none of the reserved characters
-    // may appear.
-    for (const auto *f : mapping::mapperFamilies()) {
-        std::string spec = "map:" + f->name;
-        if (f->name == "perm")
-            spec += ",order=RoCoBaCh";
-        const auto r = mapping::resolveMapperSpec(spec);
-        const std::string label = f->displayName(r);
-        EXPECT_FALSE(label.empty()) << f->name;
-        EXPECT_EQ(label.find_first_of(" \t,;|%\n\r"),
-                  std::string::npos)
-            << f->name << ": " << label;
     }
 }
 

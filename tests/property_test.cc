@@ -100,22 +100,22 @@ TEST_P(SchemeSeeds, EveryRegisteredMapperInvertsOnEveryLayoutPreset)
     // random address batches must map one-to-one (decode via the
     // inverse recovers the address), stay inside the address space,
     // and decode to in-range channel/bank/row coordinates.
-    for (const auto *org : mapping::layoutPresets()) {
-        const AddressLayout l = mapping::makeLayout(org->key);
+    for (const auto &org : mapping::layoutPresets()) {
+        const AddressLayout l = mapping::makeLayout(org.key);
         const std::uint64_t mask =
             (std::uint64_t{1} << l.addrBits) - 1;
-        for (const auto *f : mapping::mapperFamilies()) {
-            if (f->needsProfiles)
+        for (const auto &f : mapping::mapperFamilies()) {
+            if (f.needsProfiles)
                 continue; // searched families: covered by the oracle
-            std::string spec = "map:" + f->name;
-            if (f->name == "perm")
+            std::string spec = "map:" + f.name;
+            if (f.name == "perm")
                 // order must name exactly the layout's fields.
                 spec += l.vault.width ? ",order=RoCoBaVaCh"
                                       : ",order=RoCoBaCh";
             const auto m =
                 mapping::makeMapper(spec, l, GetParam());
             ASSERT_TRUE(m->matrix().invertible())
-                << org->key << " " << spec;
+                << org.key << " " << spec;
             const auto inv = m->matrix().inverse();
             ASSERT_TRUE(inv.has_value());
             XorShiftRng rng(GetParam() * 17 + 5);
@@ -123,7 +123,7 @@ TEST_P(SchemeSeeds, EveryRegisteredMapperInvertsOnEveryLayoutPreset)
                 const Addr a = rng.next() & mask;
                 const Addr mapped = m->map(a);
                 EXPECT_EQ(mapped & ~mask, 0u)
-                    << org->key << " " << spec;
+                    << org.key << " " << spec;
                 EXPECT_EQ(inv->apply(mapped), a);
                 const DramCoord c = m->coordOf(a);
                 EXPECT_LT(c.channel, l.numChannels());

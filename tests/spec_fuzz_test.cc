@@ -53,16 +53,16 @@ corpus()
             s += "," + p.key + "=" + p.def;
         c.push_back(s);
     }
-    for (const mapping::MapperFamily *f : mapping::mapperFamilies()) {
-        std::string s = mapping::MapperFamily::kPrefix + f->name;
+    for (const mapping::MapperFamily &f : mapping::mapperFamilies()) {
+        std::string s = mapping::MapperFamily::kPrefix + f.name;
         // The one required parameter is perm's order.
-        for (const spec::Param &p : f->params)
+        for (const spec::Param &p : f.params)
             s += "," + p.key + "=" + (p.def.empty() ? "RoCoBaCh" : p.def);
         c.push_back(s);
     }
-    for (const mapping::DramOrganization *org : mapping::layoutPresets()) {
-        c.push_back(org->key);
-        c.push_back(mapping::kLayoutPrefix + org->key);
+    for (const mapping::DramOrganization &org : mapping::layoutPresets()) {
+        c.push_back(org.key);
+        c.push_back(mapping::kLayoutPrefix + org.key);
     }
     c.push_back("MT,synth:stream,wr=0.75,n=4096,LU");
     c.push_back("BASE,map:pae,seed=3,map:perm,order=RoCoBaCh,FAE");

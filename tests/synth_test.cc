@@ -146,11 +146,12 @@ TEST(SynthRegistry, AtLeastSixFamilies)
 {
     EXPECT_GE(synth::families().size(), 6u);
     for (const synth::FamilyInfo &f : synth::families()) {
-        EXPECT_NE(synth::findFamily(f.name), nullptr);
+        EXPECT_EQ(&synth::resolve("synth:" + f.name).family(), &f);
+        EXPECT_NE(f.make, nullptr) << f.name;
         EXPECT_FALSE(f.summary.empty());
         EXPECT_FALSE(f.params.empty());
     }
-    EXPECT_EQ(synth::findFamily("nope"), nullptr);
+    EXPECT_THROW(synth::resolve("synth:nope"), std::invalid_argument);
 }
 
 TEST(SynthRegistry, MakeFallsThroughFromWorkloads)
@@ -349,7 +350,6 @@ TEST(SynthSearch, SbimBeatsBaseOnSynthValley)
     // The acceptance bar of the subsystem: BimSearch finds a matrix
     // that strictly improves a *synthetic* workload's target-bit
     // entropy, profiles flowing through the standard pipeline.
-    setenv("VALLEY_CACHE", "0", 1); // keep this test hermetic
     const auto wl = workloads::make("synth:stencil3d", 0.25);
     const AddressLayout layout = AddressLayout::hynixGddr5();
     search::SearchOptions so = search::defaultOptions(layout);
@@ -358,7 +358,6 @@ TEST(SynthSearch, SbimBeatsBaseOnSynthValley)
     so.threads = 1;
     const search::SetSearchResult r = search::searchSet(
         workloads::WorkloadSet({wl->info().abbrev}), layout, so, 0.25);
-    unsetenv("VALLEY_CACHE");
 
     EXPECT_GT(r.annealed.gain(), 0.0);
     const std::vector<unsigned> targets = layout.randomizeTargets();

@@ -103,9 +103,8 @@ Options:
   --list-layouts  print the registered layout: presets, exit
   --scale S       problem-size scale in (0, 1]; default 0.25
   --layout L      DRAM layout preset: a key or layout: spec from
-                  --list-layouts (e.g. gddr5_1gb, layout:hbm2_4gb);
-                  the aliases gddr5 (default) and 3d name the
-                  gddr5_1gb and stacked3d_4gb presets
+                  --list-layouts (e.g. layout:hbm2_4gb); default
+                  gddr5_1gb
   --seed N        search seed (the "BIM-N" of Fig. 19); default 1
   --restarts N    annealing restarts; default 4
   --iters N       moves per restart; default 1200
@@ -148,53 +147,36 @@ struct CliOptions
     std::string tracePath;
     std::string metricsPath;
     double scale = 0.25;
-    std::string layout = "gddr5";
+    std::string layout = "gddr5_1gb";
     bool list = false;
     bool listMappers = false;
     bool listLayouts = false;
     search::SearchOptions search;
 };
 
-/** Resolve --layout: a registry key/spec, or a legacy alias. */
-AddressLayout
-resolveLayout(const std::string &l)
-{
-    std::string key = l;
-    if (l == "gddr5")
-        key = "gddr5_1gb";
-    else if (l == "3d")
-        key = "stacked3d_4gb";
-    try {
-        return mapping::makeLayout(key);
-    } catch (const std::exception &e) {
-        usageError(e.what()); // lists the registered presets
-    }
-}
-
-/** --list-mappers: every registered family with its schema. */
+/** --list-mappers: every mapper family with its schema. */
 void
 listMappers()
 {
-    for (const auto *f : mapping::mapperFamilies()) {
-        std::printf("map:%-6s %s%s\n", f->name.c_str(),
-                    f->summary.c_str(),
-                    f->needsProfiles
+    for (const mapping::MapperFamily &f : mapping::mapperFamilies()) {
+        std::printf("map:%-6s %s%s\n", f.name.c_str(), f.summary.c_str(),
+                    f.needsProfiles
                         ? " [profile-driven: built by the search]"
                         : "");
-        for (const auto &p : f->params)
+        for (const auto &p : f.params)
             std::printf("    %s=%s  %s\n", p.key.c_str(),
                         p.def.empty() ? "<required>" : p.def.c_str(),
                         p.help.c_str());
     }
 }
 
-/** --list-layouts: every registered DRAM organization preset. */
+/** --list-layouts: every DRAM organization preset. */
 void
 listLayouts()
 {
-    for (const auto *org : mapping::layoutPresets())
-        std::printf("layout:%-14s %s — %s\n", org->key.c_str(),
-                    org->displayName.c_str(), org->summary.c_str());
+    for (const mapping::DramOrganization &org : mapping::layoutPresets())
+        std::printf("layout:%-14s %s — %s\n", org.key.c_str(),
+                    org.displayName.c_str(), org.summary.c_str());
 }
 
 CliOptions
@@ -522,7 +504,12 @@ main(int argc, char **argv)
     } catch (const std::exception &e) {
         usageError(e.what());
     }
-    const AddressLayout layout = resolveLayout(o.layout);
+    AddressLayout layout;
+    try {
+        layout = mapping::makeLayout(o.layout);
+    } catch (const std::exception &e) {
+        usageError(e.what()); // lists the presets
+    }
     if (!o.tracePath.empty())
         trace::enable(o.tracePath);
 
