@@ -115,34 +115,6 @@ BENCHMARK(BM_BimInverse);
 // --- Entropy ---------------------------------------------------------------
 
 static void
-BM_WindowEntropy(benchmark::State &state)
-{
-    // The incremental sliding-multiset implementation.
-    XorShiftRng rng(11);
-    std::vector<double> bvr(static_cast<std::size_t>(state.range(0)));
-    for (double &v : bvr)
-        v = rng.uniform();
-    for (auto _ : state)
-        benchmark::DoNotOptimize(windowEntropy(bvr, 12));
-    state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_WindowEntropy)->Arg(256)->Arg(4096);
-
-static void
-BM_WindowEntropyReference(benchmark::State &state)
-{
-    // The per-window assign+sort oracle it replaced.
-    XorShiftRng rng(11);
-    std::vector<double> bvr(static_cast<std::size_t>(state.range(0)));
-    for (double &v : bvr)
-        v = rng.uniform();
-    for (auto _ : state)
-        benchmark::DoNotOptimize(windowEntropyReference(bvr, 12));
-    state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_WindowEntropyReference)->Arg(256)->Arg(4096);
-
-static void
 BM_BvrAccumulate(benchmark::State &state)
 {
     // Scalar oracle path: one shift/mask/add per bit per address.

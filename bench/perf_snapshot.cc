@@ -8,8 +8,7 @@
  *    reduction per output bit) vs the byte-sliced
  *    `CompiledTransform::apply` (8 table loads), addrs/sec on the
  *    30-bit paper layout across all six schemes.
- *  - BENCH_profiler.json: the reference vs incremental
- *    `windowEntropy`, and serial vs parallel `profileWorkload`
+ *  - BENCH_profiler.json: serial vs parallel `profileWorkload`
  *    wall-clock with a profile bit-identity check.
  *  - BENCH_grid.json: serial vs parallel `harness::runGrid` on a
  *    6-cell grid, wall-clock seconds plus a bit-identity check of
@@ -157,38 +156,6 @@ main()
         bench::JsonEmitter prof_json("BENCH_profiler.json");
         prof_json.field("hardware_threads", hw_threads);
 
-        // Reference (per-window sort) vs incremental window entropy.
-        XorShiftRng wrng(99);
-        std::vector<double> series(4096);
-        for (double &v : series)
-            v = static_cast<double>(wrng.below(8)) / 7.0;
-        const unsigned wpasses = 32;
-        double sink = 0.0;
-        auto start = Clock::now();
-        for (unsigned p = 0; p < wpasses; ++p)
-            sink += windowEntropyReference(series, 12);
-        const double ref_sec = secondsSince(start);
-        start = Clock::now();
-        for (unsigned p = 0; p < wpasses; ++p)
-            sink -= windowEntropy(series, 12);
-        const double incr_sec = secondsSince(start);
-        const double tbs_per_pass = static_cast<double>(series.size());
-        prof_json.field("window_entropy_reference_tbs_per_sec",
-                        ref_sec > 0.0
-                            ? tbs_per_pass * wpasses / ref_sec
-                            : 0.0);
-        prof_json.field("window_entropy_incremental_tbs_per_sec",
-                        incr_sec > 0.0
-                            ? tbs_per_pass * wpasses / incr_sec
-                            : 0.0);
-        prof_json.field("window_entropy_speedup",
-                        incr_sec > 0.0 ? ref_sec / incr_sec : 0.0);
-        std::printf("window entropy: reference %.3fs, incremental "
-                    "%.3fs (%.1fx, drift %.2g)\n",
-                    ref_sec, incr_sec,
-                    incr_sec > 0.0 ? ref_sec / incr_sec : 0.0,
-                    sink / wpasses);
-
         // Serial vs parallel workload profiling, bit-identity checked.
         const std::vector<std::string> pworkloads = {"MT", "GS",
                                                      "DWT2D"};
@@ -197,6 +164,7 @@ main()
         workloads::ProfileOptions parallel_po;
         parallel_po.threads = parallel_threads;
 
+        Clock::time_point start;
         double serial_sec = 0.0, par_sec = 0.0;
         bool profiles_identical = true;
         for (const std::string &w : pworkloads) {

@@ -137,9 +137,9 @@ transpose64Scalar(std::uint64_t rows[64])
  * kernels: the 64x64 transpose, bulk popcount, fused two-plane and
  * per-word XOR+popcount, and N-plane XOR-combine+popcount. `SimdOps`
  * is a function-pointer table with one implementation per ISA level;
- * `simdOps()` resolves the widest level the CPU supports exactly once
- * (thread-safe magic static, the std::once idiom) and every call
- * after that is one indirect call.
+ * `simdOps()` resolves the level exactly once — AVX2 where the CPU
+ * has it, scalar otherwise (thread-safe magic static, the std::once
+ * idiom) — and every call after that is one indirect call.
  *
  * All levels produce bit-identical results — the kernels compute
  * exact integer one-counts, so the choice of level can never change a
@@ -152,14 +152,13 @@ enum class SimdLevel
 {
     Scalar = 0, ///< portable C++, no ISA assumptions
     Avx2 = 1,   ///< 256-bit: AVX2 transpose + Mula popcount
-    Avx512 = 2, ///< 512-bit: AVX-512 transpose + VPOPCNTDQ kernels
 };
 
 /** Kernel table for one ISA level. All entries are non-null. */
 struct SimdOps
 {
     SimdLevel level;
-    const char *name; ///< stable id: "scalar" / "avx2" / "avx512"
+    const char *name; ///< stable id: "scalar" / "avx2"
 
     /** In-place 64x64 bit transpose (see `transpose64Scalar`). */
     void (*transpose64)(std::uint64_t rows[64]);
@@ -196,8 +195,9 @@ struct SimdOps
 };
 
 /**
- * The dispatched kernel table: widest ISA level this CPU supports,
- * resolved once on first use; `VALLEY_NO_SIMD=1` forces Scalar.
+ * The dispatched kernel table, resolved once on first use: Scalar when
+ * `VALLEY_NO_SIMD` is set to a value other than empty or `0`, else
+ * Avx2 where the CPU has it, else Scalar.
  */
 const SimdOps &simdOps();
 

@@ -2,18 +2,21 @@
  * @file
  * Runtime-dispatched SIMD kernels behind `bits::simdOps()`.
  *
- * Three tables — scalar, AVX2, AVX-512 — all computing bit-identical
- * integer results for the word-level kernels the trace planes behind
- * the profiler and the BIM search reduce to (see bitops.hh). The widest
- * level the CPU supports is probed once via `__builtin_cpu_supports`
- * (which also verifies OS XSAVE state, so a kernel that masks AVX-512
- * off degrades cleanly) and cached in a thread-safe static;
- * `VALLEY_NO_SIMD=1` pins the process to the scalar table at first
- * resolution.
+ * Two tables — scalar and AVX2 — both computing bit-identical integer
+ * results for the word-level kernels the trace planes behind the
+ * profiler and the BIM search reduce to (see bitops.hh). AVX2 support
+ * is probed once via `__builtin_cpu_supports` (which also verifies OS
+ * XSAVE state, so a kernel that masks AVX off degrades cleanly) and
+ * the choice is cached in a thread-safe static; `VALLEY_NO_SIMD=1`
+ * pins the process to the scalar table at first resolution.
  *
- * The vector implementations are compiled with per-function `target`
- * attributes so the translation unit itself needs no -mavx2/-mavx512
- * flags and the rest of the build keeps the default target ISA.
+ * The AVX2 implementations are compiled with per-function `target`
+ * attributes so the translation unit itself needs no -mavx2 flag and
+ * the rest of the build keeps the default target ISA.
+ *
+ * AVX2 is the widest tier on purpose: an AVX-512 table (VPOPCNTDQ
+ * popcount, an 8-ZMM transpose) ran no faster end to end on the
+ * `search_joint` benchmark, so it was removed.
  *
  * Level notes:
  *  - AVX2 transpose: the six delta-swap stages of the scalar
@@ -23,11 +26,6 @@
  *    matrix lives in the 16 YMM registers for all six stages.
  *  - AVX2 popcount: Mula's nibble-LUT (shuffle_epi8) with sad_epu8
  *    accumulation — exact integer counts, no float paths.
- *  - AVX-512 transpose: same recursion on 8 ZMM registers; strides
- *    32/16/8 are vector pairs, strides 4/2/1 in-register via
- *    permutexvar + lane-masked blends.
- *  - AVX-512 popcount: VPOPCNTDQ (`_mm512_popcnt_epi64`), gated on
- *    its own cpuid bit next to F/BW/VL.
  */
 
 #include "common/bitops.hh"
@@ -298,155 +296,10 @@ constexpr SimdOps kAvx2Ops = {
     xorPopcount2Avx2, xorPopcountNAvx2, xorPopcountEachAvx2,
 };
 
-// ---- AVX-512 kernels -------------------------------------------------------
-
-#define VALLEY_TARGET512 \
-    target("avx512f,avx512bw,avx512vl,avx512vpopcntdq")
-
-#define VALLEY_DELTA512(A, B, J, M)                                    \
-    do {                                                               \
-        const __m512i t_ = _mm512_and_si512(                           \
-            _mm512_xor_si512(_mm512_srli_epi64((A), (J)), (B)), (M));  \
-        (A) = _mm512_xor_si512((A), _mm512_slli_epi64(t_, (J)));       \
-        (B) = _mm512_xor_si512((B), t_);                               \
-    } while (0)
-
-/*
- * In-register delta-swap of lane pairs (lane, lane+S) inside one ZMM:
- * IDX is the partner permutation, HI the k-mask of the hi lanes.
- */
-#define VALLEY_DELTA512_LANES(V, J, M, IDX, HI)                        \
-    do {                                                               \
-        const __m512i p_ = _mm512_permutexvar_epi64((IDX), (V));       \
-        const __m512i tlo_ = _mm512_and_si512(                         \
-            _mm512_xor_si512(_mm512_srli_epi64((V), (J)), p_), (M));   \
-        const __m512i thi_ = _mm512_and_si512(                         \
-            _mm512_xor_si512(_mm512_srli_epi64(p_, (J)), (V)), (M));   \
-        const __m512i t_ = _mm512_mask_blend_epi64((HI), tlo_, thi_);  \
-        (V) = _mm512_xor_si512(                                        \
-            (V), _mm512_mask_blend_epi64(                              \
-                     (HI), _mm512_slli_epi64(t_, (J)), t_));           \
-    } while (0)
-
-__attribute__((VALLEY_TARGET512)) void
-transpose64Avx512(std::uint64_t rows[64])
-{
-    __m512i v[8];
-    for (int i = 0; i < 8; ++i)
-        v[i] = _mm512_loadu_si512(rows + 8 * i);
-
-    const __m512i m32 = _mm512_set1_epi64(0x00000000FFFFFFFFll);
-    const __m512i m16 = _mm512_set1_epi64(0x0000FFFF0000FFFFll);
-    const __m512i m8 = _mm512_set1_epi64(0x00FF00FF00FF00FFll);
-    const __m512i m4 = _mm512_set1_epi64(0x0F0F0F0F0F0F0F0Fll);
-    const __m512i m2 = _mm512_set1_epi64(0x3333333333333333ll);
-    const __m512i m1 = _mm512_set1_epi64(0x5555555555555555ll);
-
-    for (int i = 0; i < 4; ++i)
-        VALLEY_DELTA512(v[i], v[i + 4], 32, m32);
-    for (int g = 0; g < 8; g += 4)
-        for (int i = 0; i < 2; ++i)
-            VALLEY_DELTA512(v[g + i], v[g + i + 2], 16, m16);
-    for (int g = 0; g < 8; g += 2)
-        VALLEY_DELTA512(v[g], v[g + 1], 8, m8);
-
-    const __m512i idx4 = _mm512_setr_epi64(4, 5, 6, 7, 0, 1, 2, 3);
-    const __m512i idx2 = _mm512_setr_epi64(2, 3, 0, 1, 6, 7, 4, 5);
-    const __m512i idx1 = _mm512_setr_epi64(1, 0, 3, 2, 5, 4, 7, 6);
-    for (int i = 0; i < 8; ++i) {
-        VALLEY_DELTA512_LANES(v[i], 4, m4, idx4, 0xF0);
-        VALLEY_DELTA512_LANES(v[i], 2, m2, idx2, 0xCC);
-        VALLEY_DELTA512_LANES(v[i], 1, m1, idx1, 0xAA);
-    }
-
-    for (int i = 0; i < 8; ++i)
-        _mm512_storeu_si512(rows + 8 * i, v[i]);
-}
-
-__attribute__((VALLEY_TARGET512)) std::uint64_t
-xorPopcount2Avx512(const std::uint64_t *a, const std::uint64_t *b,
-                   std::uint64_t *dst, std::size_t n)
-{
-    __m512i acc = _mm512_setzero_si512();
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m512i x = _mm512_xor_si512(_mm512_loadu_si512(a + i),
-                                           _mm512_loadu_si512(b + i));
-        _mm512_storeu_si512(dst + i, x);
-        acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(x));
-    }
-    std::uint64_t ones = _mm512_reduce_add_epi64(acc);
-    for (; i < n; ++i) {
-        const std::uint64_t x = a[i] ^ b[i];
-        dst[i] = x;
-        ones += static_cast<std::uint64_t>(std::popcount(x));
-    }
-    return ones;
-}
-
-__attribute__((VALLEY_TARGET512)) std::uint64_t
-xorPopcountNAvx512(const std::uint64_t *const *srcs, std::size_t nsrc,
-                   std::uint64_t *dst, std::size_t n)
-{
-    __m512i acc = _mm512_setzero_si512();
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        __m512i x = _mm512_setzero_si512();
-        for (std::size_t s = 0; s < nsrc; ++s)
-            x = _mm512_xor_si512(x, _mm512_loadu_si512(srcs[s] + i));
-        if (dst != nullptr)
-            _mm512_storeu_si512(dst + i, x);
-        acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(x));
-    }
-    std::uint64_t ones = _mm512_reduce_add_epi64(acc);
-    for (; i < n; ++i) {
-        std::uint64_t x = 0;
-        for (std::size_t s = 0; s < nsrc; ++s)
-            x ^= srcs[s][i];
-        if (dst != nullptr)
-            dst[i] = x;
-        ones += static_cast<std::uint64_t>(std::popcount(x));
-    }
-    return ones;
-}
-
-__attribute__((VALLEY_TARGET512)) void
-xorPopcountEachAvx512(const std::uint64_t *a, const std::uint64_t *b,
-                      std::uint64_t *dst, std::uint64_t *counts,
-                      std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m512i x = _mm512_xor_si512(_mm512_loadu_si512(a + i),
-                                           _mm512_loadu_si512(b + i));
-        _mm512_storeu_si512(dst + i, x);
-        _mm512_storeu_si512(counts + i, _mm512_popcnt_epi64(x));
-    }
-    for (; i < n; ++i) {
-        const std::uint64_t x = a[i] ^ b[i];
-        dst[i] = x;
-        counts[i] = static_cast<std::uint64_t>(std::popcount(x));
-    }
-}
-
-constexpr SimdOps kAvx512Ops = {
-    SimdLevel::Avx512,  "avx512",           transpose64Avx512,
-    xorPopcount2Avx512, xorPopcountNAvx512, xorPopcountEachAvx512,
-};
-
 bool
 cpuHasAvx2()
 {
     return __builtin_cpu_supports("avx2") != 0;
-}
-
-bool
-cpuHasAvx512()
-{
-    return __builtin_cpu_supports("avx512f") != 0 &&
-           __builtin_cpu_supports("avx512bw") != 0 &&
-           __builtin_cpu_supports("avx512vl") != 0 &&
-           __builtin_cpu_supports("avx512vpopcntdq") != 0;
 }
 
 #endif // VALLEY_X86
@@ -458,8 +311,6 @@ resolveOps()
         if (e[0] != '\0' && !(e[0] == '0' && e[1] == '\0'))
             return kScalarOps;
 #ifdef VALLEY_X86
-    if (cpuHasAvx512())
-        return kAvx512Ops;
     if (cpuHasAvx2())
         return kAvx2Ops;
 #endif
@@ -492,11 +343,8 @@ simdOpsFor(SimdLevel level)
 #ifdef VALLEY_X86
     case SimdLevel::Avx2:
         return cpuHasAvx2() ? &kAvx2Ops : nullptr;
-    case SimdLevel::Avx512:
-        return cpuHasAvx512() ? &kAvx512Ops : nullptr;
 #else
     case SimdLevel::Avx2:
-    case SimdLevel::Avx512:
         return nullptr;
 #endif
     }

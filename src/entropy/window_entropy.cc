@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstring>
 #include <sstream>
-#include <unordered_map>
 
 namespace valley {
 
@@ -181,8 +180,7 @@ oneWindow(const std::uint32_t *begin, std::size_t w,
 } // namespace
 
 double
-windowEntropyReference(const std::vector<double> &bvr_per_tb,
-                       unsigned window)
+windowEntropy(const std::vector<double> &bvr_per_tb, unsigned window)
 {
     const std::size_t n = bvr_per_tb.size();
     if (n == 0 || window == 0)
@@ -198,73 +196,6 @@ windowEntropyReference(const std::vector<double> &bvr_per_tb,
     double sum = 0.0;
     for (std::size_t i = 0; i < windows; ++i)
         sum += oneWindow(q.data() + i, w, scratch);
-    return sum / static_cast<double>(windows);
-}
-
-double
-windowEntropy(const std::vector<double> &bvr_per_tb, unsigned window)
-{
-    const std::size_t n = bvr_per_tb.size();
-    if (n == 0 || window == 0)
-        return 0.0;
-
-    std::vector<std::uint32_t> q(n);
-    for (std::size_t i = 0; i < n; ++i)
-        q[i] = quantize(bvr_per_tb[i]);
-
-    const std::size_t w = std::min<std::size_t>(window, n);
-    const std::size_t windows = n - w + 1;
-
-    // Incremental sliding multiset: a count map over the quantized
-    // BVRs in the current window plus a running h_num = -sum p ln p
-    // over its distinct values, both maintained under the add/evict
-    // of one TB per slide — O(n) amortized instead of the reference's
-    // per-window assign+sort. Since every probability is c/w for a
-    // fixed w, the per-count terms are memoized so an add/evict pair
-    // that restores a count contributes exactly +-the same double and
-    // the running sum drifts by at most a few ulp per slide (the
-    // oracle comparison lives in tests/window_entropy_test.cc).
-    std::vector<double> term(w + 1, 0.0);
-    for (std::size_t c = 1; c < w; ++c) {
-        const double p =
-            static_cast<double>(c) / static_cast<double>(w);
-        term[c] = -p * std::log(p);
-    }
-
-    std::unordered_map<std::uint32_t, std::uint32_t> count;
-    count.reserve(2 * w);
-    double h_num = 0.0;
-    const auto addTb = [&](std::uint32_t v) {
-        std::uint32_t &c = count[v];
-        h_num -= term[c];
-        h_num += term[++c];
-    };
-    const auto evictTb = [&](std::uint32_t v) {
-        const auto it = count.find(v);
-        h_num -= term[it->second];
-        if (--it->second == 0)
-            count.erase(it);
-        else
-            h_num += term[it->second];
-    };
-
-    for (std::size_t i = 0; i < w; ++i)
-        addTb(q[i]);
-    double sum = 0.0;
-    for (std::size_t i = 0;; ++i) {
-        const std::size_t v = count.size();
-        if (v > 1) {
-            const double h =
-                h_num / std::log(static_cast<double>(v));
-            sum += std::min(1.0, std::max(0.0, h));
-        }
-        if (i + 1 >= windows)
-            break;
-        // Evict before adding so no count ever exceeds w (term[] has
-        // exactly w+1 entries).
-        evictTb(q[i]);
-        addTb(q[i + w]);
-    }
     return sum / static_cast<double>(windows);
 }
 
@@ -393,7 +324,7 @@ bitFlipProfile(std::span<const Addr> ordered_requests, unsigned nbits)
 
 EntropyProfile
 kernelProfile(const std::vector<std::vector<double>> &tb_bvrs,
-              unsigned window, std::uint64_t weight, EntropyMetric metric)
+              unsigned window, std::uint64_t weight)
 {
     EntropyProfile out;
     out.weight = weight;
@@ -402,16 +333,14 @@ kernelProfile(const std::vector<std::vector<double>> &tb_bvrs,
     const std::size_t nbits = tb_bvrs.front().size();
     out.perBit.assign(nbits, 0.0);
 
-    // Transpose: the window metrics consume one bit across all TBs.
+    // Transpose: the window metric consumes one bit across all TBs.
     std::vector<double> series(tb_bvrs.size());
     for (std::size_t b = 0; b < nbits; ++b) {
         for (std::size_t t = 0; t < tb_bvrs.size(); ++t) {
             assert(tb_bvrs[t].size() == nbits);
             series[t] = tb_bvrs[t][b];
         }
-        out.perBit[b] = metric == EntropyMetric::BvrDistribution
-                            ? windowEntropy(series, window)
-                            : windowBitEntropy(series, window);
+        out.perBit[b] = windowBitEntropy(series, window);
     }
     return out;
 }

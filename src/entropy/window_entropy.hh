@@ -71,23 +71,13 @@ class BvrAccumulator
  * BVR values are quantized to 2^-20 before comparison so that equal
  * ratios computed from different request counts compare equal. If
  * fewer than `window` TBs exist, a single window covering all TBs is
- * used.
- *
- * Implemented as an incremental sliding-window multiset (count map
- * plus running entropy numerator maintained under add/evict), O(n)
- * amortized; `windowEntropyReference` is the straightforward
- * per-window sort kept as the oracle for tests and benches.
+ * used. Each window is sorted to count its distinct values,
+ * O(n * w log w). No profile or search computes this reading (see
+ * `windowBitEntropy`); it serves Fig. 3 and the tests that contrast
+ * the two readings.
  */
 double windowEntropy(const std::vector<double> &bvr_per_tb,
                      unsigned window);
-
-/**
- * Reference implementation of `windowEntropy` (per-window
- * assign+sort, O(n * w log w)). Semantically identical; kept as the
- * test oracle and as the scalar baseline in `BENCH_profiler.json`.
- */
-double windowEntropyReference(const std::vector<double> &bvr_per_tb,
-                              unsigned window);
 
 /**
  * Request-weighted window bit entropy.
@@ -100,19 +90,12 @@ double windowEntropyReference(const std::vector<double> &bvr_per_tb,
  * window of TBs that each sweep a bit uniformly (BVR 0.5 everywhere)
  * carries maximal information per request but has a single unique BVR
  * value. The figures (Fig. 5's non-valley benchmarks, Fig. 10 ALL)
- * reflect the request-weighted reading, so profiles default to it;
- * `windowEntropy` remains available as the literal BVR-distribution
- * form. See DESIGN.md.
+ * reflect the request-weighted reading, so every profile and every
+ * search computes it. See DESIGN.md, "Which window entropy profiles
+ * compute".
  */
 double windowBitEntropy(const std::vector<double> &bvr_per_tb,
                         unsigned window);
-
-/** Which window-entropy reading a profile uses. */
-enum class EntropyMetric
-{
-    BvrDistribution, ///< literal Eq. 2: entropy of unique-BVR histogram
-    BitProbability,  ///< binary entropy of mean BVR (default)
-};
 
 /**
  * Per-bit entropy profile of one kernel or one application, with the
@@ -150,13 +133,13 @@ struct EntropyProfile
 };
 
 /**
- * Compute a kernel's entropy profile from per-TB BVR vectors (ordered
- * by TB id). `weight` should be the kernel's total request count.
+ * Compute a kernel's entropy profile (`windowBitEntropy` of every
+ * bit) from per-TB BVR vectors (ordered by TB id). `weight` should be
+ * the kernel's total request count.
  */
 EntropyProfile kernelProfile(
     const std::vector<std::vector<double>> &tb_bvrs, unsigned window,
-    std::uint64_t weight,
-    EntropyMetric metric = EntropyMetric::BitProbability);
+    std::uint64_t weight);
 
 /**
  * Bit-flip-rate entropy estimator used by prior work (Akin et al.,

@@ -162,31 +162,22 @@ cachedCell(const SimConfig &config, const std::string &mapper_spec,
 RunResult
 runOne(const SimConfig &config, const std::string &mapper_spec,
        const std::string &workload, double scale,
-       std::uint64_t bim_seed, const workloads::WorkloadSet *joint_set,
-       const CancelToken *cancel)
+       std::uint64_t bim_seed, const CancelToken *cancel)
 {
     const mapping::ResolvedMapperSpec resolved =
         mapping::resolveMapperSpec(mapper_spec);
     const mapping::MapperFamily &family = resolved.family();
 
     std::unique_ptr<AddressMapper> mapper;
-    if (family.name == "sbim") {
+    if (family.name == "sbim" || family.name == "gbim") {
         // Profile-driven searched mapping over this one workload's
-        // trace planes: the size-1 set, named "SBIM" by default.
+        // trace planes: the size-1 set. Named after the *requested
+        // family*: a size-1 set would otherwise label a GBIM cell's
+        // RunResult "SBIM".
         mapper = search::setMapper(
             config.layout, workloads::WorkloadSet({workload}),
-            cellSearchOptions(config, bim_seed, cancel), scale);
-    } else if (family.name == "gbim") {
-        // Global searched mapping: one BIM annealed jointly against
-        // the whole set — the deployment story the per-workload SBIM
-        // column is compared against. (Grid cells share the matrix
-        // in memory via runGrid; this standalone path searches it
-        // again.) Named after the *requested family*: a size-1 set
-        // would otherwise label the cell's RunResult "SBIM".
-        const workloads::WorkloadSet fallback({workload});
-        mapper = search::setMapper(
-            config.layout, joint_set ? *joint_set : fallback,
-            cellSearchOptions(config, bim_seed, cancel), scale, "GBIM");
+            cellSearchOptions(config, bim_seed, cancel), scale,
+            family.name == "gbim" ? "GBIM" : "");
     } else if (family.needsProfiles) {
         throw std::invalid_argument(
             "runOne: " + resolved.canonical() +
@@ -201,15 +192,12 @@ runOne(const SimConfig &config, const std::string &mapper_spec,
 RunResult
 runOneCached(const SimConfig &config, const std::string &mapper_spec,
              const std::string &workload, double scale,
-             std::uint64_t bim_seed,
-             const workloads::WorkloadSet *joint_set,
-             const CancelToken *cancel)
+             std::uint64_t bim_seed, const CancelToken *cancel)
 {
     return cachedCell(config, mapper_spec, workload, scale, bim_seed,
-                      joint_set, [&] {
+                      nullptr, [&] {
                           return runOne(config, mapper_spec, workload,
-                                        scale, bim_seed, joint_set,
-                                        cancel);
+                                        scale, bim_seed, cancel);
                       });
 }
 
@@ -476,7 +464,7 @@ runGrid(GridOptions opts)
                 return simulateCell(opts.config, sharedGbim(), w,
                                     opts.scale, &token);
             return runOne(opts.config, m.spec, w, opts.scale,
-                          opts.bimSeed, joint.get(), &token);
+                          opts.bimSeed, &token);
         };
         try {
             results[wi][si] =

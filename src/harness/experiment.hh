@@ -118,13 +118,10 @@ struct GridOptions
 /**
  * Simulate one (config, mapper spec, workload) combination. The
  * spec is resolved through the mapper registry; the searched
- * families route through `search::` (`map:sbim` over the singleton
- * `{workload}`, `map:gbim` over `joint_set`).
+ * families route through `search::`, both over the singleton
+ * `{workload}`. (A grid's `map:gbim` cells share one matrix searched
+ * over the grid's workload axis; `runGrid` builds it, not this.)
  *
- * @param joint_set for `map:gbim`, the workload set the joint BIM is
- *        searched against (every cell of a grid shares one set, and
- *        therefore one matrix); null = the degenerate singleton
- *        `{workload}`. Ignored by every other family.
  * @param cancel polled by the searched families' search and by the
  *        simulation (`GpuSystem::run`), which throws `Cancelled` once
  *        it fires; null = run to completion.
@@ -132,7 +129,6 @@ struct GridOptions
 RunResult runOne(const SimConfig &config, const std::string &mapper_spec,
                  const std::string &workload, double scale = 1.0,
                  std::uint64_t bim_seed = 1,
-                 const workloads::WorkloadSet *joint_set = nullptr,
                  const CancelToken *cancel = nullptr);
 
 /**
@@ -143,8 +139,6 @@ RunResult runOneCached(const SimConfig &config,
                        const std::string &mapper_spec,
                        const std::string &workload, double scale = 1.0,
                        std::uint64_t bim_seed = 1,
-                       const workloads::WorkloadSet *joint_set =
-                           nullptr,
                        const CancelToken *cancel = nullptr);
 
 /**

@@ -210,8 +210,7 @@ BimSearch::identityCost() const
     for (std::size_t m = 0; m < planes_.size(); ++m) {
         for (std::size_t i = 0; i < nt; ++i)
             ent[i] = planes_[m]->rowEntropy(
-                std::uint64_t{1} << opts.targets[i], opts.window,
-                opts.metric);
+                std::uint64_t{1} << opts.targets[i], opts.window);
         member_costs[m] = objective.memberCost(ent, 0);
     }
     return objective.combine(member_costs);
@@ -240,7 +239,7 @@ BimSearch::runChain(unsigned restart, bool greedy) const
     // the reference the cached path is tested against).
     const auto evalRow = [&](std::size_t m, std::uint64_t row) {
         ++stats.evaluations;
-        return planes_[m]->rowEntropy(row, opts.window, opts.metric);
+        return planes_[m]->rowEntropy(row, opts.window);
     };
 
     // Incremental plane cache (SearchOptions::planeCache): for every
@@ -270,7 +269,7 @@ BimSearch::runChain(unsigned restart, bool greedy) const
     const auto rebuildSlot = [&](std::size_t m, std::size_t i,
                                  std::uint64_t row) {
         Row &rc = cache[m * nt + i];
-        planes_[m]->seedRow(row, opts.window, opts.metric, rc);
+        planes_[m]->seedRow(row, opts.window, rc);
         ++stats.planeRebuilds;
         return rc.entropy();
     };
@@ -339,10 +338,10 @@ BimSearch::runChain(unsigned restart, bool greedy) const
     // The mask memo (plane cache only): every row mask the chain has
     // scored, mapped to the offset of its `nm` member entropies in
     // `memo_ents`. A row's entropy is a pure function of its mask (the
-    // window and metric are fixed per chain), so a hit is exactly what
-    // rescoring would give. Seeded with the start rows; a step adds at
-    // most one mask, so the start rows plus one per anneal and polish
-    // step bound its size.
+    // window is fixed per chain), so a hit is exactly what rescoring
+    // would give. Seeded with the start rows; a step adds at most one
+    // mask, so the start rows plus one per anneal and polish step
+    // bound its size.
     const unsigned iters = opts.iterations;
     std::vector<double> new_ent(nm);
     std::unordered_map<std::uint64_t, std::size_t> memo;

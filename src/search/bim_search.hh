@@ -116,7 +116,6 @@ struct SearchOptions
     std::uint64_t candidateMask = 0;
 
     unsigned window = 12;        ///< TB window w (#SMs, Section III-A)
-    EntropyMetric metric = EntropyMetric::BitProbability;
 
     /**
      * How the objective folds member costs. Size-1 sets: both

@@ -74,15 +74,15 @@ searchSet(const workloads::WorkloadSet &set,
     out.identityProfiles.reserve(set.size());
     for (const workloads::TracePlanes &planes : pipe.planes)
         out.identityProfiles.push_back(
-            planes.profileFor(identity, opts.window, opts.metric));
+            planes.profileFor(identity, opts.window));
 
     out.annealed = pipe.searcher->anneal();
     out.greedyBaseline = pipe.searcher->greedy();
 
     out.searchedProfiles.reserve(set.size());
     for (const workloads::TracePlanes &planes : pipe.planes)
-        out.searchedProfiles.push_back(planes.profileFor(
-            out.annealed.bim, opts.window, opts.metric));
+        out.searchedProfiles.push_back(
+            planes.profileFor(out.annealed.bim, opts.window));
     return out;
 }
 

@@ -20,7 +20,7 @@ profileThroughPlanes(std::span<const Kernel> kernels,
     EntropyProfile p = planes.profileFor(
         opts.mapper ? opts.mapper->matrix()
                     : BitMatrix::identity(opts.numBits),
-        opts.window, opts.metric);
+        opts.window);
     metrics::counter("profiler.kernels_profiled").add(kernels.size());
     return p;
 }

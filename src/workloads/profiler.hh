@@ -38,7 +38,6 @@ struct ProfileOptions
      * (`std::invalid_argument` otherwise).
      */
     const AddressMapper *mapper = nullptr;
-    EntropyMetric metric = EntropyMetric::BitProbability;
 
     /**
      * Worker threads for trace-plane extraction: 1 = serial, 0 = one

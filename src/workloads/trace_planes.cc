@@ -356,7 +356,7 @@ TracePlanes::xorKernel(const KernelPlanes &k, const std::uint64_t *a,
 
 TracePlanes::KernelScore
 TracePlanes::scoreKernel(const KernelPlanes &k, const std::uint64_t *ones,
-                         unsigned window, EntropyMetric metric) const
+                         unsigned window) const
 {
     // Mirror the scalar oracle: kernelProfile's per-kernel window
     // entropy of the BVR series, the same operations in the same
@@ -369,10 +369,7 @@ TracePlanes::scoreKernel(const KernelPlanes &k, const std::uint64_t *ones,
         any |= ones[t];
         series[t] = bitValueRatio(ones[t], k.tbs[t].requests);
     }
-    const double e = metric == EntropyMetric::BvrDistribution
-                         ? windowEntropy(series, window)
-                         : windowBitEntropy(series, window);
-    return KernelScore{e, any == 0};
+    return KernelScore{windowBitEntropy(series, window), any == 0};
 }
 
 TracePlanes::Row::Row(const TracePlanes &planes)
@@ -383,18 +380,17 @@ TracePlanes::Row::Row(const TracePlanes &planes)
 
 void
 TracePlanes::seedRow(std::uint64_t row_mask, unsigned window,
-                     EntropyMetric metric, Row &row) const
+                     Row &row) const
 {
     assert(row.kernels_.size() == kernels.size() &&
            "row sized for these planes");
     row.window_ = window;
-    row.metric_ = metric;
     combineRow(row_mask, row.plane_.data(), row.ones_.data());
     double combined = 0.0;
     for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
         const KernelPlanes &k = kernels[ki];
         row.kernels_[ki] =
-            scoreKernel(k, row.ones_.data() + k.tbBase, window, metric);
+            scoreKernel(k, row.ones_.data() + k.tbBase, window);
         combined += k.weight * row.kernels_[ki].entropy;
     }
     row.entropy_ = requests_ == 0 ? 0.0 : combined;
@@ -420,8 +416,7 @@ TracePlanes::propose(const Row &base, Proposal &out,
         double e = base.kernels_[ki].entropy;
         if (rescore(ki, k)) {
             cand.kernels_[ki] =
-                scoreKernel(k, cand.ones_.data() + k.tbBase,
-                            base.window_, base.metric_);
+                scoreKernel(k, cand.ones_.data() + k.tbBase, base.window_);
             e = cand.kernels_[ki].entropy;
             out.rescored_.push_back(static_cast<std::uint32_t>(ki));
         }
@@ -453,7 +448,6 @@ TracePlanes::proposeXor(const Row &base, const Row &other,
                         Proposal &out) const
 {
     assert(base.window_ == other.window_ &&
-           base.metric_ == other.metric_ &&
            "XORed rows must be scored alike");
     Row &cand = out.row_;
     return propose(base, out, [&](std::size_t ki, const KernelPlanes &k) {
@@ -485,8 +479,7 @@ TracePlanes::commit(const Proposal &p, Row &row) const
 
 double
 TracePlanes::entropyFromOnes(const std::uint64_t *ones,
-                             unsigned window,
-                             EntropyMetric metric) const
+                             unsigned window) const
 {
     // Each kernel's window entropy, then EntropyProfile::combine's
     // request-weighted average over kernels, in kernel order —
@@ -496,7 +489,7 @@ TracePlanes::entropyFromOnes(const std::uint64_t *ones,
     double combined = 0.0;
     for (const KernelPlanes &k : kernels)
         combined += k.weight *
-                    scoreKernel(k, ones + k.tbBase, window, metric).entropy;
+                    scoreKernel(k, ones + k.tbBase, window).entropy;
     return combined;
 }
 
@@ -526,19 +519,17 @@ TracePlanes::rowOnes(std::uint64_t row_mask, std::uint64_t *ones) const
 }
 
 double
-TracePlanes::rowEntropy(std::uint64_t row_mask, unsigned window,
-                        EntropyMetric metric) const
+TracePlanes::rowEntropy(std::uint64_t row_mask, unsigned window) const
 {
     // From-scratch oracle: per-TB one-counts of the combined output
     // plane (no plane materialized), then the shared entropy tail.
     std::vector<std::uint64_t> ones(tb_count);
     rowOnes(row_mask, ones.data());
-    return entropyFromOnes(ones.data(), window, metric);
+    return entropyFromOnes(ones.data(), window);
 }
 
 EntropyProfile
-TracePlanes::profileFor(const BitMatrix &m, unsigned window,
-                        EntropyMetric metric) const
+TracePlanes::profileFor(const BitMatrix &m, unsigned window) const
 {
     if (m.size() != nbits)
         throw std::invalid_argument(
@@ -547,7 +538,7 @@ TracePlanes::profileFor(const BitMatrix &m, unsigned window,
     out.weight = requests_;
     out.perBit.resize(nbits);
     for (unsigned r = 0; r < nbits; ++r)
-        out.perBit[r] = rowEntropy(m.row(r), window, metric);
+        out.perBit[r] = rowEntropy(m.row(r), window);
     return out;
 }
 

@@ -146,9 +146,9 @@ class TracePlanes
   public:
     /**
      * A cached candidate row: its combined output plane, exact per-TB
-     * one-counts and each kernel's window entropy, under the window
-     * and metric it was seeded with. Filled only by `seedRow` and
-     * `commit`; see "Incremental scoring" above.
+     * one-counts and each kernel's window entropy, under the window it
+     * was seeded with. Filled only by `seedRow` and `commit`; see
+     * "Scoring" above.
      */
     class Row
     {
@@ -173,7 +173,6 @@ class TracePlanes
         std::vector<KernelScore> kernels_; ///< one per kernel
         double entropy_ = 0.0;
         unsigned window_ = 0;
-        EntropyMetric metric_ = EntropyMetric::BitProbability;
     };
 
     /**
@@ -237,17 +236,17 @@ class TracePlanes
     std::uint64_t planeBytes() const;
 
     /**
-     * Window entropy of the output bit produced by XOR-combining the
-     * input bits selected by `row_mask` (a `BitMatrix` row), averaged
-     * across kernels weighted by request count — the value a profile
-     * under a matrix containing this row reports for that output bit.
+     * Window entropy (`windowBitEntropy`) of the output bit produced
+     * by XOR-combining the input bits selected by `row_mask` (a
+     * `BitMatrix` row), averaged across kernels weighted by request
+     * count — the value a profile under a matrix containing this row
+     * reports for that output bit.
      * Bits of `row_mask` at or above `numBits()` must be clear. The
      * one from-scratch scoring entry point: `profileFor` and the
      * search's identity cost loop over it, and the incremental moves
      * are tested against it.
      */
-    double rowEntropy(std::uint64_t row_mask, unsigned window,
-                      EntropyMetric metric) const;
+    double rowEntropy(std::uint64_t row_mask, unsigned window) const;
 
     /**
      * Build the combined output plane of `row_mask` into
@@ -259,11 +258,10 @@ class TracePlanes
 
     /**
      * Seed `row` from `row_mask`: `combineRow` plus every kernel's
-     * entropy under `window` and `metric`, which the row keeps for
-     * the proposals derived from it.
+     * entropy under `window`, which the row keeps for the proposals
+     * derived from it.
      */
-    void seedRow(std::uint64_t row_mask, unsigned window,
-                 EntropyMetric metric, Row &row) const;
+    void seedRow(std::uint64_t row_mask, unsigned window, Row &row) const;
 
     /**
      * Score a tap-toggle move, `base ^ inputPlane(bit)`, into `out`
@@ -276,8 +274,7 @@ class TracePlanes
     /**
      * Score a row-XOR move, `base ^ other`, into `out` and return its
      * entropy. Kernels in which `other` has no one-bits keep `base`'s
-     * entropy and are not touched. Both rows must share a window and
-     * metric.
+     * entropy and are not touched. Both rows must share a window.
      */
     double proposeXor(const Row &base, const Row &other,
                       Proposal &out) const;
@@ -295,8 +292,7 @@ class TracePlanes
      *
      * @throws std::invalid_argument if `m.size() != numBits()`
      */
-    EntropyProfile profileFor(const BitMatrix &m, unsigned window,
-                              EntropyMetric metric) const;
+    EntropyProfile profileFor(const BitMatrix &m, unsigned window) const;
 
   private:
     /** One TB's view into its kernel's arena. */
@@ -335,8 +331,8 @@ class TracePlanes
      * request-weighted in kernel order, the same sum `seedRow` and the
      * proposals make.
      */
-    double entropyFromOnes(const std::uint64_t *ones, unsigned window,
-                           EntropyMetric metric) const;
+    double entropyFromOnes(const std::uint64_t *ones,
+                           unsigned window) const;
 
     /**
      * Window entropy of kernel `k`'s BVR series from its per-TB
@@ -344,8 +340,8 @@ class TracePlanes
      * one per-kernel function every scoring path shares.
      */
     KernelScore scoreKernel(const KernelPlanes &k,
-                            const std::uint64_t *ones, unsigned window,
-                            EntropyMetric metric) const;
+                            const std::uint64_t *ones,
+                            unsigned window) const;
 
     /**
      * `dst = a ^ b` over kernel `k`'s words with its per-TB

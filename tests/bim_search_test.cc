@@ -61,10 +61,8 @@ TEST(TracePlanes, ParallelExtractionBitIdenticalToSerial)
     const workloads::TracePlanes a(*wl, workloads::PlaneOptions{30, 1});
     const workloads::TracePlanes b(*wl, workloads::PlaneOptions{30, 3});
     const BitMatrix id = BitMatrix::identity(30);
-    const EntropyProfile pa = a.profileFor(id, 12,
-                                           EntropyMetric::BitProbability);
-    const EntropyProfile pb = b.profileFor(id, 12,
-                                           EntropyMetric::BitProbability);
+    const EntropyProfile pa = a.profileFor(id, 12);
+    const EntropyProfile pb = b.profileFor(id, 12);
     for (std::size_t bit = 0; bit < pa.perBit.size(); ++bit)
         EXPECT_EQ(pa.perBit[bit], pb.perBit[bit]);
 }
@@ -80,15 +78,14 @@ using Proposal = workloads::TracePlanes::Proposal;
  */
 void
 expectRowIs(const workloads::TracePlanes &p, const Row &row,
-            std::uint64_t mask, EntropyMetric metric,
-            const std::string &what)
+            std::uint64_t mask, const std::string &what)
 {
     std::vector<std::uint64_t> plane(p.planeWords());
     std::vector<std::uint64_t> ones(p.tbCount());
     p.combineRow(mask, plane.data(), ones.data());
     EXPECT_TRUE(std::ranges::equal(row.plane(), plane)) << what;
     EXPECT_TRUE(std::ranges::equal(row.ones(), ones)) << what;
-    EXPECT_EQ(row.entropy(), p.rowEntropy(mask, 12, metric)) << what;
+    EXPECT_EQ(row.entropy(), p.rowEntropy(mask, 12)) << what;
 }
 
 /**
@@ -100,7 +97,7 @@ kernelsTapping(const workloads::TracePlanes &p, unsigned bit)
 {
     Row zero(p);
     Proposal prop(p);
-    p.seedRow(0, 12, EntropyMetric::BitProbability, zero);
+    p.seedRow(0, 12, zero);
     p.proposeToggle(zero, bit, prop);
     return prop.kernelsRescored();
 }
@@ -111,10 +108,10 @@ TEST(TracePlanes, IncrementalMovesMatchOracle)
 {
     // Walk rows through the search's move kinds — propose, then
     // commit — on MT and on LU (254 kernels at this scale, most with
-    // some all-zero strips), under both metrics. Every proposal's
-    // entropy must equal the from-scratch rowEntropy of the mask it
-    // stands for, and after each commit the row must be exactly what
-    // seeding that mask builds.
+    // some all-zero strips). Every proposal's entropy must equal the
+    // from-scratch rowEntropy of the mask it stands for, and after
+    // each commit the row must be exactly what seeding that mask
+    // builds.
     for (const char *abbrev : {"MT", "LU"}) {
         PlanesFixture s(abbrev);
         const workloads::TracePlanes &p = *s.planes;
@@ -140,83 +137,75 @@ TEST(TracePlanes, IncrementalMovesMatchOracle)
         const unsigned zb = some.value_or(*every);
         const std::uint64_t zbit = std::uint64_t{1} << zb;
 
-        for (const EntropyMetric metric :
-             {EntropyMetric::BitProbability,
-              EntropyMetric::BvrDistribution}) {
-            const std::string tag =
-                std::string(abbrev) + " metric " +
-                std::to_string(static_cast<int>(metric));
-            XorShiftRng rng(23);
-            Row row(p);
-            Proposal prop(p);
-            std::uint64_t mask = rng.next() & bits::mask(30);
-            p.seedRow(mask, 12, metric, row);
-            expectRowIs(p, row, mask, metric, tag + " seed");
+        const std::string tag = abbrev;
+        XorShiftRng rng(23);
+        Row row(p);
+        Proposal prop(p);
+        std::uint64_t mask = rng.next() & bits::mask(30);
+        p.seedRow(mask, 12, row);
+        expectRowIs(p, row, mask, tag + " seed");
 
-            // Tap toggles, including toggling bits back and a bit
-            // whose strip is zero in some kernels.
-            for (const unsigned bit :
-                 {3u, 17u, zb, 29u, 17u, *none, zb, 0u}) {
-                const std::uint64_t next = mask ^ (std::uint64_t{1} << bit);
-                const double e = p.proposeToggle(row, bit, prop);
-                EXPECT_EQ(e, p.rowEntropy(next, 12, metric))
-                    << tag << " toggle " << bit;
-                EXPECT_EQ(prop.kernelsRescored(), kernelsTapping(p, bit))
-                    << tag << " toggle " << bit;
-                p.commit(prop, row);
-                mask = next;
-                expectRowIs(p, row, mask, metric,
-                            tag + " after toggle " + std::to_string(bit));
-            }
-
-            // A toggle on a strip that is zero everywhere changes
-            // nothing and rescores nothing.
-            EXPECT_EQ(p.proposeToggle(row, *none, prop), row.entropy());
-            EXPECT_EQ(prop.kernelsRescored(), 0u) << tag;
-
-            // An uncommitted proposal leaves the row as it was.
-            p.proposeToggle(row, *every, prop);
-            expectRowIs(p, row, mask, metric, tag + " uncommitted");
-
-            // Row XOR against a row that is zero in some kernels,
-            // then a row that is zero there XORed with one that is
-            // not: the skip follows the other row's zeros, never the
-            // base row's.
-            Row sparse(p);
-            p.seedRow(zbit, 12, metric, sparse);
-            EXPECT_EQ(p.proposeXor(row, sparse, prop),
-                      p.rowEntropy(mask ^ zbit, 12, metric))
-                << tag;
-            EXPECT_EQ(prop.kernelsRescored(), kernelsTapping(p, zb))
-                << tag;
+        // Tap toggles, including toggling bits back and a bit whose
+        // strip is zero in some kernels.
+        for (const unsigned bit : {3u, 17u, zb, 29u, 17u, *none, zb, 0u}) {
+            const std::uint64_t next = mask ^ (std::uint64_t{1} << bit);
+            const double e = p.proposeToggle(row, bit, prop);
+            EXPECT_EQ(e, p.rowEntropy(next, 12))
+                << tag << " toggle " << bit;
+            EXPECT_EQ(prop.kernelsRescored(), kernelsTapping(p, bit))
+                << tag << " toggle " << bit;
             p.commit(prop, row);
-            mask ^= zbit;
-            expectRowIs(p, row, mask, metric, tag + " after xor");
-
-            const std::uint64_t dense_mask = std::uint64_t{1} << *every;
-            Row dense(p);
-            p.seedRow(dense_mask, 12, metric, dense);
-            EXPECT_EQ(p.proposeXor(sparse, dense, prop),
-                      p.rowEntropy(zbit ^ dense_mask, 12, metric))
-                << tag;
-            EXPECT_EQ(prop.kernelsRescored(), nk) << tag;
-            p.commit(prop, sparse);
-            expectRowIs(p, sparse, zbit ^ dense_mask, metric,
-                        tag + " after xor into the sparse row");
-
-            // A random run of XORs with independently seeded rows.
-            for (int k = 0; k < 4; ++k) {
-                const std::uint64_t omask = rng.next() & bits::mask(30);
-                Row other(p);
-                p.seedRow(omask, 12, metric, other);
-                EXPECT_EQ(p.proposeXor(row, other, prop),
-                          p.rowEntropy(mask ^ omask, 12, metric))
-                    << tag << " xor " << k;
-                p.commit(prop, row);
-                mask ^= omask;
-            }
-            expectRowIs(p, row, mask, metric, tag + " after xor run");
+            mask = next;
+            expectRowIs(p, row, mask,
+                        tag + " after toggle " + std::to_string(bit));
         }
+
+        // A toggle on a strip that is zero everywhere changes nothing
+        // and rescores nothing.
+        EXPECT_EQ(p.proposeToggle(row, *none, prop), row.entropy());
+        EXPECT_EQ(prop.kernelsRescored(), 0u) << tag;
+
+        // An uncommitted proposal leaves the row as it was.
+        p.proposeToggle(row, *every, prop);
+        expectRowIs(p, row, mask, tag + " uncommitted");
+
+        // Row XOR against a row that is zero in some kernels, then a
+        // row that is zero there XORed with one that is not: the skip
+        // follows the other row's zeros, never the base row's.
+        Row sparse(p);
+        p.seedRow(zbit, 12, sparse);
+        EXPECT_EQ(p.proposeXor(row, sparse, prop),
+                  p.rowEntropy(mask ^ zbit, 12))
+            << tag;
+        EXPECT_EQ(prop.kernelsRescored(), kernelsTapping(p, zb))
+            << tag;
+        p.commit(prop, row);
+        mask ^= zbit;
+        expectRowIs(p, row, mask, tag + " after xor");
+
+        const std::uint64_t dense_mask = std::uint64_t{1} << *every;
+        Row dense(p);
+        p.seedRow(dense_mask, 12, dense);
+        EXPECT_EQ(p.proposeXor(sparse, dense, prop),
+                  p.rowEntropy(zbit ^ dense_mask, 12))
+            << tag;
+        EXPECT_EQ(prop.kernelsRescored(), nk) << tag;
+        p.commit(prop, sparse);
+        expectRowIs(p, sparse, zbit ^ dense_mask,
+                    tag + " after xor into the sparse row");
+
+        // A random run of XORs with independently seeded rows.
+        for (int k = 0; k < 4; ++k) {
+            const std::uint64_t omask = rng.next() & bits::mask(30);
+            Row other(p);
+            p.seedRow(omask, 12, other);
+            EXPECT_EQ(p.proposeXor(row, other, prop),
+                      p.rowEntropy(mask ^ omask, 12))
+                << tag << " xor " << k;
+            p.commit(prop, row);
+            mask ^= omask;
+        }
+        expectRowIs(p, row, mask, tag + " after xor run");
     }
 }
 
@@ -242,15 +231,11 @@ TEST(TracePlanes, ForceScalarBitIdenticalToDispatched)
     const workloads::TracePlanes b(*wl,
                                    workloads::PlaneOptions{30, 1, true});
     const BitMatrix id = BitMatrix::identity(30);
-    for (const EntropyMetric metric :
-         {EntropyMetric::BitProbability,
-          EntropyMetric::BvrDistribution}) {
-        const EntropyProfile pa = a.profileFor(id, 12, metric);
-        const EntropyProfile pb = b.profileFor(id, 12, metric);
-        for (std::size_t bit = 0; bit < pa.perBit.size(); ++bit)
-            EXPECT_EQ(pa.perBit[bit], pb.perBit[bit])
-                << "bit " << bit;
-    }
+    const EntropyProfile pa = a.profileFor(id, 12);
+    const EntropyProfile pb = b.profileFor(id, 12);
+    for (std::size_t bit = 0; bit < pa.perBit.size(); ++bit)
+        EXPECT_EQ(pa.perBit[bit], pb.perBit[bit])
+            << "bit " << bit;
 }
 
 TEST(TracePlanes, FiredTokenStopsExtraction)
@@ -283,14 +268,10 @@ TEST(TracePlanes, UnfiredTokenLeavesPlanesBitIdentical)
         workloads::PlaneOptions po{30, threads};
         po.cancel = &token;
         const workloads::TracePlanes polled(*wl, po);
-        for (const EntropyMetric metric :
-             {EntropyMetric::BitProbability,
-              EntropyMetric::BvrDistribution}) {
-            const EntropyProfile a = plain.profileFor(id, 12, metric);
-            const EntropyProfile b = polled.profileFor(id, 12, metric);
-            EXPECT_EQ(a.weight, b.weight);
-            EXPECT_EQ(a.perBit, b.perBit) << threads << " threads";
-        }
+        const EntropyProfile a = plain.profileFor(id, 12);
+        const EntropyProfile b = polled.profileFor(id, 12);
+        EXPECT_EQ(a.weight, b.weight);
+        EXPECT_EQ(a.perBit, b.perBit) << threads << " threads";
     }
 }
 
@@ -520,73 +501,67 @@ TEST(BimSearch, PlaneCacheOffBitIdenticalToOn)
     // The incremental row cache and the chain's mask memo are a pure
     // speedup: with the cache disabled every proposal is scored from
     // scratch through the oracle, and the whole trajectory — matrix,
-    // cost, evaluation and acceptance counts — must not move, under
-    // either entropy metric, on MT and on LU, whose zero strips make
-    // most proposals reuse kernels. The same holds for a run whose
-    // evaluation cap stops each chain halfway through its anneal.
+    // cost, evaluation and acceptance counts — must not move, on MT
+    // and on LU, whose zero strips make most proposals reuse kernels.
+    // The same holds for a run whose evaluation cap stops each chain
+    // halfway through its anneal.
     const AddressLayout layout = gddr5();
     for (const char *abbrev : {"MT", "LU"}) {
         PlanesFixture s(abbrev);
-        for (const EntropyMetric metric :
-             {EntropyMetric::BitProbability,
-              EntropyMetric::BvrDistribution}) {
-            SCOPED_TRACE(std::string(abbrev) + " metric " +
-                         std::to_string(static_cast<int>(metric)));
-            SearchOptions cached = defaultOptions(layout);
-            cached.threads = 1;
-            cached.restarts = 2;
-            cached.iterations = 300;
-            cached.metric = metric;
-            SearchOptions oracle = cached;
-            oracle.planeCache = false;
-            const BimSearch sc(layout, {s.planes.get()}, cached);
-            const BimSearch so(layout, {s.planes.get()}, oracle);
+        SCOPED_TRACE(abbrev);
+        SearchOptions cached = defaultOptions(layout);
+        cached.threads = 1;
+        cached.restarts = 2;
+        cached.iterations = 300;
+        SearchOptions oracle = cached;
+        oracle.planeCache = false;
+        const BimSearch sc(layout, {s.planes.get()}, cached);
+        const BimSearch so(layout, {s.planes.get()}, oracle);
 
-            const SearchResult a = sc.anneal();
-            const SearchResult b = so.anneal();
-            EXPECT_TRUE(a.bim == b.bim);
-            EXPECT_EQ(a.cost, b.cost);
-            EXPECT_EQ(a.identityCost, b.identityCost);
-            EXPECT_EQ(a.stats.evaluations, b.stats.evaluations);
-            EXPECT_EQ(a.stats.accepted, b.stats.accepted);
-            // The cached run works through plane moves; the oracle run
-            // must not touch the incremental machinery at all.
-            EXPECT_GT(a.stats.planeToggles + a.stats.planeXors, 0u);
-            EXPECT_GT(a.stats.planeRebuilds, 0u);
-            EXPECT_EQ(b.stats.planeToggles, 0u);
-            EXPECT_EQ(b.stats.planeXors, 0u);
-            EXPECT_EQ(b.stats.planeRebuilds, 0u);
-            // Chains revisit masks, and only the cached run memoizes.
-            EXPECT_GT(a.stats.memoHits, 0u);
-            EXPECT_EQ(b.stats.memoHits, 0u);
+        const SearchResult a = sc.anneal();
+        const SearchResult b = so.anneal();
+        EXPECT_TRUE(a.bim == b.bim);
+        EXPECT_EQ(a.cost, b.cost);
+        EXPECT_EQ(a.identityCost, b.identityCost);
+        EXPECT_EQ(a.stats.evaluations, b.stats.evaluations);
+        EXPECT_EQ(a.stats.accepted, b.stats.accepted);
+        // The cached run works through plane moves; the oracle run
+        // must not touch the incremental machinery at all.
+        EXPECT_GT(a.stats.planeToggles + a.stats.planeXors, 0u);
+        EXPECT_GT(a.stats.planeRebuilds, 0u);
+        EXPECT_EQ(b.stats.planeToggles, 0u);
+        EXPECT_EQ(b.stats.planeXors, 0u);
+        EXPECT_EQ(b.stats.planeRebuilds, 0u);
+        // Chains revisit masks, and only the cached run memoizes.
+        EXPECT_GT(a.stats.memoHits, 0u);
+        EXPECT_EQ(b.stats.memoHits, 0u);
 
-            const SearchResult ga = sc.greedy();
-            const SearchResult gb = so.greedy();
-            EXPECT_TRUE(ga.bim == gb.bim);
-            EXPECT_EQ(ga.cost, gb.cost);
-            EXPECT_EQ(ga.stats.evaluations, gb.stats.evaluations);
-            EXPECT_GT(ga.stats.memoHits, 0u);
-            EXPECT_EQ(gb.stats.memoHits, 0u);
+        const SearchResult ga = sc.greedy();
+        const SearchResult gb = so.greedy();
+        EXPECT_TRUE(ga.bim == gb.bim);
+        EXPECT_EQ(ga.cost, gb.cost);
+        EXPECT_EQ(ga.stats.evaluations, gb.stats.evaluations);
+        EXPECT_GT(ga.stats.memoHits, 0u);
+        EXPECT_EQ(gb.stats.memoHits, 0u);
 
-            // Each chain's share of this cap runs out mid-anneal.
-            cached.maxEvaluations = a.stats.setupEvaluations +
-                                    a.stats.annealEvaluations / 2;
-            oracle.maxEvaluations = cached.maxEvaluations;
-            const SearchResult ca =
-                BimSearch(layout, {s.planes.get()}, cached)
-                    .anneal();
-            const SearchResult cb =
-                BimSearch(layout, {s.planes.get()}, oracle)
-                    .anneal();
-            EXPECT_TRUE(ca.stats.capped);
-            EXPECT_GT(ca.stats.annealEvaluations, 0u);
-            EXPECT_EQ(ca.stats.polishEvaluations, 0u);
-            EXPECT_TRUE(ca.bim == cb.bim);
-            EXPECT_EQ(ca.cost, cb.cost);
-            EXPECT_EQ(ca.stats.evaluations, cb.stats.evaluations);
-            EXPECT_EQ(ca.stats.accepted, cb.stats.accepted);
-            EXPECT_EQ(ca.targetEntropy, cb.targetEntropy);
-        }
+        // Each chain's share of this cap runs out mid-anneal.
+        cached.maxEvaluations = a.stats.setupEvaluations +
+                                a.stats.annealEvaluations / 2;
+        oracle.maxEvaluations = cached.maxEvaluations;
+        const SearchResult ca =
+            BimSearch(layout, {s.planes.get()}, cached)
+                .anneal();
+        const SearchResult cb =
+            BimSearch(layout, {s.planes.get()}, oracle)
+                .anneal();
+        EXPECT_TRUE(ca.stats.capped);
+        EXPECT_GT(ca.stats.annealEvaluations, 0u);
+        EXPECT_EQ(ca.stats.polishEvaluations, 0u);
+        EXPECT_TRUE(ca.bim == cb.bim);
+        EXPECT_EQ(ca.cost, cb.cost);
+        EXPECT_EQ(ca.stats.evaluations, cb.stats.evaluations);
+        EXPECT_EQ(ca.stats.accepted, cb.stats.accepted);
+        EXPECT_EQ(ca.targetEntropy, cb.targetEntropy);
     }
 }
 

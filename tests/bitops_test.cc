@@ -7,6 +7,8 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdlib>
+#include <string_view>
 #include <vector>
 
 #include "common/bitops.hh"
@@ -145,8 +147,7 @@ availableLevels()
 {
     std::vector<const bits::SimdOps *> out;
     for (const bits::SimdLevel level :
-         {bits::SimdLevel::Scalar, bits::SimdLevel::Avx2,
-          bits::SimdLevel::Avx512})
+         {bits::SimdLevel::Scalar, bits::SimdLevel::Avx2})
         if (const bits::SimdOps *ops = bits::simdOpsFor(level))
             out.push_back(ops);
     return out;
@@ -197,6 +198,22 @@ TEST(SimdDispatch, ScalarTableAlwaysAvailable)
     // The dispatched table is one of the constructable ones.
     const bits::SimdOps &d = bits::simdOps();
     EXPECT_EQ(bits::simdOpsFor(d.level), &d);
+}
+
+TEST(SimdDispatch, PicksAvx2WhereTheCpuHasItUnlessPinnedToScalar)
+{
+    // Every level is bit-identical, so no identity test would notice
+    // dispatch falling back to scalar; this one does. CI runs the
+    // suite with and without VALLEY_NO_SIMD=1, covering both branches.
+    const char *e = std::getenv("VALLEY_NO_SIMD");
+    const bool pinned = e != nullptr && std::string_view(e) != "" &&
+                        std::string_view(e) != "0";
+    const bits::SimdLevel want =
+        !pinned && bits::simdOpsFor(bits::SimdLevel::Avx2) != nullptr
+            ? bits::SimdLevel::Avx2
+            : bits::SimdLevel::Scalar;
+    EXPECT_EQ(bits::simdOps().level, want)
+        << "dispatched " << bits::simdOps().name;
 }
 
 TEST(SimdDispatch, Transpose64MatchesScalar)

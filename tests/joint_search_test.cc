@@ -207,8 +207,8 @@ TEST(JointSearch, JointMatrixImprovesEveryMemberHere)
         for (std::size_t i = 0; i < opts.targets.size(); ++i)
             searched += r.memberTargetEntropy[m][i];
         for (unsigned t : opts.targets)
-            identity += sp.planes[m].rowEntropy(
-                std::uint64_t{1} << t, opts.window, opts.metric);
+            identity += sp.planes[m].rowEntropy(std::uint64_t{1} << t,
+                                                opts.window);
         EXPECT_GT(searched, identity) << "member " << m;
     }
 }
@@ -254,7 +254,6 @@ TEST(JointSearch, SetProfilesEqualTheProfilersBitForBit)
         workloads::ProfileOptions po;
         po.window = opts.window;
         po.numBits = layout.addrBits;
-        po.metric = opts.metric;
         po.threads = 1;
         const EntropyProfile identity =
             workloads::profileWorkload(*wls[m], po);

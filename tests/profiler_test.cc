@@ -40,7 +40,7 @@ scalarProfileKernel(const Kernel &kernel,
         requests += acc.requestCount();
         tb_bvrs.push_back(acc.bvrs());
     }
-    return kernelProfile(tb_bvrs, opts.window, requests, opts.metric);
+    return kernelProfile(tb_bvrs, opts.window, requests);
 }
 
 EntropyProfile
@@ -69,30 +69,27 @@ expectIdentical(const EntropyProfile &a, const EntropyProfile &b,
 TEST(Profiler, PlanesMatchScalarReferenceBitForBit)
 {
     // The per-bit one-counts are exact integers on both paths, so the
-    // profiles must agree exactly — with and without a remap, under
-    // both metrics. The synth inputs pin the 64-request word packing:
-    // hash_shuffle with rpw=63 / rpw=127 issues 2031 / 4094-4095
-    // requests per TB (several words plus a partial tail), and
-    // stencil3d at scale 0.25 issues 19-24 per TB (one partial word
-    // per TB). DWT2D at scale 0.25 has two kernels whose TBs issue no
-    // requests at all (zero words, an empty arena).
+    // profiles must agree exactly, with and without a remap. The synth
+    // inputs pin the 64-request word packing: hash_shuffle with
+    // rpw=63 / rpw=127 issues 2031 / 4094-4095 requests per TB
+    // (several words plus a partial tail), and stencil3d at scale 0.25
+    // issues 19-24 per TB (one partial word per TB). DWT2D at scale
+    // 0.25 has two kernels whose TBs issue no requests at all (zero
+    // words, an empty arena).
     struct Case
     {
         const char *workload;
         double scale;
-        EntropyMetric metric;
     };
     const Case cases[] = {
-        {"MT", 0.25, EntropyMetric::BitProbability},
-        {"SPMV", 0.25, EntropyMetric::BitProbability},
-        {"NN", 0.25, EntropyMetric::BitProbability},
-        {"LU", 0.25, EntropyMetric::BvrDistribution},
-        {"DWT2D", 0.25, EntropyMetric::BitProbability},
-        {"synth:hash_shuffle,warps=1,tbs=8,rpw=63", 1.0,
-         EntropyMetric::BitProbability},
-        {"synth:hash_shuffle,warps=1,tbs=8,rpw=127", 1.0,
-         EntropyMetric::BitProbability},
-        {"synth:stencil3d", 0.25, EntropyMetric::BitProbability},
+        {"MT", 0.25},
+        {"SPMV", 0.25},
+        {"NN", 0.25},
+        {"LU", 0.25},
+        {"DWT2D", 0.25},
+        {"synth:hash_shuffle,warps=1,tbs=8,rpw=63", 1.0},
+        {"synth:hash_shuffle,warps=1,tbs=8,rpw=127", 1.0},
+        {"synth:stencil3d", 0.25},
     };
     const AddressLayout layout = AddressLayout::hynixGddr5();
     const auto mapper = mapping::makeMapper(mapping::kPae, layout, 1);
@@ -102,7 +99,6 @@ TEST(Profiler, PlanesMatchScalarReferenceBitForBit)
         for (const AddressMapper *m : mappers) {
             workloads::ProfileOptions po;
             po.mapper = m;
-            po.metric = c.metric;
             po.threads = 1;
             expectIdentical(scalarProfileWorkload(*wl, po),
                             workloads::profileWorkload(*wl, po),
@@ -155,19 +151,4 @@ TEST(Profiler, ParallelKernelProfileMatchesSerial)
         workloads::profileKernel(wl->kernels().front(), serial),
         workloads::profileKernel(wl->kernels().front(), parallel),
         "GS-K0");
-}
-
-TEST(Profiler, BvrDistributionMetricAlsoIdentical)
-{
-    // The incremental windowEntropy path feeds this metric; parallel
-    // and serial runs must still agree exactly.
-    const auto wl = workloads::make("LU", 0.25);
-    workloads::ProfileOptions serial;
-    serial.metric = EntropyMetric::BvrDistribution;
-    serial.threads = 1;
-    workloads::ProfileOptions parallel = serial;
-    parallel.threads = 3;
-    expectIdentical(workloads::profileWorkload(*wl, serial),
-                    workloads::profileWorkload(*wl, parallel),
-                    "LU bvr-distribution");
 }

@@ -160,41 +160,6 @@ TEST(WindowEntropy, ThreeDistinctValuesUseLogBase3)
     EXPECT_DOUBLE_EQ(windowEntropy({0.0, 0.5, 1.0}, 3), 1.0);
 }
 
-TEST(WindowEntropy, IncrementalMatchesReferenceOracle)
-{
-    // The production implementation maintains the window multiset
-    // incrementally; the per-window sort oracle must agree to within
-    // accumulated-rounding noise on adversarial streams: few distinct
-    // values (deep counts), all-distinct values (max support), and
-    // alternating runs (counts repeatedly hitting zero).
-    XorShiftRng rng(4242);
-    for (int trial = 0; trial < 40; ++trial) {
-        const std::size_t n = 4 + rng.below(180);
-        std::vector<double> few(n), many(n), runs(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            few[i] = static_cast<double>(rng.below(4)) / 3.0;
-            many[i] = rng.uniform();
-            runs[i] = (i / 3) % 2 ? 1.0 : 0.0;
-        }
-        for (unsigned w : {1u, 2u, 7u, 12u, 64u, 256u}) {
-            for (const auto *s : {&few, &many, &runs}) {
-                EXPECT_NEAR(windowEntropy(*s, w),
-                            windowEntropyReference(*s, w), 1e-12)
-                    << "n=" << n << " w=" << w;
-            }
-        }
-    }
-}
-
-TEST(WindowEntropy, ReferenceAgreesOnPaperExamples)
-{
-    // The oracle itself still reproduces the Fig. 3 numbers.
-    const std::vector<double> fig3 = {0, 0, 1, 1, 0, 0, 1, 1};
-    EXPECT_NEAR(windowEntropyReference(fig3, 2), 3.0 / 7.0, 1e-12);
-    EXPECT_DOUBLE_EQ(windowEntropyReference(fig3, 4), 1.0);
-    EXPECT_DOUBLE_EQ(windowEntropyReference({0.5, 0.5, 0.5}, 2), 0.0);
-}
-
 TEST(WindowBitEntropy, MatchesEq2OnBinaryBvrExamples)
 {
     // On 0/1 BVRs the two readings coincide (Fig. 3 + footnote 1).
@@ -333,19 +298,6 @@ TEST(WindowBitEntropy, TermMemoKeysOnWindowWidth)
                 << "window=" << window << " round=" << round;
         }
     }
-}
-
-TEST(KernelProfile, MetricSelection)
-{
-    // All TBs sweep bit 0 (BVR 0.5): BitProbability sees entropy 1,
-    // BvrDistribution sees 0.
-    const std::vector<std::vector<double>> tb_bvrs(8, {0.5});
-    const auto bitp =
-        kernelProfile(tb_bvrs, 4, 10, EntropyMetric::BitProbability);
-    const auto bvrd =
-        kernelProfile(tb_bvrs, 4, 10, EntropyMetric::BvrDistribution);
-    EXPECT_DOUBLE_EQ(bitp.perBit[0], 1.0);
-    EXPECT_DOUBLE_EQ(bvrd.perBit[0], 0.0);
 }
 
 TEST(KernelProfile, PerBitEntropyAndWeight)

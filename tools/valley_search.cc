@@ -112,7 +112,6 @@ Options:
                   (split over restarts; the greedy baseline budgets
                   its own run separately); 0 = unlimited
   --window W      TB window w (#SMs, Section III-A); default 12
-  --metric M      window metric: bitprob (default) or bvrdist
   --threads N     worker threads (0 = all cores, 1 = serial);
                   default 0; results are identical at any count
   --out FILE      write the searched BIM as JSON (matrix rows, cost
@@ -238,14 +237,6 @@ parseArgs(int argc, char **argv)
                 intArg("--window", need(i, "--window")));
             if (o.search.window == 0)
                 usageError("--window must be >= 1");
-        } else if (a == "--metric") {
-            const std::string m = need(i, "--metric");
-            if (m == "bitprob")
-                o.search.metric = EntropyMetric::BitProbability;
-            else if (m == "bvrdist")
-                o.search.metric = EntropyMetric::BvrDistribution;
-            else
-                usageError("--metric must be bitprob or bvrdist");
         } else if (a == "--threads") {
             o.search.threads = static_cast<unsigned>(
                 intArg("--threads", need(i, "--threads")));
@@ -353,10 +344,6 @@ writeJson(const std::string &path, const CliOptions &o,
     out << "  \"scale\": " << o.scale << ",\n";
     out << "  \"seed\": " << so.seed << ",\n";
     out << "  \"window\": " << so.window << ",\n";
-    out << "  \"metric\": \""
-        << (so.metric == EntropyMetric::BitProbability ? "bitprob"
-                                                       : "bvrdist")
-        << "\",\n";
     out << "  \"address_bits\": " << r.annealed.bim.size() << ",\n";
 
     out << "  \"targets\": [";
