@@ -68,8 +68,6 @@ main()
     json.field("set_id", set.shortId());
     json.field("members", static_cast<std::uint64_t>(set.size()));
     json.field("scale", scale);
-    json.field("combine",
-               search::combinerName(so.combiner));
     json.field("joint_cost", joint.annealed.cost);
     json.field("joint_identity_cost", joint.annealed.identityCost);
     json.field("joint_gain", joint.annealed.gain());

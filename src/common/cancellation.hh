@@ -31,8 +31,7 @@
  * nothing — so `GpuSystem::run` throws `Cancelled` instead, and
  * `runGrid` catches it and reports the cell deadline-missed (never
  * cached). Wall-clock deadlines are inherently nondeterministic;
- * bit-identical tests use explicit `cancel()` or the counted
- * `maxEvaluations` budget instead.
+ * bit-identical tests use explicit `cancel()` instead.
  */
 
 #ifndef VALLEY_COMMON_CANCELLATION_HH

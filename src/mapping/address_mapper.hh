@@ -24,9 +24,7 @@
 #ifndef VALLEY_MAPPING_ADDRESS_MAPPER_HH
 #define VALLEY_MAPPING_ADDRESS_MAPPER_HH
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "bim/bit_matrix.hh"
 #include "bim/compiled_transform.hh"
@@ -88,18 +86,6 @@ class AddressMapper
     CompiledDecoder decoder_;
 };
 
-namespace mapping {
-
-/**
- * Profile-driven Remap: route the `n` highest-entropy bits of the
- * given per-bit profile (restricted to non-block bits) into the
- * channel/bank positions — the Section IV-B design-time methodology
- * as a reusable tool.
- */
-std::unique_ptr<AddressMapper> makeRemapFromProfile(
-    const AddressLayout &layout, const std::vector<double> &per_bit);
-
-} // namespace mapping
 } // namespace valley
 
 #endif // VALLEY_MAPPING_ADDRESS_MAPPER_HH

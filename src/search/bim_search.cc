@@ -1,6 +1,5 @@
 #include "search/bim_search.hh"
 
-#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <chrono>
@@ -8,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "common/bitops.hh"
 #include "common/metrics.hh"
@@ -76,6 +76,20 @@ gateCount(const std::vector<std::uint64_t> &rows)
     return g;
 }
 
+/**
+ * The joint objective: the plain mean of the member flatness costs,
+ * summed in member order. A mean over one member is that member's
+ * cost exactly, so the single-workload search is the size-1 case.
+ */
+double
+meanCost(std::span<const double> member_costs)
+{
+    double sum = 0.0;
+    for (double c : member_costs)
+        sum += c;
+    return sum / static_cast<double>(member_costs.size());
+}
+
 /** Deterministic per-restart seed derivation. */
 std::uint64_t
 chainSeed(std::uint64_t seed, unsigned restart)
@@ -129,8 +143,6 @@ exportStatsToRegistry(const SearchStats &s)
                 static_cast<double>(s.evaluations) / s.totalSeconds));
     if (s.deadlineHit)
         metrics::counter("search.deadline_hits").inc();
-    if (s.capped)
-        metrics::counter("search.capped").inc();
 }
 
 } // namespace
@@ -149,14 +161,14 @@ BimSearch::BimSearch(const AddressLayout &layout,
                 "BimSearch: planes bit width != layout address bits");
     if (opts.restarts == 0)
         throw std::invalid_argument("BimSearch: restarts must be >= 1");
-    // Weights that do not line up with the set would silently weight
-    // the wrong members (the set canonicalizes member order).
-    if (!opts.memberWeights.empty() &&
-        opts.memberWeights.size() != planes_.size())
+    if (opts.restarts > kMaxRestarts)
         throw std::invalid_argument(
-            "memberWeights size " +
-            std::to_string(opts.memberWeights.size()) +
-            " != workload set size " + std::to_string(planes_.size()));
+            "BimSearch: restarts " + std::to_string(opts.restarts) +
+            " is above " + std::to_string(kMaxRestarts));
+    if (opts.iterations > kMaxIterations)
+        throw std::invalid_argument(
+            "BimSearch: iterations " + std::to_string(opts.iterations) +
+            " is above " + std::to_string(kMaxIterations));
 
     mask_ = opts.candidateMask & bits::mask(nbits);
     if (opts.targets.empty())
@@ -182,23 +194,8 @@ BimSearch::BimSearch(const AddressLayout &layout,
     for (unsigned b : layout.channelBits())
         channel_mask |= std::uint64_t{1} << b;
     for (unsigned t : opts.targets)
-        objective.flatness.targetWeights.push_back(
+        objective.targetWeights.push_back(
             ((channel_mask >> t) & 1) ? 2.0 : 1.0);
-    objective.combiner = opts.combiner;
-    objective.memberWeights = opts.memberWeights;
-}
-
-std::uint64_t
-BimSearch::chainBudget(bool greedy) const
-{
-    if (opts.maxEvaluations == 0)
-        return 0;
-    // greedy() is one chain and gets the whole per-run cap; anneal()
-    // splits it evenly across its restart chains.
-    if (greedy)
-        return opts.maxEvaluations;
-    return std::max<std::uint64_t>(1,
-                                   opts.maxEvaluations / opts.restarts);
 }
 
 double
@@ -211,9 +208,9 @@ BimSearch::identityCost() const
         for (std::size_t i = 0; i < nt; ++i)
             ent[i] = planes_[m]->rowEntropy(
                 std::uint64_t{1} << opts.targets[i], opts.window);
-        member_costs[m] = objective.memberCost(ent, 0);
+        member_costs[m] = objective.cost(ent, 0);
     }
-    return objective.combine(member_costs);
+    return meanCost(member_costs);
 }
 
 /** Mutable state of one annealing chain. */
@@ -233,7 +230,6 @@ BimSearch::runChain(unsigned restart, bool greedy) const
     const std::size_t nm = planes_.size();
     XorShiftRng rng(chainSeed(opts.seed, restart));
     SearchStats stats;
-    const std::uint64_t budget = chainBudget(greedy);
 
     // From-scratch oracle scoring (the planeCache = false path, and
     // the reference the cached path is tested against).
@@ -287,11 +283,11 @@ BimSearch::runChain(unsigned restart, bool greedy) const
                     c.ent[m * nt + i] = evalRow(m, c.rows[i]);
                 }
             }
-            c.memberCost[m] = objective.memberCost(
+            c.memberCost[m] = objective.cost(
                 std::span<const double>(c.ent.data() + m * nt, nt),
                 c.gates);
         }
-        c.cost = objective.combine(c.memberCost);
+        c.cost = meanCost(c.memberCost);
     };
 
     const std::string span_tag =
@@ -435,12 +431,12 @@ BimSearch::runChain(unsigned restart, bool greedy) const
             // in place (swapped back below if rejected).
             for (std::size_t m = 0; m < nm; ++m) {
                 std::swap(cur.ent[m * nt + i], cur.ent[m * nt + j]);
-                mc_scratch[m] = objective.memberCost(
+                mc_scratch[m] = objective.cost(
                     std::span<const double>(
                         cur.ent.data() + m * nt, nt),
                     cur.gates);
             }
-            new_cost = objective.combine(mc_scratch);
+            new_cost = meanCost(mc_scratch);
         } else {
             if (new_row == 0)
                 return;
@@ -476,7 +472,7 @@ BimSearch::runChain(unsigned restart, bool greedy) const
                 }
                 old_ent[m] = cur.ent[m * nt + i];
                 cur.ent[m * nt + i] = new_ent[m];
-                mc_scratch[m] = objective.memberCost(
+                mc_scratch[m] = objective.cost(
                     std::span<const double>(
                         cur.ent.data() + m * nt, nt),
                     new_gates);
@@ -485,7 +481,7 @@ BimSearch::runChain(unsigned restart, bool greedy) const
                 stats.memoHits += nm;
             else if (use_cache)
                 remember(new_row, new_ent.data());
-            new_cost = objective.combine(mc_scratch);
+            new_cost = meanCost(mc_scratch);
         }
 
         const double dc = new_cost - cur.cost;
@@ -531,15 +527,10 @@ BimSearch::runChain(unsigned restart, bool greedy) const
     };
 
     // The stop gate, checked at move boundaries so a stopped chain
-    // still ends on a fully scored state. Two triggers: the counted
-    // maxEvaluations budget (deterministic — never timed) and the
-    // cooperative cancel/deadline token (wall-clock degradation —
-    // flags deadlineHit so consumers don't cache the result).
+    // still ends on a fully scored state: the cooperative
+    // cancel/deadline token (wall-clock degradation — flags
+    // deadlineHit so consumers don't cache the result).
     const auto stopRequested = [&] {
-        if (budget != 0 && stats.evaluations >= budget) {
-            stats.capped = true;
-            return true;
-        }
         if (opts.cancel != nullptr && opts.cancel->cancelled()) {
             stats.deadlineHit = true;
             return true;
@@ -663,7 +654,6 @@ BimSearch::anneal() const
         total.evaluations += s.stats.evaluations;
         total.accepted += s.stats.accepted;
         total.rejectedSingular += s.stats.rejectedSingular;
-        total.capped = total.capped || s.stats.capped;
         total.deadlineHit = total.deadlineHit || s.stats.deadlineHit;
         total.setupSeconds += s.stats.setupSeconds;
         total.annealSeconds += s.stats.annealSeconds;

@@ -13,12 +13,12 @@
  * `BimSearch(layout, planes, opts)` is the only way in. `opts` is
  * the whole configuration: `defaultOptions(layout)` (searched_bim.hh)
  * fills its targets and candidate mask, and callers adjust the rest.
- * The search builds its own `JointObjective` from it — per-target
- * weights from the layout (2.0 on `channelBits()`, 1.0 elsewhere),
- * combiner and member weights from `opts` — so no setting can live
- * in two places. Candidates are scored against one `TracePlanes` per
- * member (one XOR+popcount pass per candidate row per member — no
- * re-profiling).
+ * The search builds its own `FlatnessObjective` from it — per-target
+ * weights from the layout (2.0 on `channelBits()`, 1.0 elsewhere) —
+ * so no setting can live in two places. Candidates are scored against
+ * one `TracePlanes` per member (one XOR+popcount pass per candidate
+ * row per member — no re-profiling), and the joint cost is the plain
+ * mean of the member costs, summed in member order.
  *
  * ## Search space and the invertibility invariant
  *
@@ -56,10 +56,11 @@
  * (`parallelFor`) is bit-identical to running them serially
  * (`SearchOptions::threads = 1`; asserted in
  * `tests/bim_search_test.cc` and, for joint sets, in
- * `tests/joint_search_test.cc`). The evaluation budget
- * (`maxEvaluations`) is split per chain and counted deterministically;
- * wall-clock is *reported* in `SearchStats` but never feeds back into
- * control, so timing noise cannot change any result.
+ * `tests/joint_search_test.cc`). A chain runs `iterations` moves,
+ * counted, never timed; wall-clock is *reported* in `SearchStats` but
+ * never feeds back into control, so timing noise cannot change any
+ * result. Only a fired `cancel` token cuts a chain short, and its
+ * result says so.
  */
 
 #ifndef VALLEY_SEARCH_BIM_SEARCH_HH
@@ -92,6 +93,19 @@ namespace search {
 inline constexpr const char *kSearchVersion = "s2";
 
 /**
+ * Upper bounds on a search's run lengths, checked by the `BimSearch`
+ * constructor (and passed by `valley_search` as its flags' maxima),
+ * so a hostile value fails as bad input instead of as an allocation:
+ * `anneal` preallocates one result slot per restart, and each chain
+ * reserves its mask memo for `iterations + iterations/3` masks. At
+ * `kMaxIterations` that memo is about 11 MB of hash buckets plus
+ * 11 MB of entropies per member, per running chain. The defaults are
+ * 4 restarts of 1,200 moves.
+ */
+inline constexpr unsigned kMaxRestarts = 1024;
+inline constexpr unsigned kMaxIterations = 1000000;
+
+/**
  * The whole configuration of a search. Start from
  * `defaultOptions(layout)`, the one place that fills `targets` and
  * `candidateMask`; the constructor rejects options left without them.
@@ -116,36 +130,9 @@ struct SearchOptions
     std::uint64_t candidateMask = 0;
 
     unsigned window = 12;        ///< TB window w (#SMs, Section III-A)
-
-    /**
-     * How the objective folds member costs. Size-1 sets: both
-     * combiners reduce to the member cost.
-     */
-    JointCombiner combiner = JointCombiner::Mean;
-
     std::uint64_t seed = 1;      ///< master seed; see class comment
-    unsigned restarts = 4;       ///< independent annealing chains, >= 1
-    unsigned iterations = 1200;  ///< moves per chain
-
-    /**
-     * Per-member weights for the objective's Mean combiner, matched
-     * to the workload set's canonical `members()` order. Empty =
-     * uniform; the WorstCase combiner ignores them (see
-     * objective.hh). Size must equal the member count when non-empty
-     * (the constructor throws otherwise).
-     */
-    std::vector<double> memberWeights;
-
-    /**
-     * Hard cap on `rowEntropy` evaluations per search run — `anneal()`
-     * and `greedy()` each enforce it independently; 0 = unlimited.
-     * The budget is split evenly across restarts and each chain stops
-     * at the first move boundary at or past its share (the
-     * initial-state evaluation always runs, so a chain always returns
-     * a scored state). Deterministic: the cap is counted, never
-     * timed, so capped runs stay bit-identical at any thread count.
-     */
-    std::uint64_t maxEvaluations = 0;
+    unsigned restarts = 4;       ///< annealing chains, 1..kMaxRestarts
+    unsigned iterations = 1200;  ///< moves per chain, <= kMaxIterations
 
     /**
      * Worker threads for the restart fan-out: 1 = serial, 0 = one per
@@ -187,8 +174,6 @@ struct SearchOptions
      * inherently nondeterministic, so a truncated matrix must never
      * stand in for a seed's result: `runGrid` reports a cell whose
      * search was cut short deadline-missed and caches nothing of it.
-     * `maxEvaluations` remains the deterministic budget for
-     * bit-identical capped runs.
      */
     const CancelToken *cancel = nullptr;
 };
@@ -205,7 +190,6 @@ struct SearchStats
     std::uint64_t evaluations = 0;      ///< row scorings, memo hits too
     std::uint64_t accepted = 0;         ///< accepted moves
     std::uint64_t rejectedSingular = 0; ///< moves failing the rank check
-    bool capped = false;   ///< a chain hit its maxEvaluations share
     /**
      * A chain was stopped by `SearchOptions::cancel` (deadline or
      * explicit cancellation) before exhausting its move budget. The
@@ -307,8 +291,9 @@ class BimSearch
      *               (non-owning; members() order of the set)
      * @param opts   the configuration; see `SearchOptions`
      * @throws std::invalid_argument on empty or mis-sized planes,
-     *         zero restarts, mis-sized member weights, no targets, or
-     *         a target that is out of range or not a candidate
+     *         zero restarts, restarts or iterations above
+     *         `kMaxRestarts` / `kMaxIterations`, no targets, or a
+     *         target that is out of range or not a candidate
      */
     BimSearch(const AddressLayout &layout,
               std::vector<const workloads::TracePlanes *> planes,
@@ -333,18 +318,11 @@ class BimSearch
     /** Run one chain from its deterministic per-restart seed. */
     SearchResult runChain(unsigned restart, bool greedy) const;
 
-    /**
-     * Per-chain evaluation budget (0 = unlimited): the full cap for
-     * the greedy baseline's single chain, a 1/restarts share for
-     * each annealing chain.
-     */
-    std::uint64_t chainBudget(bool greedy) const;
-
     unsigned nbits;
     std::vector<unsigned> candidateBits; ///< set bits of mask_
     std::uint64_t mask_ = 0;
     std::vector<const workloads::TracePlanes *> planes_;
-    JointObjective objective;
+    FlatnessObjective objective; ///< per-member scoring
     SearchOptions opts;
 };
 

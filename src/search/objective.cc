@@ -31,35 +31,5 @@ FlatnessObjective::cost(std::span<const double> target_entropy,
            kGateWeight * xor_gates;
 }
 
-const char *
-combinerName(JointCombiner c)
-{
-    return c == JointCombiner::WorstCase ? "worst" : "mean";
-}
-
-double
-JointObjective::combine(std::span<const double> member_costs) const
-{
-    if (member_costs.empty())
-        return 0.0;
-    assert(memberWeights.empty() ||
-           memberWeights.size() == member_costs.size());
-    if (combiner == JointCombiner::WorstCase) {
-        double mx = member_costs[0];
-        for (double c : member_costs)
-            mx = std::max(mx, c);
-        return mx;
-    }
-    double wsum = 0.0;
-    double sum = 0.0;
-    for (std::size_t i = 0; i < member_costs.size(); ++i) {
-        const double w =
-            memberWeights.empty() ? 1.0 : memberWeights[i];
-        wsum += w;
-        sum += w * member_costs[i];
-    }
-    return wsum > 0.0 ? sum / wsum : 0.0;
-}
-
 } // namespace search
 } // namespace valley

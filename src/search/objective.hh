@@ -10,10 +10,10 @@
  * BIMs with fewer XOR gates when the entropy terms tie (Fig. 7's
  * tree-of-XOR-gates cost model).
  *
- * `JointObjective` lifts the per-workload objective to a *workload
- * set*: one BIM scored against every member, member costs folded by a
- * configurable combiner (mean or worst-case). The single-workload
- * search is the size-1 special case of the joint one.
+ * The joint search (`BimSearch`) scores one BIM against every member
+ * of a *workload set* with this objective and minimizes the plain
+ * mean of the member costs. The single-workload search is the size-1
+ * special case of the joint one: a mean over one member is its cost.
  */
 
 #ifndef VALLEY_SEARCH_OBJECTIVE_HH
@@ -63,67 +63,6 @@ struct FlatnessObjective
      */
     double cost(std::span<const double> target_entropy,
                 unsigned xor_gates) const;
-};
-
-/**
- * How a joint search folds per-workload flatness costs into the one
- * scalar it minimizes.
- */
-enum class JointCombiner
-{
-    /**
-     * (Weighted) arithmetic mean of the member costs — the deployment
-     * average. A size-1 set reduces exactly to the member cost, so the
-     * single-workload search is the special case, not a separate code
-     * path.
-     */
-    Mean,
-
-    /**
-     * Maximum member cost — optimize the worst-served workload. The
-     * set-level analogue of `FlatnessObjective`'s min term: a joint
-     * BIM with a great average can still starve one member, which is
-     * the failure mode the paper shows for one-size-fits-all RMP.
-     */
-    WorstCase,
-};
-
-/** Stable name of a combiner ("mean" / "worst"). */
-const char *combinerName(JointCombiner c);
-
-/**
- * Joint ("global") entropy-flatness objective over a workload set.
- *
- * Each member is scored with the shared per-workload
- * `FlatnessObjective` — same weights, same gate regularizer — and the
- * member costs are folded by `combiner`. Because the gate term is
- * identical across members, it passes through both combiners
- * unchanged, so the hardware regularization is set-size independent.
- */
-struct JointObjective
-{
-    FlatnessObjective flatness;  ///< per-member scoring
-    JointCombiner combiner = JointCombiner::Mean;
-
-    /**
-     * Per-member weights for the Mean combiner, aligned with the
-     * search's member order; empty = uniform. Ignored by WorstCase.
-     */
-    std::vector<double> memberWeights;
-
-    /** Fold per-member costs; empty input costs 0. */
-    double combine(std::span<const double> member_costs) const;
-
-    /**
-     * Cost of one member's target entropies (the per-member term fed
-     * into `combine`); delegates to `flatness`.
-     */
-    double
-    memberCost(std::span<const double> target_entropy,
-               unsigned xor_gates) const
-    {
-        return flatness.cost(target_entropy, xor_gates);
-    }
 };
 
 } // namespace search

@@ -317,7 +317,8 @@ TracePlanes::combineRow(std::uint64_t row_mask, std::uint64_t *plane,
             if (v.words == 1) {
                 const std::uint64_t x =
                     foldOneWord(arena, lo, k.kwords, row_mask);
-                plane[v.rowOff] = x;
+                if (plane != nullptr)
+                    plane[v.rowOff] = x;
                 ones[k.tbBase + t] =
                     static_cast<std::uint64_t>(std::popcount(x));
                 continue;
@@ -325,7 +326,8 @@ TracePlanes::combineRow(std::uint64_t row_mask, std::uint64_t *plane,
             const std::size_t nsrc =
                 gatherTaps(arena, lo, k.kwords, row_mask, srcs);
             ones[k.tbBase + t] = ops->xorPopcountN(
-                srcs, nsrc, plane + v.rowOff, v.words);
+                srcs, nsrc, plane != nullptr ? plane + v.rowOff : nullptr,
+                v.words);
         }
     }
 }
@@ -493,38 +495,13 @@ TracePlanes::entropyFromOnes(const std::uint64_t *ones,
     return combined;
 }
 
-void
-TracePlanes::rowOnes(std::uint64_t row_mask, std::uint64_t *ones) const
-{
-    assert((row_mask & ~bits::mask(nbits)) == 0 &&
-           "row taps must be tracked bits");
-    const std::uint64_t *srcs[64];
-    for (const KernelPlanes &k : kernels) {
-        const std::uint64_t *arena = k.arena.data();
-        for (std::size_t t = 0; t < k.tbs.size(); ++t) {
-            const TbView &v = k.tbs[t];
-            const std::size_t lo = v.rowOff - k.rowBase;
-            if (v.words == 1) {
-                ones[k.tbBase + t] =
-                    static_cast<std::uint64_t>(std::popcount(
-                        foldOneWord(arena, lo, k.kwords, row_mask)));
-                continue;
-            }
-            const std::size_t nsrc =
-                gatherTaps(arena, lo, k.kwords, row_mask, srcs);
-            ones[k.tbBase + t] =
-                ops->xorPopcountN(srcs, nsrc, nullptr, v.words);
-        }
-    }
-}
-
 double
 TracePlanes::rowEntropy(std::uint64_t row_mask, unsigned window) const
 {
     // From-scratch oracle: per-TB one-counts of the combined output
     // plane (no plane materialized), then the shared entropy tail.
     std::vector<std::uint64_t> ones(tb_count);
-    rowOnes(row_mask, ones.data());
+    combineRow(row_mask, nullptr, ones.data());
     return entropyFromOnes(ones.data(), window);
 }
 

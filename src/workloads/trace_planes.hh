@@ -251,7 +251,8 @@ class TracePlanes
     /**
      * Build the combined output plane of `row_mask` into
      * `plane[0, planeWords())` and its exact per-TB one-counts into
-     * `ones[0, tbCount())`.
+     * `ones[0, tbCount())`. A null `plane` makes the one-counts only
+     * (the `rowEntropy` oracle).
      */
     void combineRow(std::uint64_t row_mask, std::uint64_t *plane,
                     std::uint64_t *ones) const;
@@ -321,9 +322,6 @@ class TracePlanes
         std::size_t kwords = 0;     ///< words per strip (sum of TBs)
         bool uniform = false;       ///< every TB has words == 1
     };
-
-    /** Exact per-TB one-counts of `row_mask`'s combined output plane. */
-    void rowOnes(std::uint64_t row_mask, std::uint64_t *ones) const;
 
     /**
      * The entropy of a row whose per-TB one-counts are `ones` — the

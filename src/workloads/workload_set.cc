@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <stdexcept>
 
 #include "common/fnv.hh"
@@ -96,32 +95,6 @@ WorkloadSet::build(double scale) const
     out.reserve(members_.size());
     for (const std::string &m : members_)
         out.push_back(make(m, scale));
-    return out;
-}
-
-std::vector<double>
-canonicalMemberWeights(const std::vector<std::string> &raw_members,
-                       const std::vector<double> &weights)
-{
-    if (raw_members.size() != weights.size())
-        throw std::invalid_argument(
-            "canonicalMemberWeights: " +
-            std::to_string(weights.size()) + " weight(s) for " +
-            std::to_string(raw_members.size()) + " set member(s)");
-    const WorkloadSet set(raw_members);
-    std::map<std::string, double> acc;
-    for (std::size_t i = 0; i < raw_members.size(); ++i) {
-        if (!(weights[i] > 0.0))
-            throw std::invalid_argument(
-                "canonicalMemberWeights: weight " +
-                std::to_string(weights[i]) + " for \"" +
-                raw_members[i] + "\" must be > 0");
-        acc[canonicalMember(raw_members[i])] += weights[i];
-    }
-    std::vector<double> out;
-    out.reserve(set.size());
-    for (const std::string &m : set.members())
-        out.push_back(acc.at(m));
     return out;
 }
 

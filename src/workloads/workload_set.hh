@@ -8,7 +8,8 @@
  * must serve many resident applications at once. The joint ("global")
  * BIM search therefore operates on a `WorkloadSet`: named members
  * (Table II abbreviations and/or `synth:` scenario specs) with a
- * canonical, order-insensitive identity.
+ * canonical, order-insensitive identity. Members weigh equally: the
+ * search minimizes the plain mean of their costs.
  *
  * ## Canonical identity
  *
@@ -100,19 +101,6 @@ class WorkloadSet
     std::string key_;
     std::uint64_t hash_ = 0;
 };
-
-/**
- * Map per-member weights given in raw input order (one per entry of
- * `raw_members`, e.g. a `--weights` list matched to a `--set` list)
- * onto the canonical `members()` order of
- * `WorkloadSet(raw_members)`. Duplicate spellings of the same member
- * sum their weights — `{MT, MT}` with `{1, 2}` weights MT at 3.
- * Throws `std::invalid_argument` on a size mismatch or a
- * non-positive weight.
- */
-std::vector<double> canonicalMemberWeights(
-    const std::vector<std::string> &raw_members,
-    const std::vector<double> &weights);
 
 } // namespace workloads
 } // namespace valley

@@ -305,33 +305,6 @@ TEST(MinimalistOpenPage, ConsecutivePagesInterleaveAcrossChannels)
     EXPECT_EQ(channels.size(), 4u);
 }
 
-TEST(RemapFromProfile, PicksTopEntropyBits)
-{
-    std::vector<double> profile(30, 0.1);
-    // Plant high entropy at six scattered bits.
-    for (unsigned b : {7u, 12u, 16u, 20u, 24u, 28u})
-        profile[b] = 0.9;
-    const auto m = mapping::makeRemapFromProfile(gddr5(), profile);
-    // Each planted bit must land in a channel/bank position (8-13),
-    // in ascending order.
-    const unsigned planted[6] = {7, 12, 16, 20, 24, 28};
-    for (unsigned i = 0; i < 6; ++i)
-        EXPECT_EQ(m->map(Addr{1} << planted[i]), Addr{1} << (8 + i));
-    EXPECT_TRUE(m->matrix().invertible());
-}
-
-TEST(RemapFromProfile, MatchesDefaultRmpOnSuiteProfile)
-{
-    // Feeding a profile whose top-6 bits are 11..16 reproduces the
-    // built-in RMP permutation.
-    std::vector<double> profile(30, 0.0);
-    for (unsigned b = 11; b <= 16; ++b)
-        profile[b] = 1.0;
-    const auto custom = mapping::makeRemapFromProfile(gddr5(), profile);
-    const auto rmp = mapping::makeMapper(mapping::kRmp, gddr5());
-    EXPECT_TRUE(custom->matrix() == rmp->matrix());
-}
-
 TEST(Schemes, ChannelSpreadOnPathologicalColumnMajorStream)
 {
     // The Fig. 2 scenario: a column-major TB whose addresses differ

@@ -1,19 +1,17 @@
 /**
  * @file
  * Tests for the joint ("global") BIM search over workload sets:
- * the `JointObjective` combiners, bit-identical serial/parallel
- * restarts on a multi-member set, set-order invariance of both the
- * search result and the set id GBIM cells key the result cache on,
- * member profiles equal to the profiler's, size-1 sets named SBIM,
- * member weights and combiners taken from the options, the
- * `maxEvaluations` budget cap, and `map:gbim` end-to-end through
+ * bit-identical serial/parallel restarts on a multi-member set,
+ * set-order invariance of both the search result and the set id GBIM
+ * cells key the result cache on, member profiles equal to the
+ * profiler's, size-1 sets named SBIM, the joint cost as the plain
+ * mean of the member costs, and `map:gbim` end-to-end through
  * `harness::runGrid`, whose repeat run reads every cell from the
  * result cache and searches nothing.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
@@ -76,30 +74,6 @@ smallOptions(const AddressLayout &layout)
 
 } // namespace
 
-TEST(JointObjective, MeanOfOneMemberIsTheMemberCost)
-{
-    JointObjective obj;
-    const double costs[] = {0.37};
-    EXPECT_EQ(obj.combine(costs), 0.37);
-}
-
-TEST(JointObjective, CombinersFoldAsDocumented)
-{
-    JointObjective obj;
-    const double costs[] = {0.2, 0.6, 0.1};
-    EXPECT_NEAR(obj.combine(costs), 0.3, 1e-12);
-    obj.combiner = JointCombiner::WorstCase;
-    EXPECT_EQ(obj.combine(costs), 0.6);
-    // Member weights skew the mean (and are ignored by WorstCase).
-    obj.combiner = JointCombiner::Mean;
-    obj.memberWeights = {1.0, 2.0, 1.0};
-    EXPECT_NEAR(obj.combine(costs), (0.2 + 1.2 + 0.1) / 4.0, 1e-12);
-    EXPECT_EQ(combinerName(JointCombiner::Mean),
-              std::string("mean"));
-    EXPECT_EQ(combinerName(JointCombiner::WorstCase),
-              std::string("worst"));
-}
-
 TEST(JointSearch, ParallelRestartsBitIdenticalToSerialOnSet)
 {
     const AddressLayout layout = gddr5();
@@ -131,9 +105,8 @@ TEST(JointSearch, PlaneCacheOffBitIdenticalToOnOnSet)
     // invisible to a multi-member joint search too: same trajectory,
     // same matrix, same counters story (cached run toggles/xors planes
     // and answers revisited masks from its memo, oracle run never
-    // does), also when the evaluation cap stops each chain halfway
-    // through its anneal. The second set adds LU, whose zero strips
-    // make most proposals reuse cached kernel entropies.
+    // does). The second set adds LU, whose zero strips make most
+    // proposals reuse cached kernel entropies.
     const AddressLayout layout = gddr5();
     for (const WorkloadSet &set :
          {WorkloadSet({"MT", "synth:stencil3d"}),
@@ -163,23 +136,6 @@ TEST(JointSearch, PlaneCacheOffBitIdenticalToOnOnSet)
         EXPECT_EQ(b.stats.planeRebuilds, 0u);
         EXPECT_GT(a.stats.memoHits, 0u);
         EXPECT_EQ(b.stats.memoHits, 0u);
-
-        cached.maxEvaluations =
-            a.stats.setupEvaluations + a.stats.annealEvaluations / 2;
-        oracle.maxEvaluations = cached.maxEvaluations;
-        const SearchResult ca =
-            BimSearch(layout, sp.ptrs(), cached).anneal();
-        const SearchResult cb =
-            BimSearch(layout, sp.ptrs(), oracle).anneal();
-        EXPECT_TRUE(ca.stats.capped);
-        EXPECT_GT(ca.stats.annealEvaluations, 0u);
-        EXPECT_EQ(ca.stats.polishEvaluations, 0u);
-        EXPECT_TRUE(ca.bim == cb.bim);
-        EXPECT_EQ(ca.cost, cb.cost);
-        EXPECT_EQ(ca.stats.evaluations, cb.stats.evaluations);
-        EXPECT_EQ(ca.stats.accepted, cb.stats.accepted);
-        EXPECT_EQ(ca.memberCosts, cb.memberCosts);
-        EXPECT_EQ(ca.memberTargetEntropy, cb.memberTargetEntropy);
     }
 }
 
@@ -281,113 +237,25 @@ TEST(JointSearch, SizeOneSetIsNamedSbim)
                 searchSet(set, layout, opts, kScale).annealed.bim);
 }
 
-TEST(JointSearch, WeightedSizeOneEqualsUnweighted)
+TEST(JointSearch, JointCostIsThePlainMeanOfItsMemberCosts)
 {
-    // With one member, the weighted mean collapses to the member
-    // cost no matter the weight, so the searched matrix must be
-    // bit-identical to the unweighted search.
+    // The joint objective sums the member costs in member order and
+    // divides by the count: exactly, so a one-member set's cost is
+    // its member's cost and the single-workload search needs no path
+    // of its own.
     const AddressLayout layout = gddr5();
-    const WorkloadSet set({"MT"});
+    const SearchOptions opts = smallOptions(layout);
 
-    const SearchOptions plain = smallOptions(layout);
-    SearchOptions weighted = plain;
-    weighted.memberWeights = {2.5};
-
-    const SetSearchResult a = searchSet(set, layout, plain, kScale);
-    const SetSearchResult b = searchSet(set, layout, weighted, kScale);
-    EXPECT_TRUE(a.annealed.bim == b.annealed.bim);
-    EXPECT_EQ(a.annealed.cost, b.annealed.cost);
-    EXPECT_EQ(a.annealed.targetEntropy, b.annealed.targetEntropy);
-}
-
-TEST(JointSearch, MismatchedWeightsAreRejected)
-{
-    const AddressLayout layout = gddr5();
-    SearchOptions opts = smallOptions(layout);
-    opts.memberWeights = {1.0, 2.0, 3.0};
-    EXPECT_THROW(
-        searchSet(WorkloadSet({"MT", "LU"}), layout, opts, kScale),
-        std::invalid_argument);
-    EXPECT_THROW(setMapper(layout, WorkloadSet({"MT", "LU"}), opts,
-                           kScale),
-                 std::invalid_argument);
-}
-
-TEST(JointSearch, MaxEvaluationsIsAHardDeterministicCap)
-{
-    const AddressLayout layout = gddr5();
-    const WorkloadSet set({"MT", "LU"});
-    const SetPlanes sp(set);
-
-    SearchOptions uncapped = smallOptions(layout);
-    const BimSearch su(layout, sp.ptrs(), uncapped);
-    const SearchResult ru = su.anneal();
-    EXPECT_FALSE(ru.stats.capped);
-
-    SearchOptions capped = uncapped;
-    capped.maxEvaluations = 300;
-    const BimSearch sc(layout, sp.ptrs(), capped);
-    const SearchResult rc = sc.anneal();
-    EXPECT_TRUE(rc.stats.capped);
-    EXPECT_LT(rc.stats.evaluations, ru.stats.evaluations);
-    // Hard cap: each chain stops at its budget share; a move
-    // evaluates at most one candidate row per member past the check.
-    EXPECT_LE(rc.stats.evaluations,
-              capped.maxEvaluations + capped.restarts * set.size());
-    EXPECT_TRUE(rc.bim.invertible());
-
-    // The greedy baseline is one chain and gets the whole per-run
-    // cap, not a 1/restarts share (its rejected-without-evaluation
-    // moves mean it needs a tighter cap than the anneal to bind).
-    SearchOptions gcap = uncapped;
-    gcap.maxEvaluations = 100;
-    const BimSearch sg(layout, sp.ptrs(), gcap);
-    const SearchResult rg = sg.greedy();
-    EXPECT_TRUE(rg.stats.capped);
-    EXPECT_LE(rg.stats.evaluations,
-              gcap.maxEvaluations + set.size());
-    EXPECT_GT(rg.stats.evaluations,
-              gcap.maxEvaluations / gcap.restarts + set.size());
-
-    // Capped runs stay bit-identical at any thread count.
-    SearchOptions capped_par = capped;
-    capped_par.threads = 3;
-    const BimSearch scp(layout, sp.ptrs(), capped_par);
-    const SearchResult rcp = scp.anneal();
-    EXPECT_TRUE(rc.bim == rcp.bim);
-    EXPECT_EQ(rc.stats.evaluations, rcp.stats.evaluations);
-}
-
-TEST(JointSearch, WorstCaseCombinerLiftsTheWorstMember)
-{
-    const AddressLayout layout = gddr5();
-    const WorkloadSet set({"MT", "LU"});
-    const SetPlanes sp(set);
-    SearchOptions opts = smallOptions(layout);
-    opts.combiner = JointCombiner::WorstCase;
-    const BimSearch s(layout, sp.ptrs(), opts);
-    const SearchResult r = s.anneal();
-    // The joint cost IS the worst member cost under this combiner.
-    ASSERT_EQ(r.memberCosts.size(), 2u);
-    EXPECT_EQ(r.cost,
-              std::max(r.memberCosts[0], r.memberCosts[1]));
-    EXPECT_LT(r.cost, r.identityCost);
-}
-
-TEST(JointSearch, MemberWeightsFromOptionsWeightTheMean)
-{
-    // The search builds its objective from the options alone, member
-    // weights included: the joint cost is their weighted mean of the
-    // member costs it reports.
-    const AddressLayout layout = gddr5();
-    const WorkloadSet set({"MT", "LU"});
-    const SetPlanes sp(set);
-    SearchOptions opts = smallOptions(layout);
-    opts.memberWeights = {1.0, 3.0};
-    const SearchResult r = BimSearch(layout, sp.ptrs(), opts).anneal();
+    const SetPlanes pair(WorkloadSet({"MT", "LU"}));
+    const SearchResult r = BimSearch(layout, pair.ptrs(), opts).anneal();
     ASSERT_EQ(r.memberCosts.size(), 2u);
     EXPECT_NE(r.memberCosts[0], r.memberCosts[1]);
-    EXPECT_EQ(r.cost, (r.memberCosts[0] + 3.0 * r.memberCosts[1]) / 4.0);
+    EXPECT_EQ(r.cost, (r.memberCosts[0] + r.memberCosts[1]) / 2.0);
+
+    const SetPlanes one(WorkloadSet({"MT"}));
+    const SearchResult s = BimSearch(layout, one.ptrs(), opts).anneal();
+    ASSERT_EQ(s.memberCosts.size(), 1u);
+    EXPECT_EQ(s.cost, s.memberCosts[0]);
 }
 
 namespace {

@@ -113,39 +113,3 @@ TEST(WorkloadSet, BuildsEveryMemberInCanonicalOrder)
     EXPECT_EQ(wls[1]->info().abbrev, "MT");
     EXPECT_EQ(wls[2]->info().abbrev, "synth:strided");
 }
-
-TEST(WorkloadSet, CanonicalMemberWeightsFollowTheSort)
-{
-    // Input order MT,LU — canonical order LU,MT: the weights must
-    // travel with their members through the sort.
-    const auto w = workloads::canonicalMemberWeights({"MT", "LU"},
-                                                     {1.0, 2.0});
-    const WorkloadSet set({"MT", "LU"});
-    ASSERT_EQ(set.members()[0], "LU");
-    ASSERT_EQ(w.size(), 2u);
-    EXPECT_EQ(w[0], 2.0); // LU's weight
-    EXPECT_EQ(w[1], 1.0); // MT's weight
-}
-
-TEST(WorkloadSet, CanonicalMemberWeightsSumDuplicates)
-{
-    const auto w = workloads::canonicalMemberWeights(
-        {"MT", "LU", "MT"}, {1.0, 4.0, 2.0});
-    // Set dedups to {LU, MT}; MT's two spellings sum.
-    ASSERT_EQ(w.size(), 2u);
-    EXPECT_EQ(w[0], 4.0);
-    EXPECT_EQ(w[1], 3.0);
-}
-
-TEST(WorkloadSet, CanonicalMemberWeightsRejectBadInput)
-{
-    EXPECT_THROW(
-        workloads::canonicalMemberWeights({"MT", "LU"}, {1.0}),
-        std::invalid_argument);
-    EXPECT_THROW(
-        workloads::canonicalMemberWeights({"MT"}, {0.0}),
-        std::invalid_argument);
-    EXPECT_THROW(
-        workloads::canonicalMemberWeights({"MT"}, {-1.0}),
-        std::invalid_argument);
-}

@@ -36,7 +36,6 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -45,7 +44,6 @@
 #include "cli_args.hh"
 #include "common/bitops.hh"
 #include "common/metrics.hh"
-#include "common/spec.hh"
 #include "common/table.hh"
 #include "common/trace_span.hh"
 #include "mapping/layout_registry.hh"
@@ -90,13 +88,8 @@ Options:
   --set A,B,C     joint search over a workload set: comma-separated
                   members, each a Table II abbreviation or synth:
                   spec (spec key=value parameters attach to the
-                  preceding synth: member). Order-insensitive.
-  --combine C     joint member-cost combiner: mean (default) or
-                  worst (optimize the worst-served member)
-  --weights W,... per-member weights for the mean combiner, matched
-                  positionally to the --set list (duplicates sum);
-                  each weight must be > 0. Requires --set; ignored
-                  by --combine worst. Default: uniform
+                  preceding synth: member). Order-insensitive;
+                  the search minimizes the members' mean cost.
   --list          print the known workloads and synth families, exit
   --list-mappers  print the registered map: mapper families with
                   their parameters, exit
@@ -108,9 +101,6 @@ Options:
   --seed N        search seed (the "BIM-N" of Fig. 19); default 1
   --restarts N    annealing restarts; default 4
   --iters N       moves per restart; default 1200
-  --max-evals N   hard cap on row-entropy evaluations per search run
-                  (split over restarts; the greedy baseline budgets
-                  its own run separately); 0 = unlimited
   --window W      TB window w (#SMs, Section III-A); default 12
   --threads N     worker threads (0 = all cores, 1 = serial);
                   default 0; results are identical at any count
@@ -141,7 +131,6 @@ struct CliOptions
 {
     std::string workload;
     std::string set;
-    std::string weights;
     std::string out;
     std::string tracePath;
     std::string metricsPath;
@@ -202,16 +191,6 @@ parseArgs(int argc, char **argv)
             o.workload = need(i, "--workload");
         } else if (a == "--set") {
             o.set = need(i, "--set");
-        } else if (a == "--weights") {
-            o.weights = need(i, "--weights");
-        } else if (a == "--combine") {
-            const std::string c = need(i, "--combine");
-            if (c == "mean")
-                o.search.combiner = search::JointCombiner::Mean;
-            else if (c == "worst")
-                o.search.combiner = search::JointCombiner::WorstCase;
-            else
-                usageError("--combine must be mean or worst");
         } else if (a == "--scale") {
             o.scale = realArg("--scale", need(i, "--scale"));
             if (o.scale <= 0.0 || o.scale > 1.0)
@@ -223,15 +202,14 @@ parseArgs(int argc, char **argv)
                 intArg("--seed", need(i, "--seed"), UINT64_MAX);
         } else if (a == "--restarts") {
             o.search.restarts = static_cast<unsigned>(
-                intArg("--restarts", need(i, "--restarts")));
+                intArg("--restarts", need(i, "--restarts"),
+                       search::kMaxRestarts));
             if (o.search.restarts == 0)
                 usageError("--restarts must be >= 1");
         } else if (a == "--iters") {
             o.search.iterations = static_cast<unsigned>(
-                intArg("--iters", need(i, "--iters")));
-        } else if (a == "--max-evals") {
-            o.search.maxEvaluations = intArg(
-                "--max-evals", need(i, "--max-evals"), UINT64_MAX);
+                intArg("--iters", need(i, "--iters"),
+                       search::kMaxIterations));
         } else if (a == "--window") {
             o.search.window = static_cast<unsigned>(
                 intArg("--window", need(i, "--window")));
@@ -281,8 +259,6 @@ writeJsonTail(std::ofstream &out, const search::SetSearchResult &r)
     out << "  \"xor_tree_depth\": " << m.xorTreeDepth() << ",\n";
     out << "  \"evaluations\": " << r.annealed.stats.evaluations
         << ",\n";
-    out << "  \"capped\": "
-        << (r.annealed.stats.capped ? "true" : "false") << ",\n";
 
     // Matrix rows, output bit 0 first: bit c of rows[r] is M[r][c].
     out << "  \"rows\": [";
@@ -329,15 +305,6 @@ writeJson(const std::string &path, const CliOptions &o,
             out << (m ? ", " : "") << '"' << set.members()[m] << '"';
         out << "],\n";
         out << "  \"set_id\": \"" << set.shortId() << "\",\n";
-        out << "  \"combine\": \""
-            << search::combinerName(so.combiner) << "\",\n";
-        if (!so.memberWeights.empty()) {
-            // Canonical members() order, like member_costs.
-            out << "  \"member_weights\": [";
-            for (std::size_t m = 0; m < so.memberWeights.size(); ++m)
-                out << (m ? ", " : "") << so.memberWeights[m];
-            out << "],\n";
-        }
     }
     out << "  \"layout\": \"" << mapping::layoutIdentity(layout)
         << "\",\n";
@@ -377,12 +344,11 @@ writeJson(const std::string &path, const CliOptions &o,
 void
 printSearchStats(const search::SearchResult &r)
 {
-    std::printf("search: %" PRIu64 " row evaluations%s, %" PRIu64
+    std::printf("search: %" PRIu64 " row evaluations, %" PRIu64
                 " accepted moves, %" PRIu64
                 " singular rejections, best restart %u\n",
-                r.stats.evaluations,
-                r.stats.capped ? " (budget-capped)" : "",
-                r.stats.accepted, r.stats.rejectedSingular,
+                r.stats.evaluations, r.stats.accepted,
+                r.stats.rejectedSingular,
                 r.bestRestart);
     std::printf("phases: setup %.3fs, anneal %.3fs, polish %.3fs "
                 "(chain-seconds; wall %.3fs)\n",
@@ -453,41 +419,13 @@ main(int argc, char **argv)
         usageError("--workload or --set is required");
     if (!o.workload.empty() && !o.set.empty())
         usageError("--workload and --set are mutually exclusive");
-    if (!o.weights.empty() && o.set.empty())
-        usageError("--weights requires --set");
 
     std::unique_ptr<workloads::WorkloadSet> set;
-    std::vector<double> weights;
     try {
         set = std::make_unique<workloads::WorkloadSet>(
             o.set.empty()
                 ? workloads::WorkloadSet({o.workload})
                 : workloads::WorkloadSet::parse(o.set));
-        if (!o.weights.empty()) {
-            // One weight per raw --set member, in --set order; the
-            // set canonicalizes (sorts, dedups) its members, so the
-            // weights are remapped onto that canonical order here.
-            std::vector<double> raw_weights;
-            std::size_t start = 0;
-            while (start <= o.weights.size()) {
-                const std::size_t comma = o.weights.find(',', start);
-                const std::size_t end = comma == std::string::npos
-                                            ? o.weights.size()
-                                            : comma;
-                const std::string f =
-                    o.weights.substr(start, end - start);
-                const std::optional<double> w = spec::parseF64(f);
-                if (!w)
-                    throw std::invalid_argument(
-                        "--weights: \"" + f + "\" is not a number");
-                raw_weights.push_back(*w);
-                if (comma == std::string::npos)
-                    break;
-                start = comma + 1;
-            }
-            weights = workloads::canonicalMemberWeights(
-                spec::splitList(o.set), raw_weights);
-        }
     } catch (const std::exception &e) {
         usageError(e.what());
     }
@@ -504,21 +442,16 @@ main(int argc, char **argv)
     const search::SearchOptions defaults = search::defaultOptions(layout);
     so.targets = defaults.targets;
     so.candidateMask = defaults.candidateMask;
-    so.memberWeights = weights;
 
     const bool joint = set->size() > 1;
     const std::string label =
         joint ? set->shortId() + " {" + set->key() + "}"
               : set->members()[0];
     std::printf("valley_search: %s (%s, scale %.3g, seed %" PRIu64
-                ", %u restarts x %u iters%s)\n\n",
+                ", %u restarts x %u iters)\n\n",
                 label.c_str(),
                 mapping::layoutIdentity(layout).c_str(), o.scale,
-                so.seed, so.restarts, so.iterations,
-                joint ? (std::string(", combine ") +
-                         search::combinerName(so.combiner))
-                            .c_str()
-                      : "");
+                so.seed, so.restarts, so.iterations);
 
     const search::SetSearchResult r =
         search::searchSet(*set, layout, so, o.scale);
